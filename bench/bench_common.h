@@ -88,7 +88,7 @@ inline void sweep_summary(int jobs) {
   const workload::TraceCache& cache = workload::TraceCache::global();
   std::printf(
       "\n[sweep] workers: %d of %u hardware threads; trace cache: %" PRIu64
-      " hits / %" PRIu64 " misses (%zu streams resident, %.1f MiB)\n",
+      " hits / %" PRIu64 " misses (%zu entries resident, %.1f MiB)\n",
       jobs, std::thread::hardware_concurrency(), cache.hits(),
       cache.misses(), cache.entries(),
       static_cast<double>(cache.resident_bytes()) / (1024.0 * 1024.0));

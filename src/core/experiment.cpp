@@ -1,11 +1,11 @@
 #include "rrsim/core/experiment.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
+#include "arrival_pump.h"
 #include "experiment_detail.h"
 #include "rrsim/des/simulation.h"
 #include "rrsim/grid/gateway.h"
@@ -50,15 +50,6 @@ SimResult run_experiment(const ExperimentConfig& config,
       config.n_clusters > 1) {
     return detail::run_pdes_experiment(config);
   }
-  const bool windowed = config.stream_window > 0;
-  if (windowed && config.retain_records) {
-    throw std::invalid_argument(
-        "stream_window requires streaming record mode "
-        "(retain_records = false) on the classic kernel: retained runs "
-        "materialize every record anyway, so a windowed input would bound "
-        "nothing");
-  }
-
   detail::ResolvedClusters rc = detail::resolve_clusters(config);
   std::vector<grid::ClusterConfig>& cluster_configs = rc.cluster_configs;
   des::Simulation& sim = workspace.sim_;
@@ -138,42 +129,32 @@ SimResult run_experiment(const ExperimentConfig& config,
   const auto placement = grid::make_placement(config.placement);
   const auto estimator = workload::make_estimator(config.estimator);
 
-  // --- Generate job streams (shared with the PDES kernel) ---------------
-  // resolve_streams() is the historical inline loop moved verbatim into
-  // experiment_detail.h: same validation order, same fork order, same
-  // TraceCache memoization, and the user/redundancy draws pre-drawn in
-  // the cluster-major order both record modes consume them.
-  // resolve_stream_windows() is its O(window x clusters) counterpart:
-  // checkpoint tables instead of streams, substream fingerprints instead
-  // of pre-drawn draws, bit-identical job/draw values by construction.
-  detail::ResolvedStreams rs;
-  detail::ResolvedWindows ws;
-  if (windowed) {
-    ws = detail::resolve_stream_windows(config, cluster_configs, rc.master,
-                                        *estimator);
-  } else {
-    rs = detail::resolve_streams(config, cluster_configs, rc.master,
-                                 *estimator);
-  }
-  auto placement_rng = std::make_unique<util::Rng>(
-      windowed ? ws.placement_rng : rs.placement_rng);
-  const std::size_t jobs_generated =
-      windowed ? ws.jobs_generated : rs.jobs_generated;
+  // --- Resolve inputs (shared with the PDES kernel) ----------------------
+  detail::ResolvedInputs inputs = detail::resolve_inputs(
+      config, cluster_configs, rc.master, *estimator);
 
-  // Declared before scheduling: the streaming mode's record sink points at
-  // result.stream and must outlive the run.
+  // Declared before scheduling: the streaming sink points at result.stream
+  // and must outlive the run.
   SimResult result;
   result.streamed = !config.retain_records;
+  // Retention is only the gateway's sink choice: append every finished job
+  // as a record (sized once — every generated job finishes exactly once
+  // under drain, so the per-finish push_back never reallocates), or fold
+  // it into the online accumulator.
+  if (config.retain_records) {
+    gateway.reserve_records(inputs.jobs_generated);
+  } else {
+    gateway.set_record_sink(&result.stream);
+  }
 
   const std::size_t degree = config.scheme.degree(config.n_clusters);
   const double inflation = config.remote_inflation;
   // Chooses the remote targets of one redundant job at its submission
   // instant, so informed placement policies (least-loaded) observe the
-  // live queue lengths. Shared verbatim by both arrival mechanisms below,
-  // which therefore consume the placement substream identically.
-  const auto place_job = [&platform, &placement = *placement,
-                          &placement_rng = *placement_rng,
-                          degree](grid::GridJob& job) {
+  // live queue lengths.
+  const auto submit = [&platform, &gateway, &placement = *placement,
+                       &placement_rng = inputs.placement_rng, degree,
+                       inflation](grid::GridJob& job) {
     if (job.redundant && degree > 1) {
       std::vector<std::size_t> lengths;
       lengths.reserve(platform.size());
@@ -189,297 +170,21 @@ SimResult run_experiment(const ExperimentConfig& config,
     } else {
       job.redundant = false;
     }
+    gateway.submit(job, inflation);
   };
-  // Under a redundant scheme every arrival callback couples globally:
-  // place_job draws from the single shared placement substream and
-  // snapshots every cluster's queue length, so permuting same-timestamp
-  // arrivals — even ones submitting to different clusters — reorders the
-  // RNG draws and changes replica targets. Arrival events therefore carry
-  // their origin-cluster tag only when no placement draw can happen
-  // (degree <= 1); otherwise they are scheduled untagged so schedule
-  // explorers (tools/check) treat them as dependent on everything.
-  const auto arrival_tag = [degree](std::size_t cluster) {
-    return degree > 1 ? des::kNoEventTag : static_cast<std::uint32_t>(cluster);
-  };
-
-  // Per-cluster arrival pump state (streaming mode). The pre-drawn
-  // rs.draws — 8 bytes per job instead of a staged GridJob (~150 with its
-  // target heap) — let pumps walk the memoized streams directly, keeping
-  // one in-flight arrival event per cluster instead of one per job.
-  struct Pump {
-    const workload::JobStream* stream = nullptr;
-    std::size_t next = 0;        // index of the next job to submit
-    std::size_t draw_base = 0;   // first index into rs.draws
-    grid::GridJobId id_base = 0;  // ids are id_base + index + 1
-    grid::GridJob scratch;       // reused submission buffer
-  };
-  std::vector<Pump> pumps;
-  std::function<void(std::size_t)> pump_fire;
-
-  // Windowed pump state (stream_window > 0): no resident stream at all —
-  // a StreamWindow generator refills `buf` one window at a time, and the
-  // user/redundancy draws are made lazily from generators restored at this
-  // cluster's substream positions. Job ids, draw values and submit order
-  // are bit-identical to the eager pumps by construction.
-  struct WindowPump {
-    std::unique_ptr<workload::StreamWindow> gen;
-    workload::JobStream buf;      // current window, O(stream_window)
-    std::size_t in_buf = 0;       // index of the next job within buf
-    std::uint64_t produced = 0;   // jobs already submitted by this pump
-    util::Rng users_rng{0};
-    util::Rng redundancy_rng{0};
-    grid::GridJobId id_base = 0;  // ids are id_base + produced + 1
-    grid::GridJob scratch;
-  };
-  std::vector<WindowPump> wpumps;
-  std::function<void(std::size_t)> wpump_fire;
-
-  // Windowed SWF replay state (stream_window > 0 with trace_files): the
-  // per-cluster spool readers pull O(window) buffers, but arrivals are
-  // driven by ONE merged pump doing a k-way merge keyed (submit time,
-  // cluster). SWF integer timestamps tie across clusters, and independent
-  // per-cluster pumps would acquire interleaving-dependent event sequence
-  // numbers at a tie; the merged pump emits tied arrivals in (time,
-  // cluster, within-cluster order) — exactly the retained mode's
-  // cluster-major staging order — and chains a single kArrival event, so
-  // the windowed replay is bit-identical to the retained replay (only
-  // arrival pumps schedule at kArrival priority, so relative order against
-  // every other event class is decided by priority alone in both modes).
-  struct SwfWindowCluster {
-    std::unique_ptr<workload::WindowSpool::Reader> reader;
-    workload::JobStream buf;      // current window, O(stream_window)
-    std::size_t in_buf = 0;       // index of the next job within buf
-    std::uint64_t produced = 0;   // jobs already submitted
-    util::Rng users_rng{0};
-    util::Rng redundancy_rng{0};
-    grid::GridJobId id_base = 0;  // ids are id_base + produced + 1
-    grid::GridJob scratch;
-  };
-  std::vector<SwfWindowCluster> mclusters;
-  // Min-heap over (next submit time, cluster): the pair's lexicographic
-  // order is exactly the tie rule above.
-  std::vector<std::pair<double, std::size_t>> mheap;
-  std::function<void()> merged_fire;
-
-  std::vector<grid::GridJob>& jobs = workspace.jobs_;
-  if (config.retain_records) {
-    // --- Retained mode: stage every grid job, pre-schedule every arrival.
-    jobs.clear();
-    grid::GridJobId next_id = 1;
-    std::size_t draw_index = 0;
-    for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      for (const workload::JobSpec& spec : rs.streams[i].get()) {
-        const detail::Draw& d = rs.draws[draw_index++];
-        grid::GridJob job;
-        job.id = next_id++;
-        job.origin = i;
-        job.user = static_cast<sched::UserId>(d.user);
-        job.spec = spec;
-        job.redundant = d.redundant;
-        job.targets = {i};
-        jobs.push_back(std::move(job));
-      }
-    }
-    // Record storage sized once: every generated job finishes exactly once
-    // under drain, so this is the exact final size (an upper bound under
-    // truncation) and the per-finish push_back never reallocates.
-    gateway.reserve_records(jobs.size());
-
-    // Arrival events fire in deterministic order, so the placement stream
-    // stays reproducible. `jobs` is fully built before any lambda captures
-    // an element reference, and never resized afterwards.
-    for (grid::GridJob& job : jobs) {
-      sim.schedule_at(
-          job.spec.submit_time,
-          [&gateway, &place_job, &job, inflation] {
-            place_job(job);
-            gateway.submit(job, inflation);
-          },
-          des::Priority::kArrival, arrival_tag(job.origin));
-    }
-  } else if (windowed && !config.trace_files.empty()) {
-    // --- Windowed SWF replay: merged arrival pump over spool readers.
-    std::vector<grid::GridJob>().swap(jobs);
-    gateway.set_record_sink(&result.stream);
-
-    const std::size_t window = config.stream_window;
-    mclusters.resize(config.n_clusters);
-    {
-      std::size_t base = 0;
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        const detail::WindowedClusterStream& wcs = ws.streams[i];
-        SwfWindowCluster& p = mclusters[i];
-        p.id_base = static_cast<grid::GridJobId>(base);
-        base += wcs.total_jobs();
-        if (wcs.total_jobs() == 0) continue;
-        p.reader = std::make_unique<workload::WindowSpool::Reader>(wcs.spool);
-        p.buf.reserve(window);
-        p.reader->next(window, p.buf);
-        p.users_rng = util::Rng::from_fingerprint(wcs.users_start);
-        p.redundancy_rng = util::Rng::from_fingerprint(wcs.redundancy_start);
-        mheap.emplace_back(p.buf.front().submit_time, i);
-      }
-    }
-    std::make_heap(mheap.begin(), mheap.end(), std::greater<>{});
-    const auto users_per_cluster =
-        static_cast<std::uint64_t>(config.users_per_cluster);
-    const bool scheme_active = !config.scheme.is_none();
-    const double redundant_fraction = config.redundant_fraction;
-    merged_fire = [&gateway, &place_job, &arrival_tag, &mclusters, &mheap,
-                   &sim, &merged_fire, window, users_per_cluster,
-                   scheme_active, redundant_fraction, inflation] {
-      std::pop_heap(mheap.begin(), mheap.end(), std::greater<>{});
-      const std::size_t ci = mheap.back().second;
-      mheap.pop_back();
-      SwfWindowCluster& p = mclusters[ci];
-      const workload::JobSpec& spec = p.buf[p.in_buf];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.produced + 1;
-      job.origin = ci;
-      // Same draws, same per-generator order as the eager rs.draws loop.
-      job.user = static_cast<sched::UserId>(static_cast<std::uint32_t>(
-          ci * 4096 + p.users_rng.below(users_per_cluster)));
-      job.spec = spec;
-      job.redundant =
-          scheme_active && p.redundancy_rng.chance(redundant_fraction);
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      ++p.produced;
-      if (++p.in_buf == p.buf.size() && !p.reader->exhausted()) {
-        p.reader->next(window, p.buf);
-        p.in_buf = 0;
-      }
-      if (p.in_buf < p.buf.size()) {
-        mheap.emplace_back(p.buf[p.in_buf].submit_time, ci);
-        std::push_heap(mheap.begin(), mheap.end(), std::greater<>{});
-      }
-      if (!mheap.empty()) {
-        sim.schedule_at(mheap.front().first, [&merged_fire] { merged_fire(); },
-                        des::Priority::kArrival,
-                        arrival_tag(mheap.front().second));
-      }
-    };
-    if (!mheap.empty()) {
-      sim.schedule_at(mheap.front().first, [&merged_fire] { merged_fire(); },
-                      des::Priority::kArrival,
-                      arrival_tag(mheap.front().second));
-    }
-  } else if (windowed) {
-    // --- Windowed streaming mode: O(stream_window) trace state per pump.
-    std::vector<grid::GridJob>().swap(jobs);
-    gateway.set_record_sink(&result.stream);
-
-    const std::size_t window = config.stream_window;
-    wpumps.resize(config.n_clusters);
-    {
-      std::size_t base = 0;
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        const detail::WindowedClusterStream& wcs = ws.streams[i];
-        WindowPump& p = wpumps[i];
-        p.id_base = static_cast<grid::GridJobId>(base);
-        base += wcs.checkpoints->total_jobs;
-        if (wcs.checkpoints->total_jobs == 0) continue;
-        p.gen = std::make_unique<workload::StreamWindow>(
-            cluster_configs[i].workload, cluster_configs[i].nodes,
-            config.submit_horizon, wcs.checkpoints->checkpoints.front(),
-            *estimator);
-        p.buf.reserve(window);
-        p.gen->next(window, p.buf);
-        p.users_rng = util::Rng::from_fingerprint(wcs.users_start);
-        p.redundancy_rng = util::Rng::from_fingerprint(wcs.redundancy_start);
-      }
-    }
-    const auto users_per_cluster =
-        static_cast<std::uint64_t>(config.users_per_cluster);
-    const bool scheme_active = !config.scheme.is_none();
-    const double redundant_fraction = config.redundant_fraction;
-    wpump_fire = [&gateway, &place_job, &arrival_tag, &wpumps, &sim,
-                  &wpump_fire, window, users_per_cluster, scheme_active,
-                  redundant_fraction, inflation](std::size_t ci) {
-      WindowPump& p = wpumps[ci];
-      const workload::JobSpec& spec = p.buf[p.in_buf];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.produced + 1;
-      job.origin = ci;
-      // Same draws, same per-generator order as the eager rs.draws loop
-      // (which advances the redundancy generator only under an active
-      // scheme — preserve the short-circuit exactly).
-      job.user = static_cast<sched::UserId>(static_cast<std::uint32_t>(
-          ci * 4096 + p.users_rng.below(users_per_cluster)));
-      job.spec = spec;
-      job.redundant =
-          scheme_active && p.redundancy_rng.chance(redundant_fraction);
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      ++p.produced;
-      if (++p.in_buf == p.buf.size() && !p.gen->exhausted()) {
-        p.gen->next(window, p.buf);
-        p.in_buf = 0;
-      }
-      if (p.in_buf < p.buf.size()) {
-        sim.schedule_at(p.buf[p.in_buf].submit_time,
-                        [&wpump_fire, ci] { wpump_fire(ci); },
-                        des::Priority::kArrival, arrival_tag(ci));
-      }
-    };
-    for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      if (wpumps[i].buf.empty()) continue;
-      sim.schedule_at(wpumps[i].buf.front().submit_time,
-                      [&wpump_fire, i] { wpump_fire(i); },
-                      des::Priority::kArrival, arrival_tag(i));
-    }
-  } else {
-    // --- Streaming mode: per-cluster pumps, per-finish metric folding.
-    // Release any staging arena a previous retained run left in this
-    // workspace — keeping it warm would defeat the O(live jobs) budget.
-    std::vector<grid::GridJob>().swap(jobs);
-    gateway.set_record_sink(&result.stream);
-
-    pumps.resize(config.n_clusters);
-    {
-      std::size_t base = 0;
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        pumps[i].stream = &rs.streams[i].get();
-        pumps[i].draw_base = base;
-        pumps[i].id_base = static_cast<grid::GridJobId>(base);
-        base += rs.streams[i].get().size();
-      }
-    }
-    // Fires cluster ci's next arrival, then schedules the following one.
-    // Captures locals of this call by reference; the final sim.reset()
-    // guarantees no callback survives the return.
-    pump_fire = [&gateway, &place_job, &arrival_tag, &pumps, &rs, &sim,
-                 &pump_fire, inflation](std::size_t ci) {
-      Pump& p = pumps[ci];
-      const workload::JobSpec& spec = (*p.stream)[p.next];
-      const detail::Draw& d = rs.draws[p.draw_base + p.next];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.next + 1;
-      job.origin = ci;
-      job.user = static_cast<sched::UserId>(d.user);
-      job.spec = spec;
-      job.redundant = d.redundant;
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      if (++p.next < p.stream->size()) {
-        sim.schedule_at((*p.stream)[p.next].submit_time,
-                        [&pump_fire, ci] { pump_fire(ci); },
-                        des::Priority::kArrival, arrival_tag(ci));
-      }
-    };
-    for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      if (pumps[i].stream->empty()) continue;
-      sim.schedule_at(pumps[i].stream->front().submit_time,
-                      [&pump_fire, i] { pump_fire(i); },
-                      des::Priority::kArrival, arrival_tag(i));
-    }
+  // Under a redundant scheme every arrival couples globally: placement
+  // draws from the single shared placement substream and snapshots every
+  // cluster's queue length, so permuting same-timestamp arrivals — even
+  // ones submitting to different clusters — reorders the RNG draws and
+  // changes replica targets. Arrival events therefore carry their
+  // origin-cluster tag only when no placement draw can happen
+  // (degree <= 1); otherwise they are untagged so schedule explorers
+  // (tools/check) treat them as dependent on everything.
+  detail::ArrivalPump pump(sim, config, /*tag_arrivals=*/degree <= 1, submit);
+  for (std::size_t i = 0; i < config.n_clusters; ++i) {
+    pump.add(i, inputs.clusters[i]);
   }
+  pump.start();
 
   // --- Queue observation ---------------------------------------------------
   std::vector<metrics::QueueTracker::Probe> probes;
@@ -513,7 +218,7 @@ SimResult run_experiment(const ExperimentConfig& config,
     result.middleware_mean_sojourn +=
         station->mean_sojourn() / static_cast<double>(stations.size());
   }
-  result.jobs_generated = jobs_generated;
+  result.jobs_generated = inputs.jobs_generated;
   result.avg_max_queue = tracker.avg_max_length();
   result.queue_growth_per_hour.reserve(config.n_clusters);
   for (std::size_t i = 0; i < config.n_clusters; ++i) {
@@ -521,74 +226,26 @@ SimResult run_experiment(const ExperimentConfig& config,
   }
   result.end_time = sim.now();
   // Job-proportional live state, capacity-based (high-water): gateway
-  // tracking + scheduler tables, plus whichever arrival mechanism ran.
-  result.live_state_bytes = gateway.live_state_bytes();
+  // tracking, scheduler tables and the arrival pump.
+  result.live_state_bytes = gateway.live_state_bytes() + pump.live_state_bytes();
   for (std::size_t i = 0; i < platform.size(); ++i) {
     result.live_state_bytes += platform.scheduler(i).live_state_bytes();
   }
-  result.live_state_bytes += rs.draws.capacity() * sizeof(detail::Draw);
-  if (config.retain_records) {
-    result.live_state_bytes += jobs.capacity() * sizeof(grid::GridJob);
-    for (const grid::GridJob& job : jobs) {
-      result.live_state_bytes +=
-          job.targets.capacity() * sizeof(std::size_t) +
-          job.replica_specs.capacity() * sizeof(workload::JobSpec);
-    }
-  } else if (windowed) {
-    result.live_state_bytes += wpumps.capacity() * sizeof(WindowPump);
-    for (const WindowPump& p : wpumps) {
-      result.live_state_bytes +=
-          p.scratch.targets.capacity() * sizeof(std::size_t);
-    }
-    result.live_state_bytes += mclusters.capacity() * sizeof(SwfWindowCluster);
-    result.live_state_bytes +=
-        mheap.capacity() * sizeof(std::pair<double, std::size_t>);
-    for (const SwfWindowCluster& p : mclusters) {
-      result.live_state_bytes +=
-          p.scratch.targets.capacity() * sizeof(std::size_t);
-    }
-  } else {
-    result.live_state_bytes += pumps.capacity() * sizeof(Pump);
-    for (const Pump& p : pumps) {
-      result.live_state_bytes +=
-          p.scratch.targets.capacity() * sizeof(std::size_t);
-    }
-  }
-  // Resident trace state: what stream_window exists to bound. Windowed
-  // runs hold checkpoint tables (or spool indexes) plus one window buffer
-  // per cluster; whole-stream runs hold every generated spec.
-  if (windowed) {
-    for (const detail::WindowedClusterStream& wcs : ws.streams) {
-      result.resident_trace_bytes += wcs.payload_bytes();
-    }
-    for (const WindowPump& p : wpumps) {
-      result.resident_trace_bytes +=
-          p.buf.capacity() * sizeof(workload::JobSpec);
-    }
-    for (const SwfWindowCluster& p : mclusters) {
-      result.resident_trace_bytes +=
-          p.buf.capacity() * sizeof(workload::JobSpec);
-    }
-  } else {
-    for (const detail::ClusterStream& cs : rs.streams) {
-      result.resident_trace_bytes +=
-          cs.get().size() * sizeof(workload::JobSpec);
-    }
-  }
+  result.resident_trace_bytes = pump.resident_trace_bytes();
   result.records = gateway.take_records();
   gateway.set_record_sink(nullptr);
   if (config.drain) {
     const std::uint64_t finished = config.retain_records
                                        ? result.records.size()
                                        : gateway.finished();
-    if (finished != jobs_generated) {
+    if (finished != inputs.jobs_generated) {
       throw std::logic_error(
           "conservation violation: not every grid job finished exactly once");
     }
   }
-  // Leave the workspace inert: arrival lambdas captured references to
-  // locals of this call (placement, estimator, stations); reset() both
-  // frees the slab's callbacks and guarantees none can ever fire.
+  // Leave the workspace inert: arrival events captured the pump, a local
+  // of this call; reset() both frees the slab's callbacks and guarantees
+  // none can ever fire.
   sim.reset();
   return result;
 }

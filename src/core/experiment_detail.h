@@ -1,10 +1,11 @@
 // Internal to the core experiment engine: resolution of everything a run
 // consumes *before* any event fires — per-cluster workload parameters,
-// the memoized job streams, and the user/redundancy draws — shared by the
-// classic sequential kernel (experiment.cpp) and the conservative
-// parallel kernel (pdes_experiment.cpp).
+// the memoized job sources, and the user/redundancy substream positions —
+// shared by the classic sequential kernel (experiment.cpp) and the
+// conservative parallel kernel (pdes_experiment.cpp), which both feed the
+// result to detail::ArrivalPump (arrival_pump.h).
 //
-// The fork order across resolve_clusters() + resolve_streams() is
+// The fork order across resolve_clusters() + resolve_inputs() is
 // load-bearing twice over: the TraceCache keys on the workload/estimator
 // generator states, and paired runs (scheme vs. NONE, sequential vs. PDES
 // at the same latency) rely on byte-identical streams and draws. Do not
@@ -12,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,8 +24,10 @@
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/calibrate.h"
 #include "rrsim/workload/estimators.h"
+#include "rrsim/workload/stream_window.h"
 #include "rrsim/workload/swf.h"
 #include "rrsim/workload/trace_cache.h"
+#include "rrsim/workload/window_spool.h"
 
 namespace rrsim::core::detail {
 
@@ -38,22 +42,12 @@ enum Substream : std::uint64_t {
   kStreamUsers = 3003,
 };
 
-/// One cluster's job stream: memoized (Lublin path) or owned (SWF path).
-struct ClusterStream {
-  workload::TraceCache::StreamPtr shared;  // Lublin path (memoized)
-  workload::JobStream own;                 // SWF path
-  const workload::JobStream& get() const noexcept {
-    return shared ? *shared : own;
-  }
-};
-
-/// Pre-drawn per-job user attribution and redundancy coin flip, in
-/// cluster-major job order — the order every arrival mechanism (and both
-/// kernels) consumes the user/redundancy substreams. 8 bytes per job.
-struct Draw {
-  std::uint32_t user = 0;
-  bool redundant = false;
-};
+/// Cluster c's users are c * kUserIdStride + [0, users_per_cluster): the
+/// one user-id encoding (ArrivalPump applies it). resolve_clusters()
+/// bounds both factors so every id fits sched::UserId and no two clusters
+/// share a user under per-user pending limits.
+inline constexpr std::uint64_t kUserIdStride = 4096;
+inline constexpr std::size_t kMaxClusters = std::size_t{1} << 20;
 
 /// Output of resolve_clusters(): validated platform shape plus the master
 /// generator, positioned exactly where the historical inline code left it
@@ -63,19 +57,24 @@ struct ResolvedClusters {
   util::Rng master{0};
 };
 
-/// Output of resolve_streams().
-struct ResolvedStreams {
-  std::vector<ClusterStream> streams;
-  std::vector<Draw> draws;  ///< cluster-major, one per generated job
-  util::Rng placement_rng{0};
-  std::size_t jobs_generated = 0;
-};
-
 /// Validates the platform/workload half of `config` and resolves the
 /// per-cluster workload parameters. Deterministic in config.seed.
 inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
   if (config.n_clusters == 0) {
     throw std::invalid_argument("need >= 1 cluster");
+  }
+  if (config.n_clusters > kMaxClusters) {
+    throw std::invalid_argument(
+        "n_clusters must be <= 2^20 (user ids are cluster * 4096 + user "
+        "in 32 bits)");
+  }
+  if (config.per_user_pending_limit < 0 || config.users_per_cluster < 1) {
+    throw std::invalid_argument("invalid per-user limit configuration");
+  }
+  if (static_cast<std::uint64_t>(config.users_per_cluster) > kUserIdStride) {
+    throw std::invalid_argument(
+        "users_per_cluster must be <= 4096 (each cluster owns 4096 user "
+        "ids)");
   }
   if (!config.cluster_nodes.empty() &&
       config.cluster_nodes.size() != config.n_clusters) {
@@ -118,28 +117,25 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
       // kPerClusterPeak keeps the literal model rate.
     }
   }
-
-  if (config.per_user_pending_limit < 0 || config.users_per_cluster < 1) {
-    throw std::invalid_argument("invalid per-user limit configuration");
-  }
   return out;
 }
 
 /// Loads one SWF trace file filtered for one cluster: submit times shifted
 /// to t=0 (clamped to 1e-6 so nothing arrives "before" the simulation),
 /// cut at the horizon, jobs wider than the cluster dropped. This is THE
-/// entry point for file-backed traces — the retained path materializes its
-/// result directly and the windowed path spools it (window_spool.h), so
-/// both replay byte-identical job sequences, including the post-read_swf
-/// order of integer-time ties within a file.
+/// entry point for file-backed traces — whole-stream runs keep its result
+/// in memory and windowed runs spool it (window_spool.h), so both replay
+/// byte-identical job sequences, including the post-read_swf order of
+/// integer-time ties within a file.
 inline workload::JobStream load_swf_stream(const std::string& path,
                                            double horizon, int max_nodes) {
   // rrsim-lint-allow(stream-materialization): the one sanctioned read_swf
   // call in core — SWF parsing must see the whole file for the stable
   // submit-time sort (ties keep file order; the tie-break explorer in
-  // tools/check relies on that baseline). Retained mode keeps the result,
-  // windowed mode spools it to disk and drops it; every other core/exec
-  // call site must go through this loader or a WindowSpool reader.
+  // tools/check relies on that baseline). Whole-stream runs keep the
+  // result, windowed runs spool it to disk and drop it; every other
+  // core/exec call site must go through this loader or a WindowSpool
+  // reader.
   const workload::JobStream whole = workload::read_swf_file(path);
   const double t0 = whole.empty() ? 0.0 : whole.front().submit_time;
   workload::JobStream filtered;
@@ -153,211 +149,165 @@ inline workload::JobStream load_swf_stream(const std::string& path,
   return filtered;
 }
 
-/// Resolves the job streams (memoized via the TraceCache on the Lublin
-/// path) and the cluster-major user/redundancy draws. `master` must be
-/// the generator resolve_clusters() returned, untouched in between.
-inline ResolvedStreams resolve_streams(
-    const ExperimentConfig& config,
-    const std::vector<grid::ClusterConfig>& cluster_configs,
-    util::Rng& master, const workload::RuntimeEstimator& estimator) {
-  ResolvedStreams out;
-  util::Rng redundancy_rng = master.fork(kStreamRedundancy);
-  util::Rng users_rng = master.fork(kStreamUsers);
-  out.placement_rng = master.fork(kStreamPlacement);
-  // Streams for all clusters are resolved up front, shared by every
-  // consumer. Fork order is unchanged from the historical single loop:
-  // the workload/estimator substreams fork in cluster order here, and the
-  // user/redundancy draws below consume their own already-forked streams.
-  out.streams.resize(config.n_clusters);
-  for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    util::Rng stream_rng = master.fork(kStreamWorkloadBase + i);
-    util::Rng est_rng = master.fork(kStreamEstimatorBase + i);
-    if (!config.trace_files.empty()) {
-      out.streams[i].own = load_swf_stream(
-          config.trace_files[i % config.trace_files.size()],
-          config.submit_horizon, cluster_configs[i].nodes);
-    } else {
-      // Memoized: sweep points sharing (seed, params, shape) — the common-
-      // random-number pairing every figure uses — generate this stream
-      // once per process. The Rng forks above happen unconditionally, so a
-      // cache hit leaves every other substream exactly where a miss would.
-      const workload::TraceKey key = workload::TraceKey::of(
-          cluster_configs[i].workload, cluster_configs[i].nodes,
-          config.submit_horizon, stream_rng, est_rng, estimator);
-      out.streams[i].shared = workload::TraceCache::global().get_or_generate(
-          key, [&]() {
-            const workload::LublinModel model(cluster_configs[i].workload,
-                                              cluster_configs[i].nodes);
-            // rrsim-lint-allow(stream-materialization): this IS the
-            // retained whole-stream path — SWF-adjacent drivers and
-            // record-retaining runs consume the materialized snapshot;
-            // windowed runs go through resolve_stream_windows() instead.
-            workload::JobStream s = model.generate_stream(
-                stream_rng, config.submit_horizon);
-            workload::apply_estimator(s, estimator, est_rng);
-            return s;
-          });
-    }
-  }
-  for (const ClusterStream& cs : out.streams) {
-    out.jobs_generated += cs.get().size();
-  }
-
-  // Per-job draws, cluster-major — exactly the order the historical
-  // retained staging loop and the streaming pumps consumed these
-  // substreams, so the values are bit-identical to both.
-  out.draws.reserve(out.jobs_generated);
-  for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    const std::size_t count = out.streams[i].get().size();
-    for (std::size_t j = 0; j < count; ++j) {
-      Draw d;
-      d.user = static_cast<std::uint32_t>(
-          i * 4096 + users_rng.below(static_cast<std::uint64_t>(
-                         config.users_per_cluster)));
-      d.redundant = !config.scheme.is_none() &&
-                    redundancy_rng.chance(config.redundant_fraction);
-      out.draws.push_back(d);
-    }
-  }
-  return out;
-}
-
-/// One cluster's windowed stream: the memoized seekable description of the
-/// trace — a checkpoint table on the Lublin path (~48 bytes per window) or
-/// a shared window spool on the SWF path (on-disk records + in-memory
-/// index) — plus the exact positions of the user/redundancy substreams
-/// where this cluster's draws begin. O(1) fixed state per cluster; the
-/// jobs themselves are re-materialized one window at a time by the
-/// arrival pumps.
-struct WindowedClusterStream {
-  workload::TraceCache::CheckpointPtr checkpoints;  // Lublin path
-  workload::TraceCache::SpoolPtr spool;             // SWF path
+/// One cluster's arrival input, resolved before any event fires: a pull
+/// source over its job stream plus the exact substream positions where
+/// its user/redundancy draws begin.
+struct ClusterInput {
+  /// Null for an empty stream. A MemorySource over the memoized (Lublin)
+  /// or loaded (SWF) whole stream when stream_window == 0; otherwise a
+  /// StreamWindow resumed from a checkpoint table (Lublin) or a reader of
+  /// a disk spool (SWF), pulling stream_window jobs at a time.
+  std::unique_ptr<workload::WindowSource> source;
+  std::uint64_t jobs = 0;  ///< exact stream length
+  /// Id of the cluster's first job: ids are cluster-major from 1.
+  std::uint64_t first_id = 1;
+  /// Resident bytes of what backs `source`: the whole stream, the
+  /// checkpoint table, or the spool index.
+  std::size_t resident_bytes = 0;
   std::pair<std::uint64_t, std::uint64_t> users_start{0, 0};
   std::pair<std::uint64_t, std::uint64_t> redundancy_start{0, 0};
-
-  std::uint64_t total_jobs() const noexcept {
-    return checkpoints ? checkpoints->total_jobs
-                       : (spool ? spool->total_jobs() : 0);
-  }
-  /// Resident bytes of the seekable description (for accounting).
-  std::size_t payload_bytes() const noexcept {
-    return checkpoints ? checkpoints->payload_bytes()
-                       : (spool ? spool->payload_bytes() : 0);
-  }
 };
 
-/// Output of resolve_stream_windows() — the O(window x clusters)
-/// counterpart of ResolvedStreams (no streams vector, no draws vector).
-struct ResolvedWindows {
-  std::vector<WindowedClusterStream> streams;
+/// Output of resolve_inputs().
+struct ResolvedInputs {
+  std::vector<ClusterInput> clusters;
   util::Rng placement_rng{0};
   std::size_t jobs_generated = 0;
-  std::size_t window = 0;
 };
 
-/// Windowed counterpart of resolve_streams(): identical master fork order
-/// (the TraceCache keys and every other substream land exactly where the
-/// eager path leaves them), but instead of materializing streams it
-/// memoizes generator checkpoint tables (one scan pass per trace per
-/// process, O(window) resident) and, instead of pre-drawing rs.draws,
-/// positions the user/redundancy substreams per cluster: it captures the
-/// fingerprints where cluster i's draws begin and rolls the generators
-/// forward past them with the same calls the eager loop makes, so a pump
-/// restoring from the fingerprints reproduces its cluster's draws
-/// bit-identically. File-backed traces (trace_files) are spooled to disk
-/// once per (path, shape, horizon, window) via the TraceCache and pulled
-/// back one window at a time, so SWF replay composes with windowed mode
-/// instead of forcing retained whole-stream residency.
-inline ResolvedWindows resolve_stream_windows(
+/// Resolves every cluster's job source and positions the user/redundancy
+/// substreams. `master` must be the generator resolve_clusters()
+/// returned, untouched in between.
+///
+/// Sources are memoized in the TraceCache, keyed by everything that
+/// determines them: whole streams or checkpoint tables (keyed on the
+/// generator states) on the Lublin path, a spool per (path, shape,
+/// horizon, window) on the windowed SWF path. The workload/estimator
+/// substreams fork unconditionally, so a cache hit — or an SWF source,
+/// which draws nothing — leaves every later substream exactly where a
+/// miss would.
+///
+/// The per-job user/redundancy draws are cluster-major: cluster i's draws
+/// start where cluster i-1's end. This captures the fingerprints where
+/// each cluster's draws begin and rolls the generators past that
+/// cluster's jobs, so each cluster's pump lane restores its own
+/// generators and draws lazily, in stream order. The
+/// roll-forward is one draw per job, so it is memoized per cluster
+/// segment: a repeated sweep point (or a fraction sweep — chance()
+/// advances the generator independently of p, see DrawSegmentKey) seeks
+/// straight to the end fingerprints. A miss replays the calls the lanes
+/// make: below() per job, and chance() only when a scheme is active.
+inline ResolvedInputs resolve_inputs(
     const ExperimentConfig& config,
     const std::vector<grid::ClusterConfig>& cluster_configs,
     util::Rng& master, const workload::RuntimeEstimator& estimator) {
-  if (config.stream_window == 0) {
-    throw std::logic_error("resolve_stream_windows needs stream_window > 0");
-  }
-  ResolvedWindows out;
-  out.window = config.stream_window;
+  ResolvedInputs out;
   util::Rng redundancy_rng = master.fork(kStreamRedundancy);
   util::Rng users_rng = master.fork(kStreamUsers);
   out.placement_rng = master.fork(kStreamPlacement);
-  out.streams.resize(config.n_clusters);
+  workload::TraceCache& cache = workload::TraceCache::global();
+  const std::size_t window = config.stream_window;
+  out.clusters.resize(config.n_clusters);
   for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    // Forked unconditionally — exactly as resolve_streams() does on both
-    // of its paths — so every later substream lands in the same place no
-    // matter which source backs the windows.
     util::Rng stream_rng = master.fork(kStreamWorkloadBase + i);
     util::Rng est_rng = master.fork(kStreamEstimatorBase + i);
+    const grid::ClusterConfig& cc = cluster_configs[i];
+    ClusterInput& in = out.clusters[i];
     if (!config.trace_files.empty()) {
       const std::string& path =
           config.trace_files[i % config.trace_files.size()];
-      workload::SpoolKey skey;
-      skey.path = path;
-      skey.max_nodes = cluster_configs[i].nodes;
-      skey.horizon = config.submit_horizon;
-      skey.window = config.stream_window;
-      out.streams[i].spool =
-          workload::TraceCache::global().get_or_build_spool(skey, [&]() {
-            workload::WindowSpool spool(config.stream_window);
-            for (const workload::JobSpec& spec : load_swf_stream(
-                     path, config.submit_horizon, cluster_configs[i].nodes)) {
-              spool.append(spec);
-            }
-            spool.finish();
-            return spool;
-          });
+      if (window > 0) {
+        workload::SpoolKey skey;
+        skey.path = path;
+        skey.max_nodes = cc.nodes;
+        skey.horizon = config.submit_horizon;
+        skey.window = window;
+        workload::TraceCache::SpoolPtr spool =
+            cache.get_or_build_spool(skey, [&]() {
+              workload::WindowSpool built(window);
+              for (const workload::JobSpec& spec :
+                   load_swf_stream(path, config.submit_horizon, cc.nodes)) {
+                built.append(spec);
+              }
+              built.finish();
+              return built;
+            });
+        in.jobs = spool->total_jobs();
+        in.resident_bytes = spool->payload_bytes();
+        in.source =
+            std::make_unique<workload::WindowSpool::Reader>(std::move(spool));
+      } else {
+        auto stream = std::make_shared<const workload::JobStream>(
+            load_swf_stream(path, config.submit_horizon, cc.nodes));
+        in.jobs = stream->size();
+        in.resident_bytes = stream->size() * sizeof(workload::JobSpec);
+        in.source = std::make_unique<workload::MemorySource>(std::move(stream));
+      }
     } else {
-      const workload::TraceKey key = workload::TraceKey::of(
-          cluster_configs[i].workload, cluster_configs[i].nodes,
-          config.submit_horizon, stream_rng, est_rng, estimator);
-      out.streams[i].checkpoints =
-          workload::TraceCache::global().get_or_build_checkpoints(
-              key, config.stream_window, [&]() {
-                return workload::scan_checkpoints(
-                    cluster_configs[i].workload, cluster_configs[i].nodes,
-                    config.submit_horizon, stream_rng, est_rng, estimator,
-                    config.stream_window);
-              });
+      const workload::TraceKey key =
+          workload::TraceKey::of(cc.workload, cc.nodes, config.submit_horizon,
+                                 stream_rng, est_rng, estimator);
+      if (window > 0) {
+        const workload::TraceCache::CheckpointPtr table =
+            cache.get_or_build_checkpoints(key, window, [&]() {
+              return workload::scan_checkpoints(
+                  cc.workload, cc.nodes, config.submit_horizon, stream_rng,
+                  est_rng, estimator, window);
+            });
+        in.jobs = table->total_jobs;
+        in.resident_bytes = table->payload_bytes();
+        if (in.jobs > 0) {
+          in.source = std::make_unique<workload::StreamWindow>(
+              cc.workload, cc.nodes, config.submit_horizon,
+              table->checkpoints.front(), estimator);
+        }
+      } else {
+        workload::TraceCache::StreamPtr stream =
+            cache.get_or_generate(key, [&]() {
+              const workload::LublinModel model(cc.workload, cc.nodes);
+              // rrsim-lint-allow(stream-materialization): the whole-stream
+              // source (stream_window == 0) — the memoized snapshot every
+              // figure pipeline replays; windowed runs scan checkpoints
+              // instead.
+              workload::JobStream s = model.generate_stream(
+                  stream_rng, config.submit_horizon);
+              workload::apply_estimator(s, estimator, est_rng);
+              return s;
+            });
+        in.jobs = stream->size();
+        in.resident_bytes = stream->size() * sizeof(workload::JobSpec);
+        in.source = std::make_unique<workload::MemorySource>(std::move(stream));
+      }
     }
-    out.jobs_generated += out.streams[i].total_jobs();
+    if (in.jobs == 0) in.source.reset();
+    in.first_id = out.jobs_generated + 1;
+    out.jobs_generated += in.jobs;
   }
 
-  // Substream positioning, cluster-major — the order resolve_streams()
-  // pre-draws rs.draws. Capturing before advancing gives each cluster the
-  // exact generator its draws start from. The advance itself is one draw
-  // per job — O(total jobs) — so it is memoized per cluster segment: a
-  // repeated sweep point (or a fraction sweep — chance() advances the
-  // generator independently of p, see DrawSegmentKey) seeks straight to
-  // the end fingerprints, keeping resolution O(window) on checkpoint-table
-  // hits. A miss replays the *same* calls the eager loop makes (below, and
-  // chance only when a scheme is active — the eager loop short-circuits
-  // past the redundancy draw for NONE), so cluster i+1's start lands
-  // exactly where the eager path puts it.
-  for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    out.streams[i].users_start = users_rng.fingerprint();
-    out.streams[i].redundancy_start = redundancy_rng.fingerprint();
+  for (ClusterInput& in : out.clusters) {
+    in.users_start = users_rng.fingerprint();
+    in.redundancy_start = redundancy_rng.fingerprint();
     workload::DrawSegmentKey seg;
-    seg.users_start = out.streams[i].users_start;
-    seg.redundancy_start = out.streams[i].redundancy_start;
-    seg.count = out.streams[i].total_jobs();
+    seg.users_start = in.users_start;
+    seg.redundancy_start = in.redundancy_start;
+    seg.count = in.jobs;
     seg.users_per_cluster =
         static_cast<std::uint64_t>(config.users_per_cluster);
     seg.scheme_active = !config.scheme.is_none();
-    const workload::DrawSegment end =
-        workload::TraceCache::global().get_or_advance_draws(seg, [&]() {
-          util::Rng users = util::Rng::from_fingerprint(seg.users_start);
-          util::Rng redundancy =
-              util::Rng::from_fingerprint(seg.redundancy_start);
-          for (std::uint64_t j = 0; j < seg.count; ++j) {
-            (void)users.below(seg.users_per_cluster);
-            if (seg.scheme_active) {
-              (void)redundancy.chance(config.redundant_fraction);
-            }
-          }
-          workload::DrawSegment e;
-          e.users_end = users.fingerprint();
-          e.redundancy_end = redundancy.fingerprint();
-          return e;
-        });
+    const workload::DrawSegment end = cache.get_or_advance_draws(seg, [&]() {
+      util::Rng users = util::Rng::from_fingerprint(seg.users_start);
+      util::Rng redundancy = util::Rng::from_fingerprint(seg.redundancy_start);
+      for (std::uint64_t j = 0; j < seg.count; ++j) {
+        (void)users.below(seg.users_per_cluster);
+        if (seg.scheme_active) {
+          (void)redundancy.chance(config.redundant_fraction);
+        }
+      }
+      workload::DrawSegment e;
+      e.users_end = users.fingerprint();
+      e.redundancy_end = redundancy.fingerprint();
+      return e;
+    });
     users_rng = util::Rng::from_fingerprint(end.users_end);
     redundancy_rng = util::Rng::from_fingerprint(end.redundancy_end);
   }

@@ -21,7 +21,6 @@
 namespace rrsim::grid {
 class Gateway;
 class Platform;
-struct GridJob;
 }  // namespace rrsim::grid
 
 namespace rrsim::core {
@@ -52,7 +51,7 @@ enum class LoadMode {
 /// placement, 6 h of submissions, every job redundant.
 struct ExperimentConfig {
   // --- platform ---------------------------------------------------------
-  std::size_t n_clusters = 10;
+  std::size_t n_clusters = 10;  ///< at most 2^20 (see users_per_cluster)
   int nodes_per_cluster = 128;
   /// Per-cluster sizes; overrides nodes_per_cluster when non-empty
   /// (Table 3 heterogeneity). Must then have n_clusters entries.
@@ -77,8 +76,8 @@ struct ExperimentConfig {
   /// jobs wider than the cluster are skipped, and the traces' own
   /// requested times are kept (load_mode and estimator do not apply).
   /// Composes with stream_window > 0: the trace is spooled to disk once
-  /// (workload::WindowSpool) and replayed window by window, bit-identical
-  /// to the retained replay including integer-time tie order.
+  /// (workload::WindowSpool) and replayed window by window. Every input
+  /// and record mode replays integer-time ties in the same order.
   std::vector<std::string> trace_files;
 
   // --- redundancy --------------------------------------------------------
@@ -103,7 +102,8 @@ struct ExperimentConfig {
   int per_user_pending_limit = 0;
   /// Size of the user population at each cluster (jobs are attributed to
   /// users uniformly). Only meaningful with a pending limit; smaller
-  /// populations make the limit bind sooner.
+  /// populations make the limit bind sooner. In [1, 4096]: cluster c's
+  /// users carry the 32-bit ids c * 4096 + [0, users_per_cluster).
   int users_per_cluster = 8;
 
   // --- measurement protocol ----------------------------------------------
@@ -146,14 +146,12 @@ struct ExperimentConfig {
   /// If true (the default), every finished job is appended to
   /// SimResult::records — the mode all figure/table pipelines use. If
   /// false, the run *streams*: per-job outcomes are folded into
-  /// SimResult::stream as they finish, the per-job staging vector and the
-  /// pre-scheduled arrival slab are replaced by per-cluster arrival pumps,
-  /// and memory stays O(live jobs) instead of O(total jobs) — the mode
-  /// that makes 10^6-job campaigns fit in tens of MB. Metric results are
-  /// bit-identical to the retained mode except when two clusters submit
-  /// at the exact same instant (possible with integer-time SWF traces,
-  /// measure-zero under the Lublin model): the placement stream is then
-  /// consumed in a different order.
+  /// SimResult::stream as they finish and the schedulers drop terminal
+  /// jobs, so record-side memory stays O(live jobs) instead of O(total
+  /// jobs) — the mode that makes 10^6-job campaigns fit in tens of MB.
+  /// Only the gateway's record sink differs: the simulated schedule, and
+  /// so every metric, is bit-identical to the retained mode, including
+  /// integer-time SWF ties. Composes with any stream_window.
   bool retain_records = true;
   /// If > 0, job streams are never materialized whole: generation is
   /// windowed (workload::StreamWindow pulls this many jobs at a time from
@@ -161,16 +159,13 @@ struct ExperimentConfig {
   /// the TraceCache memoizes generator *checkpoints* instead of streams,
   /// so resident trace state is O(stream_window x clusters) instead of
   /// O(total jobs) — the regime that fits 10^3 clusters x 10^7 jobs.
-  /// Requires the streaming record mode on the classic kernel
-  /// (retain_records == false; PDES retains records but still streams its
-  /// *input* windowed). File-backed traces (trace_files) have no
-  /// generator to checkpoint; they are spooled to an unlinked temp file
-  /// instead (workload::WindowSpool, cached per trace key), keeping only
-  /// the window index resident — and, unlike the eager streaming mode,
-  /// the windowed SWF replay reproduces the *retained* path's
-  /// cross-cluster tie order exactly (a single merged arrival pump keyed
-  /// (time, cluster) instead of independent per-cluster pumps).
-  /// 0 (the default) keeps whole-stream resolution.
+  /// File-backed traces (trace_files) have no generator to checkpoint;
+  /// they are spooled to an unlinked temp file instead
+  /// (workload::WindowSpool, cached per trace key), keeping only the
+  /// window index resident. Either way the arrival pump sees the same
+  /// jobs in the same order as a whole-stream run, so results are
+  /// bit-identical for any window, on both kernels and in both record
+  /// modes. 0 (the default) keeps whole-stream resolution.
   std::size_t stream_window = 0;
   double queue_sample_interval = 60.0;  ///< seconds between queue samples
   std::uint64_t seed = 1;
@@ -199,15 +194,15 @@ struct SimResult {
   metrics::OnlineAccumulator stream;
   bool streamed = false;  ///< ran with retain_records == false
   /// High-water bytes of job-proportional live simulation state (gateway
-  /// tracking, scheduler tables, and — in retained mode — the grid-job
-  /// staging vector). Capacity-based, so it reports the run's peak even
-  /// though tables shrink as jobs finish. Excludes the retained records
-  /// and the DES event slab.
+  /// tracking, scheduler tables, and the arrival pump's lanes and staged
+  /// cohort). Capacity-based, so it reports the run's peak even though
+  /// tables shrink as jobs finish. Excludes the retained records, the
+  /// trace inputs (resident_trace_bytes) and the DES event slab.
   std::size_t live_state_bytes = 0;
-  /// Resident bytes of workload trace state during the run: materialized
-  /// job streams (whole-stream modes, shared snapshots counted once) or
-  /// checkpoint tables + window buffers (windowed mode). The quantity the
-  /// stream_window option exists to bound.
+  /// Resident bytes of workload trace state during the run, per cluster:
+  /// the whole job stream (stream_window == 0), or the checkpoint table
+  /// (Lublin) or spool index (SWF) plus one window buffer (stream_window
+  /// > 0). The quantity the stream_window option exists to bound.
   std::size_t resident_trace_bytes = 0;
   sched::OpCounters ops;        ///< summed over all schedulers
   std::uint64_t gateway_cancels = 0;  ///< replica cancellations issued
@@ -231,11 +226,10 @@ struct SimResult {
 };
 
 /// Reusable per-run simulation state: the DES event slab, the Platform
-/// (schedulers with their profiles and queues), the Gateway (replica maps
-/// and record buffer), and the grid-job staging vector. Sweep workers keep
-/// one workspace per thread and run every work unit through it, so the
-/// arenas those structures grew on the first replication stay warm for all
-/// later ones. Reuse is strictly behaviour-preserving: every component is
+/// (schedulers with their profiles and queues) and the Gateway (replica
+/// maps and record buffer). Sweep workers keep one workspace per thread
+/// and run every work unit through it, so the arenas those structures grew
+/// on the first replication stay warm for all later ones. Reuse is strictly behaviour-preserving: every component is
 /// reset to its just-constructed state between runs (the tests pin
 /// equality against fresh construction), and the Platform/Gateway pair is
 /// reconstructed whenever the cluster shape or algorithm changes.
@@ -257,7 +251,6 @@ class ExperimentWorkspace {
   des::Simulation sim_;
   std::unique_ptr<grid::Platform> platform_;
   std::unique_ptr<grid::Gateway> gateway_;
-  std::vector<grid::GridJob> jobs_;
   std::uint64_t reuses_ = 0;
 };
 

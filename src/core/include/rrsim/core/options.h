@@ -16,11 +16,11 @@
 //   --protocol=drain|truncate
 //   --mw-rate=R       middleware ops/s per cluster (0 = instantaneous)
 //   --user-limit=L    per-user pending-request cap (0 = off)
-//   --users=U         users per cluster (population for the cap)
+//   --users=U         users per cluster (population for the cap), 1..4096
 //   --seed=S
 //   --window=W        windowed trace generation: pull W jobs at a time
-//                     instead of materializing whole streams (requires
-//                     streaming record mode on the classic kernel; 0 = off)
+//                     instead of materializing whole streams (any record
+//                     mode, either kernel; results are identical; 0 = off)
 //   --trace-cache-budget=B  byte budget for the process-global trace
 //                     cache (LRU eviction above B; 0 = unlimited, the
 //                     default). Benches also honor the

@@ -80,7 +80,12 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
         static_cast<int>(cli.get_int("user-limit", 0));
   }
   if (cli.has("users")) {
-    config.users_per_cluster = static_cast<int>(cli.get_int("users", 8));
+    const std::int64_t users = cli.get_int("users", 8);
+    if (users < 1 || users > 4096) {
+      throw std::invalid_argument("--users must be in [1, 4096] (got " +
+                                  std::to_string(users) + ")");
+    }
+    config.users_per_cluster = static_cast<int>(users);
   }
   if (cli.has("seed")) {
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));

@@ -2,15 +2,16 @@
 // in lookahead windows (exec::PdesCoordinator), with the distributed
 // per-cluster gateway (grid::PdesGateway) exchanging L-delayed messages.
 //
-// Everything *before* the event loop — workload resolution, job streams,
-// user/redundancy draws — is shared with the sequential kernel through
-// experiment_detail.h, so a PDES run consumes byte-identical inputs.
-// During the run, each cluster's arrival pump, scheduler, gateway agent,
-// placement generator and queue tracker are touched only by that
-// cluster's partition, which is what makes results independent of the
-// worker count (DESIGN.md §9).
+// Everything *before* the event loop — workload resolution, job sources,
+// user/redundancy substream positions — is shared with the sequential
+// kernel through experiment_detail.h, and arrivals flow through the same
+// ArrivalPump, so a PDES run consumes byte-identical inputs. During the
+// run, each cluster's arrival pump, scheduler, gateway agent, placement
+// generator and queue tracker are touched only by that cluster's
+// partition, which is what makes results independent of the worker count
+// (DESIGN.md §9).
 #include <algorithm>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "rrsim/metrics/queue_tracker.h"
 #include "rrsim/sched/factory.h"
 #include "rrsim/util/validate.h"
+#include "arrival_pump.h"
 #include "experiment_detail.h"
 
 namespace rrsim::core::detail {
@@ -99,26 +101,10 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
 
   const auto placement = grid::make_placement(config.placement);
   const auto estimator = workload::make_estimator(config.estimator);
-  // Windowed input (stream_window > 0) composes with PDES: records are
-  // still retained (required above), but the *trace* side — the dominant
-  // resident set at grid scale — stays O(window x clusters). Each pump's
-  // generator and draw substreams are partition-confined state, so the
-  // worker-count independence argument is unchanged.
-  const bool windowed = config.stream_window > 0;
-  ResolvedStreams rs;
-  ResolvedWindows ws;
-  if (windowed) {
-    ws = resolve_stream_windows(config, rc.cluster_configs, rc.master,
-                                *estimator);
-  } else {
-    rs = resolve_streams(config, rc.cluster_configs, rc.master, *estimator);
-  }
-  const std::size_t jobs_generated =
-      windowed ? ws.jobs_generated : rs.jobs_generated;
-
+  ResolvedInputs inputs =
+      resolve_inputs(config, rc.cluster_configs, rc.master, *estimator);
   for (std::size_t i = 0; i < n; ++i) {
-    gateway.reserve_records(i, windowed ? ws.streams[i].total_jobs()
-                                        : rs.streams[i].get().size());
+    gateway.reserve_records(i, inputs.clusters[i].jobs);
   }
 
   // Placement state is per-cluster so redundant jobs can pick their
@@ -128,9 +114,8 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   // across worker counts, which is the determinism that matters here.)
   std::vector<util::Rng> placement_rngs;
   placement_rngs.reserve(n);
-  util::Rng& placement_master = windowed ? ws.placement_rng : rs.placement_rng;
   for (std::size_t i = 0; i < n; ++i) {
-    placement_rngs.push_back(placement_master.fork(i));
+    placement_rngs.push_back(inputs.placement_rng.fork(i));
   }
   std::vector<int> sizes;
   sizes.reserve(n);
@@ -141,8 +126,12 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
 
   const std::size_t degree = config.scheme.degree(n);
   const double inflation = config.remote_inflation;
-  const auto place_job = [&placement = *placement, &placement_rngs, &sizes,
-                          &no_lengths, degree](grid::GridJob& job) {
+  // Runs on the origin's partition and touches only cluster-confined state
+  // (placement_rngs[origin], the origin gateway agent) plus the
+  // coordinator's per-source mailbox.
+  const auto submit = [&gateway, &placement = *placement, &placement_rngs,
+                       &sizes, &no_lengths, degree,
+                       inflation](grid::GridJob& job) {
     if (job.redundant && degree > 1) {
       const grid::PlatformView view{sizes, no_lengths};
       auto remotes =
@@ -153,145 +142,21 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
     } else {
       job.redundant = false;
     }
+    gateway.submit(job, inflation);
   };
 
-  // Per-cluster arrival pumps, as in the streaming kernel: one in-flight
-  // arrival event per cluster, walking the memoized stream. Ids are
-  // cluster-major from 1 — the same scheme the retained kernel uses.
-  struct Pump {
-    const workload::JobStream* stream = nullptr;
-    std::size_t next = 0;
-    std::size_t draw_base = 0;
-    grid::GridJobId id_base = 0;
-    grid::GridJob scratch;
-  };
-  std::vector<Pump> pumps(n);
-  std::function<void(std::size_t)> pump_fire;
-  // Windowed counterpart: a WindowSource — a StreamWindow generator on the
-  // Lublin path, a spool reader on the SWF path — refills `buf` one window
-  // at a time, draws made lazily from substream-positioned generators (see
-  // the classic kernel's WindowPump for the bit-identity argument). All of
-  // it is partition-confined, like Pump; SWF spool readers share one
-  // immutable spool via pread, so concurrent partitions never contend.
-  // (No merged pump here: each partition is its own DES with its own event
-  // sequence, so cross-cluster integer-time ties cannot reorder anything.)
-  struct WindowPump {
-    std::unique_ptr<workload::WindowSource> gen;
-    workload::JobStream buf;
-    std::size_t in_buf = 0;
-    std::uint64_t produced = 0;
-    util::Rng users_rng{0};
-    util::Rng redundancy_rng{0};
-    grid::GridJobId id_base = 0;
-    grid::GridJob scratch;
-  };
-  std::vector<WindowPump> wpumps;
-  std::function<void(std::size_t)> wpump_fire;
-  if (windowed) {
-    const std::size_t window = config.stream_window;
-    wpumps.resize(n);
-    std::size_t base = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const WindowedClusterStream& wcs = ws.streams[i];
-      WindowPump& p = wpumps[i];
-      p.id_base = static_cast<grid::GridJobId>(base);
-      base += wcs.total_jobs();
-      if (wcs.total_jobs() == 0) continue;
-      if (wcs.spool) {
-        p.gen = std::make_unique<workload::WindowSpool::Reader>(wcs.spool);
-      } else {
-        p.gen = std::make_unique<workload::StreamWindow>(
-            rc.cluster_configs[i].workload, rc.cluster_configs[i].nodes,
-            config.submit_horizon, wcs.checkpoints->checkpoints.front(),
-            *estimator);
-      }
-      p.buf.reserve(window);
-      p.gen->next(window, p.buf);
-      p.users_rng = util::Rng::from_fingerprint(wcs.users_start);
-      p.redundancy_rng = util::Rng::from_fingerprint(wcs.redundancy_start);
-    }
-    const auto users_per_cluster =
-        static_cast<std::uint64_t>(config.users_per_cluster);
-    const bool scheme_active = !config.scheme.is_none();
-    const double redundant_fraction = config.redundant_fraction;
-    wpump_fire = [&gateway, &place_job, &wpumps, &coord, &wpump_fire, window,
-                  users_per_cluster, scheme_active, redundant_fraction,
-                  inflation](std::size_t ci) {
-      WindowPump& p = wpumps[ci];
-      const workload::JobSpec& spec = p.buf[p.in_buf];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.produced + 1;
-      job.origin = ci;
-      job.user = static_cast<sched::UserId>(static_cast<std::uint32_t>(
-          ci * 4096 + p.users_rng.below(users_per_cluster)));
-      job.spec = spec;
-      job.redundant =
-          scheme_active && p.redundancy_rng.chance(redundant_fraction);
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      ++p.produced;
-      if (++p.in_buf == p.buf.size() && !p.gen->exhausted()) {
-        p.gen->next(window, p.buf);
-        p.in_buf = 0;
-      }
-      if (p.in_buf < p.buf.size()) {
-        coord.partition(ci).schedule_at(
-            p.buf[p.in_buf].submit_time,
-            [&wpump_fire, ci] { wpump_fire(ci); }, des::Priority::kArrival,
-            static_cast<std::uint32_t>(ci));
-      }
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (wpumps[i].buf.empty()) continue;
-      coord.partition(i).schedule_at(wpumps[i].buf.front().submit_time,
-                                     [&wpump_fire, i] { wpump_fire(i); },
-                                     des::Priority::kArrival,
-                                     static_cast<std::uint32_t>(i));
-    }
-  } else {
-    std::size_t base = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      pumps[i].stream = &rs.streams[i].get();
-      pumps[i].draw_base = base;
-      pumps[i].id_base = static_cast<grid::GridJobId>(base);
-      base += rs.streams[i].get().size();
-    }
-    // Fires cluster ci's next arrival on ci's partition, then schedules
-    // the following one there. Runs concurrently for different ci, but
-    // touches only cluster-confined state (pumps[ci], placement_rngs[ci],
-    // the origin gateway agent) plus the coordinator's per-source mailbox.
-    pump_fire = [&gateway, &place_job, &pumps, &rs, &coord, &pump_fire,
-                 inflation](std::size_t ci) {
-      Pump& p = pumps[ci];
-      const workload::JobSpec& spec = (*p.stream)[p.next];
-      const Draw& d = rs.draws[p.draw_base + p.next];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.next + 1;
-      job.origin = ci;
-      job.user = static_cast<sched::UserId>(d.user);
-      job.spec = spec;
-      job.redundant = d.redundant;
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      if (++p.next < p.stream->size()) {
-        coord.partition(ci).schedule_at(
-            (*p.stream)[p.next].submit_time,
-            [&pump_fire, ci] { pump_fire(ci); }, des::Priority::kArrival,
-            static_cast<std::uint32_t>(ci));
-      }
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pumps[i].stream->empty()) continue;
-      coord.partition(i).schedule_at(pumps[i].stream->front().submit_time,
-                                     [&pump_fire, i] { pump_fire(i); },
-                                     des::Priority::kArrival,
-                                     static_cast<std::uint32_t>(i));
-    }
+  // One pump per partition over its own cluster: sources, draw generators
+  // and the staged cohort are partition-confined (spool readers share one
+  // immutable spool via pread), so the worker-count independence argument
+  // is unchanged.
+  using Pump = ArrivalPump<decltype(submit)>;
+  std::deque<Pump> pumps;
+  for (std::size_t i = 0; i < n; ++i) {
+    pumps.emplace_back(coord.partition(i), config, /*tag_arrivals=*/true,
+                       submit);
+    pumps.back().add(i, inputs.clusters[i]);
   }
+  for (Pump& pump : pumps) pump.start();
 
   // One single-probe tracker per partition (the classic kernel's one
   // tracker would probe other clusters' schedulers across partitions).
@@ -333,7 +198,7 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   result.duplicate_starts = gateway.duplicate_starts();
   result.duplicate_finishes = gateway.duplicate_finishes();
   result.pdes_windows = coord.windows();
-  result.jobs_generated = jobs_generated;
+  result.jobs_generated = inputs.jobs_generated;
   double max_sum = 0.0;
   result.queue_growth_per_hour.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -348,33 +213,12 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   for (const sched::ClusterScheduler* s : scheds) {
     result.live_state_bytes += s->live_state_bytes();
   }
-  result.live_state_bytes += rs.draws.capacity() * sizeof(Draw) +
-                             pumps.capacity() * sizeof(Pump) +
-                             wpumps.capacity() * sizeof(WindowPump);
-  for (const Pump& p : pumps) {
-    result.live_state_bytes +=
-        p.scratch.targets.capacity() * sizeof(std::size_t);
-  }
-  for (const WindowPump& p : wpumps) {
-    result.live_state_bytes +=
-        p.scratch.targets.capacity() * sizeof(std::size_t);
-  }
-  if (windowed) {
-    for (const WindowedClusterStream& wcs : ws.streams) {
-      result.resident_trace_bytes += wcs.payload_bytes();
-    }
-    for (const WindowPump& p : wpumps) {
-      result.resident_trace_bytes +=
-          p.buf.capacity() * sizeof(workload::JobSpec);
-    }
-  } else {
-    for (const ClusterStream& cs : rs.streams) {
-      result.resident_trace_bytes +=
-          cs.get().size() * sizeof(workload::JobSpec);
-    }
+  for (const Pump& pump : pumps) {
+    result.live_state_bytes += pump.live_state_bytes();
+    result.resident_trace_bytes += pump.resident_trace_bytes();
   }
   result.records = gateway.take_records();
-  if (config.drain && gateway.finished() != jobs_generated) {
+  if (config.drain && gateway.finished() != inputs.jobs_generated) {
     throw std::logic_error(
         "conservation violation: not every grid job finished exactly once");
   }

@@ -28,6 +28,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,10 +73,10 @@ struct CheckpointedTrace {
   }
 };
 
-/// The pull interface every windowed job source presents: generator-backed
-/// (StreamWindow) and file-backed (WindowSpool::Reader) sources are
-/// interchangeable to the arrival pumps, which only ever ask for "the next
-/// up-to-W jobs".
+/// The pull interface every job source presents: generator-backed
+/// (StreamWindow), file-backed (WindowSpool::Reader) and resident
+/// (MemorySource) sources are interchangeable to the arrival pump, which
+/// only ever asks for "the next up-to-W jobs".
 class WindowSource {
  public:
   virtual ~WindowSource() = default;
@@ -84,8 +86,38 @@ class WindowSource {
   /// std::invalid_argument on max_jobs == 0.
   virtual std::size_t next(std::size_t max_jobs, JobStream& out) = 0;
 
+  /// Same pull as next(), returned as a view that stays valid until the
+  /// following pull. `scratch` backs the view for sources that
+  /// materialize their jobs; a resident source returns a view into its own
+  /// storage and leaves `scratch` untouched.
+  virtual std::span<const JobSpec> pull(std::size_t max_jobs,
+                                        JobStream& scratch) {
+    next(max_jobs, scratch);
+    return scratch;
+  }
+
   /// True once the source has ended (no further next() will emit).
   virtual bool exhausted() const noexcept = 0;
+};
+
+/// A whole stream already in memory (a TraceCache snapshot or a loaded
+/// SWF replay) behind the pull interface. Shares ownership of the stream,
+/// so cache eviction cannot invalidate a run in flight; pull() hands out
+/// windows without copying.
+class MemorySource : public WindowSource {
+ public:
+  explicit MemorySource(std::shared_ptr<const JobStream> stream);
+
+  std::size_t next(std::size_t max_jobs, JobStream& out) override;
+  std::span<const JobSpec> pull(std::size_t max_jobs,
+                                JobStream& scratch) override;
+  bool exhausted() const noexcept override {
+    return next_ >= stream_->size();
+  }
+
+ private:
+  std::shared_ptr<const JobStream> stream_;
+  std::size_t next_ = 0;
 };
 
 /// Pull-based Lublin stream generator. Not thread-safe; each consumer

@@ -19,7 +19,8 @@ namespace rrsim::workload {
 /// back to run time when -1). Jobs with non-positive runtime or processor
 /// count are skipped (cancelled entries in real logs).
 ///
-/// Throws std::runtime_error on malformed job lines.
+/// Throws std::runtime_error, naming the line, on malformed job lines and
+/// on processor counts too large for an int.
 JobStream read_swf(std::istream& in);
 
 /// Convenience overload: reads from a file path.

@@ -13,7 +13,7 @@
 // matter how many sweep points or worker threads consume it.
 //
 // Four entry kinds share one LRU-evicted store:
-//   - whole streams (retained-mode drivers; ~32 bytes/job),
+//   - whole streams (runs with stream_window == 0; ~32 bytes/job),
 //   - generator checkpoint tables (windowed drivers; ~48 bytes/window —
 //     see stream_window.h), which let a sweep point seek to window k and
 //     re-materialize it in O(window) instead of holding 10^7 specs
@@ -83,7 +83,7 @@ struct TraceKey {
 };
 
 /// Where the per-job user/redundancy substreams land after one cluster's
-/// segment of draws (see core::detail::resolve_stream_windows): the exact
+/// segment of draws (see core::detail::resolve_inputs): the exact
 /// generator fingerprints the *next* cluster's draws start from.
 struct DrawSegment {
   std::pair<std::uint64_t, std::uint64_t> users_end{0, 0};
@@ -104,7 +104,7 @@ struct DrawSegmentKey {
   std::uint64_t count = 0;
   std::uint64_t users_per_cluster = 0;
   /// False for scheme NONE, where the redundancy substream never advances
-  /// (the eager loop short-circuits past the chance() call).
+  /// (the arrival pump skips the chance() call).
   bool scheme_active = false;
 
   /// Flat byte encoding, same contract as TraceKey::bytes().
@@ -179,8 +179,8 @@ class TraceCache {
                                          const CheckpointBuilder& build);
 
   /// Returns the memoized substream end fingerprints for `key`, computing
-  /// them via `advance` on a miss. This is what keeps windowed input
-  /// resolution O(window) for repeated sweep points: without it every run
+  /// them via `advance` on a miss. This is what keeps input resolution
+  /// O(window) for repeated windowed sweep points: without it every run
   /// would fast-forward the user/redundancy substreams one draw per job
   /// (O(total jobs)) even when the checkpoint table itself is a cache hit.
   /// Entries are ~32 bytes and share the LRU-evicted store. When the cache

@@ -1,8 +1,30 @@
 #include "rrsim/workload/stream_window.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace rrsim::workload {
+
+MemorySource::MemorySource(std::shared_ptr<const JobStream> stream)
+    : stream_(std::move(stream)) {
+  if (!stream_) throw std::invalid_argument("MemorySource needs a stream");
+}
+
+std::size_t MemorySource::next(std::size_t max_jobs, JobStream& out) {
+  const std::span<const JobSpec> view = pull(max_jobs, out);
+  out.assign(view.begin(), view.end());
+  return out.size();
+}
+
+std::span<const JobSpec> MemorySource::pull(std::size_t max_jobs,
+                                            JobStream& /*scratch*/) {
+  if (max_jobs == 0) throw std::invalid_argument("max_jobs must be > 0");
+  const std::size_t count = std::min(max_jobs, stream_->size() - next_);
+  const std::span<const JobSpec> view(stream_->data() + next_, count);
+  next_ += count;
+  return view;
+}
 
 StreamWindow::StreamWindow(const LublinParams& params, int max_nodes,
                            double horizon, const util::Rng& stream_rng,

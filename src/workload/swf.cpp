@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -31,6 +32,10 @@ JobStream read_swf(std::istream& in) {
     double procs = f[7] > 0 ? f[7] : f[4];
     double requested = f[8] > 0 ? f[8] : runtime;
     if (runtime <= 0.0 || procs <= 0.0) continue;  // cancelled/failed entry
+    if (!(procs <= static_cast<double>(std::numeric_limits<int>::max()))) {
+      throw std::runtime_error("SWF line " + std::to_string(lineno) +
+                               ": processor count out of range");
+    }
     JobSpec spec;
     spec.submit_time = submit;
     spec.nodes = static_cast<int>(procs);

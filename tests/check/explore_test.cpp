@@ -296,10 +296,16 @@ TEST(Explore, BudgetsAreHonored) {
 
 /// Trace with three same-timestamp jobs per arrival slot (the shared
 /// tie-heavy generator) — the experiment-level probe must surface real
-/// tie cohorts from it.
+/// tie cohorts from it. One file per test: ctest runs every test as its
+/// own process, concurrently, so a shared path would be rewritten under a
+/// reader's feet.
 std::string explore_ties_trace() {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
   return write_ties_trace(/*slots=*/15, /*ties_per_slot=*/3,
-                          "rrsim_explore_ties.swf");
+                          std::string("rrsim_explore_ties_") +
+                              test->test_suite_name() + "_" + test->name() +
+                              ".swf");
 }
 
 core::ExperimentConfig ties_config(const std::string& path) {
@@ -375,6 +381,35 @@ TEST(ExperimentProbeTest, RedundantArrivalsAreUntagged) {
     }
   }
   EXPECT_TRUE(saw_tagged_arrival);
+}
+
+TEST(ExperimentProbeTest, PdesArrivalCohortsHoldAPartitionsWholeInstant) {
+  // Each PDES partition stages every same-instant arrival of its cluster
+  // before the first one fires, so the census sees each slot of the
+  // trace as one kArrival cohort per partition: all three tied jobs,
+  // tagged with the partition's cluster. (A pump keeping one arrival in
+  // flight would chain them, and no arrival cohort would be recorded.)
+  core::ExperimentConfig c = ties_config(explore_ties_trace());
+  c.pdes = true;
+  c.cross_cluster_latency = 60.0;
+  c.pdes_jobs = 1;
+  CensusPolicy census;
+  c.tie_break_policy = &census;
+  core::run_experiment(c);
+  std::vector<std::size_t> cohorts(c.n_clusters, 0);
+  for (const TieGroupRecord& g : census.groups()) {
+    if (g.priority != static_cast<int>(des::Priority::kArrival)) continue;
+    ASSERT_LT(g.partition, c.n_clusters);
+    EXPECT_EQ(g.members.size(), 3u) << "t=" << g.time;
+    for (const des::TieEvent& e : g.members) {
+      EXPECT_EQ(e.tag, g.partition);
+    }
+    ++cohorts[g.partition];
+  }
+  // The trace's 15 slots all fall inside the 900 s horizon.
+  for (std::size_t p = 0; p < c.n_clusters; ++p) {
+    EXPECT_EQ(cohorts[p], 15u) << "partition " << p;
+  }
 }
 
 TEST(OutcomeOf, CommutativeOverRecordOrder) {

@@ -45,6 +45,31 @@ TEST(Experiment, ValidatesConfig) {
   EXPECT_THROW(run_experiment(c), std::invalid_argument);
 }
 
+TEST(Experiment, UserPopulationIsBoundedByTheUserIdStride) {
+  // Cluster c's users are c * 4096 + [0, users_per_cluster): a larger
+  // population would alias the next cluster's users under per-user limits.
+  ExperimentConfig c = small_config();
+  c.per_user_pending_limit = 2;
+  c.users_per_cluster = 4097;
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+  c.users_per_cluster = 4096;
+  const SimResult r = run_experiment(c);
+  EXPECT_EQ(r.records.size(), r.jobs_generated);
+}
+
+TEST(Experiment, ClusterCountIsBoundedByTheUserIdSpace) {
+  // 2^20 clusters x 4096 users fill the 32-bit user id exactly; one more
+  // cluster is rejected before anything is sized by the cluster count, on
+  // either kernel.
+  ExperimentConfig c = small_config();
+  c.n_clusters = (std::size_t{1} << 20) + 1;
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+  c.pdes = true;
+  c.cross_cluster_latency = 60.0;
+  c.pdes_jobs = 1;
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+}
+
 TEST(Experiment, DrainCompletesEveryJob) {
   const SimResult r = run_experiment(small_config());
   EXPECT_GT(r.jobs_generated, 0u);

@@ -135,6 +135,16 @@ TEST(CommonFlags, TraceCacheBudgetFlag) {
   cache.set_byte_budget(0);  // process-wide; don't leak into other tests
 }
 
+TEST(CommonFlags, UsersFlagIsRangeCheckedBeforeTheIntConversion) {
+  EXPECT_EQ(parse({"--users=4096"}).users_per_cluster, 4096);
+  EXPECT_EQ(parse({"--users=1"}).users_per_cluster, 1);
+  // 2^32 + 5 must be rejected, not wrapped to 5 by the int conversion.
+  EXPECT_THROW(parse({"--users=4294967301"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--users=4097"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--users=0"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--users=-3"}), std::invalid_argument);
+}
+
 TEST(CommonFlags, BadValuesThrow) {
   EXPECT_THROW(parse({"--algo=unknown"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scheme=R0"}), std::invalid_argument);

@@ -1,7 +1,7 @@
 // Streaming (retain_records = false) runs must reproduce the retained
-// pipeline's results: same simulated schedule, same metrics — bit-identical
-// under the Lublin model, where cross-cluster submit-time ties are
-// measure-zero — while keeping O(live jobs) memory.
+// pipeline's results: same simulated schedule, same metrics, bit for bit —
+// only the gateway's record sink differs — while keeping O(live jobs)
+// memory.
 #include "rrsim/core/experiment.h"
 
 #include <gtest/gtest.h>
@@ -103,8 +103,9 @@ TEST(Streaming, LiveStateIsReportedAndSmallerThanRetained) {
   const SimResult streamed = run_experiment(config);
   ASSERT_GT(retained.live_state_bytes, 0u);
   ASSERT_GT(streamed.live_state_bytes, 0u);
-  // Retained mode stages every grid job for the whole run; streaming keeps
-  // only live jobs (plus 8 bytes/job of pre-drawn randomness).
+  // Retained runs keep every job's scheduler lifecycle entries for the
+  // whole run; streaming runs drop them as jobs finish, keeping only live
+  // jobs.
   EXPECT_LT(streamed.live_state_bytes, retained.live_state_bytes);
 }
 

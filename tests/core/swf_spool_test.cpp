@@ -21,7 +21,9 @@ namespace {
 /// integer timestamp (within-file ties), replayed onto several clusters
 /// (cross-cluster ties at every arrival), some jobs wider than the
 /// clusters (exercises the width filter), and a tail past the horizon
-/// (exercises the horizon cut).
+/// (exercises the horizon cut). Written to a file named after the running
+/// test: ctest runs every test as its own process, concurrently, so a
+/// shared path would be rewritten under a reader's feet.
 std::string write_ties_trace() {
   workload::JobStream s;
   for (std::size_t i = 0; i < 150; ++i) {
@@ -32,7 +34,11 @@ std::string write_ties_trace() {
     j.requested_time = j.runtime + static_cast<double>(i % 5) * 10.0;
     s.push_back(j);
   }
-  const std::string path = ::testing::TempDir() + "/rrsim_ties.swf";
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "/rrsim_ties_" +
+                           test->test_suite_name() + "_" + test->name() +
+                           ".swf";
   workload::write_swf_file(path, s);
   return path;
 }

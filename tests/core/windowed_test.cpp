@@ -112,7 +112,11 @@ TEST(Windowed, ResidentTraceStateIsBoundedByTheWindow) {
   EXPECT_EQ(eager.resident_trace_bytes,
             eager.jobs_generated * sizeof(workload::JobSpec));
   EXPECT_LT(windowed.resident_trace_bytes, eager.resident_trace_bytes / 4);
-  EXPECT_LT(windowed.live_state_bytes, eager.live_state_bytes);
+  // Both runs feed the same arrival pump and run the same schedule, so
+  // the job-proportional live state (gateway, schedulers, pump) matches;
+  // the input mode shows up in resident_trace_bytes only.
+  EXPECT_GT(windowed.live_state_bytes, 0u);
+  EXPECT_EQ(windowed.live_state_bytes, eager.live_state_bytes);
 }
 
 TEST(Windowed, PdesKernelMatchesEagerPdesBitIdentically) {
@@ -171,13 +175,6 @@ TEST(Windowed, RelativeCampaignMatchesEagerStreaming) {
   EXPECT_EQ(windowed.rel_cv_stretch, eager.rel_cv_stretch);
   EXPECT_EQ(windowed.rel_max_stretch, eager.rel_max_stretch);
   EXPECT_EQ(windowed.win_rate, eager.win_rate);
-}
-
-TEST(Windowed, RejectsRetainedRecordsOnTheClassicKernel) {
-  ExperimentConfig config = streaming_config();
-  config.retain_records = true;
-  config.stream_window = 64;
-  EXPECT_THROW(run_experiment(config), std::invalid_argument);
 }
 
 TEST(Windowed, SwfTraceReplayIsAcceptedAndStillChecksTheFile) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -163,6 +164,45 @@ TEST(StreamWindow, RejectsInvalidArguments) {
   EXPECT_THROW(scan_checkpoints(params, kMaxNodes, 100.0, util::Rng(1),
                                 util::Rng(2), est, 0),
                std::invalid_argument);
+}
+
+TEST(MemorySource, PullsViewsOfTheResidentStreamWithoutCopying) {
+  const ExactEstimator est;
+  auto stream = std::make_shared<const JobStream>(
+      materialized(LublinParams{}, kHorizon, 9, est));
+  ASSERT_GT(stream->size(), 10u);
+  MemorySource source(stream);
+  JobStream scratch;
+  JobStream all;
+  while (!source.exhausted()) {
+    const std::span<const JobSpec> view = source.pull(7, scratch);
+    ASSERT_FALSE(view.empty());
+    ASSERT_LE(view.size(), 7u);
+    EXPECT_GE(view.data(), stream->data());  // a view into the stream
+    EXPECT_LE(view.data() + view.size(), stream->data() + stream->size());
+    all.insert(all.end(), view.begin(), view.end());
+  }
+  EXPECT_TRUE(scratch.empty());
+  EXPECT_EQ(scratch.capacity(), 0u);
+  expect_same_jobs(all, *stream);
+  EXPECT_TRUE(source.pull(7, scratch).empty());
+  EXPECT_THROW(source.pull(0, scratch), std::invalid_argument);
+}
+
+TEST(MemorySource, NextCopiesWindowsLikeTheOtherSources) {
+  const ExactEstimator est;
+  auto stream = std::make_shared<const JobStream>(
+      materialized(LublinParams{}, kHorizon, 11, est));
+  MemorySource source(stream);
+  JobStream buf{JobSpec{}};  // next() must replace stale contents
+  JobStream all;
+  while (source.next(5, buf) > 0) {
+    ASSERT_LE(buf.size(), 5u);
+    all.insert(all.end(), buf.begin(), buf.end());
+  }
+  EXPECT_TRUE(buf.empty());
+  expect_same_jobs(all, *stream);
+  EXPECT_THROW(MemorySource(nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/lublin.h"
@@ -55,6 +57,31 @@ TEST(SwfReader, SortsBySubmitTime) {
 TEST(SwfReader, MalformedLineThrows) {
   std::istringstream in("1 2 3\n");
   EXPECT_THROW(read_swf(in), std::runtime_error);
+}
+
+TEST(SwfReader, OutOfRangeProcessorCountThrowsWithTheLine) {
+  // Requested processors (field 8) and the allocated fallback (field 5)
+  // are both range-checked before the int conversion.
+  for (const char* line :
+       {"1 0 0 100 4 -1 -1 1e12 50 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+        "1 0 0 100 1e12 -1 -1 -1 50 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+        "1 0 0 100 4 -1 -1 2147483648 50 -1 1 -1 -1 -1 -1 -1 -1 -1\n"}) {
+    std::istringstream in(std::string("; header\n") +
+                          "1 0 0 100 4 -1 -1 4 50 -1 1 -1 -1 -1 -1 -1 -1 -1\n" +
+                          line);
+    try {
+      read_swf(in);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::istringstream widest(
+      "1 0 0 100 4 -1 -1 2147483647 50 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+  const JobStream s = read_swf(widest);
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s[0].nodes, 2147483647);
 }
 
 TEST(SwfReader, RequestedTimeNeverBelowRuntime) {
