@@ -113,8 +113,9 @@ inline std::size_t peak_rss_bytes() {
 /// Writes the execution-environment fields every BENCH_*.json record
 /// carries (trailing comma included): the machine's hardware concurrency,
 /// the worker count actually used, the process's peak RSS at write time,
-/// the trace-cache counters (how much stream/checkpoint regeneration the
-/// memoization absorbed, and what it holds resident), and a UTC timestamp.
+/// the trace-cache counters (how much stream/checkpoint/draw/calibration
+/// recomputation the memoization absorbed, and what it holds resident),
+/// and a UTC timestamp.
 /// PR 1's record was taken on a 1-core box with no way to tell from the
 /// JSON — these fields make perf records comparable across machines and
 /// time.
@@ -148,6 +149,8 @@ inline void write_json_env_fields(std::FILE* f, int jobs_used,
                  "    \"checkpoint_misses\": %" PRIu64 ",\n"
                  "    \"draw_hits\": %" PRIu64 ",\n"
                  "    \"draw_misses\": %" PRIu64 ",\n"
+                 "    \"calibration_hits\": %" PRIu64 ",\n"
+                 "    \"calibration_misses\": %" PRIu64 ",\n"
                  "    \"spool_hits\": %" PRIu64 ",\n"
                  "    \"spool_misses\": %" PRIu64 ",\n"
                  "    \"entries\": %zu,\n"
@@ -155,7 +158,8 @@ inline void write_json_env_fields(std::FILE* f, int jobs_used,
                  "  },\n",
                  cache.hits(), cache.misses(), cache.checkpoint_hits(),
                  cache.checkpoint_misses(), cache.draw_hits(),
-                 cache.draw_misses(), cache.spool_hits(),
+                 cache.draw_misses(), cache.calibration_hits(),
+                 cache.calibration_misses(), cache.spool_hits(),
                  cache.spool_misses(), cache.entries(),
                  cache.resident_bytes());
   } else {

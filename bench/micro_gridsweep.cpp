@@ -6,16 +6,16 @@
 // workload (10^3 clusters x 128 nodes, ~10^6 jobs per point), all in ONE
 // process. Every point shares one core::trace_affinity, so the runner
 // executes the first-queued point as the cold leader (it generates the
-// shared checkpoint tables and draw segments) and the remaining seven
-// warm, straight out of the TraceCache.
+// shared load calibrations, checkpoint tables and draw segments) and the
+// remaining seven warm, straight out of the TraceCache.
 //
 // Guards asserted in-harness (a violation aborts, it is not a number in
 // a JSON):
 //   - the per-point result checksum is identical across --jobs 1/2/8
 //     AND the cold baseline (cache-affine scheduling is scheduling
 //     only, and the cache is bit-transparent);
-//   - every sweep reports nonzero checkpoint AND draw-segment hits
-//     (the sharing actually happened).
+//   - every sweep reports nonzero calibration, checkpoint AND
+//     draw-segment hits (the sharing actually happened).
 //
 // Cold vs warm is a MATCHED comparison: simulation cost grows ~2x with
 // the redundant fraction across these points, so comparing the leader's
@@ -135,7 +135,8 @@ PointRun run_point(const core::ExperimentConfig& config) {
 }
 
 /// The matched cold reference: every point pays full trace generation
-/// (checkpoint scan + draw-segment fast-forward) because the cache is
+/// (load calibration + checkpoint scan + draw-segment fast-forward)
+/// because the cache is
 /// cleared before each one. Same configs, same serial order, no sweep
 /// machinery in the timing path beyond what the affine sweep's map
 /// lambda runs.
@@ -176,12 +177,15 @@ SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
 
   // In-harness guards, not record fields: the sharing must actually have
   // happened, whatever the scale.
-  if (out.cache.checkpoint_hits == 0 || out.cache.draw_hits == 0) {
+  if (out.cache.checkpoint_hits == 0 || out.cache.draw_hits == 0 ||
+      out.cache.calibration_hits == 0) {
     throw std::runtime_error(
         "cache-affinity violation: sweep at --jobs=" + std::to_string(jobs) +
-        " saw no checkpoint or draw-segment hits (checkpoint_hits=" +
-        std::to_string(out.cache.checkpoint_hits) +
-        " draw_hits=" + std::to_string(out.cache.draw_hits) + ")");
+        " saw no checkpoint, draw-segment or calibration hits "
+        "(checkpoint_hits=" + std::to_string(out.cache.checkpoint_hits) +
+        " draw_hits=" + std::to_string(out.cache.draw_hits) +
+        " calibration_hits=" + std::to_string(out.cache.calibration_hits) +
+        ")");
   }
   return out;
 }
@@ -226,10 +230,12 @@ int main(int argc, char** argv) {
     for (const int jobs : kJobs) {
       SweepRun run = run_sweep(clusters, hours, window, jobs);
       std::printf("jobs=%d: %7.2fs total | ckpt %" PRIu64 "h/%" PRIu64
-                  "m draw %" PRIu64 "h/%" PRIu64 "m | checksum %016llx\n",
+                  "m draw %" PRIu64 "h/%" PRIu64 "m calib %" PRIu64
+                  "h/%" PRIu64 "m | checksum %016llx\n",
                   jobs, run.total_seconds, run.cache.checkpoint_hits,
                   run.cache.checkpoint_misses, run.cache.draw_hits,
-                  run.cache.draw_misses,
+                  run.cache.draw_misses, run.cache.calibration_hits,
+                  run.cache.calibration_misses,
                   static_cast<unsigned long long>(run.checksum));
       if (run.checksum != cold_checksum) {
         throw std::runtime_error(
@@ -307,6 +313,8 @@ int main(int argc, char** argv) {
                    "     \"trace_cache\": {\"checkpoint_hits\": %" PRIu64
                    ", \"checkpoint_misses\": %" PRIu64
                    ", \"draw_hits\": %" PRIu64 ", \"draw_misses\": %" PRIu64
+                   ", \"calibration_hits\": %" PRIu64
+                   ", \"calibration_misses\": %" PRIu64
                    ", \"spool_hits\": %" PRIu64 ", \"spool_misses\": %" PRIu64
                    "},\n"
                    "     \"point_seconds\": [",
@@ -314,6 +322,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(run.checksum),
                    run.cache.checkpoint_hits, run.cache.checkpoint_misses,
                    run.cache.draw_hits, run.cache.draw_misses,
+                   run.cache.calibration_hits, run.cache.calibration_misses,
                    run.cache.spool_hits, run.cache.spool_misses);
       for (std::size_t i = 0; i < run.points.size(); ++i) {
         std::fprintf(f, "%s%.4f", i == 0 ? "" : ", ",

@@ -12,6 +12,7 @@
 // reorder the master forks.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -84,6 +85,12 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
       config.cluster_mean_iat.size() != config.n_clusters) {
     throw std::invalid_argument("cluster_mean_iat size mismatch");
   }
+  for (const double iat : config.cluster_mean_iat) {
+    if (!(iat > 0.0) || !std::isfinite(iat)) {
+      throw std::invalid_argument(
+          "cluster_mean_iat entries must be finite and > 0");
+    }
+  }
   if (config.redundant_fraction < 0.0 || config.redundant_fraction > 1.0) {
     throw std::invalid_argument("redundant_fraction must be in [0, 1]");
   }
@@ -96,9 +103,16 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
   // Calibration and stream generation use substreams that depend only on
   // the seed and the cluster index, never on the redundancy scheme, so
   // paired runs (scheme vs. NONE) see identical job streams.
+  //
+  // Calibration draws are cluster-major: cluster i's Monte-Carlo samples
+  // start where cluster i-1's end. Each cluster's result is memoized in
+  // the TraceCache under its start fingerprint; a hit restores the
+  // substream from the memoized end fingerprint, so later clusters (and
+  // every later fork of `master`) see exactly what a miss would leave.
   out.cluster_configs.resize(config.n_clusters);
   {
     util::Rng calib_rng = out.master.fork(kStreamCalibration);
+    workload::TraceCache& cache = workload::TraceCache::global();
     for (std::size_t i = 0; i < config.n_clusters; ++i) {
       grid::ClusterConfig& cc = out.cluster_configs[i];
       cc.nodes = config.nodes_of(i);
@@ -111,8 +125,24 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
             cc.workload.mean_interarrival() *
             static_cast<double>(config.n_clusters));
       } else if (config.load_mode == LoadMode::kCalibrated) {
-        cc.workload = workload::calibrate_params(
-            cc.workload, cc.nodes, config.target_utilization, calib_rng);
+        workload::CalibrationKey key;
+        key.params = cc.workload;
+        key.max_nodes = cc.nodes;
+        key.target_utilization = config.target_utilization;
+        key.samples = workload::kCalibrationSamples;
+        key.rng_start = calib_rng.fingerprint();
+        const workload::Calibration cal = cache.get_or_calibrate(key, [&]() {
+          // workload::calibrate_params, keeping the substream end state.
+          util::Rng rng = util::Rng::from_fingerprint(key.rng_start);
+          const workload::LublinModel probe(key.params, key.max_nodes);
+          workload::Calibration c;
+          c.mean_interarrival = workload::interarrival_for_utilization(
+              probe, key.target_utilization, rng, key.samples);
+          c.rng_end = rng.fingerprint();
+          return c;
+        });
+        calib_rng = util::Rng::from_fingerprint(cal.rng_end);
+        cc.workload = cc.workload.with_mean_interarrival(cal.mean_interarrival);
       }
       // kPerClusterPeak keeps the literal model rate.
     }

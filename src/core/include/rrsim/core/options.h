@@ -3,8 +3,8 @@
 // re-run under varied protocols without recompiling.
 //
 // Flags consumed by apply_common_flags():
-//   --clusters=N      number of sites
-//   --nodes=K         nodes per cluster
+//   --clusters=N      number of sites, 1..2^20
+//   --nodes=K         nodes per cluster, 1..2^31-1
 //   --hours=H         hours of job submissions
 //   --algo=easy|cbf|fcfs
 //   --estimator=exact|phi|uniform216
@@ -12,10 +12,11 @@
 //   --percent=P       percentage of jobs using redundant requests
 //   --placement=uniform|biased
 //   --load=shared|peak|util  arrival-rate mode (see LoadMode)
-//   --util=U          per-cluster offered load for --load=util
+//   --util=U          per-cluster offered load for --load=util (finite,
+//                     > 0)
 //   --protocol=drain|truncate
 //   --mw-rate=R       middleware ops/s per cluster (0 = instantaneous)
-//   --user-limit=L    per-user pending-request cap (0 = off)
+//   --user-limit=L    per-user pending-request cap, 0..2^31-1 (0 = off)
 //   --users=U         users per cluster (population for the cap), 1..4096
 //   --seed=S
 //   --window=W        windowed trace generation: pull W jobs at a time

@@ -1,6 +1,9 @@
 #include "rrsim/core/options.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -31,11 +34,24 @@ std::string load_mode_name(LoadMode mode) {
 
 ExperimentConfig apply_common_flags(ExperimentConfig config,
                                     const util::Cli& cli) {
+  // Integer flags are range-checked before their narrowing casts, so an
+  // out-of-range value is an error instead of a silently wrapped one.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   if (cli.has("clusters")) {
-    config.n_clusters = static_cast<std::size_t>(cli.get_int("clusters", 0));
+    const std::int64_t clusters = cli.get_int("clusters", 0);
+    if (clusters < 1 || clusters > (std::int64_t{1} << 20)) {
+      throw std::invalid_argument("--clusters must be in [1, 2^20] (got " +
+                                  std::to_string(clusters) + ")");
+    }
+    config.n_clusters = static_cast<std::size_t>(clusters);
   }
   if (cli.has("nodes")) {
-    config.nodes_per_cluster = static_cast<int>(cli.get_int("nodes", 0));
+    const std::int64_t nodes = cli.get_int("nodes", 0);
+    if (nodes < 1 || nodes > kIntMax) {
+      throw std::invalid_argument("--nodes must be in [1, 2147483647] (got " +
+                                  std::to_string(nodes) + ")");
+    }
+    config.nodes_per_cluster = static_cast<int>(nodes);
   }
   if (cli.has("hours")) {
     config.submit_horizon = cli.get_double("hours", 0.0) * 3600.0;
@@ -59,7 +75,12 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     config.load_mode = parse_load_mode(cli.get_string("load", "shared"));
   }
   if (cli.has("util")) {
-    config.target_utilization = cli.get_double("util", 0.92);
+    const double util = cli.get_double("util", 0.92);
+    if (!(util > 0.0) || !std::isfinite(util)) {
+      throw std::invalid_argument("--util must be finite and > 0 (got " +
+                                  cli.get_string("util", "") + ")");
+    }
+    config.target_utilization = util;
     config.load_mode = LoadMode::kCalibrated;
   }
   if (cli.has("protocol")) {
@@ -76,8 +97,13 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     config.middleware_ops_per_sec = cli.get_double("mw-rate", 0.0);
   }
   if (cli.has("user-limit")) {
-    config.per_user_pending_limit =
-        static_cast<int>(cli.get_int("user-limit", 0));
+    const std::int64_t limit = cli.get_int("user-limit", 0);
+    if (limit < 0 || limit > kIntMax) {
+      throw std::invalid_argument(
+          "--user-limit must be in [0, 2147483647] (got " +
+          std::to_string(limit) + "; 0 disables the cap)");
+    }
+    config.per_user_pending_limit = static_cast<int>(limit);
   }
   if (cli.has("users")) {
     const std::int64_t users = cli.get_int("users", 8);

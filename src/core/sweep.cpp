@@ -35,13 +35,13 @@ struct Fnv {
 }  // namespace
 
 std::uint64_t trace_affinity(const ExperimentConfig& config) {
-  // Exactly the fields that reach the memoized trace inputs — TraceKey
-  // (via resolve_clusters' calibration and the per-cluster workload
-  // parameters), DrawSegmentKey, and SpoolKey. Treatment knobs the cache
-  // deliberately ignores (scheme, fraction, placement, scheduler,
-  // protocol) are deliberately absent here too: points differing only in
-  // them share every cached entry, which is the sharing this affinity
-  // exists to exploit.
+  // Exactly the fields that reach the memoized inputs — CalibrationKey
+  // (seed, cluster shape, load mode and target), TraceKey (the per-cluster
+  // workload parameters), DrawSegmentKey, and SpoolKey. Treatment knobs
+  // the cache deliberately ignores (scheme, fraction, placement,
+  // scheduler, protocol) are deliberately absent here too: points
+  // differing only in them share every cached entry, which is the sharing
+  // this affinity exists to exploit.
   Fnv f;
   f.u64(config.seed);
   f.u64(config.n_clusters);
@@ -95,6 +95,8 @@ void CampaignSweep::run() {
   const std::uint64_t cm = cache.checkpoint_misses();
   const std::uint64_t dh = cache.draw_hits();
   const std::uint64_t dm = cache.draw_misses();
+  const std::uint64_t lh = cache.calibration_hits();
+  const std::uint64_t lm = cache.calibration_misses();
   const std::uint64_t ph = cache.spool_hits();
   const std::uint64_t pm = cache.spool_misses();
   runner_.run();
@@ -104,6 +106,8 @@ void CampaignSweep::run() {
   last_cache_stats_.checkpoint_misses = cache.checkpoint_misses() - cm;
   last_cache_stats_.draw_hits = cache.draw_hits() - dh;
   last_cache_stats_.draw_misses = cache.draw_misses() - dm;
+  last_cache_stats_.calibration_hits = cache.calibration_hits() - lh;
+  last_cache_stats_.calibration_misses = cache.calibration_misses() - lm;
   last_cache_stats_.spool_hits = cache.spool_hits() - ph;
   last_cache_stats_.spool_misses = cache.spool_misses() - pm;
 }

@@ -1,5 +1,6 @@
 #include "rrsim/workload/calibrate.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace rrsim::workload {
@@ -7,8 +8,8 @@ namespace rrsim::workload {
 double interarrival_for_utilization(const LublinModel& model,
                                     double target_util, util::Rng& rng,
                                     int samples) {
-  if (target_util <= 0.0) {
-    throw std::invalid_argument("target utilisation must be > 0");
+  if (!(target_util > 0.0) || !std::isfinite(target_util)) {
+    throw std::invalid_argument("target utilisation must be finite and > 0");
   }
   const double mean_work = model.estimate_mean_work(rng, samples);
   return mean_work / (target_util * static_cast<double>(model.max_nodes()));

@@ -7,6 +7,10 @@
 // for steady-state experiments it is more informative to run each cluster
 // at a controlled utilisation. These helpers rescale the arrival process
 // to hit a target offered load; raw-rate experiments simply skip them.
+//
+// These functions are pure and uncached. Core's calibrated load mode
+// memoizes its per-cluster results through workload::TraceCache (see
+// CalibrationKey), so repeated runs pay for each calibration once.
 #pragma once
 
 #include "rrsim/util/rng.h"
@@ -14,20 +18,23 @@
 
 namespace rrsim::workload {
 
+/// Monte-Carlo draws per calibration unless the caller asks otherwise.
+inline constexpr int kCalibrationSamples = 20000;
+
 /// Mean inter-arrival time (seconds) that gives an offered load of
 /// `target_util` (node-seconds demanded / node-seconds available) on a
 /// cluster of `model.max_nodes()` nodes: E[nodes * runtime] /
 /// (util * max_nodes). Estimated by Monte-Carlo with `samples` draws.
-/// Throws std::invalid_argument unless 0 < target_util.
+/// Throws std::invalid_argument unless target_util is finite and > 0.
 double interarrival_for_utilization(const LublinModel& model,
                                     double target_util, util::Rng& rng,
-                                    int samples = 20000);
+                                    int samples = kCalibrationSamples);
 
 /// Returns `params` rescaled so that a LublinModel(max_nodes) built from
 /// them offers `target_util` load on a cluster of `max_nodes` nodes.
 LublinParams calibrate_params(const LublinParams& params, int max_nodes,
                               double target_util, util::Rng& rng,
-                              int samples = 20000);
+                              int samples = kCalibrationSamples);
 
 /// Empirical offered load of a concrete stream on `nodes` nodes over
 /// `horizon` seconds: sum(nodes_i * runtime_i) / (nodes * horizon).

@@ -62,6 +62,7 @@ struct LublinParams {
   /// Returns a copy with the arrival process rescaled so the mean
   /// inter-arrival time equals `mean_iat` seconds (alpha is kept, beta is
   /// scaled — this is how Fig 3 sweeps load while preserving burstiness).
+  /// Throws std::invalid_argument unless mean_iat is finite and > 0.
   LublinParams with_mean_interarrival(double mean_iat) const;
 };
 
@@ -71,7 +72,8 @@ class LublinModel {
  public:
   /// `max_nodes` is the size of the target cluster (>= 1); the node-count
   /// distribution is truncated to it. Throws std::invalid_argument on
-  /// non-positive sizes or invalid probabilities.
+  /// non-positive sizes, non-finite or non-positive arrival parameters, or
+  /// invalid probabilities.
   LublinModel(LublinParams params, int max_nodes);
 
   /// Next inter-arrival gap, seconds (> 0).

@@ -12,13 +12,15 @@
 // snapshots, so each distinct trace is generated once per process no
 // matter how many sweep points or worker threads consume it.
 //
-// Four entry kinds share one LRU-evicted store:
+// Five entry kinds share one LRU-evicted store:
 //   - whole streams (runs with stream_window == 0; ~32 bytes/job),
 //   - generator checkpoint tables (windowed drivers; ~48 bytes/window —
 //     see stream_window.h), which let a sweep point seek to window k and
 //     re-materialize it in O(window) instead of holding 10^7 specs
 //     resident or regenerating from t = 0,
-//   - substream draw segments (~32 bytes), and
+//   - substream draw segments (~32 bytes),
+//   - per-cluster load calibrations (~24 bytes), so a calibrated sweep
+//     pays each cluster's Monte-Carlo work estimate once per process, and
 //   - window spools (windowed SWF replay; resident cost is the spool's
 //     in-memory index only — the records live in an unlinked temp file,
 //     see window_spool.h), so a grid sweep replays each trace file once
@@ -34,6 +36,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/estimators.h"
@@ -111,6 +114,34 @@ struct DrawSegmentKey {
   std::string bytes() const;
 };
 
+/// One cluster's load calibration (see core::detail::resolve_clusters): the
+/// mean inter-arrival time that offers the target load, and the
+/// calibration substream's fingerprint after this cluster's Monte-Carlo
+/// draws — where the next cluster's draws begin.
+struct Calibration {
+  double mean_interarrival = 0.0;
+  std::pair<std::uint64_t, std::uint64_t> rng_end{0, 0};
+};
+
+/// Everything that determines a Calibration bit-exactly: the model
+/// parameters (the node/runtime shape decides the mean work; compared on
+/// exact double bits like TraceKey), the cluster size, the target load,
+/// the sample count, and the calibration substream's state where this
+/// cluster's draws begin. Gamma rejection sampling consumes a
+/// data-dependent number of draws, so calibrations chain: each entry's
+/// rng_end is the next cluster's rng_start, and runs sharing a seed and
+/// cluster shape share their common prefix of clusters.
+struct CalibrationKey {
+  LublinParams params;
+  int max_nodes = 1;
+  double target_utilization = 0.0;
+  int samples = 0;
+  std::pair<std::uint64_t, std::uint64_t> rng_start{0, 0};
+
+  /// Flat byte encoding, same contract as TraceKey::bytes().
+  std::string bytes() const;
+};
+
 /// Everything that determines a spooled SWF window store bit-exactly: the
 /// file path, the filters applied while loading (cluster size and horizon
 /// — see core::detail::load_swf_stream), and the window the spool was
@@ -127,8 +158,7 @@ struct SpoolKey {
   std::string bytes() const;
 };
 
-/// Process-wide, thread-safe memo of generated job streams and generator
-/// checkpoint tables.
+/// Process-wide, thread-safe memo of the five entry kinds above.
 ///
 /// Values are shared immutable snapshots: consumers must treat them as
 /// read-only and copy before mutating (experiment drivers copy anyway,
@@ -155,6 +185,9 @@ class TraceCache {
   // rrsim-lint-allow(std-function-member): once-per-miss again — a miss
   // replays one cluster's O(jobs) substream fast-forward.
   using DrawAdvancer = std::function<DrawSegment()>;
+  // rrsim-lint-allow(std-function-member): once-per-miss — a miss runs
+  // one cluster's Monte-Carlo calibration (thousands of job samples).
+  using Calibrator = std::function<Calibration()>;
   using SpoolPtr = std::shared_ptr<const WindowSpool>;
   // rrsim-lint-allow(std-function-member): once-per-miss — a miss reads
   // and spools one whole SWF file.
@@ -187,6 +220,16 @@ class TraceCache {
   /// is disabled, always calls `advance` and publishes nothing.
   DrawSegment get_or_advance_draws(const DrawSegmentKey& key,
                                    const DrawAdvancer& advance);
+
+  /// Returns the memoized calibration for `key`, running `calibrate` on a
+  /// miss. This is what keeps a calibrated run's set-up from repeating one
+  /// Monte-Carlo work estimate per cluster on every call: repeated sweep
+  /// points, replications sharing a seed, and cluster-count sweeps over a
+  /// common prefix seek straight to each cluster's result. Entries are
+  /// ~24 bytes and share the LRU-evicted store. When the cache is
+  /// disabled, always calls `calibrate` and publishes nothing.
+  Calibration get_or_calibrate(const CalibrationKey& key,
+                               const Calibrator& calibrate);
 
   /// Returns the cached window spool for `key`, building (and publishing)
   /// it via `build` on a miss. The entry's budget charge is the spool's
@@ -224,6 +267,8 @@ class TraceCache {
   std::uint64_t checkpoint_misses() const;
   std::uint64_t draw_hits() const;
   std::uint64_t draw_misses() const;
+  std::uint64_t calibration_hits() const;
+  std::uint64_t calibration_misses() const;
   std::uint64_t spool_hits() const;
   std::uint64_t spool_misses() const;
   std::size_t entries() const;
@@ -233,18 +278,22 @@ class TraceCache {
   static TraceCache& global();
 
  private:
-  /// One cached payload: exactly one of `stream` / `checkpoints` / `draws`
-  /// / `spool` is meaningful, by entry kind (the key's leading tag byte).
-  /// `lru` is
-  /// this entry's node in the recency list, so a hit can splice it to the
-  /// back in O(1).
+  /// One cached payload, of the kind the key's leading tag byte names.
+  using Payload = std::variant<StreamPtr, CheckpointPtr, DrawSegment,
+                               Calibration, SpoolPtr>;
+
+  /// `lru` is this entry's node in the recency list, so a hit can splice
+  /// it to the back in O(1).
   struct Entry {
-    StreamPtr stream;
-    CheckpointPtr checkpoints;
-    DrawSegment draws;
-    SpoolPtr spool;
+    Payload payload;
     std::size_t bytes = 0;
     std::list<const std::string*>::iterator lru;
+  };
+
+  /// Lookups of one entry kind since the last clear().
+  struct Tally {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
   };
 
   // rrsim-lint-allow(unordered-container): lookup/insert/erase only —
@@ -252,27 +301,33 @@ class TraceCache {
   // cannot reach any output.
   using Map = std::unordered_map<std::string, Entry>;
 
+  /// The lookup every get_or_* shares: returns the payload cached under
+  /// `key` (a hit), or runs `make` outside the lock and publishes its
+  /// result unless the cache is disabled (a miss), counting the lookup in
+  /// `tally` either way. Defined, and only instantiated, in the .cpp.
+  template <typename Value, typename Make>
+  Value memoize(std::string key, Tally& tally, const Make& make);
+
   /// Inserts (or adopts a racing thread's) entry, updates recency and the
-  /// byte budget, and returns a copy of the published entry's payload
-  /// pointers. Returns a *value*, never an iterator: eviction inside can
-  /// erase the just-inserted node when the budget is smaller than this one
-  /// payload, so no reference into the map survives this call.
+  /// byte budget, and returns a copy of the published entry's payload.
+  /// Returns a *value*, never an iterator: eviction inside can erase the
+  /// just-inserted node when the budget is smaller than this one payload,
+  /// so no reference into the map survives this call.
   Entry publish_locked(std::string key, Entry entry);
   void touch_locked(Map::iterator it);
   void evict_to_budget_locked();
+  /// Reads one statistics counter under the lock.
+  std::uint64_t read_counter(const std::uint64_t& counter) const;
 
   mutable std::mutex mu_;
   bool enabled_ = true;
   std::size_t byte_budget_ = 0;  // 0 = unlimited
   std::size_t resident_bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t checkpoint_hits_ = 0;
-  std::uint64_t checkpoint_misses_ = 0;
-  std::uint64_t draw_hits_ = 0;
-  std::uint64_t draw_misses_ = 0;
-  std::uint64_t spool_hits_ = 0;
-  std::uint64_t spool_misses_ = 0;
+  Tally streams_;
+  Tally checkpoints_;
+  Tally draws_;
+  Tally calibrations_;
+  Tally spools_;
   Map map_;
   /// Recency order, least recently used first. Nodes point at the map's
   /// own key strings (stable under rehash — unordered_map never moves

@@ -7,8 +7,8 @@
 namespace rrsim::workload {
 
 LublinParams LublinParams::with_mean_interarrival(double mean_iat) const {
-  if (mean_iat <= 0.0) {
-    throw std::invalid_argument("mean inter-arrival must be > 0");
+  if (!(mean_iat > 0.0) || !std::isfinite(mean_iat)) {
+    throw std::invalid_argument("mean inter-arrival must be finite and > 0");
   }
   LublinParams out = *this;
   out.arrival_beta = mean_iat / out.arrival_alpha;
@@ -18,8 +18,12 @@ LublinParams LublinParams::with_mean_interarrival(double mean_iat) const {
 LublinModel::LublinModel(LublinParams params, int max_nodes)
     : params_(params), max_nodes_(max_nodes) {
   if (max_nodes_ < 1) throw std::invalid_argument("max_nodes must be >= 1");
-  if (params_.arrival_alpha <= 0.0 || params_.arrival_beta <= 0.0) {
-    throw std::invalid_argument("arrival gamma parameters must be > 0");
+  const double alpha = params_.arrival_alpha;
+  const double beta = params_.arrival_beta;
+  if (!(alpha > 0.0) || !std::isfinite(alpha) || !(beta > 0.0) ||
+      !std::isfinite(beta)) {
+    throw std::invalid_argument(
+        "arrival gamma parameters must be finite and > 0");
   }
   if (params_.serial_prob < 0.0 || params_.serial_prob > 1.0 ||
       params_.pow2_prob < 0.0 || params_.pow2_prob > 1.0 ||

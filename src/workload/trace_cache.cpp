@@ -3,16 +3,17 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <variant>
 
 namespace rrsim::workload {
 
 namespace {
 
-// Leading tag byte of the map key, so stream, checkpoint, and draw-segment
-// entries never collide across kinds.
+// Leading tag byte of the map key, so entries never collide across kinds.
 constexpr char kStreamTag = 'S';
 constexpr char kCheckpointTag = 'C';
 constexpr char kDrawTag = 'D';
+constexpr char kCalibrationTag = 'L';
 constexpr char kSpoolTag = 'P';
 
 void append_u64(std::string& out, std::uint64_t v) {
@@ -25,13 +26,9 @@ void append_double(std::string& out, double v) {
   append_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-}  // namespace
-
-std::string TraceKey::bytes() const {
-  std::string out;
-  out.reserve(30 * sizeof(std::uint64_t) + estimator_name.size());
-  // Field-by-field (never memcpy of the struct): padding bytes are
-  // indeterminate and would make equal keys compare unequal.
+// Field-by-field (never memcpy of the struct): padding bytes are
+// indeterminate and would make equal keys compare unequal.
+void append_params(std::string& out, const LublinParams& params) {
   append_double(out, params.arrival_alpha);
   append_double(out, params.arrival_beta);
   append_double(out, params.serial_prob);
@@ -48,6 +45,28 @@ std::string TraceKey::bytes() const {
   append_double(out, params.rt_log_base);
   append_double(out, params.min_runtime);
   append_double(out, params.max_runtime);
+}
+
+// Budget charge of each payload kind: resident payload bytes, not map
+// overhead.
+std::size_t payload_bytes(const TraceCache::StreamPtr& stream) {
+  return stream->size() * sizeof(JobSpec);
+}
+std::size_t payload_bytes(const TraceCache::CheckpointPtr& table) {
+  return table->payload_bytes();
+}
+std::size_t payload_bytes(const DrawSegment&) { return sizeof(DrawSegment); }
+std::size_t payload_bytes(const Calibration&) { return sizeof(Calibration); }
+std::size_t payload_bytes(const TraceCache::SpoolPtr& spool) {
+  return spool->payload_bytes();
+}
+
+}  // namespace
+
+std::string TraceKey::bytes() const {
+  std::string out;
+  out.reserve(30 * sizeof(std::uint64_t) + estimator_name.size());
+  append_params(out, params);
   append_u64(out, static_cast<std::uint64_t>(max_nodes));
   append_double(out, horizon);
   append_u64(out, stream_rng.first);
@@ -72,6 +91,18 @@ std::string DrawSegmentKey::bytes() const {
   return out;
 }
 
+std::string CalibrationKey::bytes() const {
+  std::string out;
+  out.reserve(21 * sizeof(std::uint64_t));
+  append_params(out, params);
+  append_u64(out, static_cast<std::uint64_t>(max_nodes));
+  append_double(out, target_utilization);
+  append_u64(out, static_cast<std::uint64_t>(samples));
+  append_u64(out, rng_start.first);
+  append_u64(out, rng_start.second);
+  return out;
+}
+
 std::string SpoolKey::bytes() const {
   std::string out;
   out.reserve(3 * sizeof(std::uint64_t) + path.size());
@@ -82,122 +113,73 @@ std::string SpoolKey::bytes() const {
   return out;
 }
 
-TraceCache::StreamPtr TraceCache::get_or_generate(const TraceKey& key,
-                                                  const Generator& generate) {
-  std::string k;
-  k.push_back(kStreamTag);
-  k += key.bytes();
+template <typename Value, typename Make>
+Value TraceCache::memoize(std::string key, Tally& tally, const Make& make) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_) {
       // Count the lookup as a miss so disabled-mode stats still show how
-      // much regeneration the cache would have absorbed.
-      ++misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++hits_;
+      // much recomputation the cache would have absorbed.
+      ++tally.misses;
+    } else if (const auto it = map_.find(key); it != map_.end()) {
+      ++tally.hits;
       touch_locked(it);
-      return it->second.stream;
+      return std::get<Value>(it->second.payload);
     } else {
-      ++misses_;
+      ++tally.misses;
     }
   }
-  // Generate outside the lock: Lublin streams take milliseconds and other
+  // Compute outside the lock: a miss costs milliseconds or more, and other
   // threads should neither wait on us nor serialize their own misses.
-  auto stream = std::make_shared<const JobStream>(generate());
+  // Threads racing on one key both compute; computation is deterministic,
+  // so publish_locked adopts the first result and the duplicate is
+  // bit-identical.
+  Value value = make();
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return stream;
+  if (!enabled_) return value;
   Entry entry;
-  entry.stream = stream;
-  entry.bytes = stream->size() * sizeof(JobSpec);
-  return publish_locked(std::move(k), std::move(entry)).stream;
+  entry.bytes = payload_bytes(value);
+  entry.payload = std::move(value);
+  return std::get<Value>(
+      publish_locked(std::move(key), std::move(entry)).payload);
+}
+
+TraceCache::StreamPtr TraceCache::get_or_generate(const TraceKey& key,
+                                                  const Generator& generate) {
+  return memoize<StreamPtr>(kStreamTag + key.bytes(), streams_, [&] {
+    return std::make_shared<const JobStream>(generate());
+  });
 }
 
 TraceCache::CheckpointPtr TraceCache::get_or_build_checkpoints(
     const TraceKey& key, std::size_t window, const CheckpointBuilder& build) {
   if (window == 0) throw std::invalid_argument("window must be > 0");
-  std::string k;
-  k.push_back(kCheckpointTag);
-  k += key.bytes();
+  std::string k = kCheckpointTag + key.bytes();
   append_u64(k, window);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      ++checkpoint_misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++checkpoint_hits_;
-      touch_locked(it);
-      return it->second.checkpoints;
-    } else {
-      ++checkpoint_misses_;
-    }
-  }
-  // Build outside the lock; deterministic builds make racing duplicates
-  // harmless, same as get_or_generate.
-  auto table = std::make_shared<const CheckpointedTrace>(build());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return table;
-  Entry entry;
-  entry.checkpoints = table;
-  entry.bytes = table->payload_bytes();
-  return publish_locked(std::move(k), std::move(entry)).checkpoints;
+  return memoize<CheckpointPtr>(std::move(k), checkpoints_, [&] {
+    return std::make_shared<const CheckpointedTrace>(build());
+  });
 }
 
 DrawSegment TraceCache::get_or_advance_draws(const DrawSegmentKey& key,
                                              const DrawAdvancer& advance) {
-  std::string k;
-  k.push_back(kDrawTag);
-  k += key.bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      ++draw_misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++draw_hits_;
-      touch_locked(it);
-      return it->second.draws;
-    } else {
-      ++draw_misses_;
-    }
-  }
-  // Advance outside the lock, same once-per-miss economics as generation:
-  // the fast-forward is one draw per job, O(total jobs) per cluster.
-  const DrawSegment seg = advance();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return seg;
-  Entry entry;
-  entry.draws = seg;
-  entry.bytes = sizeof(DrawSegment);
-  return publish_locked(std::move(k), std::move(entry)).draws;
+  return memoize<DrawSegment>(kDrawTag + key.bytes(), draws_, advance);
+}
+
+Calibration TraceCache::get_or_calibrate(const CalibrationKey& key,
+                                         const Calibrator& calibrate) {
+  return memoize<Calibration>(kCalibrationTag + key.bytes(), calibrations_,
+                              calibrate);
 }
 
 TraceCache::SpoolPtr TraceCache::get_or_build_spool(const SpoolKey& key,
                                                     const SpoolBuilder& build) {
   if (key.window == 0) throw std::invalid_argument("window must be > 0");
-  std::string k;
-  k.push_back(kSpoolTag);
-  k += key.bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      ++spool_misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++spool_hits_;
-      touch_locked(it);
-      return it->second.spool;
-    } else {
-      ++spool_misses_;
-    }
-  }
-  // Build outside the lock: a miss reads and spools one whole trace file.
   // Racing duplicates each spool into their own unlinked temp file; the
   // loser's storage is reclaimed when its shared_ptr dies.
-  auto spool = std::make_shared<const WindowSpool>(build());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return spool;
-  Entry entry;
-  entry.spool = spool;
-  entry.bytes = spool->payload_bytes();
-  return publish_locked(std::move(k), std::move(entry)).spool;
+  return memoize<SpoolPtr>(kSpoolTag + key.bytes(), spools_, [&] {
+    return std::make_shared<const WindowSpool>(build());
+  });
 }
 
 TraceCache::Entry TraceCache::publish_locked(std::string key, Entry entry) {
@@ -265,54 +247,41 @@ void TraceCache::clear() {
   map_.clear();
   lru_.clear();
   resident_bytes_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-  checkpoint_hits_ = 0;
-  checkpoint_misses_ = 0;
-  draw_hits_ = 0;
-  draw_misses_ = 0;
-  spool_hits_ = 0;
-  spool_misses_ = 0;
+  streams_ = checkpoints_ = draws_ = calibrations_ = spools_ = Tally{};
 }
 
-std::uint64_t TraceCache::hits() const {
+std::uint64_t TraceCache::read_counter(const std::uint64_t& counter) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
+  return counter;
 }
 
+std::uint64_t TraceCache::hits() const { return read_counter(streams_.hits); }
 std::uint64_t TraceCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
+  return read_counter(streams_.misses);
 }
-
 std::uint64_t TraceCache::checkpoint_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return checkpoint_hits_;
+  return read_counter(checkpoints_.hits);
 }
-
 std::uint64_t TraceCache::checkpoint_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return checkpoint_misses_;
+  return read_counter(checkpoints_.misses);
 }
-
 std::uint64_t TraceCache::draw_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return draw_hits_;
+  return read_counter(draws_.hits);
 }
-
 std::uint64_t TraceCache::draw_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return draw_misses_;
+  return read_counter(draws_.misses);
 }
-
+std::uint64_t TraceCache::calibration_hits() const {
+  return read_counter(calibrations_.hits);
+}
+std::uint64_t TraceCache::calibration_misses() const {
+  return read_counter(calibrations_.misses);
+}
 std::uint64_t TraceCache::spool_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spool_hits_;
+  return read_counter(spools_.hits);
 }
-
 std::uint64_t TraceCache::spool_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spool_misses_;
+  return read_counter(spools_.misses);
 }
 
 std::size_t TraceCache::entries() const {

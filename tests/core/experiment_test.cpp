@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <set>
 
 #include "rrsim/core/paper.h"
@@ -68,6 +69,26 @@ TEST(Experiment, ClusterCountIsBoundedByTheUserIdSpace) {
   c.cross_cluster_latency = 60.0;
   c.pdes_jobs = 1;
   EXPECT_THROW(run_experiment(c), std::invalid_argument);
+}
+
+TEST(Experiment, NonFiniteLoadInputsAreRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExperimentConfig c = small_config();
+  c.cluster_mean_iat = {5.0, inf, 5.0};
+  // ASSERT: a NaN rate below would otherwise generate (nearly) forever.
+  ASSERT_THROW(run_experiment(c), std::invalid_argument);
+  c.cluster_mean_iat = {5.0, nan, 5.0};
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+  c.cluster_mean_iat = {5.0, -1.0, 5.0};
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+
+  c = small_config();
+  c.load_mode = LoadMode::kCalibrated;
+  for (const double target : {nan, inf, 0.0}) {
+    c.target_utilization = target;
+    EXPECT_THROW(run_experiment(c), std::invalid_argument) << target;
+  }
 }
 
 TEST(Experiment, DrainCompletesEveryJob) {

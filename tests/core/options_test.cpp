@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rrsim/exec/campaign_runner.h"
 #include "rrsim/workload/trace_cache.h"
 
@@ -143,6 +145,47 @@ TEST(CommonFlags, UsersFlagIsRangeCheckedBeforeTheIntConversion) {
   EXPECT_THROW(parse({"--users=4097"}), std::invalid_argument);
   EXPECT_THROW(parse({"--users=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"--users=-3"}), std::invalid_argument);
+}
+
+TEST(CommonFlags, UtilFlagRejectsNonFiniteAndNonPositiveTargets) {
+  EXPECT_DOUBLE_EQ(parse({"--util=1.5"}).target_utilization, 1.5);
+  for (const char* flag : {"--util=nan", "--util=inf", "--util=-inf",
+                           "--util=0", "--util=-0.5"}) {
+    EXPECT_THROW(parse({flag}), std::invalid_argument) << flag;
+  }
+}
+
+TEST(CommonFlags, ClustersFlagIsRangeCheckedBeforeTheConversion) {
+  EXPECT_EQ(parse({"--clusters=1"}).n_clusters, 1u);
+  EXPECT_EQ(parse({"--clusters=1048576"}).n_clusters, std::size_t{1} << 20);
+  EXPECT_THROW(parse({"--clusters=1048577"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--clusters=0"}), std::invalid_argument);
+  // -1 must not wrap to 2^64 - 1 and surface as a misleading bound error.
+  try {
+    parse({"--clusters=-1"});
+    ADD_FAILURE() << "--clusters=-1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--clusters"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CommonFlags, NodesFlagIsRangeCheckedBeforeTheIntConversion) {
+  EXPECT_EQ(parse({"--nodes=2147483647"}).nodes_per_cluster, 2147483647);
+  // 2^32 + 16 must be rejected, not wrapped to 16 by the int conversion.
+  EXPECT_THROW(parse({"--nodes=4294967312"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--nodes=2147483648"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--nodes=0"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--nodes=-4"}), std::invalid_argument);
+}
+
+TEST(CommonFlags, UserLimitFlagIsRangeCheckedBeforeTheIntConversion) {
+  EXPECT_EQ(parse({"--user-limit=0"}).per_user_pending_limit, 0);
+  EXPECT_EQ(parse({"--user-limit=2147483647"}).per_user_pending_limit,
+            2147483647);
+  // 2^32 + 1 must be rejected, not wrapped to a limit of 1.
+  EXPECT_THROW(parse({"--user-limit=4294967297"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--user-limit=-1"}), std::invalid_argument);
 }
 
 TEST(CommonFlags, BadValuesThrow) {

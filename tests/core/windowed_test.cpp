@@ -13,6 +13,9 @@
 #include "rrsim/core/campaign.h"
 #include "rrsim/core/paper.h"
 #include "rrsim/metrics/summary.h"
+#include "rrsim/util/rng.h"
+#include "rrsim/workload/calibrate.h"
+#include "rrsim/workload/lublin.h"
 #include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {
@@ -97,6 +100,112 @@ TEST(Windowed, RepeatedRunsHitTheDrawSegmentMemoAndStayBitIdentical) {
   run_experiment(config);
   EXPECT_EQ(cache.draw_hits(), hits_before + 2 * config.n_clusters);
   EXPECT_EQ(cache.draw_misses(), misses_before);
+}
+
+// A calibrated windowed workload with retained records, on the classic
+// kernel or on PDES.
+ExperimentConfig calibrated_config(std::size_t clusters, bool pdes) {
+  ExperimentConfig config = streaming_config();
+  config.n_clusters = clusters;
+  config.load_mode = LoadMode::kCalibrated;
+  config.target_utilization = 0.7;
+  config.submit_horizon = 1800.0;
+  config.stream_window = 64;
+  config.retain_records = true;
+  if (pdes) {
+    config.pdes = true;
+    config.cross_cluster_latency = 60.0;
+    config.pdes_jobs = 2;
+  }
+  return config;
+}
+
+void expect_same_records(const SimResult& got, const SimResult& want) {
+  EXPECT_EQ(got.jobs_generated, want.jobs_generated);
+  EXPECT_EQ(got.end_time, want.end_time);
+  EXPECT_EQ(got.duplicate_starts, want.duplicate_starts);
+  EXPECT_EQ(got.ops.starts, want.ops.starts);
+  EXPECT_EQ(got.ops.cancels, want.ops.cancels);
+  EXPECT_EQ(got.ops.sched_passes, want.ops.sched_passes);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    const metrics::JobRecord& g = got.records[i];
+    const metrics::JobRecord& w = want.records[i];
+    EXPECT_EQ(g.grid_id, w.grid_id) << "record " << i;
+    EXPECT_EQ(g.winner_cluster, w.winner_cluster) << "record " << i;
+    EXPECT_EQ(g.submit_time, w.submit_time) << "record " << i;
+    EXPECT_EQ(g.start_time, w.start_time) << "record " << i;
+    EXPECT_EQ(g.finish_time, w.finish_time) << "record " << i;
+  }
+}
+
+TEST(Windowed, RepeatedCalibratedRunsHitTheCalibrationMemoOnBothKernels) {
+  // Load calibration is one Monte-Carlo estimate per cluster, memoized per
+  // cluster: a repeated run must hit once per cluster, miss nothing, and
+  // reproduce the run bit for bit on either kernel.
+  const workload::TraceCache& cache = workload::TraceCache::global();
+  for (const bool pdes : {false, true}) {
+    SCOPED_TRACE(pdes ? "pdes" : "classic");
+    const ExperimentConfig config = calibrated_config(4, pdes);
+    const SimResult first = run_experiment(config);
+    ASSERT_GT(first.jobs_generated, 0u);
+    const std::uint64_t hits_before = cache.calibration_hits();
+    const std::uint64_t misses_before = cache.calibration_misses();
+    const SimResult second = run_experiment(config);
+    EXPECT_EQ(cache.calibration_hits(), hits_before + config.n_clusters);
+    EXPECT_EQ(cache.calibration_misses(), misses_before);
+    expect_same_records(second, first);
+  }
+}
+
+TEST(Windowed, MemoizedCalibrationReproducesThePureCalibrationChain) {
+  // The calibrated run must equal a run given, explicitly, the mean
+  // inter-arrival times workload::interarrival_for_utilization yields
+  // cluster after cluster on the calibration substream (tag 3002 of the
+  // seed's master generator, core::detail::kStreamCalibration) — whether
+  // its calibrations miss or hit the memo.
+  const ExperimentConfig calibrated = calibrated_config(4, false);
+  util::Rng calib_rng = util::Rng(calibrated.seed).fork(3002);
+  ExperimentConfig explicit_iat = calibrated;
+  for (std::size_t i = 0; i < calibrated.n_clusters; ++i) {
+    const workload::LublinModel probe(calibrated.base_workload,
+                                      calibrated.nodes_of(i));
+    explicit_iat.cluster_mean_iat.push_back(
+        workload::interarrival_for_utilization(
+            probe, calibrated.target_utilization, calib_rng));
+  }
+  const SimResult want = run_experiment(explicit_iat);
+  workload::TraceCache::global().clear();
+  expect_same_records(run_experiment(calibrated), want);  // misses
+  expect_same_records(run_experiment(calibrated), want);  // hits
+}
+
+TEST(Windowed, ClusterCountSweepReusesTheCalibrationPrefix) {
+  // Cluster i's calibration draws start where cluster i-1's end, so a
+  // 4-cluster run on the seed of an 8-cluster run finds all 4 of its
+  // calibrations memoized.
+  const workload::TraceCache& cache = workload::TraceCache::global();
+  run_experiment(calibrated_config(8, false));
+  const std::uint64_t hits_before = cache.calibration_hits();
+  const std::uint64_t misses_before = cache.calibration_misses();
+  run_experiment(calibrated_config(4, false));
+  EXPECT_EQ(cache.calibration_hits(), hits_before + 4);
+  EXPECT_EQ(cache.calibration_misses(), misses_before);
+}
+
+TEST(Windowed, CalibratedRunWithTheCacheDisabledMatchesTheWarmRun) {
+  workload::TraceCache& cache = workload::TraceCache::global();
+  const ExperimentConfig config = calibrated_config(4, false);
+  run_experiment(config);
+  const SimResult warm = run_experiment(config);
+  const std::uint64_t hits_before = cache.calibration_hits();
+  const std::uint64_t misses_before = cache.calibration_misses();
+  cache.set_enabled(false);
+  const SimResult cold = run_experiment(config);
+  cache.set_enabled(true);
+  EXPECT_EQ(cache.calibration_hits(), hits_before);
+  EXPECT_EQ(cache.calibration_misses(), misses_before + config.n_clusters);
+  expect_same_records(cold, warm);
 }
 
 TEST(Windowed, ResidentTraceStateIsBoundedByTheWindow) {

@@ -18,6 +18,7 @@
 
 #include "rrsim/core/paper.h"
 #include "rrsim/exec/sweep_runner.h"
+#include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {
 namespace {
@@ -199,6 +200,43 @@ TEST(SweepDeterminism, LastCacheStatsSeesCrossPointSharing) {
   // The second point's streams come straight from the cache the first
   // point (or an earlier test) populated.
   EXPECT_GT(sweep.last_cache_stats().stream_hits, 0u);
+}
+
+TEST(SweepDeterminism, CalibratedPointsShareEachClusterCalibration) {
+  // Fraction-sweep points over one calibrated workload share every
+  // cluster's memoized calibration: the affine leader of each replication
+  // misses once per cluster and every other lookup hits, for any worker
+  // count, with identical results.
+  ExperimentConfig base = tiny_config();
+  base.load_mode = LoadMode::kCalibrated;
+  base.target_utilization = 0.8;
+  base.scheme = RedundancyScheme::fixed(2);
+  constexpr int kReps = 2;
+  constexpr std::size_t kPoints = 3;
+  std::vector<std::vector<RelativeMetrics>> by_jobs;
+  for (const int jobs : {1, 3}) {
+    workload::TraceCache::global().clear();
+    CampaignSweep sweep(kReps, jobs);
+    std::vector<RelativeMetrics> points(kPoints);
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      ExperimentConfig c = base;
+      c.redundant_fraction = 0.25 * static_cast<double>(i + 1);
+      sweep.add_relative(
+          c, [&points, i](const RelativeMetrics& m) { points[i] = m; });
+    }
+    sweep.run();
+    const SweepCacheStats& cs = sweep.last_cache_stats();
+    // Each relative unit runs the scheme and its NONE baseline.
+    const std::uint64_t lookups = 2 * kReps * kPoints * base.n_clusters;
+    EXPECT_EQ(cs.calibration_misses, kReps * base.n_clusters)
+        << "jobs=" << jobs;
+    EXPECT_EQ(cs.calibration_hits, lookups - kReps * base.n_clusters)
+        << "jobs=" << jobs;
+    by_jobs.push_back(points);
+  }
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    expect_identical(by_jobs[1][i], by_jobs[0][i]);
+  }
 }
 
 TEST(SweepDeterminism, ValidatesArguments) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace rrsim::workload {
 namespace {
 
@@ -12,6 +14,15 @@ TEST(Calibrate, RejectsBadUtilization) {
                std::invalid_argument);
   EXPECT_THROW(interarrival_for_utilization(m, -0.5, rng),
                std::invalid_argument);
+  // A NaN target would give a NaN inter-arrival time that every later
+  // "> 0" check lets through; infinities are no load target either.
+  for (const double target : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(interarrival_for_utilization(m, target, rng),
+                 std::invalid_argument)
+        << target;
+  }
 }
 
 TEST(Calibrate, HigherUtilizationMeansFasterArrivals) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace rrsim::workload {
 namespace {
@@ -25,6 +26,14 @@ TEST(LublinParams, WithMeanInterarrivalRescales) {
 TEST(LublinParams, RejectsNonPositiveMean) {
   EXPECT_THROW(LublinParams{}.with_mean_interarrival(0.0),
                std::invalid_argument);
+  // NaN passes a plain "<= 0" check, and a NaN arrival process steps
+  // generation forward one clamped microsecond at a time.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(LublinParams{}.with_mean_interarrival(v),
+                 std::invalid_argument)
+        << v;
+  }
 }
 
 TEST(LublinModel, RejectsBadConstruction) {
@@ -38,6 +47,15 @@ TEST(LublinModel, RejectsBadConstruction) {
   LublinParams bad3;
   bad3.rt_log_base = 1.0;
   EXPECT_THROW(LublinModel(bad3, 128), std::invalid_argument);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    LublinParams alpha;
+    alpha.arrival_alpha = v;
+    EXPECT_THROW(LublinModel(alpha, 128), std::invalid_argument) << v;
+    LublinParams beta;
+    beta.arrival_beta = v;
+    EXPECT_THROW(LublinModel(beta, 128), std::invalid_argument) << v;
+  }
   LublinParams bad4;
   bad4.arrival_beta = -1.0;
   EXPECT_THROW(LublinModel(bad4, 128), std::invalid_argument);

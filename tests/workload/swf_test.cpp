@@ -57,6 +57,24 @@ TEST(SwfReader, SortsBySubmitTime) {
 TEST(SwfReader, MalformedLineThrows) {
   std::istringstream in("1 2 3\n");
   EXPECT_THROW(read_swf(in), std::runtime_error);
+  // Non-finite or overflowing numbers fail the stream extraction itself,
+  // so the line comes up short of fields instead of carrying a NaN or an
+  // infinity into the submit-time sort.
+  for (const char* bad : {"nan", "inf", "1e400"}) {
+    for (const std::string& line :
+         {std::string("1 ") + bad + " 0 100 4 -1 -1 4 50 -1 1 -1\n",
+          std::string("1 0 0 ") + bad + " 4 -1 -1 4 50 -1 1 -1\n"}) {
+      std::istringstream field(line);
+      try {
+        read_swf(field);
+        ADD_FAILURE() << "accepted: " << line;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("expected >= 9 fields"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(SwfReader, OutOfRangeProcessorCountThrowsWithTheLine) {

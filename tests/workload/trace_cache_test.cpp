@@ -1,12 +1,17 @@
 // TraceCache contract: one generation per distinct key, shared snapshots
 // on hits, generate-every-time when disabled, bitwise key sensitivity,
-// checkpoint-table entries alongside streams, and least-recently-used
-// eviction under a byte budget (hits refresh recency).
+// checkpoint-table, draw-segment and calibration entries alongside
+// streams, and least-recently-used eviction under a byte budget (hits
+// refresh recency).
 #include "rrsim/workload/trace_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace rrsim::workload {
 namespace {
@@ -310,6 +315,142 @@ TEST(TraceCache, DisabledModeAdvancesDrawsEveryTimeWithoutPublishing) {
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.draw_misses(), 2u);
   EXPECT_EQ(cache.draw_hits(), 0u);
+}
+
+CalibrationKey calibration_key() {
+  CalibrationKey k;
+  k.max_nodes = 128;
+  k.target_utilization = 0.7;
+  k.samples = 20000;
+  k.rng_start = {17, 19};
+  return k;
+}
+
+double flip_low_bit(double v) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^ 1);
+}
+
+TEST(TraceCache, CalibrationsAreMemoizedPerKey) {
+  TraceCache cache;
+  int runs = 0;
+  const auto calibrate = [&runs] {
+    ++runs;
+    Calibration c;
+    c.mean_interarrival = 42.5;
+    c.rng_end = {23, 19};
+    return c;
+  };
+  const Calibration a = cache.get_or_calibrate(calibration_key(), calibrate);
+  const Calibration b = cache.get_or_calibrate(calibration_key(), calibrate);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(b.mean_interarrival, 42.5);
+  EXPECT_EQ(b.rng_end, a.rng_end);
+  EXPECT_EQ(b.rng_end, (std::pair<std::uint64_t, std::uint64_t>{23, 19}));
+  EXPECT_EQ(cache.calibration_hits(), 1u);
+  EXPECT_EQ(cache.calibration_misses(), 1u);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), sizeof(Calibration));
+  // Calibration traffic touches no other kind's counters.
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  EXPECT_EQ(cache.checkpoint_hits() + cache.checkpoint_misses(), 0u);
+  EXPECT_EQ(cache.draw_hits() + cache.draw_misses(), 0u);
+  EXPECT_EQ(cache.spool_hits() + cache.spool_misses(), 0u);
+
+  cache.clear();
+  EXPECT_EQ(cache.calibration_hits(), 0u);
+  EXPECT_EQ(cache.calibration_misses(), 0u);
+  EXPECT_EQ(cache.entries(), 0u);
+  cache.get_or_calibrate(calibration_key(), calibrate);
+  EXPECT_EQ(runs, 2);  // the cleared entry is really gone
+}
+
+TEST(TraceCache, EveryCalibrationKeyBitIsSignificant) {
+  // One bit of any key field — each model parameter, the node count, the
+  // target, the sample count, either half of the start fingerprint — is
+  // a different calibration.
+  std::vector<CalibrationKey> keys;
+  for (double LublinParams::*field :
+       {&LublinParams::arrival_alpha, &LublinParams::arrival_beta,
+        &LublinParams::serial_prob, &LublinParams::pow2_prob,
+        &LublinParams::ulow, &LublinParams::uprob,
+        &LublinParams::umed_offset, &LublinParams::rt_a1,
+        &LublinParams::rt_b1, &LublinParams::rt_a2, &LublinParams::rt_b2,
+        &LublinParams::rt_pa, &LublinParams::rt_pb,
+        &LublinParams::rt_log_base, &LublinParams::min_runtime,
+        &LublinParams::max_runtime}) {
+    CalibrationKey k = calibration_key();
+    k.params.*field = flip_low_bit(k.params.*field);
+    keys.push_back(k);
+  }
+  keys.push_back(calibration_key());
+  keys.back().max_nodes ^= 1;
+  keys.push_back(calibration_key());
+  keys.back().target_utilization =
+      flip_low_bit(keys.back().target_utilization);
+  keys.push_back(calibration_key());
+  keys.back().samples ^= 1;
+  keys.push_back(calibration_key());
+  keys.back().rng_start.first ^= 1;
+  keys.push_back(calibration_key());
+  keys.back().rng_start.second ^= 1;
+
+  TraceCache cache;
+  int runs = 0;
+  const auto calibrate = [&runs] {
+    ++runs;
+    return Calibration{};
+  };
+  cache.get_or_calibrate(calibration_key(), calibrate);
+  for (const CalibrationKey& k : keys) cache.get_or_calibrate(k, calibrate);
+  EXPECT_EQ(runs, static_cast<int>(keys.size()) + 1);
+  EXPECT_EQ(cache.calibration_hits(), 0u);
+  EXPECT_EQ(cache.entries(), keys.size() + 1);
+  // And the original still hits.
+  cache.get_or_calibrate(calibration_key(), calibrate);
+  EXPECT_EQ(cache.calibration_hits(), 1u);
+}
+
+TEST(TraceCache, DisabledModeCalibratesEveryTimeWithoutPublishing) {
+  TraceCache cache;
+  cache.set_enabled(false);
+  int runs = 0;
+  const auto calibrate = [&runs] {
+    ++runs;
+    return Calibration{};
+  };
+  cache.get_or_calibrate(calibration_key(), calibrate);
+  cache.get_or_calibrate(calibration_key(), calibrate);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.calibration_misses(), 2u);
+  EXPECT_EQ(cache.calibration_hits(), 0u);
+}
+
+TEST(TraceCache, ByteBudgetEvictsTheLeastRecentCalibration) {
+  TraceCache cache;
+  cache.set_byte_budget(2 * sizeof(Calibration));
+  int runs = 0;
+  const auto calibrate = [&runs] {
+    ++runs;
+    return Calibration{};
+  };
+  const auto key = [](std::uint64_t start) {
+    CalibrationKey k = calibration_key();
+    k.rng_start.first = start;
+    return k;
+  };
+  cache.get_or_calibrate(key(1), calibrate);
+  cache.get_or_calibrate(key(2), calibrate);
+  cache.get_or_calibrate(key(1), calibrate);  // hit: key 1 is the newest
+  cache.get_or_calibrate(key(3), calibrate);  // evicts key 2
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.resident_bytes(), 2 * sizeof(Calibration));
+  cache.get_or_calibrate(key(1), calibrate);
+  cache.get_or_calibrate(key(3), calibrate);
+  EXPECT_EQ(runs, 3);
+  cache.get_or_calibrate(key(2), calibrate);  // the victim: recalibrates
+  EXPECT_EQ(runs, 4);
 }
 
 TEST(TraceCache, FreshEntryLargerThanBudgetIsEvictedYetStillReturned) {
