@@ -11,6 +11,7 @@
 #include <ctime>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,21 +49,13 @@ inline int repetitions(const util::Cli& cli, int quick_default) {
     workload::TraceCache::global().set_byte_budget(
         static_cast<std::size_t>(budget));
   }
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   if (cli.has("jobs")) {
-    const std::int64_t jobs = cli.get_int("jobs", 0);
-    if (jobs < 1) {
-      throw std::invalid_argument("--jobs must be >= 1 (got " +
-                                  std::to_string(jobs) + ")");
-    }
-    exec::set_default_jobs(static_cast<int>(jobs));
+    exec::set_default_jobs(
+        static_cast<int>(cli.get_int_in("jobs", 0, 1, kIntMax)));
   }
   if (cli.has("reps")) {
-    const std::int64_t reps = cli.get_int("reps", 0);
-    if (reps < 1) {
-      throw std::invalid_argument("--reps must be >= 1 (got " +
-                                  std::to_string(reps) + ")");
-    }
-    return static_cast<int>(reps);
+    return static_cast<int>(cli.get_int_in("reps", 0, 1, kIntMax));
   }
   if (cli.get_bool("full", false)) return 50;
   return quick_default;
@@ -79,19 +72,26 @@ inline void banner(const std::string& experiment, const std::string& claim,
               reps, exec::default_jobs());
 }
 
-/// Prints the sweep execution summary harnesses emit after their tables:
-/// worker count and trace-cache effectiveness. A sweep over K points with
-/// shared streams should show roughly (K-1)/K hit rate per distinct
-/// (seed, shape) pair; 0 hits on a sweep means the cache key is varying
-/// when it should not (or the sweep genuinely shares nothing).
-inline void sweep_summary(int jobs) {
-  const workload::TraceCache& cache = workload::TraceCache::global();
-  std::printf(
-      "\n[sweep] workers: %d of %u hardware threads; trace cache: %" PRIu64
-      " hits / %" PRIu64 " misses (%zu entries resident, %.1f MiB)\n",
-      jobs, std::thread::hardware_concurrency(), cache.hits(),
-      cache.misses(), cache.entries(),
-      static_cast<double>(cache.resident_bytes()) / (1024.0 * 1024.0));
+/// Prints the summary line harnesses emit after their tables, describing
+/// `sweep`'s last run(): its workers, the simulations it executed out of
+/// those its points requested (relative points share their distinct
+/// effective runs), and the trace-cache hits / misses of that run for
+/// each entry kind. Points sharing a workload should miss once per
+/// (seed, cluster) and hit otherwise; 0 hits on a multi-point sweep means
+/// a cache key varies when it should not (or the points share nothing).
+inline void sweep_summary(const core::CampaignSweep& sweep) {
+  const core::SweepRunStats& runs = sweep.last_run_stats();
+  const core::SweepCacheStats& c = sweep.last_cache_stats();
+  std::printf("\n[sweep] jobs=%d hw=%u | simulations: %" PRIu64
+              " run of %" PRIu64 " | trace cache hits/misses: streams %" PRIu64
+              "/%" PRIu64 ", checkpoints %" PRIu64 "/%" PRIu64
+              ", draws %" PRIu64 "/%" PRIu64 ", calibrations %" PRIu64
+              "/%" PRIu64 ", spools %" PRIu64 "/%" PRIu64 "\n",
+              sweep.jobs(), std::thread::hardware_concurrency(),
+              runs.executed, runs.requested, c.stream_hits, c.stream_misses,
+              c.checkpoint_hits, c.checkpoint_misses, c.draw_hits,
+              c.draw_misses, c.calibration_hits, c.calibration_misses,
+              c.spool_hits, c.spool_misses);
 }
 
 /// Peak resident set size of this process so far, in bytes (VmHWM from

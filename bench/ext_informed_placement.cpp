@@ -53,6 +53,6 @@ int main(int argc, char** argv) {
     std::printf("\ninformed placement extracts most of the benefit with "
                 "fewer replicas\n(R2 informed vs HALF blind), i.e. a "
                 "metascheduler needs less redundancy\n");
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

@@ -71,6 +71,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::printf("\ntight caps trim replicas (fewer submits/cancels) and "
                 "shrink the\nredundant users' advantage toward fairness\n");
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

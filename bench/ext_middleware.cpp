@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::printf("\nbacklog/latency stay flat while offered < %.2f ops/s and "
                 "blow up past it\n", rate);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

@@ -7,6 +7,7 @@
 //
 //   ./ext_moldable [--nodes=128] [--hours=6] [--shapes=3] [--seed=42]
 
+#include <limits>
 #include <memory>
 
 #include "bench_common.h"
@@ -19,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace rrsim;
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
-    const int nodes = static_cast<int>(cli.get_int("nodes", 128));
+    const int nodes = static_cast<int>(
+        cli.get_int_in("nodes", 128, 1, std::numeric_limits<int>::max()));
     const double hours = cli.get_double("hours", 6.0);
     const int max_shapes = static_cast<int>(cli.get_int("shapes", 3));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -122,7 +124,7 @@ int main(int argc, char** argv) {
           .add(row.nodes_used, 1);
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
     std::printf("\n(stretch is measured against each job's *winning* shape "
                 "runtime;\nmore variants = earlier starts, often on fewer "
                 "nodes)\n");

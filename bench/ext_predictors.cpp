@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       }
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
     std::printf(
         "\nreading: redundancy keeps BMBP coverage healthy for the jobs "
         "that use\nit (their waits shrink below the learned bound) while "

@@ -64,6 +64,6 @@ int main(int argc, char** argv) {
     std::printf("\nWin rates over the NONE baseline (paper: >85%% for N=10, "
                 ">95%% for N=20):\n");
     wins.print(std::cout, false);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
       }
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

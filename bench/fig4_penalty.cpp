@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       }
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
     std::printf("\n(zero cells mean the class is empty at that p)\n");
   });
 }

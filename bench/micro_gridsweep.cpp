@@ -34,6 +34,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -196,16 +197,15 @@ int main(int argc, char** argv) {
   return rrsim::bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     (void)rrsim::bench::repetitions(cli, 1);  // consumes --jobs/env budget
-    const auto clusters =
-        static_cast<std::size_t>(cli.get_int("clusters", 1000));
+    const auto clusters = static_cast<std::size_t>(
+        cli.get_int_in("clusters", 1000, 1, std::int64_t{1} << 20));
     const double hours = cli.get_double("hours", 11.0);
-    const auto window =
-        static_cast<std::size_t>(cli.get_int("window", 256));
+    const auto window = static_cast<std::size_t>(cli.get_int_in(
+        "window", 256, 1, std::numeric_limits<std::int64_t>::max()));
     const std::string out_path =
         cli.get_string("out", "BENCH_gridsweep.json");
-    if (clusters < 1 || hours <= 0.0 || window < 1) {
-      throw std::invalid_argument(
-          "--clusters and --window must be >= 1, --hours > 0");
+    if (!(hours > 0.0)) {
+      throw std::invalid_argument("--hours must be > 0");
     }
 
     std::printf("=== micro_gridsweep - cache-affine grid-scale sweeps "

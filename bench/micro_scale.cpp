@@ -34,6 +34,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,6 +47,8 @@ namespace {
 
 using namespace rrsim;
 using Clock = std::chrono::steady_clock;
+
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -93,11 +96,12 @@ struct ChildResult {
 
 /// Child mode: run one experiment, print one machine-readable line.
 int run_child(const util::Cli& cli) {
-  const auto clusters =
-      static_cast<std::size_t>(cli.get_int("clusters", 4));
+  const auto clusters = static_cast<std::size_t>(
+      cli.get_int_in("clusters", 4, 1, std::int64_t{1} << 20));
   const double hours = cli.get_double("hours", 0.5);
   const std::string mode = cli.get_string("mode", "retained");
-  const auto window = static_cast<std::size_t>(cli.get_int("window", 256));
+  const auto window = static_cast<std::size_t>(
+      cli.get_int_in("window", 256, 1, kMaxInt64));
   const core::ExperimentConfig config =
       scale_config(clusters, hours, mode, window);
 
@@ -220,10 +224,8 @@ int main(int argc, char** argv) {
     // ~10^6 / ~10^7 grid jobs; --hours-scale shrinks or stretches every
     // point (the ctest smoke uses a small fraction).
     const double hscale = cli.get_double("hours-scale", 1.0);
-    const auto n_points =
-        static_cast<std::size_t>(cli.get_int("points", 4));
-    const auto window =
-        static_cast<std::size_t>(cli.get_int("window", 256));
+    const auto window = static_cast<std::size_t>(
+        cli.get_int_in("window", 256, 1, kMaxInt64));
     const std::string out_path = cli.get_string("out", "BENCH_scale.json");
     const std::array<Point, 4> all_points{
         Point{4, 25.0 * hscale, true},
@@ -234,12 +236,8 @@ int main(int argc, char** argv) {
         // holds O(window x clusters). Windowed-only by design.
         Point{1000, 100.0 * hscale, false},
     };
-    if (n_points < 1 || n_points > all_points.size()) {
-      throw std::invalid_argument("--points must be 1..4");
-    }
-    if (window < 1) {
-      throw std::invalid_argument("--window must be >= 1 for micro_scale");
-    }
+    const auto n_points = static_cast<std::size_t>(cli.get_int_in(
+        "points", 4, 1, static_cast<std::int64_t>(all_points.size())));
 
     std::printf("=== micro_scale - memory-budgeted grid-scale campaigns "
                 "===\n");

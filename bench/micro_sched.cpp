@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -257,12 +258,11 @@ void print_row(const char* name, const RunResult& r) {
 int main(int argc, char** argv) {
   return rrsim::bench::run_harness([&] {
     const util::Cli cli(argc, argv);
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
     const auto submissions =
-        static_cast<int>(cli.get_int("submissions", 2500));
-    const auto nodes = static_cast<int>(cli.get_int("nodes", 64));
-    if (submissions < 1 || nodes < 1) {
-      throw std::invalid_argument("--submissions and --nodes must be >= 1");
-    }
+        static_cast<int>(cli.get_int_in("submissions", 2500, 1, kIntMax));
+    const auto nodes =
+        static_cast<int>(cli.get_int_in("nodes", 64, 1, kIntMax));
     const std::string out_path = cli.get_string("out", "BENCH_sched.json");
 
     std::printf("=== micro_sched - scheduler hot-path throughput ===\n");

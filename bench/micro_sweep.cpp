@@ -10,7 +10,12 @@
 //   3. parallel (--jobs), cache on   — adds the flat work-unit pool.
 //
 // All three must produce bit-identical metrics (enforced), so the record
-// measures pure execution-strategy wins. Results land in BENCH_sweep.json
+// measures pure execution-strategy wins. Each must also execute exactly
+// one simulation per distinct effective run and replication — the NONE
+// baseline plus each distinct RedundancyScheme::effective() of the five
+// schemes, 6 x reps at the default N = 10 — out of the 10 x reps its
+// points request (enforced: the smoke test fails if the sweep stops
+// sharing runs or shares too many). Results land in BENCH_sweep.json
 // with the execution environment, so numbers from a 1-core container and
 // a 16-core workstation are distinguishable: on a single hardware thread
 // only the cache win shows up; the parallel win needs real cores.
@@ -18,6 +23,7 @@
 //   ./micro_sweep [--reps=4] [--hours=1] [--jobs=N]
 //                 [--out=BENCH_sweep.json] plus common flags.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -37,8 +43,24 @@ struct SweepRun {
   double elapsed = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  core::SweepRunStats simulations;
   std::vector<core::RelativeMetrics> results;
 };
+
+// Distinct runs per replication the sweep must execute: the NONE
+// baseline plus every distinct effective scheme (a degree-1 scheme is the
+// baseline itself).
+std::uint64_t distinct_runs_per_rep(std::size_t n_clusters) {
+  std::vector<core::RedundancyScheme> runs{core::RedundancyScheme::none()};
+  for (const char* name : kSchemes) {
+    const core::RedundancyScheme e =
+        core::RedundancyScheme::parse(name).effective(n_clusters);
+    if (std::find(runs.begin(), runs.end(), e) == runs.end()) {
+      runs.push_back(e);
+    }
+  }
+  return runs.size();
+}
 
 SweepRun run_sweep(const core::ExperimentConfig& base, int reps, int jobs,
                    bool cache_on) {
@@ -61,7 +83,24 @@ SweepRun run_sweep(const core::ExperimentConfig& base, int reps, int jobs,
   run.elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   run.cache_hits = cache.hits();
   run.cache_misses = cache.misses();
+  run.simulations = sweep.last_run_stats();
   return run;
+}
+
+void check_shared(const SweepRun& run, const core::ExperimentConfig& base,
+                  int reps, const char* label) {
+  const auto r = static_cast<std::uint64_t>(reps);
+  const std::uint64_t requested = 2 * kSchemes.size() * r;
+  const std::uint64_t executed = distinct_runs_per_rep(base.n_clusters) * r;
+  if (run.simulations.requested != requested ||
+      run.simulations.executed != executed) {
+    throw std::runtime_error(
+        std::string("sharing violation: ") + label + " executed " +
+        std::to_string(run.simulations.executed) + " of " +
+        std::to_string(run.simulations.requested) +
+        " simulations, expected " + std::to_string(executed) + " of " +
+        std::to_string(requested));
+  }
 }
 
 void check_identical(const SweepRun& a, const SweepRun& b,
@@ -112,6 +151,12 @@ int main(int argc, char** argv) {
 
     check_identical(baseline, cached, "cache on vs off");
     check_identical(baseline, parallel, "--jobs 1 vs --jobs N");
+    check_shared(baseline, base, reps, "serial, cache off");
+    check_shared(cached, base, reps, "serial, cache on");
+    check_shared(parallel, base, reps, "--jobs N");
+    std::printf("simulations: %" PRIu64 " executed of %" PRIu64
+                " requested per sweep\n",
+                cached.simulations.executed, cached.simulations.requested);
 
     const double cache_speedup = baseline.elapsed / cached.elapsed;
     const double parallel_speedup = cached.elapsed / parallel.elapsed;
@@ -139,6 +184,8 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"sweep_points\": %zu,\n"
                  "  \"reps_per_point\": %d,\n"
+                 "  \"simulations_requested\": %" PRIu64 ",\n"
+                 "  \"simulations_executed\": %" PRIu64 ",\n"
                  "  \"serial_nocache_seconds\": %.4f,\n"
                  "  \"serial_cached_seconds\": %.4f,\n"
                  "  \"parallel_seconds\": %.4f,\n"
@@ -146,7 +193,8 @@ int main(int argc, char** argv) {
                  "  \"cache_misses\": %" PRIu64 ",\n"
                  "  \"cache_hit_rate\": %.4f,\n"
                  "  \"cache_speedup\": %.4f,\n",
-                 kSchemes.size(), reps, baseline.elapsed, cached.elapsed,
+                 kSchemes.size(), reps, cached.simulations.requested,
+                 cached.simulations.executed, baseline.elapsed, cached.elapsed,
                  parallel.elapsed, cached.cache_hits, cached.cache_misses,
                  hit_rate, cache_speedup);
     bench::write_json_speedup_field(f, "parallel_speedup", parallel_speedup);

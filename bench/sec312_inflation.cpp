@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
           .add(rel.win_rate * 100.0, 0);
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
     std::printf(
         "\nthe sign never flips: redundancy stays beneficial under "
         "inflation.\nIn this regime inflation further *improves* the "

@@ -96,6 +96,6 @@ int main(int argc, char** argv) {
                   static_cast<double>(r_all.ops.submits) /
                       static_cast<double>(r_none.ops.submits));
     }
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
           .add(grid[i][1].rel_cv_stretch, 2);
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

@@ -45,6 +45,6 @@ int main(int argc, char** argv) {
       table.add(m.rel_cv_stretch, 2);
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

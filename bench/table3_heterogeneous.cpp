@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
           .add(results[j].rel_cv_stretch, 2);
     }
     table.print(std::cout);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

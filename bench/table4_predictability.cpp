@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
                 "3.9x)\n",
                 with.non_redundant.avg_ratio / baseline.all.avg_ratio,
                 with.redundant.avg_ratio / baseline.all.avg_ratio);
-    bench::sweep_summary(sweep.jobs());
+    bench::sweep_summary(sweep);
   });
 }

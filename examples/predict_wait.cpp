@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 
 #include "rrsim/des/simulation.h"
@@ -16,7 +17,8 @@
 int main(int argc, char** argv) {
   try {
     const rrsim::util::Cli cli(argc, argv);
-    const int nodes = static_cast<int>(cli.get_int("nodes", 64));
+    const int nodes = static_cast<int>(
+        cli.get_int_in("nodes", 64, 1, std::numeric_limits<int>::max()));
     const double over = cli.get_double("overestimate", 2.16);
     if (over < 1.0) throw std::invalid_argument("--overestimate must be >= 1");
 

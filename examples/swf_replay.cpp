@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 
 #include "rrsim/des/simulation.h"
 #include "rrsim/metrics/record.h"
@@ -22,7 +23,8 @@
 int main(int argc, char** argv) {
   try {
     const rrsim::util::Cli cli(argc, argv);
-    const int nodes = static_cast<int>(cli.get_int("nodes", 128));
+    const int nodes = static_cast<int>(
+        cli.get_int_in("nodes", 128, 1, std::numeric_limits<int>::max()));
     const auto algo =
         rrsim::sched::parse_algorithm(cli.get_string("algo", "easy"));
 

@@ -183,6 +183,11 @@ struct ExperimentConfig {
 
   /// Resolved size of cluster `i`.
   int nodes_of(std::size_t i) const;
+
+  /// Field-wise, so a field added later is compared too. A NaN field
+  /// never compares equal (CampaignSweep then simply runs it unshared).
+  friend bool operator==(const ExperimentConfig&,
+                         const ExperimentConfig&) = default;
 };
 
 /// Outcome of one run.

@@ -10,6 +10,15 @@
 // order on the calling thread. Results are bit-identical to running the
 // equivalent run_*_campaign() calls back-to-back, for any --jobs value.
 //
+// Relative points share simulations: within one run(), each distinct
+// effective run — the point's config with RedundancyScheme::effective(),
+// or the same config with scheme NONE — executes once per replication,
+// and every point that needs it reads its metrics. Figure 1's five
+// schemes at one N share one NONE baseline per seed, and at N = 2 R2,
+// R3, R4 and ALL are one run while HALF is the baseline itself. Sharing
+// is exact (see RedundancyScheme::effective), so results stay
+// bit-identical to back-to-back run_relative_campaign() calls.
+//
 // Replications execute inside the worker thread's reusable
 // ExperimentWorkspace (warm DES slab, schedulers, gateway) and pull their
 // job streams from the global workload::TraceCache, so the common-random-
@@ -18,6 +27,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "rrsim/core/campaign.h"
 #include "rrsim/core/experiment.h"
@@ -42,6 +54,16 @@ struct SweepCacheStats {
   std::uint64_t calibration_misses = 0;
   std::uint64_t spool_hits = 0;
   std::uint64_t spool_misses = 0;
+};
+
+/// Simulations of one CampaignSweep::run(), one per work unit: how many
+/// the queued points asked for (two per replication of a relative point,
+/// one per replication of every other point, one per unit queued through
+/// runner()), and how many executed once relative points shared their
+/// distinct effective runs.
+struct SweepRunStats {
+  std::uint64_t requested = 0;
+  std::uint64_t executed = 0;
 };
 
 /// Cache-affinity key of a sweep point: an FNV-1a digest of exactly the
@@ -69,8 +91,13 @@ class CampaignSweep {
   int jobs() const noexcept { return runner_.jobs(); }
 
   /// Queues a paired scheme-vs-NONE campaign (see run_relative_campaign;
-  /// config.scheme must not be NONE — throws immediately otherwise).
-  /// `done` fires during run(), after the point's last replication folded.
+  /// config.scheme must not be NONE — throws immediately otherwise, as
+  /// for a config with no clusters). Looks up, or queues, the point's two
+  /// runs in this batch: `config` with its effective scheme, and `config`
+  /// with scheme NONE; points whose runs coincide read one execution.
+  /// `done` fires during run(), after both runs' last replication folded,
+  /// with every ratio computed in replication order as a standalone
+  /// campaign computes it.
   void add_relative(const ExperimentConfig& config,
                     std::function<void(const RelativeMetrics&)> done);
 
@@ -94,7 +121,9 @@ class CampaignSweep {
   exec::SweepRunner& runner() noexcept { return runner_; }
 
   /// Executes everything queued; see exec::SweepRunner::run(). Also
-  /// captures this run's trace-cache deltas into last_cache_stats().
+  /// captures this run's trace-cache deltas into last_cache_stats() and
+  /// its simulation counts into last_run_stats(). A run() that throws
+  /// discards its whole batch, shared runs included.
   void run();
 
   /// Trace-cache activity of the most recent successful run().
@@ -102,9 +131,26 @@ class CampaignSweep {
     return last_cache_stats_;
   }
 
+  /// Simulations of the most recent successful run().
+  const SweepRunStats& last_run_stats() const noexcept {
+    return last_run_stats_;
+  }
+
  private:
+  /// Per-replication metrics of one shared run, written only by the run's
+  /// reductions (on the thread that calls run()).
+  using RunMetrics = std::vector<metrics::ScheduleMetrics>;
+
+  /// The queued run of `config` in this batch, queuing it if new.
+  std::shared_ptr<const RunMetrics> shared_run(const ExperimentConfig& config);
+
   int reps_;
   exec::SweepRunner runner_;
+  /// This batch's distinct relative-point runs, by effective config.
+  std::vector<std::pair<ExperimentConfig, std::shared_ptr<RunMetrics>>> runs_;
+  /// Simulations this batch's relative points read from an earlier run.
+  std::uint64_t reused_ = 0;
+  SweepRunStats last_run_stats_;
   SweepCacheStats last_cache_stats_;
 };
 

@@ -38,20 +38,12 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
   // out-of-range value is an error instead of a silently wrapped one.
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   if (cli.has("clusters")) {
-    const std::int64_t clusters = cli.get_int("clusters", 0);
-    if (clusters < 1 || clusters > (std::int64_t{1} << 20)) {
-      throw std::invalid_argument("--clusters must be in [1, 2^20] (got " +
-                                  std::to_string(clusters) + ")");
-    }
-    config.n_clusters = static_cast<std::size_t>(clusters);
+    config.n_clusters = static_cast<std::size_t>(
+        cli.get_int_in("clusters", 0, 1, std::int64_t{1} << 20));
   }
   if (cli.has("nodes")) {
-    const std::int64_t nodes = cli.get_int("nodes", 0);
-    if (nodes < 1 || nodes > kIntMax) {
-      throw std::invalid_argument("--nodes must be in [1, 2147483647] (got " +
-                                  std::to_string(nodes) + ")");
-    }
-    config.nodes_per_cluster = static_cast<int>(nodes);
+    config.nodes_per_cluster =
+        static_cast<int>(cli.get_int_in("nodes", 0, 1, kIntMax));
   }
   if (cli.has("hours")) {
     config.submit_horizon = cli.get_double("hours", 0.0) * 3600.0;
@@ -97,21 +89,12 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     config.middleware_ops_per_sec = cli.get_double("mw-rate", 0.0);
   }
   if (cli.has("user-limit")) {
-    const std::int64_t limit = cli.get_int("user-limit", 0);
-    if (limit < 0 || limit > kIntMax) {
-      throw std::invalid_argument(
-          "--user-limit must be in [0, 2147483647] (got " +
-          std::to_string(limit) + "; 0 disables the cap)");
-    }
-    config.per_user_pending_limit = static_cast<int>(limit);
+    config.per_user_pending_limit =
+        static_cast<int>(cli.get_int_in("user-limit", 0, 0, kIntMax));
   }
   if (cli.has("users")) {
-    const std::int64_t users = cli.get_int("users", 8);
-    if (users < 1 || users > 4096) {
-      throw std::invalid_argument("--users must be in [1, 4096] (got " +
-                                  std::to_string(users) + ")");
-    }
-    config.users_per_cluster = static_cast<int>(users);
+    config.users_per_cluster =
+        static_cast<int>(cli.get_int_in("users", 0, 1, 4096));
   }
   if (cli.has("seed")) {
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -136,12 +119,8 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
         static_cast<std::size_t>(budget));
   }
   if (cli.has("jobs")) {
-    const std::int64_t jobs = cli.get_int("jobs", 0);
-    if (jobs < 1) {
-      throw std::invalid_argument("--jobs must be >= 1 (got " +
-                                  std::to_string(jobs) + ")");
-    }
-    exec::set_default_jobs(static_cast<int>(jobs));
+    exec::set_default_jobs(
+        static_cast<int>(cli.get_int_in("jobs", 0, 1, kIntMax)));
   }
   if (cli.has("latency")) {
     const double latency = cli.get_double("latency", 0.0);

@@ -41,6 +41,11 @@ std::size_t RedundancyScheme::degree(std::size_t n_clusters) const {
   throw std::logic_error("unreachable");
 }
 
+RedundancyScheme RedundancyScheme::effective(std::size_t n_clusters) const {
+  const std::size_t d = degree(n_clusters);
+  return d <= 1 ? none() : fixed(static_cast<int>(d));
+}
+
 std::string RedundancyScheme::name() const {
   switch (kind) {
     case Kind::kNone:

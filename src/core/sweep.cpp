@@ -88,6 +88,13 @@ CampaignSweep::CampaignSweep(int reps, int jobs)
 }
 
 void CampaignSweep::run() {
+  // The batch's shared runs are reachable only through its queued tasks
+  // from here on: a later add_relative() queues fresh runs, never reading
+  // a slot this batch fills — or, if run() throws, leaves unfilled.
+  runs_.clear();
+  SweepRunStats batch;
+  batch.executed = runner_.pending_units();
+  batch.requested = batch.executed + std::exchange(reused_, 0);
   const workload::TraceCache& cache = workload::TraceCache::global();
   const std::uint64_t sh = cache.hits();
   const std::uint64_t sm = cache.misses();
@@ -110,6 +117,7 @@ void CampaignSweep::run() {
   last_cache_stats_.calibration_misses = cache.calibration_misses() - lm;
   last_cache_stats_.spool_hits = cache.spool_hits() - ph;
   last_cache_stats_.spool_misses = cache.spool_misses() - pm;
+  last_run_stats_ = batch;
 }
 
 // Replications run through the worker thread's persistent workspace: the
@@ -117,78 +125,79 @@ void CampaignSweep::run() {
 // thread owns exactly one workspace, so no locking is needed and arenas
 // stay warm across every unit the thread picks up.
 
+std::shared_ptr<const CampaignSweep::RunMetrics> CampaignSweep::shared_run(
+    const ExperimentConfig& config) {
+  for (const auto& [queued, slot] : runs_) {
+    if (queued == config) {
+      reused_ += static_cast<std::uint64_t>(reps_);
+      return slot;
+    }
+  }
+  auto slot = std::make_shared<RunMetrics>(static_cast<std::size_t>(reps_));
+  runner_.add_affine(
+      reps_, trace_affinity(config),
+      [config](int r) {
+        ExperimentConfig c = config;
+        c.seed = config.seed + static_cast<std::uint64_t>(r);
+        return metrics_of(run_experiment(c, thread_workspace()));
+      },
+      [slot](int r, metrics::ScheduleMetrics m) {
+        (*slot)[static_cast<std::size_t>(r)] = m;
+      });
+  runs_.emplace_back(config, slot);
+  return slot;
+}
+
 void CampaignSweep::add_relative(
     const ExperimentConfig& config,
     std::function<void(const RelativeMetrics&)> done) {
   if (config.scheme.is_none()) {
     throw std::invalid_argument("relative campaign needs a non-NONE scheme");
   }
-  struct RepOutcome {
-    bool valid = false;
-    double rel_stretch = 0.0;
-    double rel_cv = 0.0;
-    double rel_max = 0.0;
-    double rel_turnaround = 0.0;
-  };
-  struct Acc {
+  ExperimentConfig with = config;
+  with.scheme = config.scheme.effective(config.n_clusters);
+  ExperimentConfig without = config;
+  without.scheme = RedundancyScheme::none();
+  // Queued before the fold, so their reductions have filled both slots by
+  // the time it runs.
+  std::shared_ptr<const RunMetrics> m_with = shared_run(with);
+  std::shared_ptr<const RunMetrics> m_without = shared_run(without);
+  runner_.then([m_with = std::move(m_with), m_without = std::move(m_without),
+                done = std::move(done)] {
     util::OnlineStats rel_stretch;
     util::OnlineStats rel_cv;
     util::OnlineStats rel_max;
     util::OnlineStats rel_turnaround;
     int wins = 0;
     RelativeMetrics out;
-  };
-  auto acc = std::make_shared<Acc>();
-  acc->out.per_rep_rel_stretch.reserve(static_cast<std::size_t>(reps_));
-  runner_.add_affine(
-      reps_, trace_affinity(config),
-      [config](int r) {
-        ExperimentConfig with = config;
-        with.seed = config.seed + static_cast<std::uint64_t>(r);
-        ExperimentConfig without = with;
-        without.scheme = RedundancyScheme::none();
-
-        ExperimentWorkspace& ws = thread_workspace();
-        const metrics::ScheduleMetrics m_with =
-            metrics_of(run_experiment(with, ws));
-        const metrics::ScheduleMetrics m_without =
-            metrics_of(run_experiment(without, ws));
-        RepOutcome o;
-        if (m_without.avg_stretch <= 0.0 ||
-            m_without.cv_stretch_percent <= 0.0 ||
-            m_without.avg_turnaround <= 0.0 || m_without.max_stretch <= 0.0) {
-          return o;  // degenerate repetition (e.g. empty stream); skip
-        }
-        o.valid = true;
-        o.rel_stretch = m_with.avg_stretch / m_without.avg_stretch;
-        o.rel_cv = m_with.cv_stretch_percent / m_without.cv_stretch_percent;
-        o.rel_max = m_with.max_stretch / m_without.max_stretch;
-        o.rel_turnaround = m_with.avg_turnaround / m_without.avg_turnaround;
-        return o;
-      },
-      [acc, done = std::move(done), reps = reps_](int r, RepOutcome o) {
-        if (o.valid) {
-          acc->rel_stretch.add(o.rel_stretch);
-          acc->rel_cv.add(o.rel_cv);
-          acc->rel_max.add(o.rel_max);
-          acc->rel_turnaround.add(o.rel_turnaround);
-          if (o.rel_stretch < 1.0) ++acc->wins;
-          acc->out.per_rep_rel_stretch.push_back(o.rel_stretch);
-        }
-        if (r != reps - 1) return;
-        RelativeMetrics& out = acc->out;
-        out.reps = acc->rel_stretch.count();
-        if (out.reps != 0) {
-          out.rel_avg_stretch = acc->rel_stretch.mean();
-          out.rel_cv_stretch = acc->rel_cv.mean();
-          out.rel_max_stretch = acc->rel_max.mean();
-          out.rel_avg_turnaround = acc->rel_turnaround.mean();
-          out.win_rate = static_cast<double>(acc->wins) /
-                         static_cast<double>(out.reps);
-          out.worst_rel_stretch = acc->rel_stretch.max();
-        }
-        done(out);
-      });
+    out.per_rep_rel_stretch.reserve(m_with->size());
+    for (std::size_t r = 0; r < m_with->size(); ++r) {
+      const metrics::ScheduleMetrics& w = (*m_with)[r];
+      const metrics::ScheduleMetrics& b = (*m_without)[r];
+      if (b.avg_stretch <= 0.0 || b.cv_stretch_percent <= 0.0 ||
+          b.avg_turnaround <= 0.0 || b.max_stretch <= 0.0) {
+        continue;  // degenerate repetition (e.g. empty stream); skip
+      }
+      const double rel = w.avg_stretch / b.avg_stretch;
+      rel_stretch.add(rel);
+      rel_cv.add(w.cv_stretch_percent / b.cv_stretch_percent);
+      rel_max.add(w.max_stretch / b.max_stretch);
+      rel_turnaround.add(w.avg_turnaround / b.avg_turnaround);
+      if (rel < 1.0) ++wins;
+      out.per_rep_rel_stretch.push_back(rel);
+    }
+    out.reps = rel_stretch.count();
+    if (out.reps != 0) {
+      out.rel_avg_stretch = rel_stretch.mean();
+      out.rel_cv_stretch = rel_cv.mean();
+      out.rel_max_stretch = rel_max.mean();
+      out.rel_avg_turnaround = rel_turnaround.mean();
+      out.win_rate =
+          static_cast<double>(wins) / static_cast<double>(out.reps);
+      out.worst_rel_stretch = rel_stretch.max();
+    }
+    done(out);
+  });
 }
 
 void CampaignSweep::add_classified(

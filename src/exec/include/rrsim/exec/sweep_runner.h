@@ -97,6 +97,16 @@ class SweepRunner {
     tasks_.push_back(std::move(task));
   }
 
+  /// Queues a task with no units: reduce() runs on the thread that calls
+  /// run(), after every task queued before it has been reduced — a fold
+  /// over what earlier tasks' reductions stored. Captured by value.
+  template <typename Reduce>
+  void then(Reduce reduce) {
+    Task task;
+    task.reduce_all = std::move(reduce);
+    tasks_.push_back(std::move(task));
+  }
+
   /// Executes every queued unit (one flat pool, one ThreadPool when
   /// jobs > 1), then reduces task by task in add() order, and clears the
   /// queue. The first exception to surface propagates and discards the

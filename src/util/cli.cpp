@@ -70,6 +70,21 @@ std::int64_t Cli::get_int(const std::string& name,
   }
 }
 
+std::int64_t Cli::get_int_in(const std::string& name, std::int64_t fallback,
+                             std::int64_t lo, std::int64_t hi) const {
+  const auto v = raw(name);
+  if (!v) return fallback;
+  try {
+    const std::int64_t out = get_int(name, fallback);
+    if (out >= lo && out <= hi) return out;
+  } catch (const std::invalid_argument&) {
+    // not an integer, or outside int64: reported with the range below
+  }
+  throw std::invalid_argument("--" + name + " must be an integer in [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) +
+                              "] (got '" + *v + "')");
+}
+
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = raw(name);
   if (!v) return fallback;

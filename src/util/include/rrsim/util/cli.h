@@ -29,6 +29,13 @@ class Cli {
   /// Throws std::invalid_argument if present but not an integer.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
 
+  /// get_int() checked against [lo, hi] before any narrowing cast by the
+  /// caller. Throws std::invalid_argument naming the flag and its range
+  /// if the value is not an integer in [lo, hi], including one outside
+  /// int64. The fallback is returned unchecked.
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const;
+
   /// Floating-point value of `--name`, or `fallback` if absent.
   double get_double(const std::string& name, double fallback) const;
 

@@ -64,6 +64,8 @@ struct LublinParams {
   /// scaled — this is how Fig 3 sweeps load while preserving burstiness).
   /// Throws std::invalid_argument unless mean_iat is finite and > 0.
   LublinParams with_mean_interarrival(double mean_iat) const;
+
+  friend bool operator==(const LublinParams&, const LublinParams&) = default;
 };
 
 /// Sampler for the Lublin model, bound to a cluster size. Each call uses

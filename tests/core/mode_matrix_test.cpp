@@ -5,6 +5,9 @@
 // record where records are kept, headline metrics bit for bit where they
 // are folded online. Run on the Lublin model and on an SWF trace whose
 // integer submit times tie within and across clusters at every arrival.
+// Across schemes instead of modes: schemes of one effective degree run
+// identically on every kernel, the exactness CampaignSweep's run sharing
+// rests on (RedundancyScheme::effective).
 #include <cstddef>
 #include <exception>
 #include <string>
@@ -151,6 +154,61 @@ TEST(ModeMatrix, EveryCellMatchesRetainedInMemoryReplay) {
         continue;
       }
       expect_same_cell(got, cell.pdes ? pdes : classic);
+    }
+  }
+}
+
+TEST(ModeMatrix, SchemesOfOneEffectiveDegreeRunIdentically) {
+  // Each group sends the same number of requests per job at its N; the
+  // first of {NONE, HALF, R1} at N = 2 differs from the others in drawing
+  // no redundancy coins. A kernel that read the scheme's kind, or observed
+  // a degree-1 coin, would split a group here.
+  struct Group {
+    std::size_t n;
+    std::vector<RedundancyScheme> schemes;
+  };
+  const RedundancyScheme r2 = RedundancyScheme::fixed(2);
+  const RedundancyScheme r3 = RedundancyScheme::fixed(3);
+  const RedundancyScheme r4 = RedundancyScheme::fixed(4);
+  const RedundancyScheme half = RedundancyScheme::half();
+  const RedundancyScheme all = RedundancyScheme::all();
+  const std::vector<Group> groups = {
+      {2, {RedundancyScheme::none(), half, RedundancyScheme::fixed(1)}},
+      {2, {r2, r3, r4, all}},
+      {3, {r2, half}},
+      {3, {r3, r4, all}},
+      {4, {r4, all}},
+      {5, {r3, half}},
+  };
+  // Classic retained, classic streaming at W = 64, PDES.
+  const std::vector<Cell> cells = {
+      {false, 0, true}, {false, 64, false}, {true, 0, true}};
+  for (const Group& group : groups) {
+    ExperimentConfig input = lublin_input();
+    input.n_clusters = group.n;
+    input.scheme = group.schemes.front();
+    SCOPED_TRACE("N = " + std::to_string(group.n) + ", group of " +
+                 input.scheme.name());
+    const SimResult classic =
+        run_experiment(with_cell(input, {false, 0, true}));
+    const SimResult pdes = run_experiment(with_cell(input, {true, 0, true}));
+    ASSERT_GT(classic.jobs_generated, 100u);
+    ASSERT_GT(pdes.pdes_windows, 0u);
+    for (const RedundancyScheme& scheme : group.schemes) {
+      input.scheme = scheme;
+      for (const Cell& cell : cells) {
+        SCOPED_TRACE(scheme.name() + " " + cell.name());
+        const SimResult got = run_experiment(with_cell(input, cell));
+        const SimResult& want = cell.pdes ? pdes : classic;
+        expect_same_cell(got, want);
+        EXPECT_EQ(got.ops.rejects, want.ops.rejects);
+        EXPECT_EQ(got.ops.finishes, want.ops.finishes);
+        EXPECT_EQ(got.ops.declines, want.ops.declines);
+        EXPECT_EQ(got.replicas_dropped, want.replicas_dropped);
+        EXPECT_EQ(got.duplicate_finishes, want.duplicate_finishes);
+        EXPECT_EQ(got.pdes_windows, want.pdes_windows);
+        EXPECT_EQ(got.queue_growth_per_hour, want.queue_growth_per_hour);
+      }
     }
   }
 }

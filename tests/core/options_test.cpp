@@ -188,6 +188,13 @@ TEST(CommonFlags, UserLimitFlagIsRangeCheckedBeforeTheIntConversion) {
   EXPECT_THROW(parse({"--user-limit=-1"}), std::invalid_argument);
 }
 
+TEST(CommonFlags, JobsFlagIsRangeCheckedBeforeTheIntConversion) {
+  // 2^32 + 2 must be rejected, not wrapped to 2 workers by the int cast.
+  EXPECT_THROW(parse({"--jobs=4294967298"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--jobs=0"}), std::invalid_argument);
+  exec::set_default_jobs(0);  // --jobs is process-wide; don't leak it
+}
+
 TEST(CommonFlags, BadValuesThrow) {
   EXPECT_THROW(parse({"--algo=unknown"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scheme=R0"}), std::invalid_argument);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace rrsim::core {
 namespace {
 
@@ -57,6 +59,30 @@ TEST(Scheme, ParseRejectsGarbage) {
 
 TEST(Scheme, DegreeRejectsEmptyPlatform) {
   EXPECT_THROW(RedundancyScheme::all().degree(0), std::invalid_argument);
+}
+
+TEST(Scheme, EffectiveSchemeIsTheDegreeItRuns) {
+  struct Case {
+    RedundancyScheme scheme;
+    std::size_t n;
+    RedundancyScheme effective;
+  };
+  const RedundancyScheme none = RedundancyScheme::none();
+  const std::vector<Case> cases = {
+      {RedundancyScheme::half(), 2, none},
+      {RedundancyScheme::fixed(1), 5, none},
+      {none, 4, none},
+      {RedundancyScheme::fixed(3), 2, RedundancyScheme::fixed(2)},
+      {RedundancyScheme::all(), 3, RedundancyScheme::fixed(3)},
+      {RedundancyScheme::half(), 4, RedundancyScheme::fixed(2)},
+      {RedundancyScheme::half(), 10, RedundancyScheme::fixed(5)},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.scheme.effective(c.n), c.effective)
+        << c.scheme.name() << " at N = " << c.n;
+    EXPECT_EQ(c.scheme.effective(c.n).degree(c.n), c.scheme.degree(c.n));
+  }
+  EXPECT_THROW(RedundancyScheme::all().effective(0), std::invalid_argument);
 }
 
 TEST(Scheme, Equality) {

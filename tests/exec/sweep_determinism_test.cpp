@@ -42,20 +42,56 @@ void expect_identical(const RelativeMetrics& a, const RelativeMetrics& b) {
   EXPECT_EQ(a.per_rep_rel_stretch, b.per_rep_rel_stretch);
 }
 
+// Relative points of tiny_config() at each (N, scheme) pair.
+std::vector<ExperimentConfig> relative_points(
+    const std::vector<std::size_t>& cluster_counts,
+    const std::vector<RedundancyScheme>& schemes) {
+  std::vector<ExperimentConfig> points;
+  for (const std::size_t n : cluster_counts) {
+    for (const RedundancyScheme& scheme : schemes) {
+      ExperimentConfig c = tiny_config();
+      c.n_clusters = n;
+      c.scheme = scheme;
+      points.push_back(c);
+    }
+  }
+  return points;
+}
+
 // A figure-shaped sweep: several schemes of one config queued together.
-std::vector<RelativeMetrics> run_figure_sweep(int jobs) {
-  const std::vector<RedundancyScheme> schemes{
-      RedundancyScheme::fixed(2), RedundancyScheme::half(),
-      RedundancyScheme::all()};
-  std::vector<RelativeMetrics> results(schemes.size());
-  CampaignSweep sweep(6, jobs);
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    ExperimentConfig c = tiny_config();
-    c.scheme = schemes[i];
-    sweep.add_relative(c, [&results, i](const RelativeMetrics& m) {
+std::vector<ExperimentConfig> figure_points() {
+  return relative_points({3}, {RedundancyScheme::fixed(2),
+                               RedundancyScheme::half(),
+                               RedundancyScheme::all()});
+}
+
+// Figure 1's shape at N in {2, 3}: at N = 2, R2, R3, R4 and ALL are one
+// effective scheme and HALF is the NONE baseline itself; at N = 3, R2 and
+// HALF are one, as are R3, R4 and ALL. Five distinct runs per
+// replication serve the ten points' twenty.
+std::vector<ExperimentConfig> fig1_points() {
+  return relative_points(
+      {2, 3}, {RedundancyScheme::fixed(2), RedundancyScheme::fixed(3),
+               RedundancyScheme::fixed(4), RedundancyScheme::half(),
+               RedundancyScheme::all()});
+}
+
+// Queues every point; run() then fills results[i] with point i's metrics.
+void queue_relative(CampaignSweep& sweep,
+                    const std::vector<ExperimentConfig>& points,
+                    std::vector<RelativeMetrics>& results) {
+  results.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    sweep.add_relative(points[i], [&results, i](const RelativeMetrics& m) {
       results[i] = m;
     });
   }
+}
+
+std::vector<RelativeMetrics> run_figure_sweep(int jobs) {
+  CampaignSweep sweep(6, jobs);
+  std::vector<RelativeMetrics> results;
+  queue_relative(sweep, figure_points(), results);
   sweep.run();
   return results;
 }
@@ -71,16 +107,62 @@ TEST(SweepDeterminism, FigureSweepIdenticalAcrossJobCounts) {
 }
 
 TEST(SweepDeterminism, SweepPointsMatchBackToBackCampaigns) {
-  // Sharing the pool, the workspace, and the trace cache with other
-  // points must be invisible: each point equals its standalone campaign.
-  const auto swept = run_figure_sweep(3);
-  const std::vector<RedundancyScheme> schemes{
-      RedundancyScheme::fixed(2), RedundancyScheme::half(),
-      RedundancyScheme::all()};
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    ExperimentConfig c = tiny_config();
-    c.scheme = schemes[i];
-    expect_identical(swept[i], run_relative_campaign(c, 6, 1));
+  // Sharing the pool, the workspace, the trace cache and — between
+  // relative points — whole runs with other points must be invisible:
+  // each point equals its standalone campaign. Every distinct effective
+  // run executes once per replication, for any worker count.
+  struct Shape {
+    std::vector<ExperimentConfig> points;
+    int reps;
+    std::uint64_t runs_per_rep;
+  };
+  // The three-scheme figure: R2 = HALF at N = 3, and one NONE baseline.
+  const std::vector<Shape> shapes = {{figure_points(), 6, 3},
+                                     {fig1_points(), 3, 5}};
+  for (const Shape& shape : shapes) {
+    const auto reps = static_cast<std::uint64_t>(shape.reps);
+    for (const int jobs : {1, 3}) {
+      SCOPED_TRACE(std::to_string(shape.points.size()) + " points, jobs=" +
+                   std::to_string(jobs));
+      CampaignSweep sweep(shape.reps, jobs);
+      std::vector<RelativeMetrics> swept;
+      queue_relative(sweep, shape.points, swept);
+      sweep.run();
+      EXPECT_EQ(sweep.last_run_stats().requested,
+                2 * shape.points.size() * reps);
+      EXPECT_EQ(sweep.last_run_stats().executed, shape.runs_per_rep * reps);
+      for (std::size_t i = 0; i < shape.points.size(); ++i) {
+        SCOPED_TRACE("N = " + std::to_string(shape.points[i].n_clusters) +
+                     " " + shape.points[i].scheme.name());
+        expect_identical(swept[i],
+                         run_relative_campaign(shape.points[i], shape.reps, 1));
+      }
+    }
+  }
+}
+
+TEST(SweepDeterminism, FailedRunLeavesNoSharedRunToTheNextBatch) {
+  // The failed batch queued the figure points' three runs (R2 = HALF, ALL
+  // and NONE at N = 3); the next batch asks for the same runs and must
+  // execute them afresh, not read the discarded batch's unfilled slots.
+  CampaignSweep sweep(2, 2);
+  ExperimentConfig bad = tiny_config();
+  bad.scheme = RedundancyScheme::fixed(2);
+  bad.placement = "no-such-placement";
+  const std::vector<ExperimentConfig> points = figure_points();
+  std::vector<RelativeMetrics> discarded;
+  queue_relative(sweep, points, discarded);
+  sweep.add_relative(bad, [](const RelativeMetrics&) {
+    ADD_FAILURE() << "a failed batch fired its callback";
+  });
+  EXPECT_THROW(sweep.run(), std::invalid_argument);
+
+  std::vector<RelativeMetrics> swept;
+  queue_relative(sweep, points, swept);
+  sweep.run();
+  EXPECT_EQ(sweep.last_run_stats().executed, 3u * 2u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    expect_identical(swept[i], run_relative_campaign(points[i], 2, 1));
   }
 }
 
@@ -226,7 +308,8 @@ TEST(SweepDeterminism, CalibratedPointsShareEachClusterCalibration) {
     }
     sweep.run();
     const SweepCacheStats& cs = sweep.last_cache_stats();
-    // Each relative unit runs the scheme and its NONE baseline.
+    // Each point runs the scheme and its own NONE baseline: the points'
+    // fractions differ, so they share no run.
     const std::uint64_t lookups = 2 * kReps * kPoints * base.n_clusters;
     EXPECT_EQ(cs.calibration_misses, kReps * base.n_clusters)
         << "jobs=" << jobs;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace rrsim::util {
 namespace {
 
@@ -78,6 +81,29 @@ TEST(Cli, PositionalArgumentRejected) {
 TEST(Cli, LaterFlagWins) {
   const Cli cli = make({"--n=1", "--n=2"});
   EXPECT_EQ(cli.get_int("n", 0), 2);
+}
+
+TEST(Cli, RangeCheckedIntegerAcceptsTheRangeAndFallsBack) {
+  EXPECT_EQ(make({"--n=1"}).get_int_in("n", 0, 1, 16), 1);
+  EXPECT_EQ(make({"--n=16"}).get_int_in("n", 0, 1, 16), 16);
+  EXPECT_EQ(make({}).get_int_in("n", 7, 1, 16), 7);
+}
+
+TEST(Cli, RangeCheckedIntegerNamesTheFlagAndRange) {
+  // Below, above, 2^32 + 16 (which an int cast would wrap to 16), past
+  // int64, and not an integer at all.
+  for (const char* arg : {"--nodes=0", "--nodes=-4", "--nodes=2147483648",
+                          "--nodes=4294967312", "--nodes=9223372036854775808",
+                          "--nodes=-99999999999999999999", "--nodes=16x"}) {
+    try {
+      make({arg}).get_int_in("nodes", 128, 1, 2147483647);
+      ADD_FAILURE() << arg << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--nodes"), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 2147483647]"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Cli, SeenRecordsOrder) {
