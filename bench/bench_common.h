@@ -20,7 +20,7 @@
 #include "rrsim/core/options.h"
 #include "rrsim/core/paper.h"
 #include "rrsim/core/sweep.h"
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 #include "rrsim/util/cli.h"
 #include "rrsim/util/table.h"
 #include "rrsim/workload/trace_cache.h"

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
     const int nodes = static_cast<int>(
         cli.get_int_in("nodes", 128, 1, std::numeric_limits<int>::max()));
     const double hours = cli.get_double("hours", 6.0);
-    const int max_shapes = static_cast<int>(cli.get_int("shapes", 3));
+    const int max_shapes = static_cast<int>(
+        cli.get_int_in("shapes", 3, 1, std::numeric_limits<int>::max()));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     std::printf("=== Extension - moldable redundant requests (option iv) "
                 "===\n");
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
           grid::Platform platform(
               sim, grid::homogeneous_configs(1, nodes, params),
               sched::Algorithm::kEasy);
-          grid::Gateway gateway(sim, platform);
+          grid::Gateway gateway(platform);
           std::vector<grid::GridJob> jobs;
           jobs.reserve(stream.size());
           grid::GridJobId id = 1;

@@ -10,6 +10,9 @@
 //
 //   ./fig5_frontend_throughput [--pairs=2000] [--runs=4] [--seed=11]
 
+#include <cstdint>
+#include <limits>
+
 #include "bench_common.h"
 #include "rrsim/loadmodel/frontend.h"
 #include "rrsim/loadmodel/throughput_model.h"
@@ -19,8 +22,10 @@ int main(int argc, char** argv) {
   using namespace rrsim;
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
-    const int pairs = static_cast<int>(cli.get_int("pairs", 2000));
-    const int runs = static_cast<int>(cli.get_int("runs", 4));
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    const int pairs =
+        static_cast<int>(cli.get_int_in("pairs", 2000, 1, kIntMax));
+    const int runs = static_cast<int>(cli.get_int_in("runs", 4, 1, kIntMax));
     util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 11)));
     std::printf("=== Figure 5 - front-end submit/cancel throughput vs queue "
                 "size ===\n");

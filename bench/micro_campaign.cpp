@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -207,8 +208,8 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
     const int reps = rrsim::bench::repetitions(cli, 16);
     const int jobs = exec::default_jobs();
-    const auto events =
-        static_cast<std::size_t>(cli.get_int("events", 2000000));
+    const auto events = static_cast<std::size_t>(cli.get_int_in(
+        "events", 2000000, 1, std::numeric_limits<std::int64_t>::max()));
     const std::string out_path =
         cli.get_string("out", "BENCH_campaign.json");
     rrsim::bench::banner(

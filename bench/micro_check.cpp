@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -116,17 +117,20 @@ void write_scenario_json(std::FILE* f, const char* name,
 int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
-    const int cohorts = static_cast<int>(cli.get_int("cohorts", 120));
-    const int ties = static_cast<int>(cli.get_int("ties", 3));
-    const auto k = static_cast<std::size_t>(cli.get_int("k", 3));
-    const auto samples = static_cast<std::size_t>(cli.get_int("samples", 2));
-    const auto max_groups =
-        static_cast<std::size_t>(cli.get_int("max-groups", 24));
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    const int cohorts =
+        static_cast<int>(cli.get_int_in("cohorts", 120, 1, kIntMax));
+    const int ties = static_cast<int>(cli.get_int_in("ties", 3, 2, kIntMax));
+    const auto k =
+        static_cast<std::size_t>(cli.get_int_in("k", 3, 0, kIntMax));
+    const auto samples =
+        static_cast<std::size_t>(cli.get_int_in("samples", 2, 0, kIntMax));
+    const auto max_groups = static_cast<std::size_t>(
+        cli.get_int_in("max-groups", 24, 0, kIntMax));
     const double hours = cli.get_double("hours", 1.0);
     const std::string out_path = cli.get_string("out", "BENCH_check.json");
-    if (cohorts < 1 || ties < 2 || hours <= 0.0) {
-      throw std::invalid_argument(
-          "--cohorts >= 1, --ties >= 2 and --hours > 0 required");
+    if (hours <= 0.0) {
+      throw std::invalid_argument("--hours > 0 required");
     }
 
     std::printf("=== micro_check - tie-break schedule exploration ===\n");

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -367,15 +368,15 @@ void print_map_row(const char* name, const MapStats& s) {
 int main(int argc, char** argv) {
   return rrsim::bench::run_harness([&] {
     const util::Cli cli(argc, argv);
-    const auto batches = static_cast<int>(cli.get_int("batches", 60));
-    const auto events = static_cast<int>(cli.get_int("events", 4000));
-    const std::int64_t map_ops = cli.get_int("map-ops", 2000000);
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    const auto batches =
+        static_cast<int>(cli.get_int_in("batches", 60, 1, kIntMax));
+    const auto events =
+        static_cast<int>(cli.get_int_in("events", 4000, 1, kIntMax));
+    const std::int64_t map_ops = cli.get_int_in(
+        "map-ops", 2000000, 1, std::numeric_limits<std::int64_t>::max());
     const std::string mode = cli.get_string("mode", "both");
     const std::string out_path = cli.get_string("out", "BENCH_kernel.json");
-    if (batches < 1 || events < 1 || map_ops < 1) {
-      throw std::invalid_argument(
-          "--batches, --events and --map-ops must be >= 1");
-    }
     if (mode != "both" && mode != "new" && mode != "legacy") {
       throw std::invalid_argument("--mode must be both, new or legacy");
     }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 
 #include "rrsim/loadmodel/capacity.h"
 #include "rrsim/loadmodel/frontend.h"
@@ -18,7 +19,8 @@
 int main(int argc, char** argv) {
   try {
     const rrsim::util::Cli cli(argc, argv);
-    const int pairs = static_cast<int>(cli.get_int("pairs", 500));
+    const int pairs = static_cast<int>(
+        cli.get_int_in("pairs", 500, 1, std::numeric_limits<int>::max()));
     const double depth = cli.get_double("queue-depth", 10000.0);
     const double gram = cli.get_double("gram-rate", 0.5);
     rrsim::util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 5)));

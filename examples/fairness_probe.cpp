@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 
 #include "rrsim/core/campaign.h"
 #include "rrsim/core/options.h"
@@ -21,7 +22,8 @@ int main(int argc, char** argv) {
     config.redundant_fraction = 0.4;
     config.seed = 7;
     config = rrsim::core::apply_common_flags(config, cli);
-    const int reps = static_cast<int>(cli.get_int("reps", 3));
+    const int reps = static_cast<int>(
+        cli.get_int_in("reps", 3, 1, std::numeric_limits<int>::max()));
 
     std::printf(
         "fairness probe: %zu clusters, scheme %s, %.0f %% of jobs redundant\n",

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 
 #include "rrsim/core/campaign.h"
 #include "rrsim/core/options.h"
@@ -21,7 +22,8 @@ int main(int argc, char** argv) {
     rrsim::core::ExperimentConfig config;
     config.scheme = rrsim::core::RedundancyScheme::half();
     config = rrsim::core::apply_common_flags(config, cli);
-    const int reps = static_cast<int>(cli.get_int("reps", 5));
+    const int reps = static_cast<int>(
+        cli.get_int_in("reps", 5, 1, std::numeric_limits<int>::max()));
 
     std::printf("grid campaign: %zu clusters, scheme %s, %d repetitions\n",
                 config.n_clusters, config.scheme.name().c_str(), reps);

@@ -85,7 +85,7 @@ SimResult run_experiment(const ExperimentConfig& config,
       workspace.platform_ = std::make_unique<grid::Platform>(
           sim, cluster_configs, config.algorithm);
       workspace.gateway_ = std::make_unique<grid::Gateway>(
-          sim, *workspace.platform_, config.record_predictions);
+          *workspace.platform_, config.record_predictions);
     }
   }
   grid::Platform& platform = *workspace.platform_;
@@ -102,49 +102,21 @@ SimResult run_experiment(const ExperimentConfig& config,
         0, [&gateway] { return gateway.cross_cluster_links(); });
   }
 
-  if (config.per_user_pending_limit > 0) {
-    for (std::size_t i = 0; i < platform.size(); ++i) {
-      platform.scheduler(i).set_per_user_pending_limit(
-          config.per_user_pending_limit);
-    }
-  }
-  // Streaming runs keep the schedulers' per-job tables O(live jobs): the
-  // gateway never reuses replica ids, so terminal lifecycle entries (and
-  // their submit-time predictions) can be dropped as they occur. Retained
-  // runs keep the historical full-lifecycle tables (set explicitly, not
-  // left to reset(), so a reused workspace is deterministic either way).
-  for (std::size_t i = 0; i < platform.size(); ++i) {
-    platform.scheduler(i).set_forget_terminal_ids(!config.retain_records);
-  }
-  std::vector<std::unique_ptr<grid::MiddlewareStation>> stations;
-  if (config.middleware_ops_per_sec > 0.0) {
-    std::vector<grid::MiddlewareStation*> raw;
-    for (std::size_t i = 0; i < platform.size(); ++i) {
-      stations.push_back(std::make_unique<grid::MiddlewareStation>(
-          sim, config.middleware_ops_per_sec));
-      raw.push_back(stations.back().get());
-    }
-    gateway.set_middleware(std::move(raw));
-  }
+  // Declared before scheduling: the streaming sink points at result.stream
+  // and must outlive the run.
+  SimResult result;
+  const auto stations = detail::wire_run(config, platform, gateway, result);
   const auto placement = grid::make_placement(config.placement);
   const auto estimator = workload::make_estimator(config.estimator);
 
   // --- Resolve inputs (shared with the PDES kernel) ----------------------
   detail::ResolvedInputs inputs = detail::resolve_inputs(
       config, cluster_configs, rc.master, *estimator);
-
-  // Declared before scheduling: the streaming sink points at result.stream
-  // and must outlive the run.
-  SimResult result;
-  result.streamed = !config.retain_records;
-  // Retention is only the gateway's sink choice: append every finished job
-  // as a record (sized once — every generated job finishes exactly once
-  // under drain, so the per-finish push_back never reallocates), or fold
-  // it into the online accumulator.
+  // Retained runs append every finished job as a record, sized once: every
+  // generated job finishes exactly once under drain, so the per-finish
+  // push_back never reallocates.
   if (config.retain_records) {
-    gateway.reserve_records(inputs.jobs_generated);
-  } else {
-    gateway.set_record_sink(&result.stream);
+    gateway.reserve_records(0, inputs.jobs_generated);
   }
 
   const std::size_t degree = config.scheme.degree(config.n_clusters);
@@ -207,10 +179,7 @@ SimResult run_experiment(const ExperimentConfig& config,
     sim.run_until(config.submit_horizon * config.truncate_factor);
   }
 
-  result.ops = platform.total_counters();
-  result.gateway_cancels = gateway.cancellations_issued();
-  result.replicas_rejected = gateway.replicas_rejected();
-  result.replicas_dropped = gateway.replicas_dropped();
+  detail::collect_counters(platform, gateway, result);
   for (const auto& station : stations) {
     result.middleware_max_backlog =
         std::max(result.middleware_max_backlog,
@@ -225,12 +194,7 @@ SimResult run_experiment(const ExperimentConfig& config,
     result.queue_growth_per_hour.push_back(tracker.growth_per_hour(i));
   }
   result.end_time = sim.now();
-  // Job-proportional live state, capacity-based (high-water): gateway
-  // tracking, scheduler tables and the arrival pump.
-  result.live_state_bytes = gateway.live_state_bytes() + pump.live_state_bytes();
-  for (std::size_t i = 0; i < platform.size(); ++i) {
-    result.live_state_bytes += platform.scheduler(i).live_state_bytes();
-  }
+  result.live_state_bytes += pump.live_state_bytes();
   result.resident_trace_bytes = pump.resident_trace_bytes();
   result.records = gateway.take_records();
   gateway.set_record_sink(nullptr);

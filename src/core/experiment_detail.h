@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "rrsim/core/experiment.h"
+#include "rrsim/grid/gateway.h"
+#include "rrsim/grid/middleware.h"
 #include "rrsim/grid/platform.h"
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/calibrate.h"
@@ -342,6 +344,61 @@ inline ResolvedInputs resolve_inputs(
     redundancy_rng = util::Rng::from_fingerprint(end.redundancy_end);
   }
   return out;
+}
+
+/// The run wiring both kernels share, applied before any event is
+/// scheduled: per-user pending limits; streaming runs fold records into
+/// result.stream; middleware stations, one per cluster on that cluster's
+/// simulation. The gateway rejects streaming and middleware on more than
+/// one partition. Returns the stations, which must outlive the run.
+inline std::vector<std::unique_ptr<grid::MiddlewareStation>> wire_run(
+    const ExperimentConfig& config, grid::Platform& platform,
+    grid::Gateway& gateway, SimResult& result) {
+  for (std::size_t i = 0; i < platform.size(); ++i) {
+    sched::ClusterScheduler& sched = platform.scheduler(i);
+    if (config.per_user_pending_limit > 0) {
+      sched.set_per_user_pending_limit(config.per_user_pending_limit);
+    }
+    // Streaming runs keep the schedulers' per-job tables O(live jobs): the
+    // gateway never reuses replica ids, so terminal lifecycle entries (and
+    // their submit-time predictions) can be dropped as they occur.
+    // Retained runs keep the historical full-lifecycle tables (set
+    // explicitly, not left to reset(), so a reused workspace is
+    // deterministic either way).
+    sched.set_forget_terminal_ids(!config.retain_records);
+  }
+  result.streamed = !config.retain_records;
+  if (!config.retain_records) gateway.set_record_sink(&result.stream);
+  std::vector<std::unique_ptr<grid::MiddlewareStation>> stations;
+  if (config.middleware_ops_per_sec > 0.0) {
+    std::vector<grid::MiddlewareStation*> raw;
+    for (std::size_t i = 0; i < platform.size(); ++i) {
+      stations.push_back(std::make_unique<grid::MiddlewareStation>(
+          platform.scheduler(i).simulation(),
+          config.middleware_ops_per_sec));
+      raw.push_back(stations.back().get());
+    }
+    gateway.set_middleware(std::move(raw));
+  }
+  return stations;
+}
+
+/// The counters both kernels report after a run: operation counts summed
+/// over the schedulers, the gateway's replica counters, and the live
+/// state of both (added to result.live_state_bytes).
+inline void collect_counters(const grid::Platform& platform,
+                             const grid::Gateway& gateway,
+                             SimResult& result) {
+  result.ops = platform.total_counters();
+  result.gateway_cancels = gateway.cancellations_issued();
+  result.replicas_rejected = gateway.replicas_rejected();
+  result.replicas_dropped = gateway.replicas_dropped();
+  result.duplicate_starts = gateway.duplicate_starts();
+  result.duplicate_finishes = gateway.duplicate_finishes();
+  result.live_state_bytes += gateway.live_state_bytes();
+  for (std::size_t i = 0; i < platform.size(); ++i) {
+    result.live_state_bytes += platform.scheduler(i).live_state_bytes();
+  }
 }
 
 /// The conservative-PDES run path (pdes_experiment.cpp). run_experiment()

@@ -32,7 +32,7 @@ struct RelativeMetrics {
 ///
 /// `jobs` is the worker-thread count for the repetitions (0 = the process
 /// default: --jobs flag, RRSIM_JOBS, or hardware concurrency — see
-/// rrsim/exec/campaign_runner.h). Results are bit-identical for any
+/// rrsim/exec/jobs.h). Results are bit-identical for any
 /// `jobs` value: repetitions are seeded by index and reduced in order.
 /// The same contract applies to the other campaigns below.
 RelativeMetrics run_relative_campaign(const ExperimentConfig& config,

@@ -122,11 +122,12 @@ struct ExperimentConfig {
   // --- cross-cluster latency / parallel execution --------------------------
   /// Run on the conservative parallel kernel: one DES partition per
   /// cluster, advanced in lookahead windows (exec/pdes.h), with the
-  /// distributed per-cluster gateway (grid/pdes_gateway.h). Requires
-  /// cross_cluster_latency > 0 — the latency is the protocol's lookahead.
-  /// Results are bit-identical for any pdes_jobs. Incompatible with
-  /// middleware, record_predictions, streaming (retain_records == false)
-  /// and the "least-loaded" placement (which needs a global queue view).
+  /// gateway's messages between partitions taking the latency
+  /// (grid/gateway.h). Requires cross_cluster_latency > 0 — the latency is
+  /// the protocol's lookahead. Results are bit-identical for any
+  /// pdes_jobs. Incompatible with middleware, record_predictions,
+  /// streaming (retain_records == false) and the "least-loaded" placement
+  /// (which needs a global queue view).
   bool pdes = false;
   /// One-way latency, in seconds, of every cross-cluster interaction:
   /// remote replica submission, sibling cancellation, and the notices that

@@ -109,13 +109,6 @@ class CampaignSweep {
   void add_prediction(const ExperimentConfig& config,
                       std::function<void(const PredictionCampaign&)> done);
 
-  /// Queues `reps` independent runs of `config` (replication r uses seed
-  /// config.seed + r); `per_rep` fires once per replication, in order.
-  /// For studies that consume raw SimResults rather than a campaign
-  /// aggregate (middleware load, queue growth, rejection counts).
-  void add_experiments(const ExperimentConfig& config,
-                       std::function<void(int, const SimResult&)> per_rep);
-
   /// Escape hatch for custom work-unit shapes (e.g. per-shape moldable
   /// units): tasks queued here interleave into the same flat pool.
   exec::SweepRunner& runner() noexcept { return runner_; }

@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 #include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {

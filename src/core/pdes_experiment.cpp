@@ -1,6 +1,7 @@
 // The conservative-PDES run path: one DES partition per cluster advanced
-// in lookahead windows (exec::PdesCoordinator), with the distributed
-// per-cluster gateway (grid::PdesGateway) exchanging L-delayed messages.
+// in lookahead windows (exec::PdesCoordinator), with the platform and the
+// gateway spread over the partitions, exchanging L-delayed messages
+// (grid/gateway.h).
 //
 // Everything *before* the event loop — workload resolution, job sources,
 // user/redundancy substream positions — is shared with the sequential
@@ -19,10 +20,10 @@
 
 #include "rrsim/core/experiment.h"
 #include "rrsim/exec/pdes.h"
-#include "rrsim/grid/pdes_gateway.h"
+#include "rrsim/grid/gateway.h"
 #include "rrsim/grid/placement.h"
+#include "rrsim/grid/platform.h"
 #include "rrsim/metrics/queue_tracker.h"
-#include "rrsim/sched/factory.h"
 #include "rrsim/util/validate.h"
 #include "arrival_pump.h"
 #include "experiment_detail.h"
@@ -30,22 +31,9 @@
 namespace rrsim::core::detail {
 
 SimResult run_pdes_experiment(const ExperimentConfig& config) {
-  // The features below all assume the zero-delay single-gateway kernel:
-  // middleware stations and submit-time predictions consult global state
-  // at one instant, streaming folds records through one sink in global
-  // finish order, and least-loaded placement reads every cluster's live
-  // queue length. Reject them loudly instead of silently degrading.
-  if (config.middleware_ops_per_sec > 0.0) {
-    throw std::invalid_argument("middleware is not supported in PDES mode");
-  }
-  if (config.record_predictions) {
-    throw std::invalid_argument(
-        "record_predictions is not supported in PDES mode");
-  }
-  if (!config.retain_records) {
-    throw std::invalid_argument(
-        "streaming (retain_records = false) is not supported in PDES mode");
-  }
+  // Least-loaded placement reads every cluster's live queue length at one
+  // instant. The gateway rejects the other features that need one instant
+  // view (middleware, predictions, the streaming sink) itself.
   if (config.placement == "least-loaded") {
     throw std::invalid_argument(
         "least-loaded placement needs a global queue view; "
@@ -63,22 +51,10 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   // still-queued callbacks after a truncated run) must be destroyed last.
   exec::PdesCoordinator coord(n, config.cross_cluster_latency,
                               config.pdes_jobs);
-
-  std::vector<std::unique_ptr<sched::ClusterScheduler>> owned_scheds;
-  std::vector<sched::ClusterScheduler*> scheds;
-  owned_scheds.reserve(n);
-  scheds.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    owned_scheds.push_back(sched::make_scheduler(
-        config.algorithm, coord.partition(i), rc.cluster_configs[i].nodes));
-    if (config.per_user_pending_limit > 0) {
-      owned_scheds.back()->set_per_user_pending_limit(
-          config.per_user_pending_limit);
-    }
-    scheds.push_back(owned_scheds.back().get());
-  }
-
-  grid::PdesGateway gateway(coord, scheds, config.cross_cluster_latency);
+  grid::Platform platform(coord, rc.cluster_configs, config.algorithm);
+  grid::Gateway gateway(platform, config.record_predictions);
+  SimResult result;
+  const auto stations = wire_run(config, platform, gateway, result);
 
   // Tie-break schedule hook (rrsim_check): one policy shared by every
   // partition, distinguished through the partition id in each TieGroup.
@@ -117,11 +93,7 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   for (std::size_t i = 0; i < n; ++i) {
     placement_rngs.push_back(inputs.placement_rng.fork(i));
   }
-  std::vector<int> sizes;
-  sizes.reserve(n);
-  for (const grid::ClusterConfig& cc : rc.cluster_configs) {
-    sizes.push_back(cc.nodes);
-  }
+  const std::vector<int>& sizes = platform.cluster_sizes();
   const std::vector<std::size_t> no_lengths;  // read-only, shared by all
 
   const std::size_t degree = config.scheme.degree(n);
@@ -164,8 +136,9 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   trackers.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<metrics::QueueTracker::Probe> probes;
-    probes.emplace_back(
-        [&sched = *scheds[i]] { return sched.queue_length(); });
+    probes.emplace_back([&sched = platform.scheduler(i)] {
+      return sched.queue_length();
+    });
     trackers.push_back(std::make_unique<metrics::QueueTracker>(
         coord.partition(i), std::move(probes), config.queue_sample_interval,
         config.submit_horizon));
@@ -181,22 +154,7 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   gateway.debug_validate();
 #endif
 
-  SimResult result;
-  for (const sched::ClusterScheduler* s : scheds) {
-    const sched::OpCounters& c = s->counters();
-    // Same aggregation as Platform::total_counters(): rejects are
-    // reported separately as replicas_rejected.
-    result.ops.submits += c.submits;
-    result.ops.cancels += c.cancels;
-    result.ops.starts += c.starts;
-    result.ops.finishes += c.finishes;
-    result.ops.declines += c.declines;
-    result.ops.sched_passes += c.sched_passes;
-  }
-  result.gateway_cancels = gateway.cancellations_issued();
-  result.replicas_rejected = gateway.replicas_rejected();
-  result.duplicate_starts = gateway.duplicate_starts();
-  result.duplicate_finishes = gateway.duplicate_finishes();
+  collect_counters(platform, gateway, result);
   result.pdes_windows = coord.windows();
   result.jobs_generated = inputs.jobs_generated;
   double max_sum = 0.0;
@@ -208,10 +166,6 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
   result.avg_max_queue = max_sum / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
     result.end_time = std::max(result.end_time, coord.partition(i).now());
-  }
-  result.live_state_bytes = gateway.live_state_bytes();
-  for (const sched::ClusterScheduler* s : scheds) {
-    result.live_state_bytes += s->live_state_bytes();
   }
   for (const Pump& pump : pumps) {
     result.live_state_bytes += pump.live_state_bytes();

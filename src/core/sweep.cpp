@@ -288,19 +288,4 @@ void CampaignSweep::add_prediction(
       });
 }
 
-void CampaignSweep::add_experiments(
-    const ExperimentConfig& config,
-    std::function<void(int, const SimResult&)> per_rep) {
-  runner_.add_affine(
-      reps_, trace_affinity(config),
-      [config](int r) {
-        ExperimentConfig c = config;
-        c.seed = config.seed + static_cast<std::uint64_t>(r);
-        return run_experiment(c, thread_workspace());
-      },
-      [per_rep = std::move(per_rep)](int r, SimResult result) {
-        per_rep(r, result);
-      });
-}
-
 }  // namespace rrsim::core

@@ -3,19 +3,18 @@
 //
 // A sweep is a list of tasks (the points of a figure or table), each made
 // of `n` independent, index-addressed work units (the replications of that
-// point). CampaignRunner parallelizes one task at a time, which strands
-// workers at every point boundary: a 30-point figure with 10 replications
-// on an 8-core box repeatedly drains to the 1-2 slowest replications
-// before the next point may start. SweepRunner instead flattens all
-// queued tasks' units into ONE pool serviced by ONE set of worker threads
-// — (point, replication) units from different points run side by side, so
-// the machine only drains once, at the very end of the whole sweep.
+// point). Parallelizing one task at a time would strand workers at every
+// point boundary: a 30-point figure with 10 replications on an 8-core box
+// would repeatedly drain to the 1-2 slowest replications before the next
+// point may start. SweepRunner instead flattens all queued tasks' units
+// into ONE pool serviced by ONE set of worker threads — (point,
+// replication) units from different points run side by side, so the
+// machine only drains once, at the very end of the whole sweep.
 //
-// Determinism contract (same as CampaignRunner, extended across tasks):
-// map(u) may run on any thread in any order; reductions run on the
-// calling thread, tasks in add() order, units in index order within each
-// task. Output is therefore bit-identical for any worker count, provided
-// each unit derives its randomness from its index.
+// Determinism contract: map(u) may run on any thread in any order;
+// reductions run on the calling thread, tasks in add() order, units in
+// index order within each task. Output is therefore bit-identical for any
+// worker count, provided each unit derives its randomness from its index.
 //
 // A single long-lived pool has a second, quieter benefit: worker threads
 // survive the whole sweep, so thread_local state (the per-worker
@@ -32,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 #include "rrsim/exec/thread_pool.h"
 
 namespace rrsim::exec {

@@ -2,7 +2,7 @@
 // deliberately simple: a locked FIFO of type-erased tasks and N worker
 // threads. Determinism is not the pool's job — callers that need
 // reproducible results must make each task independent and reduce task
-// outputs in a fixed order (see rrsim/exec/campaign_runner.h).
+// outputs in a fixed order (see rrsim/exec/sweep_runner.h).
 #pragma once
 
 #include <condition_variable>

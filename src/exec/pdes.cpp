@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 
 namespace rrsim::exec {
 

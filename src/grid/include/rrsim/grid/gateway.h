@@ -1,22 +1,34 @@
 // The Gateway implements user-driven redundant requests exactly as the
 // paper describes them: one job, k replica requests in k different batch
-// queues; when one replica is granted nodes the others are cancelled.
+// queues; when one replica is granted nodes the others are cancelled
+// (cancel-on-start). Remote replicas may request inflated compute time —
+// late binding of input data, the Section 3.1.2 +10 %/+50 % experiment.
 //
-// The cancel-on-start protocol is modelled with the paper's assumptions:
-// zero network delay (cancellations land at the same simulated instant the
-// winning replica starts) and late binding of input data (optionally,
-// remote replicas request inflated compute time — the Section 3.1.2
-// +10 %/+50 % experiment). Simultaneous starts are resolved through the
-// scheduler grant callback: the first grant wins, any same-instant grant
-// for a sibling is declined.
+// One protocol over two transports. The gateway's state lives in one
+// agent per platform partition (Platform::partition_of): the origin
+// cluster's agent owns a job's tracking entry, mints its replica ids and
+// writes its record. Between two clusters of one partition a message is a
+// direct call — sibling qdels become same-instant kCancel events, or
+// middleware transactions. Between partitions it is
+// exec::PdesCoordinator::post() one latency L later.
 //
-// The zero-delay assumption is what makes this a *single* object: a grant
-// anywhere may consult global tracking state at the same instant. For
-// runs with a real cross-cluster latency (--pdes --latency=<s>) the
-// experiment layer uses grid::PdesGateway instead — one agent per
-// cluster exchanging L-delayed messages, which is also what lets the
-// conservative parallel kernel advance clusters concurrently
-// (pdes_gateway.h, exec/pdes.h, DESIGN.md §9).
+//   * Classic kernel (every cluster on one simulation: one partition) —
+//     the paper's zero network delay. Every grant consults the origin at
+//     once: the first grant wins and its siblings are cancelled; any
+//     later grant for a sibling is declined.
+//   * PDES kernel (one partition per cluster, --pdes --latency=L) — a
+//     grant outside the origin's partition stands and its start notice
+//     travels L, so a grid job may start more than once
+//     (duplicate_starts()). Such a record keeps the user's submit instant
+//     at the origin, not the L-delayed time the replica entered its queue.
+//
+// Features that need one instant view of every cluster — middleware
+// stations, submit-time predictions, the streaming record sink and
+// moldable shapes — are rejected on more than one partition.
+//
+// Thread contract: every handler runs on the partition that owns the
+// state it touches, so PDES runs need no locks and are bit-identical for
+// any worker count (exec/pdes.h, DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -54,14 +66,16 @@ struct GridJob {
 };
 
 /// Submits replica sets, arbitrates grants, cancels siblings, and collects
-/// per-job outcome records.
+/// per-job outcome records. Counter accessors sum over the partitions and
+/// must only be called while no partition is running.
 class Gateway {
  public:
+  /// Becomes the grant/finish owner of every scheduler on `platform`.
   /// `record_predictions`: if true, every submission queries the target
   /// schedulers' submit-time start predictions and stores the minimum over
-  /// replicas in the job record (Section 5 methodology).
-  Gateway(des::Simulation& sim, Platform& platform,
-          bool record_predictions = false);
+  /// replicas in the job record (Section 5 methodology); throws
+  /// std::invalid_argument on more than one partition.
+  explicit Gateway(Platform& platform, bool record_predictions = false);
 
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
@@ -72,26 +86,30 @@ class Gateway {
   /// (zero-overhead) delivery — the paper's Section 3 assumption.
   /// Submit-time prediction recording needs instantaneous delivery and is
   /// unsupported with middleware. Throws std::invalid_argument on a size
-  /// mismatch or if predictions are being recorded.
+  /// mismatch, if predictions are being recorded, or on more than one
+  /// partition.
   void set_middleware(std::vector<MiddlewareStation*> stations);
 
-  /// Submits `job` to each target cluster at the current simulated time.
-  /// Replicas on non-origin clusters have their requested time multiplied
-  /// by `remote_inflation` (>= 1; models requesting extra time to upload
-  /// input data after late binding). Throws std::invalid_argument if
-  /// targets is empty, origin is not in targets, a target repeats, or the
-  /// job does not fit on some target.
+  /// Submits `job` from its origin cluster at the origin's current time;
+  /// must run on the origin's partition. Replicas on non-origin clusters
+  /// have their requested time multiplied by `remote_inflation` (>= 1;
+  /// models requesting extra time to upload input data after late
+  /// binding). Every check runs before any state changes. Throws
+  /// std::invalid_argument if targets is empty, the origin or a target is
+  /// not a cluster of the platform, the origin is not among the targets, a
+  /// target repeats without replica shapes, shapes are given on more than
+  /// one partition, or the grid id is taken; std::length_error if the
+  /// origin's replica ids run out.
   void submit(const GridJob& job, double remote_inflation = 1.0);
 
   /// Streams per-finish outcomes into `sink` instead of appending to the
-  /// record vector (constant-memory campaigns). Records are fed in finish
+  /// record buffer (constant-memory campaigns). Records are fed in finish
   /// order — the same order records() would hold them — so metrics from
   /// the accumulator are bit-identical to the batch functions over the
   /// records a retained run would have produced. Pass nullptr to restore
   /// record retention. The sink must outlive the run; reset() clears it.
-  void set_record_sink(metrics::OnlineAccumulator* sink) noexcept {
-    sink_ = sink;
-  }
+  /// Throws std::invalid_argument for a sink on more than one partition.
+  void set_record_sink(metrics::OnlineAccumulator* sink);
 
   /// Bytes of job-proportional live tracking state (tracked jobs, their
   /// replica lists, and the replica index), capacity-based so it reports
@@ -99,18 +117,21 @@ class Gateway {
   /// — they are output, not live state.
   std::size_t live_state_bytes() const noexcept;
 
-  /// Records of all grid jobs that finished so far.
-  const metrics::JobRecords& records() const noexcept { return records_; }
+  /// Records of all grid jobs that finished so far, in finish order. Only
+  /// one partition keeps them in one buffer: throws std::logic_error on
+  /// more (use take_records()).
+  const metrics::JobRecords& records() const;
 
-  /// Moves the collected records out, leaving the internal vector empty.
-  /// Experiment drivers use this instead of copying records(): the result
-  /// takes ownership of the buffer and the gateway re-reserves on reuse.
-  metrics::JobRecords take_records() noexcept { return std::move(records_); }
+  /// Moves the collected records out: the partitions' buffers
+  /// concatenated in partition order, each in its own finish order. With
+  /// one partition the buffer itself is moved, not copied.
+  metrics::JobRecords take_records();
 
-  /// Pre-sizes the record vector for `n` finished jobs, so the per-finish
-  /// collection path never reallocates mid-run. Drivers know the job
-  /// count up front (the workload trace is generated before submission).
-  void reserve_records(std::size_t n) { records_.reserve(n); }
+  /// Pre-sizes the record buffer that jobs from cluster `origin` finish
+  /// into for `n` records, so the per-finish collection path never
+  /// reallocates mid-run. With one partition every origin shares one
+  /// buffer: pass the total.
+  void reserve_records(std::size_t origin, std::size_t n);
 
   /// Returns the gateway to its just-constructed state (with the given
   /// prediction-recording mode), keeping hash-table buckets and record
@@ -120,22 +141,40 @@ class Gateway {
   void reset(bool record_predictions = false);
 
   /// Grid jobs submitted / finished (conservation checks in tests).
-  std::uint64_t submitted() const noexcept { return submitted_; }
-  std::uint64_t finished() const noexcept { return finished_; }
+  std::uint64_t submitted() const noexcept { return sum(&Counts::submitted); }
+  std::uint64_t finished() const noexcept { return sum(&Counts::finished); }
 
-  /// Replica-level cancellations the gateway issued (middleware load).
+  /// Replica-level cancellations the gateway issued (middleware load):
+  /// qdels that removed a pending replica plus grants it declined.
   std::uint64_t cancellations_issued() const noexcept {
-    return cancels_issued_;
+    return sum(&Counts::cancels);
   }
 
   /// Replica submissions refused by per-user pending limits. The origin
   /// replica is always exempt, so every grid job still runs.
-  std::uint64_t replicas_rejected() const noexcept { return rejected_; }
+  std::uint64_t replicas_rejected() const noexcept {
+    return sum(&Counts::rejected);
+  }
 
   /// Replicas dropped before delivery because their job had already
-  /// started elsewhere (possible when same-instant grants race during
-  /// submission, or when middleware delays delivery).
-  std::uint64_t replicas_dropped() const noexcept { return dropped_; }
+  /// started elsewhere (only middleware delays delivery that long).
+  std::uint64_t replicas_dropped() const noexcept {
+    return sum(&Counts::dropped);
+  }
+
+  /// Grid jobs that started on more than one cluster because a grant
+  /// outside the origin's partition raced the sibling cancellation — the
+  /// latency-specific harm of redundant requests. Always 0 on one
+  /// partition, where the same grant is declined.
+  std::uint64_t duplicate_starts() const noexcept {
+    return sum(&Counts::duplicate_starts);
+  }
+
+  /// Finish notices discarded because the job's record already existed
+  /// (the duplicate runs completing).
+  std::uint64_t duplicate_finishes() const noexcept {
+    return sum(&Counts::duplicate_finishes);
+  }
 
   /// Live cross-cluster couplings: tracked grid jobs whose replica set
   /// still spans >= 2 distinct clusters. While this is 0, same-timestamp
@@ -145,11 +184,20 @@ class Gateway {
   /// jobs); sampled per tie group by explorers, never on the hot path.
   std::uint64_t cross_cluster_links() const noexcept;
 
+  /// The id partition `partition` of `partitions` gives its k-th replica:
+  /// partition + 1 + k * partitions, so no two partitions mint the same id
+  /// and (id - 1) mod partitions names the minting (origin) partition.
+  /// One partition mints 1, 2, 3, .... Throws std::length_error past the
+  /// 32-bit id space.
+  static sched::JobId replica_id(std::size_t partition,
+                                 std::size_t partitions, std::uint64_t k);
+
 #if RRSIM_VALIDATE_ENABLED
-  /// Full tracking sweep: every replica of every tracked job maps back to
-  /// that job in the replica index, and the index holds exactly the
-  /// tracked replicas (size-sum agreement). O(total jobs) — tests and
-  /// reset paths; per-operation checks cover the job each op touched.
+  /// Full tracking sweep over every partition: every replica of every
+  /// tracked job maps back to that job in its origin's replica index, and
+  /// each index holds exactly the tracked replicas (size-sum agreement).
+  /// O(total jobs) — tests and reset paths; per-operation checks cover the
+  /// job each op touched.
   void debug_validate() const;
 
   /// Corruption hook for the oracle death tests: re-points one replica's
@@ -170,54 +218,111 @@ class Gateway {
     };
     /// One entry per live (delivered, not dropped/rejected) replica.
     std::vector<Replica> replicas;
-    std::uint32_t origin = 0;
-    std::uint32_t winner = 0;       ///< cluster of the granted replica
-    std::uint16_t replicas_sent = 0;  ///< requests the user sent (intent)
-    bool redundant = false;
-    bool started = false;
+    double submit_time = 0.0;  ///< the user's submit instant at the origin
     /// Min-over-replicas submit-time prediction; NaN when not recorded.
     double predicted_start = std::numeric_limits<double>::quiet_NaN();
+    std::uint32_t origin = 0;
+    std::uint16_t replicas_sent = 0;  ///< requests the user sent (intent)
+    bool redundant : 1 = false;
+    bool started : 1 = false;
+    bool finished : 1 = false;
+  };
+
+  struct Counts {
+    std::uint64_t submitted = 0;
+    std::uint64_t finished = 0;
+    std::uint64_t cancels = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t duplicate_starts = 0;
+    std::uint64_t duplicate_finishes = 0;
+  };
+
+  /// Everything one partition owns; only that partition's thread may
+  /// touch it while the coordinator runs.
+  struct Agent {
+    des::Simulation* sim = nullptr;
+    util::FlatHashMap<GridJobId, Tracked> tracked;  ///< jobs originating here
+    /// Replica -> grid job for the replicas minted here, keyed by the mint
+    /// ordinal (id - 1) / partitions: ids are dense per partition, so the
+    /// index is direct-indexed, not a hash. Values are 32-bit: submit()
+    /// rejects grid ids above 2^32 - 1.
+    util::DenseIdMap<std::uint32_t> replica_to_grid;
+    metrics::JobRecords records;
+    std::uint64_t minted = 0;  ///< replica ids minted so far
+    Counts counts;
   };
 
   bool on_grant(std::size_t cluster, const sched::Job& job);
   void on_finish(std::size_t cluster, const sched::Job& job);
   void install_callbacks(std::size_t cluster);
-  void cancel_siblings(GridJobId id, std::size_t winner_cluster);
-  /// Hands the replica to the target scheduler, accounting rejections.
-  /// `deferred` marks middleware delivery: only then may a replica whose
-  /// job already started be dropped before submission (the client skips
-  /// an op still sitting in its own queue); with direct delivery every
-  /// qsub has already been issued and must reach the scheduler.
+  /// Checks `job` against the platform and this gateway's state; throws
+  /// what submit() documents.
+  void validate_submission(const GridJob& job,
+                           double remote_inflation) const;
+  /// Runs on the origin's partition: the first start of a tracked job.
+  /// Cancels every sibling outside the winner's cluster.
+  void start(std::size_t origin_partition, Tracked& tracked,
+             std::size_t winner_cluster);
+  /// Runs on the origin's partition: a start notice from another one.
+  void on_start_notice(std::size_t winner_cluster, sched::JobId replica);
+  /// Runs on the origin's partition: writes the record of the replica
+  /// that finished on `cluster`, then reclaims the job when it can.
+  void record_finish(std::size_t cluster, const sched::Job& job);
+  /// Runs on the origin's partition: a scheduler refused the replica.
+  void on_reject(sched::JobId replica);
+  /// Hands the replica to the target scheduler. `deferred` marks
+  /// middleware delivery: only then may a replica whose job already
+  /// started be dropped before submission (the client skips an op still
+  /// sitting in its own queue); with direct delivery every qsub has
+  /// already been issued and must reach the scheduler.
   void deliver_submit(std::size_t cluster, const sched::Job& replica,
                       bool deferred);
   /// Issues a qdel for a (possibly no longer pending) replica.
   void deliver_cancel(std::size_t cluster, sched::JobId replica);
+  /// Runs `fn` on partition `to`, one latency after partition `from`'s now.
+  template <typename Fn>
+  void send(std::size_t from, std::size_t to, des::Priority priority,
+            Fn&& fn);
+
+  /// The partition that minted `replica` — its job's origin partition.
+  /// One partition, the classic kernel's hot path, needs no division.
+  std::size_t origin_of(sched::JobId replica) const noexcept {
+    return agents_.size() == 1
+               ? 0
+               : (replica - 1u) % static_cast<std::uint32_t>(agents_.size());
+  }
+  /// `replica`'s key in its origin's replica index: its mint ordinal.
+  std::uint64_t slot_of(sched::JobId replica) const noexcept {
+    return agents_.size() == 1
+               ? replica - 1u
+               : (replica - 1u) / static_cast<std::uint32_t>(agents_.size());
+  }
+  /// The tracking entry of `replica`'s job at its origin; null for a job
+  /// the gateway does not manage (background load) or no longer tracks.
+  Tracked* tracked_of(sched::JobId replica, GridJobId* grid_id = nullptr);
+  /// Removes a replica that never reached (or was refused by) a queue.
+  void forget_replica(Agent& agent, Tracked& tracked, sched::JobId replica);
+
+  std::uint64_t sum(std::uint64_t Counts::*counter) const noexcept {
+    std::uint64_t n = 0;
+    for (const Agent& a : agents_) n += a.counts.*counter;
+    return n;
+  }
 
 #if RRSIM_VALIDATE_ENABLED
   /// Per-operation check, O(replicas of one job): the job's replica list
-  /// and the replica index must agree, and each replica's target cluster
-  /// must exist on the platform.
-  void validate_job(GridJobId id) const;
+  /// and its origin's replica index must agree, and each replica's target
+  /// cluster must exist on the platform.
+  void validate_job(std::size_t origin_partition, GridJobId id) const;
 #endif
 
-  des::Simulation& sim_;
   Platform& platform_;
+  double latency_;  ///< coordinator lookahead; 0 on one partition
   bool record_predictions_;
   std::vector<MiddlewareStation*> middleware_;  // empty = direct delivery
-  sched::JobId next_replica_id_ = 1;
-  /// Replica ids are allocated densely from 1 by this gateway, so the
-  /// replica -> grid-job mapping is a direct-indexed vector, not a hash.
-  /// Values are 32-bit: submit() rejects grid ids above 2^32 - 1, which
-  /// halves the dominant per-replica table at grid scale.
-  util::DenseIdMap<std::uint32_t> replica_to_grid_;
-  util::FlatHashMap<GridJobId, Tracked> tracked_;
-  metrics::OnlineAccumulator* sink_ = nullptr;  // null = retain records_
-  metrics::JobRecords records_;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t finished_ = 0;
-  std::uint64_t cancels_issued_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t dropped_ = 0;
+  metrics::OnlineAccumulator* sink_ = nullptr;  // null = retain records
+  std::vector<Agent> agents_;                   // one per partition
 };
 
 }  // namespace rrsim::grid

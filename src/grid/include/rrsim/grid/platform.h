@@ -2,12 +2,19 @@
 // batch scheduler, and its own workload parameters. Covers both the
 // paper's homogeneous setups (identical 128-node clusters) and the
 // Table 3 heterogeneous one (sizes in {16..256}, varying arrival rates).
+//
+// The platform also says where each cluster runs: all on one simulation
+// (the classic zero-delay kernel, one partition), or each on its own
+// partition of a PdesCoordinator (the conservative parallel kernel).
+// Clusters of one partition interact without delay; across partitions
+// every interaction takes the coordinator's lookahead (grid/gateway.h).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "rrsim/des/simulation.h"
+#include "rrsim/exec/pdes.h"
 #include "rrsim/sched/factory.h"
 #include "rrsim/workload/lublin.h"
 
@@ -20,13 +27,18 @@ struct ClusterConfig {
                                     ///< job stream originating here
 };
 
-/// N clusters bound to one simulation, each with a scheduler of the same
-/// algorithm (the paper never mixes algorithms across sites).
+/// N clusters, each with a scheduler of the same algorithm (the paper
+/// never mixes algorithms across sites).
 class Platform {
  public:
-  /// Builds the clusters and their schedulers. Throws
-  /// std::invalid_argument if `configs` is empty.
+  /// Builds the clusters and their schedulers on one shared simulation.
+  /// Throws std::invalid_argument if `configs` is empty.
   Platform(des::Simulation& sim, std::vector<ClusterConfig> configs,
+           sched::Algorithm algorithm);
+
+  /// Builds cluster i's scheduler on coord.partition(i). Throws
+  /// std::invalid_argument unless there is one config per partition.
+  Platform(exec::PdesCoordinator& coord, std::vector<ClusterConfig> configs,
            sched::Algorithm algorithm);
 
   std::size_t size() const noexcept { return configs_.size(); }
@@ -42,6 +54,20 @@ class Platform {
   /// Cluster sizes by id, the shape placement policies consume.
   const std::vector<int>& cluster_sizes() const noexcept { return sizes_; }
 
+  /// The coordinator the clusters run on; null on one shared simulation.
+  exec::PdesCoordinator* coordinator() const noexcept { return coord_; }
+
+  /// Partitions the clusters run in: 1 on one shared simulation, else one
+  /// per cluster.
+  std::size_t partitions() const noexcept {
+    return coord_ != nullptr ? size() : 1;
+  }
+
+  /// The partition cluster `i` runs in.
+  std::size_t partition_of(std::size_t i) const noexcept {
+    return coord_ != nullptr ? i : 0;
+  }
+
   /// Sum of operation counters over all schedulers.
   sched::OpCounters total_counters() const;
 
@@ -56,10 +82,15 @@ class Platform {
   }
 
  private:
+  /// Builds the schedulers: on `shared`, or on the coordinator's
+  /// partitions when it is null.
+  void build(des::Simulation* shared);
+
   std::vector<ClusterConfig> configs_;
   std::vector<std::unique_ptr<sched::ClusterScheduler>> schedulers_;
   std::vector<int> sizes_;
   sched::Algorithm algorithm_;
+  exec::PdesCoordinator* coord_ = nullptr;
 };
 
 /// Convenience: N identical clusters sharing one workload parameter set.

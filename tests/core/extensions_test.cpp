@@ -116,7 +116,7 @@ TEST(MoldableGateway, WorksThroughMiddlewareToo) {
   grid::Platform platform(
       sim, grid::homogeneous_configs(1, 8, workload::LublinParams{}),
       sched::Algorithm::kEasy);
-  grid::Gateway gateway(sim, platform);
+  grid::Gateway gateway(platform);
   grid::MiddlewareStation station(sim, 2.0);
   gateway.set_middleware({&station});
   grid::GridJob job;

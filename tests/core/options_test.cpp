@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 #include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 
 namespace rrsim::exec {
 namespace {

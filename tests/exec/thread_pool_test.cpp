@@ -1,4 +1,4 @@
-// Pool and runner semantics only — no simulator dependency, so this file
+// Pool and worker-count semantics only — no simulator dependency, so this file
 // can also be compiled standalone under ThreadSanitizer (see
 // tests/CMakeLists.txt, RRSIM_TSAN).
 #include "rrsim/exec/thread_pool.h"
@@ -7,13 +7,11 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "rrsim/exec/campaign_runner.h"
+#include "rrsim/exec/jobs.h"
 
 namespace rrsim::exec {
 namespace {
@@ -87,52 +85,6 @@ TEST(ParallelForEach, RethrowsLowestFailingIndex) {
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom 3");
-  }
-}
-
-TEST(CampaignRunner, ReducesInIndexOrder) {
-  for (int jobs : {1, 2, 8}) {
-    CampaignRunner runner(jobs);
-    EXPECT_EQ(runner.jobs(), jobs);
-    std::vector<int> order;
-    runner.map_reduce(
-        40, [](int r) { return r * r; },
-        [&order](int r, int v) {
-          EXPECT_EQ(v, r * r);
-          order.push_back(r);
-        });
-    std::vector<int> expected(40);
-    std::iota(expected.begin(), expected.end(), 0);
-    EXPECT_EQ(order, expected) << "jobs=" << jobs;
-  }
-}
-
-TEST(CampaignRunner, MoveOnlyResultsSupported) {
-  CampaignRunner runner(4);
-  std::vector<int> collected;
-  runner.map_reduce(
-      10,
-      [](int r) { return std::make_unique<int>(r + 100); },
-      [&collected](int, std::unique_ptr<int> v) {
-        collected.push_back(*v);
-      });
-  ASSERT_EQ(collected.size(), 10u);
-  for (int r = 0; r < 10; ++r) EXPECT_EQ(collected[static_cast<std::size_t>(r)], r + 100);
-}
-
-TEST(CampaignRunner, MapExceptionPropagatesLowestIndex) {
-  CampaignRunner runner(4);
-  try {
-    runner.map_reduce(
-        20,
-        [](int r) -> int {
-          if (r >= 5) throw std::runtime_error("rep " + std::to_string(r));
-          return r;
-        },
-        [](int, int) {});
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "rep 5");
   }
 }
 

@@ -16,7 +16,7 @@ struct Fixture {
   explicit Fixture(std::size_t n, int limit)
       : platform(sim, homogeneous_configs(n, 8, workload::LublinParams{}),
                  sched::Algorithm::kEasy),
-        gateway(sim, platform) {
+        gateway(platform) {
     for (std::size_t i = 0; i < n; ++i) {
       platform.scheduler(i).set_per_user_pending_limit(limit);
     }

@@ -25,7 +25,7 @@ struct Fixture {
   Fixture(std::size_t n, const std::vector<double>& rates)
       : platform(sim, homogeneous_configs(n, 8, workload::LublinParams{}),
                  sched::Algorithm::kEasy),
-        gateway(sim, platform) {
+        gateway(platform) {
     std::vector<MiddlewareStation*> raw;
     for (std::size_t i = 0; i < n; ++i) {
       stations.push_back(std::make_unique<MiddlewareStation>(sim, rates[i]));
@@ -142,7 +142,7 @@ TEST(GatewayMiddlewareDrop, DirectDeliveryNeverDrops) {
   Platform platform(sim,
                     homogeneous_configs(2, 8, workload::LublinParams{}),
                     sched::Algorithm::kEasy);
-  Gateway gateway(sim, platform);
+  Gateway gateway(platform);
   GridJob job = make_grid_job(1, 0, {0, 1}, 7, 5.0);
   gateway.submit(job);
   sim.run();

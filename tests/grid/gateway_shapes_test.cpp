@@ -17,7 +17,7 @@ struct Fixture {
   explicit Fixture(std::size_t n, int nodes = 8)
       : platform(sim, homogeneous_configs(n, nodes, workload::LublinParams{}),
                  sched::Algorithm::kEasy),
-        gateway(sim, platform) {}
+        gateway(platform) {}
 };
 
 workload::JobSpec spec_of(int nodes, double runtime, double requested = -1) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "rrsim/exec/pdes.h"
 #include "rrsim/grid/platform.h"
 
 namespace rrsim::grid {
@@ -17,7 +20,7 @@ struct Fixture {
                    bool predictions = false)
       : platform(sim, homogeneous_configs(n, nodes, workload::LublinParams{}),
                  algo),
-        gateway(sim, platform, predictions) {}
+        gateway(platform, predictions) {}
 };
 
 GridJob make_grid_job(GridJobId id, std::size_t origin,
@@ -60,6 +63,81 @@ TEST(Gateway, ValidatesSubmissions) {
   f.gateway.submit(make_grid_job(5, 0, {0}, 1, 1.0));
   EXPECT_THROW(f.gateway.submit(make_grid_job(5, 0, {0}, 1, 1.0)),
                std::invalid_argument);  // duplicate grid id
+}
+
+TEST(Gateway, RejectsUnknownClustersBeforeAnyStateChanges) {
+  Fixture f(2);
+  EXPECT_THROW(f.gateway.submit(make_grid_job(1, 0, {0, 5}, 4, 10.0)),
+               std::invalid_argument);  // target outside the platform
+  EXPECT_THROW(f.gateway.submit(make_grid_job(1, 7, {7}, 4, 10.0)),
+               std::invalid_argument);  // origin outside the platform
+  EXPECT_EQ(f.gateway.submitted(), 0u);
+  EXPECT_EQ(f.platform.total_counters().submits, 0u);
+  // The rejected id is still free: the corrected job goes through.
+  f.gateway.submit(make_grid_job(1, 0, {0, 1}, 4, 10.0));
+  f.sim.run();
+  EXPECT_EQ(f.gateway.submitted(), 1u);
+  EXPECT_EQ(f.gateway.finished(), 1u);
+}
+
+TEST(Gateway, ReplicaIdsEndAtThe32BitBoundary) {
+  constexpr std::uint64_t kMax = std::numeric_limits<sched::JobId>::max();
+  // One partition mints 1, 2, 3, ...
+  EXPECT_EQ(Gateway::replica_id(0, 1, 0), 1u);
+  EXPECT_EQ(Gateway::replica_id(0, 1, kMax - 1), kMax);
+  EXPECT_THROW(Gateway::replica_id(0, 1, kMax), std::length_error);
+  // Eight partitions: partition p mints p + 1 + 8k.
+  EXPECT_EQ(Gateway::replica_id(3, 8, 2), 20u);
+  EXPECT_EQ(Gateway::replica_id(0, 8, 536870911), 4294967289u);
+  EXPECT_THROW(Gateway::replica_id(0, 8, 536870912), std::length_error);
+  EXPECT_EQ(Gateway::replica_id(7, 8, 536870910), 4294967288u);
+  EXPECT_THROW(Gateway::replica_id(7, 8, 536870911), std::length_error);
+}
+
+TEST(Gateway, SingleInstantFeaturesNeedOnePartition) {
+  exec::PdesCoordinator coord(2, 5.0, 1);
+  Platform platform(coord,
+                    homogeneous_configs(2, 8, workload::LublinParams{}),
+                    sched::Algorithm::kEasy);
+  EXPECT_THROW(Gateway(platform, /*record_predictions=*/true),
+               std::invalid_argument);
+  Gateway gateway(platform);
+  MiddlewareStation s0(coord.partition(0), 1.0);
+  MiddlewareStation s1(coord.partition(1), 1.0);
+  EXPECT_THROW(gateway.set_middleware({&s0, &s1}), std::invalid_argument);
+  metrics::OnlineAccumulator sink;
+  EXPECT_THROW(gateway.set_record_sink(&sink), std::invalid_argument);
+  GridJob shaped = make_grid_job(1, 0, {0, 0}, 4, 10.0);
+  shaped.replica_specs = {shaped.spec, shaped.spec};
+  EXPECT_THROW(gateway.submit(shaped), std::invalid_argument);
+  EXPECT_EQ(gateway.submitted(), 0u);
+  EXPECT_THROW((void)gateway.records(), std::logic_error);
+}
+
+TEST(Gateway, RemoteWinnerRecordKeepsTheUsersSubmitInstant) {
+  // Cluster 0 is busy, so the remote replica on cluster 1 wins: it entered
+  // its queue one latency after the user submitted, and the record keeps
+  // the user's instant.
+  constexpr double kLatency = 5.0;
+  exec::PdesCoordinator coord(2, kLatency, 1);
+  Platform platform(coord,
+                    homogeneous_configs(2, 8, workload::LublinParams{}),
+                    sched::Algorithm::kEasy);
+  Gateway gateway(platform);
+  coord.partition(0).schedule_at(1.0, [&gateway] {
+    gateway.submit(make_grid_job(1, 0, {0}, 8, 100.0));
+    gateway.submit(make_grid_job(2, 0, {0, 1}, 4, 10.0));
+  });
+  coord.run();
+  const metrics::JobRecords records = gateway.take_records();
+  ASSERT_EQ(records.size(), 2u);
+  const metrics::JobRecord& remote =
+      records[0].grid_id == 2 ? records[0] : records[1];
+  EXPECT_EQ(remote.winner_cluster, 1u);
+  EXPECT_EQ(remote.submit_time, 1.0);
+  EXPECT_EQ(remote.start_time, 1.0 + kLatency);
+  EXPECT_EQ(gateway.duplicate_starts(), 0u);
+  EXPECT_EQ(gateway.finished(), 2u);
 }
 
 TEST(Gateway, JobRunsExactlyOnceDespiteReplicas) {

@@ -83,7 +83,7 @@ struct Fixture {
   Fixture(std::size_t n, double rate)
       : platform(sim, homogeneous_configs(n, 8, workload::LublinParams{}),
                  sched::Algorithm::kEasy),
-        gateway(sim, platform) {
+        gateway(platform) {
     std::vector<MiddlewareStation*> raw;
     for (std::size_t i = 0; i < n; ++i) {
       stations.push_back(std::make_unique<MiddlewareStation>(sim, rate));
@@ -133,12 +133,12 @@ TEST(GatewayMiddleware, ValidatesConfiguration) {
   des::Simulation sim;
   Platform platform(sim, homogeneous_configs(2, 8, workload::LublinParams{}),
                     sched::Algorithm::kEasy);
-  Gateway gateway(sim, platform);
+  Gateway gateway(platform);
   MiddlewareStation station(sim, 1.0);
   EXPECT_THROW(gateway.set_middleware({&station}), std::invalid_argument);
   EXPECT_THROW(gateway.set_middleware({&station, nullptr}),
                std::invalid_argument);
-  Gateway predicting(sim, platform, /*record_predictions=*/true);
+  Gateway predicting(platform, /*record_predictions=*/true);
   MiddlewareStation s2(sim, 1.0);
   EXPECT_THROW(predicting.set_middleware({&station, &s2}),
                std::invalid_argument);

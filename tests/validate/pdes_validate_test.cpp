@@ -1,13 +1,13 @@
 // RRSIM_VALIDATE coverage for the PDES layer: a full multi-window
 // redundant run with every invariant armed must stay silent (including
-// the cross-agent tracking sweep), and the planted mailbox corruption —
+// the cross-partition tracking sweep), and the planted mailbox corruption —
 // a message warped into its destination's past, exactly the class of bug
 // the conservative contract exists to prevent — must abort.
 #include <gtest/gtest.h>
 
 #include "rrsim/exec/pdes.h"
-#include "rrsim/grid/pdes_gateway.h"
-#include "rrsim/sched/factory.h"
+#include "rrsim/grid/gateway.h"
+#include "rrsim/grid/platform.h"
 
 namespace rrsim {
 namespace {
@@ -33,14 +33,10 @@ TEST(ValidateClean, PdesRedundantRunWithValidatorsArmed) {
   constexpr std::size_t kN = 3;
   constexpr double kLatency = 5.0;
   exec::PdesCoordinator coord(kN, kLatency, 2);
-  std::vector<std::unique_ptr<sched::ClusterScheduler>> owned;
-  std::vector<sched::ClusterScheduler*> scheds;
-  for (std::size_t i = 0; i < kN; ++i) {
-    owned.push_back(
-        sched::make_scheduler(sched::Algorithm::kCbf, coord.partition(i), 8));
-    scheds.push_back(owned.back().get());
-  }
-  grid::PdesGateway gateway(coord, scheds, kLatency);
+  grid::Platform platform(
+      coord, grid::homogeneous_configs(kN, 8, workload::LublinParams{}),
+      sched::Algorithm::kCbf);
+  grid::Gateway gateway(platform);
   // Staggered redundant submissions from every origin: enough traffic to
   // queue, start, cancel in-flight siblings, and produce duplicate
   // starts — every mailbox/horizon/tracking validator fires repeatedly.

@@ -49,7 +49,7 @@ TEST(ValidateClean, RedundantCampaignRunsWithValidatorsArmed) {
   grid::Platform platform(
       sim, grid::homogeneous_configs(3, 8, workload::LublinParams{}),
       sched::Algorithm::kCbf);
-  grid::Gateway gateway(sim, platform);
+  grid::Gateway gateway(platform);
   // Enough redundant jobs to queue, start, cancel siblings, and finish —
   // every per-operation validator fires many times along the way.
   for (grid::GridJobId id = 1; id <= 12; ++id) {
@@ -141,7 +141,7 @@ TEST(ValidateDeath, GatewayValidatorTripsOnCorruptReplicaIndex) {
   grid::Platform platform(
       sim, grid::homogeneous_configs(2, 8, workload::LublinParams{}),
       sched::Algorithm::kCbf);
-  grid::Gateway gateway(sim, platform);
+  grid::Gateway gateway(platform);
   gateway.submit(make_grid_job(1, 0, {0, 1}, 4, 100.0));
   gateway.debug_corrupt_tracking();
   EXPECT_DEATH(gateway.debug_validate(), "does not map a tracked replica");

@@ -26,8 +26,10 @@
 // I/O error. In an RRSIM_VALIDATE build every replay also runs under the
 // kernel and scheduler oracles, making this an incremental-fast-path
 // fuzzer over permuted schedules (reported as "oracles_armed").
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "explore.h"
@@ -58,27 +60,25 @@ int run(int argc, char** argv) {
   if (cli.has("trace")) {
     config.trace_files.push_back(cli.get_string("trace", ""));
   }
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   if (cli.has("gen-ties")) {
-    const int slots = static_cast<int>(cli.get_int("gen-ties", 120));
-    if (slots < 1) {
-      std::fprintf(stderr, "rrsim_check: --gen-ties must be >= 1\n");
-      return 2;
-    }
+    const int slots =
+        static_cast<int>(cli.get_int_in("gen-ties", 120, 1, kIntMax));
     config.trace_files.push_back(rrsim::check::write_ties_trace(
         slots, /*ties_per_slot=*/3, "rrsim_check_ties.swf"));
   }
 
   rrsim::check::ExploreOptions opts;
   opts.exhaustive_k =
-      static_cast<std::size_t>(cli.get_int("check-k", 4));
-  opts.samples_above_k =
-      static_cast<std::size_t>(cli.get_int("check-samples", 4));
+      static_cast<std::size_t>(cli.get_int_in("check-k", 4, 0, kIntMax));
+  opts.samples_above_k = static_cast<std::size_t>(
+      cli.get_int_in("check-samples", 4, 0, kIntMax));
   opts.seed = static_cast<std::uint64_t>(
       cli.get_int("check-seed", static_cast<std::int64_t>(config.seed)));
-  opts.max_groups =
-      static_cast<std::size_t>(cli.get_int("check-max-groups", 0));
-  opts.max_schedules =
-      static_cast<std::size_t>(cli.get_int("check-max-schedules", 0));
+  opts.max_groups = static_cast<std::size_t>(
+      cli.get_int_in("check-max-groups", 0, 0, kIntMax));
+  opts.max_schedules = static_cast<std::size_t>(
+      cli.get_int_in("check-max-schedules", 0, 0, kIntMax));
   opts.drift_tolerance = cli.get_double("check-drift-tol", 0.0);
   opts.minimize_witnesses = !cli.get_bool("check-no-minimize", false);
 
