@@ -1,10 +1,11 @@
 // Internal to the core experiment engine: the one arrival mechanism of
-// both kernels. A pump owns the pull sources of some clusters (all of
-// them on the classic kernel, one per PDES partition), makes each job's
-// user and redundancy draws from that cluster's substreams, and schedules
-// every submission as its own kArrival event. What happens at dispatch —
-// replica placement and the gateway hand-off — is the kernel's `Submit`
-// callable.
+// both kernels. run_experiment() builds one pump per platform partition
+// over that partition's clusters (every cluster on the classic kernel,
+// one per PDES partition). A pump owns those clusters' pull sources,
+// makes each job's user and redundancy draws from that cluster's
+// substreams, and schedules every submission as its own kArrival event.
+// What happens at dispatch — replica placement and the gateway hand-off —
+// is run_experiment()'s `Submit` callable.
 //
 // Order contract. Clusters merge by (submit time, cluster). Before each
 // submit instant the pump stages every arrival of that instant, in

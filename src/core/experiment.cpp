@@ -1,17 +1,24 @@
 #include "rrsim/core/experiment.h"
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "arrival_pump.h"
 #include "experiment_detail.h"
 #include "rrsim/des/simulation.h"
+#include "rrsim/exec/pdes.h"
 #include "rrsim/grid/gateway.h"
+#include "rrsim/grid/middleware.h"
 #include "rrsim/grid/placement.h"
 #include "rrsim/grid/platform.h"
 #include "rrsim/metrics/queue_tracker.h"
+#include "rrsim/util/validate.h"
 #include "rrsim/workload/estimators.h"
 
 namespace rrsim::core {
@@ -34,45 +41,78 @@ SimResult run_experiment(const ExperimentConfig& config) {
   return run_experiment(config, workspace);
 }
 
+// The one run path of both kernels: the classic kernel is one partition
+// holding every cluster, the PDES kernel one coordinator partition per
+// cluster (exec/pdes.h, grid/gateway.h). Once the platform is built every
+// step loops over its partitions; three decisions depend on the kernel
+// (marked below). Each partition's pump, schedulers, gateway agent,
+// placement generator and queue tracker are touched only by that
+// partition, which makes PDES results independent of the worker count
+// (DESIGN.md §9).
 SimResult run_experiment(const ExperimentConfig& config,
                          ExperimentWorkspace& workspace) {
-  if (config.cross_cluster_latency < 0.0) {
-    throw std::invalid_argument("cross_cluster_latency must be >= 0");
+  // --- Input checks, before any state is built ---------------------------
+  const double latency = config.cross_cluster_latency;
+  if (!(latency >= 0.0) || !std::isfinite(latency)) {
+    throw std::invalid_argument(
+        "cross_cluster_latency must be finite and >= 0");
   }
-  if (config.cross_cluster_latency > 0.0 && !config.pdes) {
+  if (latency > 0.0 && !config.pdes) {
     throw std::invalid_argument(
         "cross_cluster_latency > 0 requires PDES mode (--pdes)");
+  }
+  if (!config.drain && (!(config.truncate_factor > 0.0) ||
+                        !std::isfinite(config.truncate_factor))) {
+    throw std::invalid_argument("truncate_factor must be finite and > 0");
+  }
+  if (!(config.middleware_ops_per_sec >= 0.0) ||
+      !std::isfinite(config.middleware_ops_per_sec)) {
+    throw std::invalid_argument(
+        "middleware_ops_per_sec must be finite and >= 0 (0 disables "
+        "middleware)");
   }
   // The parallel kernel only exists where cross-cluster edges do: with
   // one cluster (or zero latency) the classic zero-delay kernel *is* the
   // degenerate single-partition path, bit-identically.
-  if (config.pdes && config.cross_cluster_latency > 0.0 &&
-      config.n_clusters > 1) {
-    return detail::run_pdes_experiment(config);
+  const bool partitioned =
+      config.pdes && latency > 0.0 && config.n_clusters > 1;
+  // Least-loaded placement reads every cluster's live queue length at one
+  // instant. The gateway rejects the other features that need one instant
+  // view (middleware, predictions, the streaming sink) itself.
+  if (partitioned && config.placement == "least-loaded") {
+    throw std::invalid_argument(
+        "least-loaded placement needs a global queue view; "
+        "not supported in PDES mode");
   }
   detail::ResolvedClusters rc = detail::resolve_clusters(config);
-  std::vector<grid::ClusterConfig>& cluster_configs = rc.cluster_configs;
-  des::Simulation& sim = workspace.sim_;
-  sim.reset();
+  const std::size_t n = config.n_clusters;
 
-  // --- Acquire platform + gateway (reuse when the shape matches) --------
-  // Schedulers depend only on (algorithm, node count), so a workspace
-  // whose platform has the same cluster layout is reset in place; any
-  // mismatch reconstructs. The workload parameters stored inside the
-  // platform's configs are never read here — stream generation uses the
-  // freshly resolved cluster_configs above.
-  {
+  // --- Kernel decision 1: where the platform lives -----------------------
+  // PDES: a coordinator, platform and gateway local to this run, declared
+  // before everything that schedules into the partitions so the
+  // coordinator (holding whatever a truncated run leaves queued) is
+  // destroyed last. Never parked in the workspace: the gateway keeps every
+  // tracking entry for the whole run (DESIGN.md §9).
+  //
+  // Classic: the workspace's simulation, platform and gateway. Schedulers
+  // depend only on (algorithm, node count), so a platform with the same
+  // cluster layout is reset in place; any mismatch reconstructs. The
+  // workload parameters inside the platform's configs are never read.
+  std::optional<exec::PdesCoordinator> coord;
+  std::optional<grid::Platform> run_platform;
+  std::optional<grid::Gateway> run_gateway;
+  workspace.sim_.reset();
+  if (partitioned) {
+    coord.emplace(n, latency, config.pdes_jobs);
+    run_platform.emplace(*coord, rc.cluster_configs, config.algorithm);
+    run_gateway.emplace(*run_platform, config.record_predictions);
+  } else {
     bool reuse = workspace.platform_ != nullptr &&
                  workspace.platform_->algorithm() == config.algorithm &&
-                 workspace.platform_->size() == config.n_clusters;
-    if (reuse) {
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        if (workspace.platform_->cluster_sizes()[i] !=
-            cluster_configs[i].nodes) {
-          reuse = false;
-          break;
-        }
-      }
+                 workspace.platform_->size() == n;
+    for (std::size_t i = 0; reuse && i < n; ++i) {
+      reuse = workspace.platform_->cluster_sizes()[i] ==
+              rc.cluster_configs[i].nodes;
     }
     if (reuse) {
       workspace.platform_->reset();
@@ -83,60 +123,132 @@ SimResult run_experiment(const ExperimentConfig& config,
       workspace.gateway_.reset();
       workspace.platform_.reset();
       workspace.platform_ = std::make_unique<grid::Platform>(
-          sim, cluster_configs, config.algorithm);
+          workspace.sim_, rc.cluster_configs, config.algorithm);
       workspace.gateway_ = std::make_unique<grid::Gateway>(
           *workspace.platform_, config.record_predictions);
     }
   }
-  grid::Platform& platform = *workspace.platform_;
-  grid::Gateway& gateway = *workspace.gateway_;
+  grid::Platform& platform =
+      run_platform ? *run_platform : *workspace.platform_;
+  grid::Gateway& gateway = run_gateway ? *run_gateway : *workspace.gateway_;
+  const std::size_t partitions = platform.partitions();
+  const auto sim_of = [&coord,
+                       &workspace](std::size_t p) -> des::Simulation& {
+    return coord ? coord->partition(p) : workspace.sim_;
+  };
 
-  // Tie-break schedule hook (rrsim_check): installed before any event is
-  // scheduled; the gateway probe lets the explorer prove same-timestamp
-  // events on disjoint clusters independent. sim.reset() at the end of
-  // the run uninstalls the policy, so pooled workspaces never retain a
-  // pointer into a departed driver.
+  // Tie-break schedule hook (rrsim_check): one policy on every partition,
+  // installed before any event is scheduled and told apart by the
+  // partition id in each TieGroup. The coupling probe lets the explorer
+  // prove same-timestamp events on disjoint clusters independent: replica
+  // sets spanning clusters on one partition, undelivered messages across
+  // partitions. Policy calls come from whichever thread runs a window, so
+  // PDES explorer runs need one worker. The final reset (or the
+  // coordinator's end) uninstalls the policy, so pooled workspaces never
+  // keep a pointer to a policy its owner has since destroyed.
   if (config.tie_break_policy != nullptr) {
-    sim.set_tie_break_policy(config.tie_break_policy, 0);
-    config.tie_break_policy->attach_coupling_probe(
-        0, [&gateway] { return gateway.cross_cluster_links(); });
+    if (coord && coord->jobs() != 1) {
+      throw std::invalid_argument(
+          "tie_break_policy requires pdes_jobs == 1 (policy calls must be "
+          "single-threaded)");
+    }
+    for (std::size_t p = 0; p < partitions; ++p) {
+      const auto id = static_cast<std::uint32_t>(p);
+      sim_of(p).set_tie_break_policy(config.tie_break_policy, id);
+      config.tie_break_policy->attach_coupling_probe(id, [&coord, &gateway] {
+        return coord ? coord->in_flight_messages()
+                     : gateway.cross_cluster_links();
+      });
+    }
   }
 
-  // Declared before scheduling: the streaming sink points at result.stream
-  // and must outlive the run.
+  // --- Run wiring, before any event is scheduled -------------------------
+  // Declared here: the streaming sink points at result.stream and must
+  // outlive the run.
   SimResult result;
-  const auto stations = detail::wire_run(config, platform, gateway, result);
+  for (std::size_t i = 0; i < n; ++i) {
+    sched::ClusterScheduler& sched = platform.scheduler(i);
+    if (config.per_user_pending_limit > 0) {
+      sched.set_per_user_pending_limit(config.per_user_pending_limit);
+    }
+    // Streaming runs keep the schedulers' per-job tables O(live jobs): the
+    // gateway never reuses replica ids, so terminal lifecycle entries (and
+    // their submit-time predictions) can be dropped as they occur.
+    // Retained runs keep the historical full-lifecycle tables (set
+    // explicitly, not left to reset(), so a reused workspace is
+    // deterministic either way).
+    sched.set_forget_terminal_ids(!config.retain_records);
+  }
+  result.streamed = !config.retain_records;
+  if (!config.retain_records) gateway.set_record_sink(&result.stream);
+  // Middleware stations, one per cluster on that cluster's simulation. The
+  // gateway rejects them, like the streaming sink, on more than one
+  // partition.
+  std::vector<std::unique_ptr<grid::MiddlewareStation>> stations;
+  if (config.middleware_ops_per_sec > 0.0) {
+    std::vector<grid::MiddlewareStation*> raw;
+    for (std::size_t i = 0; i < n; ++i) {
+      stations.push_back(std::make_unique<grid::MiddlewareStation>(
+          platform.scheduler(i).simulation(),
+          config.middleware_ops_per_sec));
+      raw.push_back(stations.back().get());
+    }
+    gateway.set_middleware(std::move(raw));
+  }
   const auto placement = grid::make_placement(config.placement);
   const auto estimator = workload::make_estimator(config.estimator);
-
-  // --- Resolve inputs (shared with the PDES kernel) ----------------------
   detail::ResolvedInputs inputs = detail::resolve_inputs(
-      config, cluster_configs, rc.master, *estimator);
-  // Retained runs append every finished job as a record, sized once: every
-  // generated job finishes exactly once under drain, so the per-finish
-  // push_back never reallocates.
+      config, rc.cluster_configs, rc.master, *estimator);
+
+  // Retained runs append every finished job to its origin partition's
+  // record buffer, sized once to the jobs of that partition's clusters:
+  // every generated job finishes exactly once under drain, so the
+  // per-finish push_back never reallocates. Partition p's first cluster
+  // is cluster p.
   if (config.retain_records) {
-    gateway.reserve_records(0, inputs.jobs_generated);
+    std::vector<std::size_t> jobs_of(partitions, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      jobs_of[platform.partition_of(i)] += inputs.clusters[i].jobs;
+    }
+    for (std::size_t p = 0; p < partitions; ++p) {
+      gateway.reserve_records(p, jobs_of[p]);
+    }
   }
 
-  const std::size_t degree = config.scheme.degree(config.n_clusters);
+  // --- Kernel decision 2: placement substreams ---------------------------
+  // One placement generator per partition, so a redundant job picks its
+  // remotes on its origin's partition. One partition draws from the
+  // placement substream itself; P partitions fork it per partition p
+  // (which holds cluster p), so PDES targets differ from the classic
+  // kernel's at the same seed but not across worker counts. Only one
+  // partition sees every cluster's live queue length (least-loaded
+  // placement); across partitions the view holds the sizes alone.
+  std::vector<util::Rng> placement_rngs;
+  if (partitions == 1) {
+    placement_rngs.push_back(inputs.placement_rng);
+  } else {
+    for (std::size_t p = 0; p < partitions; ++p) {
+      placement_rngs.push_back(inputs.placement_rng.fork(p));
+    }
+  }
+  const bool live_view = partitions == 1;
+  const std::size_t degree = config.scheme.degree(n);
   const double inflation = config.remote_inflation;
-  // Chooses the remote targets of one redundant job at its submission
-  // instant, so informed placement policies (least-loaded) observe the
-  // live queue lengths.
   const auto submit = [&platform, &gateway, &placement = *placement,
-                       &placement_rng = inputs.placement_rng, degree,
+                       &placement_rngs, live_view, degree,
                        inflation](grid::GridJob& job) {
     if (job.redundant && degree > 1) {
       std::vector<std::size_t> lengths;
-      lengths.reserve(platform.size());
-      for (std::size_t c = 0; c < platform.size(); ++c) {
-        lengths.push_back(platform.scheduler(c).queue_length());
+      if (live_view) {
+        lengths.reserve(platform.size());
+        for (std::size_t c = 0; c < platform.size(); ++c) {
+          lengths.push_back(platform.scheduler(c).queue_length());
+        }
       }
       const grid::PlatformView view{platform.cluster_sizes(), lengths};
-      auto remotes = placement.choose_remotes(job.origin, job.spec.nodes,
-                                              view, degree - 1,
-                                              placement_rng);
+      auto remotes = placement.choose_remotes(
+          job.origin, job.spec.nodes, view, degree - 1,
+          placement_rngs[platform.partition_of(job.origin)]);
       job.targets.insert(job.targets.end(), remotes.begin(), remotes.end());
       job.redundant = job.targets.size() > 1;
     } else {
@@ -144,42 +256,75 @@ SimResult run_experiment(const ExperimentConfig& config,
     }
     gateway.submit(job, inflation);
   };
-  // Under a redundant scheme every arrival couples globally: placement
-  // draws from the single shared placement substream and snapshots every
-  // cluster's queue length, so permuting same-timestamp arrivals — even
-  // ones submitting to different clusters — reorders the RNG draws and
-  // changes replica targets. Arrival events therefore carry their
-  // origin-cluster tag only when no placement draw can happen
-  // (degree <= 1); otherwise they are untagged so schedule explorers
-  // (tools/check) treat them as dependent on everything.
-  detail::ArrivalPump pump(sim, config, /*tag_arrivals=*/degree <= 1, submit);
-  for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    pump.add(i, inputs.clusters[i]);
+
+  // One pump per partition over its own clusters, added in ascending
+  // order. Arrivals carry their origin-cluster tag unless placement
+  // couples them: on one partition under a redundant scheme every arrival
+  // draws from the one shared placement substream and snapshots every
+  // cluster's queue length, so permuting same-timestamp arrivals — even on
+  // different clusters — changes replica targets. Untagged arrivals are
+  // dependent on everything for schedule explorers (tools/check).
+  const bool tag_arrivals = degree <= 1 || partitions > 1;
+  using Pump = detail::ArrivalPump<decltype(submit)>;
+  std::deque<Pump> pumps;
+  for (std::size_t p = 0; p < partitions; ++p) {
+    pumps.emplace_back(sim_of(p), config, tag_arrivals, submit);
   }
-  pump.start();
+  for (std::size_t i = 0; i < n; ++i) {
+    pumps[platform.partition_of(i)].add(i, inputs.clusters[i]);
+  }
+  for (Pump& pump : pumps) pump.start();
 
   // --- Queue observation ---------------------------------------------------
-  std::vector<metrics::QueueTracker::Probe> probes;
-  probes.reserve(config.n_clusters);
-  for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    probes.emplace_back([&platform, i] {
-      return platform.scheduler(i).queue_length();
-    });
-  }
-  metrics::QueueTracker tracker(sim, std::move(probes),
-                                config.queue_sample_interval,
-                                config.submit_horizon);
-
-  if (config.drain) {
-    sim.run();  // every job eventually starts and finishes
-  } else {
-    if (config.truncate_factor <= 0.0) {
-      throw std::invalid_argument("truncate_factor must be > 0");
+  // One tracker per partition over that partition's clusters (a tracker
+  // may only probe schedulers of its own partition). probe_of[i] is
+  // cluster i's (tracker, probe) slot.
+  std::deque<metrics::QueueTracker> trackers;
+  std::vector<std::pair<std::size_t, std::size_t>> probe_of(n);
+  {
+    std::vector<std::vector<metrics::QueueTracker::Probe>> probes(partitions);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t p = platform.partition_of(i);
+      probe_of[i] = {p, probes[p].size()};
+      probes[p].emplace_back([&sched = platform.scheduler(i)] {
+        return sched.queue_length();
+      });
     }
-    sim.run_until(config.submit_horizon * config.truncate_factor);
+    for (std::size_t p = 0; p < partitions; ++p) {
+      trackers.emplace_back(sim_of(p), std::move(probes[p]),
+                            config.queue_sample_interval,
+                            config.submit_horizon);
+    }
   }
 
-  detail::collect_counters(platform, gateway, result);
+  // --- Kernel decision 3: advancing to the limit -------------------------
+  // Drained runs go until every job has started and finished.
+  const des::Time limit = config.drain
+                              ? des::kTimeInfinity
+                              : config.submit_horizon * config.truncate_factor;
+  if (coord) {
+    coord->run(limit);
+  } else if (config.drain) {
+    workspace.sim_.run();
+  } else {
+    workspace.sim_.run_until(limit);
+  }
+
+#if RRSIM_VALIDATE_ENABLED
+  gateway.debug_validate();
+#endif
+
+  // --- Results --------------------------------------------------------------
+  result.ops = platform.total_counters();
+  result.gateway_cancels = gateway.cancellations_issued();
+  result.replicas_rejected = gateway.replicas_rejected();
+  result.replicas_dropped = gateway.replicas_dropped();
+  result.duplicate_starts = gateway.duplicate_starts();
+  result.duplicate_finishes = gateway.duplicate_finishes();
+  result.live_state_bytes = gateway.live_state_bytes();
+  for (std::size_t i = 0; i < n; ++i) {
+    result.live_state_bytes += platform.scheduler(i).live_state_bytes();
+  }
   for (const auto& station : stations) {
     result.middleware_max_backlog =
         std::max(result.middleware_max_backlog,
@@ -187,30 +332,33 @@ SimResult run_experiment(const ExperimentConfig& config,
     result.middleware_mean_sojourn +=
         station->mean_sojourn() / static_cast<double>(stations.size());
   }
+  result.pdes_windows = coord ? coord->windows() : 0;
   result.jobs_generated = inputs.jobs_generated;
-  result.avg_max_queue = tracker.avg_max_length();
-  result.queue_growth_per_hour.reserve(config.n_clusters);
-  for (std::size_t i = 0; i < config.n_clusters; ++i) {
-    result.queue_growth_per_hour.push_back(tracker.growth_per_hour(i));
+  double max_sum = 0.0;
+  result.queue_growth_per_hour.reserve(n);
+  for (const auto& [p, k] : probe_of) {
+    max_sum += static_cast<double>(trackers[p].max_length(k));
+    result.queue_growth_per_hour.push_back(trackers[p].growth_per_hour(k));
   }
-  result.end_time = sim.now();
-  result.live_state_bytes += pump.live_state_bytes();
-  result.resident_trace_bytes = pump.resident_trace_bytes();
+  result.avg_max_queue = max_sum / static_cast<double>(n);
+  for (std::size_t p = 0; p < partitions; ++p) {
+    result.end_time = std::max(result.end_time, sim_of(p).now());
+    result.events_dispatched += sim_of(p).dispatched();
+  }
+  for (const Pump& pump : pumps) {
+    result.live_state_bytes += pump.live_state_bytes();
+    result.resident_trace_bytes += pump.resident_trace_bytes();
+  }
+  if (config.drain && gateway.finished() != inputs.jobs_generated) {
+    throw std::logic_error(
+        "conservation violation: not every grid job finished exactly once");
+  }
   result.records = gateway.take_records();
   gateway.set_record_sink(nullptr);
-  if (config.drain) {
-    const std::uint64_t finished = config.retain_records
-                                       ? result.records.size()
-                                       : gateway.finished();
-    if (finished != inputs.jobs_generated) {
-      throw std::logic_error(
-          "conservation violation: not every grid job finished exactly once");
-    }
-  }
-  // Leave the workspace inert: arrival events captured the pump, a local
+  // Leave the workspace inert: arrival events captured the pumps, locals
   // of this call; reset() both frees the slab's callbacks and guarantees
   // none can ever fire.
-  sim.reset();
+  workspace.sim_.reset();
   return result;
 }
 

@@ -1,9 +1,8 @@
 // Internal to the core experiment engine: resolution of everything a run
 // consumes *before* any event fires — per-cluster workload parameters,
-// the memoized job sources, and the user/redundancy substream positions —
-// shared by the classic sequential kernel (experiment.cpp) and the
-// conservative parallel kernel (pdes_experiment.cpp), which both feed the
-// result to detail::ArrivalPump (arrival_pump.h).
+// the memoized job sources, and the user/redundancy substream positions.
+// run_experiment() (experiment.cpp), the one run path of both kernels,
+// feeds the result to detail::ArrivalPump (arrival_pump.h).
 //
 // The fork order across resolve_clusters() + resolve_inputs() is
 // load-bearing twice over: the TraceCache keys on the workload/estimator
@@ -21,8 +20,6 @@
 #include <vector>
 
 #include "rrsim/core/experiment.h"
-#include "rrsim/grid/gateway.h"
-#include "rrsim/grid/middleware.h"
 #include "rrsim/grid/platform.h"
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/calibrate.h"
@@ -93,11 +90,13 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
           "cluster_mean_iat entries must be finite and > 0");
     }
   }
-  if (config.redundant_fraction < 0.0 || config.redundant_fraction > 1.0) {
+  if (!(config.redundant_fraction >= 0.0 &&
+        config.redundant_fraction <= 1.0)) {
     throw std::invalid_argument("redundant_fraction must be in [0, 1]");
   }
-  if (config.submit_horizon < 0.0) {
-    throw std::invalid_argument("submit_horizon must be >= 0");
+  if (!(config.submit_horizon >= 0.0) ||
+      !std::isfinite(config.submit_horizon)) {
+    throw std::invalid_argument("submit_horizon must be finite and >= 0");
   }
 
   ResolvedClusters out{{}, util::Rng(config.seed)};
@@ -345,65 +344,5 @@ inline ResolvedInputs resolve_inputs(
   }
   return out;
 }
-
-/// The run wiring both kernels share, applied before any event is
-/// scheduled: per-user pending limits; streaming runs fold records into
-/// result.stream; middleware stations, one per cluster on that cluster's
-/// simulation. The gateway rejects streaming and middleware on more than
-/// one partition. Returns the stations, which must outlive the run.
-inline std::vector<std::unique_ptr<grid::MiddlewareStation>> wire_run(
-    const ExperimentConfig& config, grid::Platform& platform,
-    grid::Gateway& gateway, SimResult& result) {
-  for (std::size_t i = 0; i < platform.size(); ++i) {
-    sched::ClusterScheduler& sched = platform.scheduler(i);
-    if (config.per_user_pending_limit > 0) {
-      sched.set_per_user_pending_limit(config.per_user_pending_limit);
-    }
-    // Streaming runs keep the schedulers' per-job tables O(live jobs): the
-    // gateway never reuses replica ids, so terminal lifecycle entries (and
-    // their submit-time predictions) can be dropped as they occur.
-    // Retained runs keep the historical full-lifecycle tables (set
-    // explicitly, not left to reset(), so a reused workspace is
-    // deterministic either way).
-    sched.set_forget_terminal_ids(!config.retain_records);
-  }
-  result.streamed = !config.retain_records;
-  if (!config.retain_records) gateway.set_record_sink(&result.stream);
-  std::vector<std::unique_ptr<grid::MiddlewareStation>> stations;
-  if (config.middleware_ops_per_sec > 0.0) {
-    std::vector<grid::MiddlewareStation*> raw;
-    for (std::size_t i = 0; i < platform.size(); ++i) {
-      stations.push_back(std::make_unique<grid::MiddlewareStation>(
-          platform.scheduler(i).simulation(),
-          config.middleware_ops_per_sec));
-      raw.push_back(stations.back().get());
-    }
-    gateway.set_middleware(std::move(raw));
-  }
-  return stations;
-}
-
-/// The counters both kernels report after a run: operation counts summed
-/// over the schedulers, the gateway's replica counters, and the live
-/// state of both (added to result.live_state_bytes).
-inline void collect_counters(const grid::Platform& platform,
-                             const grid::Gateway& gateway,
-                             SimResult& result) {
-  result.ops = platform.total_counters();
-  result.gateway_cancels = gateway.cancellations_issued();
-  result.replicas_rejected = gateway.replicas_rejected();
-  result.replicas_dropped = gateway.replicas_dropped();
-  result.duplicate_starts = gateway.duplicate_starts();
-  result.duplicate_finishes = gateway.duplicate_finishes();
-  result.live_state_bytes += gateway.live_state_bytes();
-  for (std::size_t i = 0; i < platform.size(); ++i) {
-    result.live_state_bytes += platform.scheduler(i).live_state_bytes();
-  }
-}
-
-/// The conservative-PDES run path (pdes_experiment.cpp). run_experiment()
-/// dispatches here when config.pdes && cross_cluster_latency > 0 &&
-/// n_clusters > 1.
-SimResult run_pdes_experiment(const ExperimentConfig& config);
 
 }  // namespace rrsim::core::detail

@@ -211,6 +211,9 @@ struct SimResult {
   /// > 0). The quantity the stream_window option exists to bound.
   std::size_t resident_trace_bytes = 0;
   sched::OpCounters ops;        ///< summed over all schedulers
+  /// Events the kernel dispatched (des::Simulation::dispatched()), summed
+  /// over the run's partitions: a deterministic count of the run's work.
+  std::uint64_t events_dispatched = 0;
   std::uint64_t gateway_cancels = 0;  ///< replica cancellations issued
   std::uint64_t replicas_rejected = 0;  ///< refused by per-user limits
   std::uint64_t replicas_dropped = 0;  ///< skipped (job already started)
@@ -231,14 +234,18 @@ struct SimResult {
   double end_time = 0.0;  ///< simulated time when everything drained
 };
 
-/// Reusable per-run simulation state: the DES event slab, the Platform
-/// (schedulers with their profiles and queues) and the Gateway (replica
-/// maps and record buffer). Sweep workers keep one workspace per thread
-/// and run every work unit through it, so the arenas those structures grew
-/// on the first replication stay warm for all later ones. Reuse is strictly behaviour-preserving: every component is
-/// reset to its just-constructed state between runs (the tests pin
-/// equality against fresh construction), and the Platform/Gateway pair is
-/// reconstructed whenever the cluster shape or algorithm changes.
+/// Reusable per-run simulation state of the classic kernel: the DES event
+/// slab, the Platform (schedulers with their profiles and queues) and the
+/// Gateway (replica maps and record buffer). Sweep workers keep one
+/// workspace per thread and run every work unit through it, so the arenas
+/// those structures grew on the first replication stay warm for all later
+/// ones. Reuse is strictly behaviour-preserving: every component is reset
+/// to its just-constructed state between runs (the tests pin equality
+/// against fresh construction), and the Platform/Gateway pair is
+/// reconstructed whenever the cluster shape or algorithm changes. PDES
+/// runs build their coordinator, platform and gateway afresh and leave the
+/// workspace's platform untouched: their gateway keeps every tracking
+/// entry for the whole run, which a parked copy would carry into the next.
 class ExperimentWorkspace {
  public:
   ExperimentWorkspace();

@@ -2,20 +2,23 @@
 // harness accepts the same core flags, so the paper's experiments can be
 // re-run under varied protocols without recompiling.
 //
-// Flags consumed by apply_common_flags():
+// Flags consumed by apply_common_flags(); every floating-point value must
+// be finite (util::Cli::get_double):
 //   --clusters=N      number of sites, 1..2^20
 //   --nodes=K         nodes per cluster, 1..2^31-1
-//   --hours=H         hours of job submissions
+//   --hours=H         hours of job submissions (>= 0)
 //   --algo=easy|cbf|fcfs
 //   --estimator=exact|phi|uniform216
 //   --scheme=NONE|R2|R3|R4|HALF|ALL
-//   --percent=P       percentage of jobs using redundant requests
+//   --percent=P       percentage of jobs using redundant requests, in
+//                     [0, 100]
 //   --placement=uniform|biased
 //   --load=shared|peak|util  arrival-rate mode (see LoadMode)
 //   --util=U          per-cluster offered load for --load=util (finite,
 //                     > 0)
 //   --protocol=drain|truncate
-//   --mw-rate=R       middleware ops/s per cluster (0 = instantaneous)
+//   --mw-rate=R       middleware ops/s per cluster, >= 0 (0 =
+//                     instantaneous)
 //   --user-limit=L    per-user pending-request cap, 0..2^31-1 (0 = off)
 //   --users=U         users per cluster (population for the cap), 1..4096
 //   --seed=S

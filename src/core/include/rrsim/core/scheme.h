@@ -32,9 +32,9 @@ struct RedundancyScheme {
   /// The scheme a run on an N-cluster platform actually executes: none()
   /// at degree <= 1, fixed(degree(N)) otherwise, so schemes that send the
   /// same number of requests compare equal (R2, R3, R4 and ALL at N = 2).
-  /// Exact: both kernels read the scheme only through degree(N)
-  /// (experiment.cpp, pdes_experiment.cpp) and is_none() (the arrival
-  /// pump's redundancy coin, the draw-segment key). At degree <= 1 the
+  /// Exact: both kernels read the scheme only through degree(N) (the one
+  /// run path, experiment.cpp) and is_none() (the arrival pump's
+  /// redundancy coin, the draw-segment key). At degree <= 1 the
   /// submit path clears job.redundant and never places a replica, so the
   /// coins an active scheme draws have no observer; a run with the
   /// effective scheme is identical in every record, counter and queue

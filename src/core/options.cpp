@@ -46,7 +46,12 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
         static_cast<int>(cli.get_int_in("nodes", 0, 1, kIntMax));
   }
   if (cli.has("hours")) {
-    config.submit_horizon = cli.get_double("hours", 0.0) * 3600.0;
+    const double hours = cli.get_double("hours", 0.0);
+    if (hours < 0.0) {
+      throw std::invalid_argument("--hours must be >= 0 (got " +
+                                  cli.get_string("hours", "") + ")");
+    }
+    config.submit_horizon = hours * 3600.0;
   }
   if (cli.has("algo")) {
     config.algorithm = sched::parse_algorithm(cli.get_string("algo", ""));
@@ -58,7 +63,12 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     config.scheme = RedundancyScheme::parse(cli.get_string("scheme", ""));
   }
   if (cli.has("percent")) {
-    config.redundant_fraction = cli.get_double("percent", 100.0) / 100.0;
+    const double percent = cli.get_double("percent", 100.0);
+    if (percent < 0.0 || percent > 100.0) {
+      throw std::invalid_argument("--percent must be in [0, 100] (got " +
+                                  cli.get_string("percent", "") + ")");
+    }
+    config.redundant_fraction = percent / 100.0;
   }
   if (cli.has("placement")) {
     config.placement = cli.get_string("placement", "uniform");
@@ -86,7 +96,13 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     }
   }
   if (cli.has("mw-rate")) {
-    config.middleware_ops_per_sec = cli.get_double("mw-rate", 0.0);
+    const double rate = cli.get_double("mw-rate", 0.0);
+    if (rate < 0.0) {
+      throw std::invalid_argument("--mw-rate must be >= 0 ops/s (got " +
+                                  cli.get_string("mw-rate", "") +
+                                  "; 0 = instantaneous)");
+    }
+    config.middleware_ops_per_sec = rate;
   }
   if (cli.has("user-limit")) {
     config.per_user_pending_limit =

@@ -29,10 +29,6 @@ class QueueTracker {
   /// Largest queue length ever sampled for cluster `i`.
   std::size_t max_length(std::size_t i) const;
 
-  /// Mean of per-cluster maxima — the paper's "average maximum queue size
-  /// across all clusters".
-  double avg_max_length() const;
-
   /// Sampled series for cluster `i`: (time, length) pairs.
   const std::vector<std::pair<double, std::size_t>>& series(
       std::size_t i) const;

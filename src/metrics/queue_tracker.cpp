@@ -39,15 +39,6 @@ std::size_t QueueTracker::max_length(std::size_t i) const {
   return best;
 }
 
-double QueueTracker::avg_max_length() const {
-  if (series_.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < series_.size(); ++i) {
-    total += static_cast<double>(max_length(i));
-  }
-  return total / static_cast<double>(series_.size());
-}
-
 const std::vector<std::pair<double, std::size_t>>& QueueTracker::series(
     std::size_t i) const {
   return series_.at(i);

@@ -1,5 +1,6 @@
 #include "rrsim/util/cli.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace rrsim::util {
@@ -91,12 +92,12 @@ double Cli::get_double(const std::string& name, double fallback) const {
   try {
     std::size_t pos = 0;
     const double out = std::stod(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing chars");
-    return out;
+    if (pos == v->size() && std::isfinite(out)) return out;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                *v + "'");
+    // not a number, or outside double: reported below
   }
+  throw std::invalid_argument("flag --" + name +
+                              " expects a finite number, got '" + *v + "'");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

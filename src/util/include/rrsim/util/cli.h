@@ -36,7 +36,9 @@ class Cli {
   std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
                           std::int64_t lo, std::int64_t hi) const;
 
-  /// Floating-point value of `--name`, or `fallback` if absent.
+  /// Floating-point value of `--name`, or `fallback` if absent. Throws
+  /// std::invalid_argument if present but not a finite number (NaN and
+  /// infinities included). The fallback is returned unchecked.
   double get_double(const std::string& name, double fallback) const;
 
   /// Boolean: `--name` alone, or `--name=true/false/1/0/yes/no`.

@@ -346,10 +346,11 @@ TEST(ExperimentProbeTest, ExplorationIsDeterministic) {
 TEST(ExperimentProbeTest, RedundantArrivalsAreUntagged) {
   // Under a redundant scheme every arrival consumes shared global state
   // (the single placement substream plus the live queue-length snapshot
-  // in place_job), so same-timestamp arrivals on different clusters are
-  // still order-coupled. The schedule sites must leave them untagged —
-  // a cluster tag would let the DPOR criterion prune their permutations
-  // as independent and certify a falsely IDENTICAL verdict.
+  // in run_experiment's submit step), so same-timestamp arrivals on
+  // different clusters are still order-coupled. The schedule sites must
+  // leave them untagged — a cluster tag would let the DPOR criterion
+  // prune their permutations as independent and certify a falsely
+  // IDENTICAL verdict.
   const std::string path = explore_ties_trace();
   core::ExperimentConfig redundant = ties_config(path);
   redundant.scheme = core::RedundancyScheme::fixed(2);

@@ -91,6 +91,48 @@ TEST(Experiment, NonFiniteLoadInputsAreRejected) {
   }
 }
 
+TEST(Experiment, NonFiniteRunInputsAreRejected) {
+  // NaN passes every `x < lo` check. Unchecked, a NaN horizon simulates
+  // no jobs, a NaN fraction turns redundancy off, a NaN latency picks the
+  // zero-delay kernel, a NaN or negative middleware rate turns middleware
+  // off, and a NaN truncation factor drains the run and reports a NaN end
+  // time.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExperimentConfig c = small_config();
+  // ASSERT: an infinite horizon would otherwise generate jobs until
+  // allocation fails.
+  c.submit_horizon = inf;
+  ASSERT_THROW(run_experiment(c), std::invalid_argument);
+  c.submit_horizon = nan;
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+
+  c = small_config();
+  c.redundant_fraction = nan;
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+
+  c = small_config();
+  c.pdes = true;
+  c.pdes_jobs = 1;
+  for (const double latency : {nan, inf, -inf}) {
+    c.cross_cluster_latency = latency;
+    EXPECT_THROW(run_experiment(c), std::invalid_argument) << latency;
+  }
+
+  c = small_config();
+  for (const double rate : {-3.0, nan, inf}) {
+    c.middleware_ops_per_sec = rate;
+    EXPECT_THROW(run_experiment(c), std::invalid_argument) << rate;
+  }
+
+  c = small_config();
+  c.drain = false;
+  for (const double factor : {nan, inf}) {
+    c.truncate_factor = factor;
+    EXPECT_THROW(run_experiment(c), std::invalid_argument) << factor;
+  }
+}
+
 TEST(Experiment, DrainCompletesEveryJob) {
   const SimResult r = run_experiment(small_config());
   EXPECT_GT(r.jobs_generated, 0u);

@@ -195,6 +195,24 @@ TEST(CommonFlags, JobsFlagIsRangeCheckedBeforeTheIntConversion) {
   exec::set_default_jobs(0);  // --jobs is process-wide; don't leak it
 }
 
+TEST(CommonFlags, DoubleFlagsAreRangeChecked) {
+  EXPECT_DOUBLE_EQ(parse({"--hours=0"}).submit_horizon, 0.0);
+  EXPECT_DOUBLE_EQ(parse({"--percent=0"}).redundant_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(parse({"--percent=100"}).redundant_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(parse({"--mw-rate=0"}).middleware_ops_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(parse({"--mw-rate=2.5"}).middleware_ops_per_sec, 2.5);
+  // Unchecked, NaN runs no jobs (--hours), turns redundancy off
+  // (--percent), picks the zero-delay kernel (--latency) or turns
+  // middleware off (--mw-rate), each silently; --hours=inf generates jobs
+  // until allocation fails.
+  for (const char* flag :
+       {"--hours=-1", "--hours=nan", "--hours=inf", "--percent=-5",
+        "--percent=101", "--percent=nan", "--mw-rate=-3", "--mw-rate=nan",
+        "--mw-rate=inf", "--latency=nan", "--latency=inf"}) {
+    EXPECT_THROW(parse({flag}), std::invalid_argument) << flag;
+  }
+}
+
 TEST(CommonFlags, BadValuesThrow) {
   EXPECT_THROW(parse({"--algo=unknown"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scheme=R0"}), std::invalid_argument);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "rrsim/core/paper.h"
 #include "rrsim/metrics/summary.h"
 
@@ -159,6 +161,56 @@ TEST(WorkspaceReuse, FeatureStateDoesNotLeakAcrossRuns) {
   ASSERT_FALSE(reference.records.empty());
   EXPECT_TRUE(predicted.records.front().predicted_start.has_value());
   EXPECT_FALSE(reference.records.front().predicted_start.has_value());
+}
+
+TEST(WorkspaceReuse, PdesRunLeavesTheWorkspacePlatformAlone) {
+  // One workspace hosts both kernels in turn: classic, PDES, classic, then
+  // classic streaming. The PDES run builds its own coordinator, platform
+  // and gateway, so the classic run after it still reuses the workspace's
+  // platform, and every run equals a fresh-workspace run.
+  ExperimentConfig classic = tiny_config();
+  classic.scheme = RedundancyScheme::fixed(2);
+  ExperimentConfig pdes = classic;
+  pdes.pdes = true;
+  pdes.cross_cluster_latency = 60.0;
+  pdes.pdes_jobs = 1;
+  ExperimentConfig streaming = classic;
+  streaming.retain_records = false;
+
+  ExperimentWorkspace ws;
+  const SimResult first = run_experiment(classic, ws);
+  EXPECT_EQ(ws.platform_reuses(), 0u);
+  const SimResult partitioned = run_experiment(pdes, ws);
+  EXPECT_EQ(ws.platform_reuses(), 0u);
+  const SimResult third = run_experiment(classic, ws);
+  EXPECT_EQ(ws.platform_reuses(), 1u);  // the PDES run left it in place
+  const SimResult streamed = run_experiment(streaming, ws);
+  EXPECT_EQ(ws.platform_reuses(), 2u);
+
+  const SimResult fresh_classic = run_experiment(classic);
+  const SimResult fresh_pdes = run_experiment(pdes);
+  const SimResult fresh_streamed = run_experiment(streaming);
+  expect_identical(first, fresh_classic);
+  expect_identical(third, fresh_classic);
+  expect_identical(partitioned, fresh_pdes);
+  expect_identical(streamed, fresh_streamed);
+  for (const auto& [got, want] :
+       {std::pair{&first, &fresh_classic}, std::pair{&third, &fresh_classic},
+        std::pair{&partitioned, &fresh_pdes},
+        std::pair{&streamed, &fresh_streamed}}) {
+    EXPECT_EQ(got->events_dispatched, want->events_dispatched);
+    EXPECT_EQ(got->duplicate_starts, want->duplicate_starts);
+    EXPECT_EQ(got->pdes_windows, want->pdes_windows);
+    EXPECT_EQ(got->queue_growth_per_hour, want->queue_growth_per_hour);
+  }
+  EXPECT_GT(partitioned.pdes_windows, 0u);
+  ASSERT_TRUE(streamed.streamed);
+  EXPECT_EQ(streamed.stream.jobs(), fresh_streamed.stream.jobs());
+  EXPECT_EQ(streamed.stream.jobs(), first.records.size());
+  EXPECT_EQ(streamed.stream.metrics().avg_stretch,
+            fresh_streamed.stream.metrics().avg_stretch);
+  EXPECT_EQ(streamed.stream.metrics().avg_stretch,
+            metrics::compute_metrics(first.records).avg_stretch);
 }
 
 TEST(WorkspaceReuse, ThreadWorkspacePersistsPerThread) {

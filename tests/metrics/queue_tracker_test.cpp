@@ -36,14 +36,15 @@ TEST(QueueTracker, StopsAtHorizon) {
   EXPECT_EQ(tracker.series(0).size(), 2u);  // samples at 10 and 20
 }
 
-TEST(QueueTracker, AvgMaxAcrossProbes) {
+TEST(QueueTracker, MaxLengthPerProbe) {
   des::Simulation sim;
   QueueTracker tracker(sim,
                        {[] { return std::size_t{4}; },
                         [] { return std::size_t{8}; }},
                        10.0, 20.0);
   sim.run();
-  EXPECT_DOUBLE_EQ(tracker.avg_max_length(), 6.0);
+  EXPECT_EQ(tracker.max_length(0), 4u);
+  EXPECT_EQ(tracker.max_length(1), 8u);
 }
 
 TEST(QueueTracker, GrowthPerHourLinearQueue) {

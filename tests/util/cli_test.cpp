@@ -68,6 +68,23 @@ TEST(Cli, DoubleParsing) {
   EXPECT_THROW(make({"--u=abc"}).get_double("u", 0), std::invalid_argument);
 }
 
+TEST(Cli, DoubleRejectsNonFiniteValues) {
+  // NaN passes every `x < lo` range check and an infinity sizes nothing
+  // sensibly, so no flag accepts them; the error names the flag.
+  for (const char* flag : {"--u=nan", "--u=NaN", "--u=-nan", "--u=inf",
+                           "--u=-inf", "--u=infinity", "--u=1e999"}) {
+    try {
+      make({flag}).get_double("u", 0);
+      ADD_FAILURE() << flag << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--u"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(make({"--u=-1e300"}).get_double("u", 0), -1e300);
+  EXPECT_DOUBLE_EQ(make({}).get_double("u", 2.5), 2.5);
+}
+
 TEST(Cli, NegativeNumbersAsValues) {
   // `--key=value` form supports negative numbers unambiguously.
   EXPECT_EQ(make({"--n=-3"}).get_int("n", 0), -3);
