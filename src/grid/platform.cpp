@@ -37,15 +37,7 @@ void Platform::build(des::Simulation* shared) {
 
 sched::OpCounters Platform::total_counters() const {
   sched::OpCounters total;
-  for (const auto& s : schedulers_) {
-    const sched::OpCounters& c = s->counters();
-    total.submits += c.submits;
-    total.cancels += c.cancels;
-    total.starts += c.starts;
-    total.finishes += c.finishes;
-    total.declines += c.declines;
-    total.sched_passes += c.sched_passes;
-  }
+  for (const auto& s : schedulers_) total += s->counters();
   return total;
 }
 

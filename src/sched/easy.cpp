@@ -11,15 +11,9 @@ void EasyScheduler::handle_submit(Job job) {
 }
 
 Job EasyScheduler::handle_cancel(JobId id) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id == id) {
-      Job job = *it;
-      queue_.erase(it);
-      schedule_pass();  // cancellation opens backfill opportunities
-      return job;
-    }
-  }
-  throw std::logic_error("easy: cancel of non-pending job");
+  Job job = queue_.take(queue_.slot_of(id));
+  schedule_pass();  // cancellation opens backfill opportunities
+  return job;
 }
 
 void EasyScheduler::handle_completion(const Job& job) {
@@ -38,14 +32,11 @@ void EasyScheduler::handle_completion(const Job& job) {
 }
 
 std::vector<const Job*> EasyScheduler::pending_in_order() const {
-  std::vector<const Job*> out;
-  out.reserve(queue_.size());
-  for (const Job& j : queue_) out.push_back(&j);
-  return out;
+  return queue_.in_order();
 }
 
 EasyScheduler::Shadow EasyScheduler::compute_shadow() const {
-  const Job& head = queue_.front();
+  const Job& head = queue_.job(queue_.head());
   int avail = free_nodes();
   for (const auto& [end, nodes] : running_ends_) {
     avail += nodes;
@@ -60,7 +51,7 @@ EasyScheduler::Shadow EasyScheduler::compute_shadow() const {
 
 std::optional<Time> EasyScheduler::head_shadow_time() const {
   if (queue_.empty()) return std::nullopt;
-  if (queue_.front().nodes <= free_nodes()) return sim_.now();
+  if (queue_.nodes(queue_.head()) <= free_nodes()) return sim_.now();
   return compute_shadow().time;
 }
 
@@ -83,41 +74,41 @@ void EasyScheduler::schedule_pass() {
   count_pass();
   for (;;) {
     // Phase 1: strict FCFS starts from the head.
-    while (!queue_.empty() && queue_.front().nodes <= free_nodes()) {
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      start_and_track(std::move(job));
+    while (!queue_.empty() && queue_.nodes(queue_.head()) <= free_nodes()) {
+      start_and_track(queue_.take(queue_.head()));
     }
-    if (queue_.empty()) return;
+    if (queue_.empty()) break;
 
     // Phase 2: backfill behind the (non-fitting) head under the one-
-    // reservation rule. Shadow/extra are maintained incrementally: a
-    // backfilled job that may outlive the shadow consumes `extra`.
+    // reservation rule, visiting only the jobs that fit the free nodes.
+    // Shadow/extra are maintained incrementally: a backfilled job that may
+    // outlive the shadow consumes `extra`.
     Shadow shadow = compute_shadow();
     const Time now = sim_.now();
-    bool queue_changed = false;  // a decline invalidates iterators/shadow
-    for (auto it = std::next(queue_.begin());
-         it != queue_.end() && free_nodes() > 0;) {
-      const bool fits_now = it->nodes <= free_nodes();
+    bool declined = false;
+    for (PendingQueue::Slot s = queue_.head() + 1; free_nodes() > 0; ++s) {
+      s = queue_.next_fitting(s, free_nodes());
+      if (s == queue_.end()) break;
+      const Job& candidate = queue_.job(s);
       const bool ends_before_shadow =
-          now + it->requested_time <= shadow.time;
-      const bool within_extra = it->nodes <= shadow.extra;
-      if (fits_now && (ends_before_shadow || within_extra)) {
-        Job job = *it;
-        it = queue_.erase(it);
+          now + candidate.requested_time <= shadow.time;
+      const bool within_extra = candidate.nodes <= shadow.extra;
+      if (ends_before_shadow || within_extra) {
+        Job job = queue_.take(s);
         if (!ends_before_shadow) shadow.extra -= job.nodes;
         if (!start_and_track(std::move(job))) {
           // Decline: the start did not happen, so the shadow bookkeeping
           // above may now be stale; restart the whole pass.
-          queue_changed = true;
+          declined = true;
           break;
         }
-      } else {
-        ++it;
       }
     }
-    if (!queue_changed) return;
+    if (!declined) break;
   }
+#if RRSIM_VALIDATE_ENABLED
+  queue_.debug_validate();
+#endif
 }
 
 }  // namespace rrsim::sched

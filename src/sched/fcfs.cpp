@@ -1,7 +1,5 @@
 #include "rrsim/sched/fcfs.h"
 
-#include <stdexcept>
-
 namespace rrsim::sched {
 
 void FcfsScheduler::handle_submit(Job job) {
@@ -10,33 +8,26 @@ void FcfsScheduler::handle_submit(Job job) {
 }
 
 Job FcfsScheduler::handle_cancel(JobId id) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id == id) {
-      Job job = *it;
-      queue_.erase(it);
-      schedule_pass();  // removing the head may unblock successors
-      return job;
-    }
-  }
-  throw std::logic_error("fcfs: cancel of non-pending job");
+  Job job = queue_.take(queue_.slot_of(id));
+  schedule_pass();  // removing the head may unblock successors
+  return job;
 }
 
 void FcfsScheduler::handle_completion(const Job&) { schedule_pass(); }
 
 std::vector<const Job*> FcfsScheduler::pending_in_order() const {
-  std::vector<const Job*> out;
-  out.reserve(queue_.size());
-  for (const Job& j : queue_) out.push_back(&j);
-  return out;
+  return queue_.in_order();
 }
 
 void FcfsScheduler::schedule_pass() {
   count_pass();
-  while (!queue_.empty() && queue_.front().nodes <= free_nodes()) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    try_start(std::move(job));  // declined jobs simply leave the queue
+  while (!queue_.empty() && queue_.nodes(queue_.head()) <= free_nodes()) {
+    // Declined jobs simply leave the queue.
+    try_start(queue_.take(queue_.head()));
   }
+#if RRSIM_VALIDATE_ENABLED
+  queue_.debug_validate();
+#endif
 }
 
 }  // namespace rrsim::sched

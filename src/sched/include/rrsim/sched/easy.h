@@ -6,10 +6,10 @@
 // algorithms running in deployed systems today".
 #pragma once
 
-#include <deque>
 #include <utility>
 #include <vector>
 
+#include "rrsim/sched/pending_queue.h"
 #include "rrsim/sched/scheduler.h"
 
 namespace rrsim::sched {
@@ -24,14 +24,13 @@ class EasyScheduler final : public ClusterScheduler {
   std::size_t queue_length() const override { return queue_.size(); }
 
   void reset() override {
-    ClusterScheduler::reset();
     queue_.clear();
     running_ends_.clear();
+    ClusterScheduler::reset();
   }
 
   std::size_t live_state_bytes() const noexcept override {
-    return ClusterScheduler::live_state_bytes() +
-           queue_.size() * sizeof(Job) +
+    return ClusterScheduler::live_state_bytes() + queue_.memory_bytes() +
            running_ends_.capacity() * sizeof(running_ends_[0]);
   }
 
@@ -43,6 +42,7 @@ class EasyScheduler final : public ClusterScheduler {
 #if RRSIM_VALIDATE_ENABLED
   void debug_validate() const override {
     ClusterScheduler::debug_validate();
+    queue_.debug_validate();
     validate_ends();
   }
 #endif
@@ -85,7 +85,7 @@ class EasyScheduler final : public ClusterScheduler {
   }
 #endif
 
-  std::deque<Job> queue_;
+  PendingQueue queue_;
   /// Running jobs as (requested_end, nodes), kept sorted across
   /// start/finish so compute_shadow never re-sorts the running set. The
   /// pair ordering matches what sorting running_requested_ends() yielded.

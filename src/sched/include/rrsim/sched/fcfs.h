@@ -3,8 +3,7 @@
 // comparator.
 #pragma once
 
-#include <deque>
-
+#include "rrsim/sched/pending_queue.h"
 #include "rrsim/sched/scheduler.h"
 
 namespace rrsim::sched {
@@ -19,13 +18,20 @@ class FcfsScheduler final : public ClusterScheduler {
   std::size_t queue_length() const override { return queue_.size(); }
 
   void reset() override {
-    ClusterScheduler::reset();
     queue_.clear();
+    ClusterScheduler::reset();
   }
 
   std::size_t live_state_bytes() const noexcept override {
-    return ClusterScheduler::live_state_bytes() + queue_.size() * sizeof(Job);
+    return ClusterScheduler::live_state_bytes() + queue_.memory_bytes();
   }
+
+#if RRSIM_VALIDATE_ENABLED
+  void debug_validate() const override {
+    ClusterScheduler::debug_validate();
+    queue_.debug_validate();
+  }
+#endif
 
  protected:
   void handle_submit(Job job) override;
@@ -37,7 +43,7 @@ class FcfsScheduler final : public ClusterScheduler {
   /// Starts queued jobs from the head while they fit.
   void schedule_pass();
 
-  std::deque<Job> queue_;
+  PendingQueue queue_;
 };
 
 }  // namespace rrsim::sched

@@ -26,6 +26,18 @@ struct OpCounters {
   std::uint64_t finishes = 0;   ///< jobs that ran to completion
   std::uint64_t declines = 0;   ///< grants refused by the owner
   std::uint64_t sched_passes = 0;  ///< scheduling passes executed
+
+  /// Adds every field of `other` (platform-wide totals).
+  OpCounters& operator+=(const OpCounters& other) noexcept {
+    submits += other.submits;
+    rejects += other.rejects;
+    cancels += other.cancels;
+    starts += other.starts;
+    finishes += other.finishes;
+    declines += other.declines;
+    sched_passes += other.sched_passes;
+    return *this;
+  }
 };
 
 /// Batch scheduler for a single cluster.
@@ -146,8 +158,8 @@ class ClusterScheduler {
   /// per-job tables (lifecycle index, predictions, running set, per-user
   /// counts) plus the algorithm's own pending structures. Capacity-based,
   /// so it reports the run's high-water footprint even after erasures —
-  /// the number the memory-budget benches track. Deque-backed queues are
-  /// counted at current size (std::deque exposes no capacity).
+  /// the number the memory-budget benches track. CBF's dispatch heap is
+  /// counted at current size (std::priority_queue exposes no capacity).
   virtual std::size_t live_state_bytes() const noexcept;
 
   /// Returns the scheduler to its just-constructed state — empty queue,

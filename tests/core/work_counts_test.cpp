@@ -87,5 +87,20 @@ TEST(WorkCounts, PdesRunIsTheSameWorkOnAnyWorkerCount) {
   }
 }
 
+TEST(WorkCounts, RejectsAreSummedOverClusters) {
+  // A per-user pending limit refuses replicas; the platform total must
+  // carry the schedulers' rejects like every other counter.
+  ExperimentConfig c = figure_config_quick();
+  c.n_clusters = 4;
+  c.scheme = RedundancyScheme::fixed(4);
+  c.per_user_pending_limit = 2;
+  const SimResult r = run_experiment(c);
+  EXPECT_EQ(r.jobs_generated, 4681u);
+  EXPECT_GT(r.replicas_rejected, 0u);
+  EXPECT_EQ(r.ops.rejects, r.replicas_rejected);
+  expect_counts(r,
+                {12560, {7471, 11253, 2046, 4681, 4681, 744, 14198}, 2790});
+}
+
 }  // namespace
 }  // namespace rrsim::core

@@ -11,6 +11,7 @@
 #include "rrsim/grid/gateway.h"
 #include "rrsim/grid/platform.h"
 #include "rrsim/sched/cbf.h"
+#include "rrsim/sched/pending_queue.h"
 #include "rrsim/sched/profile.h"
 
 namespace rrsim {
@@ -45,22 +46,27 @@ sched::Job make_job(sched::JobId id, int nodes, double runtime) {
 // --- positive runs: armed validators stay silent --------------------------
 
 TEST(ValidateClean, RedundantCampaignRunsWithValidatorsArmed) {
-  des::Simulation sim;
-  grid::Platform platform(
-      sim, grid::homogeneous_configs(3, 8, workload::LublinParams{}),
-      sched::Algorithm::kCbf);
-  grid::Gateway gateway(platform);
-  // Enough redundant jobs to queue, start, cancel siblings, and finish —
-  // every per-operation validator fires many times along the way.
-  for (grid::GridJobId id = 1; id <= 12; ++id) {
-    const std::size_t origin = id % 3;
-    gateway.submit(make_grid_job(id, origin, {0, 1, 2}, 4, 30.0 + id));
-  }
-  sim.run();
-  EXPECT_EQ(gateway.finished(), 12u);
-  gateway.debug_validate();
-  for (std::size_t i = 0; i < platform.size(); ++i) {
-    platform.scheduler(i).debug_validate();
+  for (const sched::Algorithm algo :
+       {sched::Algorithm::kCbf, sched::Algorithm::kEasy,
+        sched::Algorithm::kFcfs}) {
+    des::Simulation sim;
+    grid::Platform platform(
+        sim, grid::homogeneous_configs(3, 8, workload::LublinParams{}),
+        algo);
+    grid::Gateway gateway(platform);
+    // Enough redundant jobs to queue, start, cancel siblings, and finish —
+    // every per-operation validator fires many times along the way.
+    for (grid::GridJobId id = 1; id <= 12; ++id) {
+      const std::size_t origin = id % 3;
+      gateway.submit(make_grid_job(id, origin, {0, 1, 2}, 4,
+                                   30.0 + static_cast<double>(id)));
+    }
+    sim.run();
+    EXPECT_EQ(gateway.finished(), 12u);
+    gateway.debug_validate();
+    for (std::size_t i = 0; i < platform.size(); ++i) {
+      platform.scheduler(i).debug_validate();
+    }
   }
 }
 
@@ -134,6 +140,17 @@ TEST(ValidateDeath, CbfValidatorTripsOnCorruptQueueIndex) {
   sched.debug_corrupt_index();
   EXPECT_DEATH(sched.debug_validate(),
                "pos_ entry does not point at the job's queue slot");
+}
+
+TEST(ValidateDeath, PendingQueueValidatorTripsOnCorruptIndex) {
+  sched::PendingQueue queue;
+  for (sched::JobId id = 1; id <= 3; ++id) {
+    queue.push_back(make_job(id, 2, 10.0));
+  }
+  queue.debug_validate();
+  queue.debug_corrupt_index();
+  EXPECT_DEATH(queue.debug_validate(),
+               "a live slot's id does not map back to it");
 }
 
 TEST(ValidateDeath, GatewayValidatorTripsOnCorruptReplicaIndex) {
