@@ -2,11 +2,14 @@
 //
 // Drives one schedule–cancel–dispatch churn workload — batched arrivals
 // spread over a wide horizon, a quarter of them cancelled before firing,
-// callbacks injecting same-pass follow-ups, exactly the event mix a
-// redundant-request campaign produces — through the production kernel
-// (calendar queue + inline callbacks + pooled slab) and through an
-// in-file replica of the design it replaced (one binary heap over the
-// whole pending set, std::function callbacks, lazy-skip cancels).
+// callbacks injecting same-pass follow-ups, the event mix of a
+// redundant-request campaign that schedules its arrivals far ahead
+// (about 4 000 pending; with rrsim's arrival pump the perfbench
+// workloads peak at 70 to 1 809) — through the production kernel
+// (one binary heap of 24-byte entries over a pooled slab, inline
+// callbacks, cancelled entries purged once they outnumber live events)
+// and through an in-file replica of the seed tree's kernel (one binary
+// heap of 40-byte entries, std::function callbacks, lazy-skip cancels).
 // Verifies both kernels dispatch the identical event sequence in the
 // same run that measures the speedup, benchmarks the flat job-table maps
 // against the std containers they replaced, and writes everything to
@@ -52,8 +55,8 @@ double seconds_since(Clock::time_point start) {
 // ordered by (time, priority, sequence) over the *entire* pending set,
 // slots holding std::function callbacks (heap-allocating for any capture
 // beyond the SBO), cancels retiring the slot and leaving the heap entry
-// to be skipped lazily at pop. Kept in-file so the calendar queue's win
-// stays measurable against the design it replaced.
+// to be skipped lazily at pop. Kept in-file as the trace-equivalence
+// reference for the production kernel and as its speed baseline.
 class LegacyKernel {
  public:
   class EventHandle {
@@ -188,9 +191,9 @@ class LegacyKernel {
 
 // ---------------------------------------------------------------------------
 // Kernel churn workload. Each batch schedules a spread of events over a
-// wide horizon (deep far tier), cancels a quarter of them, then advances
-// half the horizon so roughly half the batch stays pending into the next
-// one — steady-state churn, not a drain-from-empty toy. A fifth of the
+// wide horizon, cancels a quarter of them, then advances half the
+// horizon so roughly half the batch stays pending into the next one —
+// steady-state churn, not a drain-from-empty toy. A fifth of the
 // dispatched events schedule a short-fuse follow-up from inside their
 // callback, exercising schedule-during-dispatch. The dispatch trace is
 // folded into a checksum keyed by event id and the bit pattern of the
@@ -384,7 +387,7 @@ int main(int argc, char** argv) {
     std::printf("=== micro_kernel - DES kernel hot-path throughput ===\n");
     std::printf(
         "schedule-cancel-dispatch churn (%d batches x %d events, 25%%\n"
-        "cancelled, 20%% follow-up insertions) through the calendar-queue\n"
+        "cancelled, 20%% follow-up insertions) through the pooled-heap\n"
         "kernel and the binary-heap + std::function design it replaced;\n"
         "dispatch traces must be bit-identical. Then job-table map churn\n"
         "(%lld ops) through the flat maps and their std counterparts.\n\n",
@@ -394,7 +397,7 @@ int main(int argc, char** argv) {
     ChurnStats fresh, legacy;
     if (mode != "legacy") {
       fresh = run_churn<des::Simulation>(batches, events, kSeed);
-      print_kernel_row("calendar", fresh);
+      print_kernel_row("pooled", fresh);
     }
     if (mode != "new") {
       legacy = run_churn<LegacyKernel>(batches, events, kSeed);
@@ -409,10 +412,10 @@ int main(int argc, char** argv) {
           fresh.cancelled != legacy.cancelled ||
           fresh.scheduled != legacy.scheduled) {
         throw std::runtime_error(
-            "equivalence violation: calendar-queue kernel diverged from "
+            "equivalence violation: pooled-heap kernel diverged from "
             "the binary-heap baseline");
       }
-      std::printf("\ncalendar vs binary-heap: %.2fx  (traces "
+      std::printf("\npooled vs binary-heap: %.2fx  (traces "
                   "bit-identical)\n\n",
                   legacy.elapsed / fresh.elapsed);
     } else {
@@ -461,9 +464,9 @@ int main(int argc, char** argv) {
                  batches, events, mode.c_str());
     if (mode != "legacy") {
       std::fprintf(f,
-                   "  \"kernel_calendar_seconds\": %.4f,\n"
-                   "  \"kernel_calendar_events_per_sec\": %.0f,\n"
-                   "  \"kernel_calendar_dispatched\": %llu,\n",
+                   "  \"kernel_pooled_seconds\": %.4f,\n"
+                   "  \"kernel_pooled_events_per_sec\": %.0f,\n"
+                   "  \"kernel_pooled_dispatched\": %llu,\n",
                    fresh.elapsed, fresh.ops_per_sec(),
                    static_cast<unsigned long long>(fresh.dispatched));
     }

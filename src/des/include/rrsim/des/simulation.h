@@ -13,24 +13,17 @@
 // (slot, generation) pair: recycling a slot bumps its generation, so a
 // stale handle can never cancel a later event that reuses its slot.
 //
-// The pending set is a two-tier calendar queue over the slab:
-//
-//   far tier   — an overflow list plus, per "season", an array of time
-//                buckets; membership is intrusive (doubly linked through
-//                slab slots), so inserting and cancelling far events is
-//                O(1) and allocation-free.
-//   near tier  — a small binary heap holding exactly the events with
-//                time < heap_limit_; the heap top is therefore always
-//                the global minimum under the (time, priority, sequence)
-//                total order, which keeps dispatch order bit-identical
-//                to the plain-binary-heap kernel this design replaced.
-//
-// When the near heap empties, the next non-empty bucket is drained into
-// it (amortized O(1) per event); when a season's buckets are exhausted,
-// the overflow list is scanned once and re-bucketed over its actual time
-// span. DES workloads here schedule most events far ahead (all arrivals
-// up front, completions a runtime ahead), so the near heap stays tiny and
-// cache-resident instead of growing with the whole pending population.
+// The pending set is one binary heap over the slab. Each 24-byte entry
+// holds the event time, a key packing the priority above the insertion
+// sequence (priority << 56 | seq), and the slot index, so ordering costs
+// one double and one integer comparison and the heap top is always the
+// earliest event under the (time, priority, sequence) total order. An
+// entry is live iff its slot still carries the entry's seq: cancelling or
+// firing an event retires the slot at once and leaves the entry behind,
+// to be skipped when it reaches the top. When cancelled entries outnumber
+// the live events (the heap exceeds 2 x live + 64), schedule_at drops them
+// all in one pass and re-heapifies, so the heap stays O(live events) under
+// any amount of cancel-and-reschedule churn.
 #pragma once
 
 #include <cstdint>
@@ -218,9 +211,8 @@ class Simulation {
   void run_before(Time t);
 
   /// Timestamp of the earliest live event, or kTimeInfinity when none
-  /// remain. May refill the near heap from the calendar tiers and drop
-  /// stale (cancelled) heap entries, but dispatches nothing and never
-  /// changes the observable dispatch order.
+  /// remain. May drop stale (cancelled) entries off the heap top, but
+  /// dispatches nothing and never changes the observable dispatch order.
   Time next_event_time();
 
   /// Number of live (non-cancelled) events still queued.
@@ -234,13 +226,12 @@ class Simulation {
   std::size_t pool_capacity() const noexcept { return slots_.size(); }
 
   /// Returns the simulation to its initial state — time 0, no events, no
-  /// dispatch history — while keeping the event slab, free list, heap,
-  /// and bucket storage allocated, so a reset simulation schedules its
-  /// first events with warm arenas. Every outstanding EventHandle becomes
-  /// inert (each slot's generation is bumped), so a stale handle can
-  /// neither cancel nor report pending for events of the next run. A
-  /// reset simulation is indistinguishable, event-order-wise, from a
-  /// freshly constructed one.
+  /// dispatch history — while keeping the event slab, free list and heap
+  /// storage allocated, so a reset simulation schedules its first events
+  /// with warm arenas. Every outstanding EventHandle becomes inert (each
+  /// slot's generation is bumped), so a stale handle can neither cancel
+  /// nor report pending for events of the next run. A reset simulation is
+  /// indistinguishable, event-order-wise, from a freshly constructed one.
   void reset() noexcept;
 
 #if RRSIM_VALIDATE_ENABLED
@@ -270,44 +261,32 @@ class Simulation {
 #endif
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// Sentinel bucket index marking membership in the overflow list.
-  static constexpr std::uint32_t kOverflowBucket = 0xfffffffeu;
-  /// Overflow populations at or below this size skip bucketing and move
-  /// straight into the near heap (a plain-heap season), so tiny event
-  /// populations never pay the per-season bucket-array scan. Measured on
-  /// the micro_campaign 1k-live churn: raising this to 2048 made the
-  /// kernel ~40% slower (bucketed refills keep the near heap a few
-  /// entries deep, which beats O(log n) pushes even at n = 1024), so the
-  /// threshold only covers populations too small to subdivide at all.
-  static constexpr std::size_t kDirectMoveThreshold = 64;
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = 1024;
-
-  enum class Where : std::uint8_t {
-    kFree = 0,  ///< on the free list
-    kNear = 1,  ///< in the near heap (entry holds a by-value copy)
-    kFar = 2,   ///< linked into a bucket or the overflow list
-  };
+  /// Heap-entry key layout: the priority sits above a 56-bit insertion
+  /// sequence, so one integer compare orders both axes (at 20 M events/s,
+  /// 2^56 events take over a century).
+  static constexpr int kPriorityShift = 56;
+  static constexpr std::uint64_t kSeqMask =
+      (std::uint64_t{1} << kPriorityShift) - 1;
+  /// Seq of a slot that holds no event; no heap entry ever carries it.
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+  /// The heap may hold this many cancelled entries beyond one per live
+  /// event before schedule_at purges them, so small populations never
+  /// re-heapify.
+  static constexpr std::size_t kPurgeSlack = 64;
 
   // One pooled event. `generation` counts retirements of the slot: a
-  // heap entry or handle created with generation g is live iff the slot
-  // still holds generation g. Cancelling or firing retires the slot
-  // (bumps the generation and returns the index to the free list). Far
-  // events are additionally linked through prev/next, so cancelling one
-  // unlinks and retires it immediately — O(1), and the slot is reusable
-  // at once (the pooled-slab recycling tests pin this).
+  // handle created with generation g is live iff the slot still holds
+  // generation g. `seq` is the queued event's insertion sequence (kNoSeq
+  // while the slot is free), so a heap entry is live iff its slot still
+  // carries the entry's seq. Cancelling or firing retires the slot at
+  // once (bumps the generation, clears the seq, returns the index to the
+  // free list), so the slot is reusable immediately — the pooled-slab
+  // recycling tests pin this.
   struct Slot {
     Callback callback;
     std::uint64_t generation = 0;
-    Time time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t next = kNil;
-    std::uint32_t prev = kNil;
-    std::uint32_t bucket = kNil;  ///< owning list while kFar
+    std::uint64_t seq = kNoSeq;
     std::uint32_t tag = kNoEventTag;
-    std::uint8_t priority = 0;
-    Where where = Where::kFree;
 #if RRSIM_VALIDATE_ENABLED
     /// Dispatch count at schedule time. The order oracle compares the
     /// full (time, priority, seq) triple only against events that were
@@ -317,70 +296,64 @@ class Simulation {
     std::uint64_t epoch = 0;
 #endif
   };
-  struct QueueEntry {
+  struct Entry {
     Time time;
-    int priority;
-    std::uint64_t seq;
+    std::uint64_t key;  ///< priority << kPriorityShift | seq
     std::uint32_t slot;
-    std::uint64_t gen;
   };
   struct Compare {
     // std::push_heap/pop_heap build a max-heap; invert so the earliest
     // (time, priority, seq) triple is dispatched first. The heap lives in
-    // a plain vector (not std::priority_queue) so reset() can clear it
-    // without surrendering its capacity.
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
+    // a plain vector (not std::priority_queue) so the purge can filter it
+    // in place and reset() can clear it without surrendering capacity.
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      return a.time != b.time ? a.time > b.time : a.key > b.key;
     }
   };
 
-  /// True if queue entry / handle coordinates still refer to a live event.
+  static int priority_of(const Entry& e) noexcept {
+    return static_cast<int>(e.key >> kPriorityShift);
+  }
+  static std::uint64_t seq_of(const Entry& e) noexcept {
+    return e.key & kSeqMask;
+  }
+
+  /// True if handle coordinates still refer to a queued event.
   bool is_live(std::uint32_t slot, std::uint64_t gen) const noexcept {
     return slot < slots_.size() && slots_[slot].generation == gen;
+  }
+
+  /// True if a heap entry's event is still queued (not fired, cancelled).
+  bool is_live(const Entry& e) const noexcept {
+    return slots_[e.slot].seq == seq_of(e);
   }
 
   /// Retires a live slot: destroys its callback (callers that dispatch
   /// move it out first), bumps the generation, recycles the index.
   void retire(std::uint32_t slot) noexcept;
 
-  /// Removes a far event from its bucket/overflow list (O(1)).
-  void unlink(std::uint32_t slot) noexcept;
-
-  /// Links `slot` at the head of bucket `b` (kOverflowBucket = overflow).
-  void link(std::uint32_t slot, std::uint32_t b) noexcept;
-
-  /// Start time of bucket `i` in the current season.
-  Time bucket_start(std::size_t i) const noexcept {
-    return bucket_base_ + static_cast<Time>(i) * bucket_width_;
-  }
-
-  /// Bucket for a far event at time `t` in the active season. Guarantees
-  /// the correctness invariant: an event placed in bucket b > cur_bucket_
-  /// has t >= bucket_start(b), so draining earlier buckets never raises
-  /// heap_limit_ past an event still waiting in a later bucket.
-  std::uint32_t bucket_index(Time t) const noexcept;
-
-  /// Moves a far list (given by its head) into the near heap.
-  void drain_list_to_heap(std::uint32_t head);
-
-  /// Refills the near heap from the calendar tiers. Returns false iff no
-  /// events remain anywhere (heap, buckets, overflow).
-  bool refill();
-
-  /// Starts a new season from the overflow list: either buckets it over
-  /// its time span or, for small populations, moves it straight into the
-  /// near heap.
-  void start_season();
-
   /// Heap helpers over heap_ (min-first per Compare).
-  void heap_push(const QueueEntry& e);
+  void heap_push(const Entry& e);
   void heap_pop() noexcept;
+
+  /// Pops cancelled entries off the heap top. Returns the live top (the
+  /// earliest queued event), or nullptr when nothing is queued.
+  const Entry* live_top() noexcept;
+
+  /// Drops every cancelled entry and re-heapifies.
+  void purge_cancelled();
+
+  /// Runs the event in `slot`, due at `t`: retires the slot before the
+  /// callback runs, so the callback may reuse it.
+  void fire(std::uint32_t slot, Time t);
 
   /// Dispatch path while a TieBreakPolicy is installed: gathers the
   /// minimal-(time, priority) cohort and lets the policy choose.
   bool step_policy();
+
+  /// Appends the live members of the open group found in the subtree
+  /// rooted at heap_[i] to group_members_.
+  void gather_cohort(std::size_t i);
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -388,20 +361,7 @@ class Simulation {
   std::size_t live_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-
-  // Near tier: exact (time, priority, seq) heap of events < heap_limit_.
-  std::vector<QueueEntry> heap_;
-  Time heap_limit_ = 0.0;
-
-  // Far tier: current season's buckets plus the overflow list.
-  std::vector<std::uint32_t> bucket_heads_;  // kNil-terminated lists
-  std::size_t n_buckets_ = 0;                // 0: no active season
-  std::size_t cur_bucket_ = 0;               // next undrained bucket
-  Time bucket_base_ = 0.0;
-  Time bucket_width_ = 0.0;
-  Time bucket_range_end_ = 0.0;
-  std::uint32_t overflow_head_ = kNil;
-  std::size_t overflow_count_ = 0;
+  std::vector<Entry> heap_;
 
   // Tie-break policy hook (nullptr = default seq-order fast path). The
   // group trackers delimit maximal runs of same-(time, priority)

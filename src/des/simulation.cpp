@@ -10,11 +10,8 @@ namespace rrsim::des {
 
 bool Simulation::EventHandle::cancel() noexcept {
   if (sim_ == nullptr || !sim_->is_live(slot_, gen_)) return false;
-  // Far events unlink in O(1); near events leave their heap entry behind
-  // (lazily skipped at pop, exactly like the plain-heap kernel). Either
-  // way the slot itself is retired immediately, so the pooled-slab
-  // recycling guarantees are unchanged.
-  if (sim_->slots_[slot_].where == Where::kFar) sim_->unlink(slot_);
+  // The heap entry stays behind and is skipped once it reaches the top
+  // (or dropped by the next purge); the slot itself retires at once.
   sim_->retire(slot_);  // drops the callback's captures promptly
   if (sim_->live_ > 0) --sim_->live_;
   sim_ = nullptr;
@@ -29,59 +26,11 @@ void Simulation::retire(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.callback = nullptr;  // drop captured resources; cheap if already moved
   ++s.generation;
-  s.where = Where::kFree;
+  s.seq = kNoSeq;
   free_slots_.push_back(slot);
 }
 
-void Simulation::unlink(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
-  } else if (s.bucket == kOverflowBucket) {
-    overflow_head_ = s.next;
-  } else {
-    bucket_heads_[s.bucket] = s.next;
-  }
-  if (s.next != kNil) slots_[s.next].prev = s.prev;
-  if (s.bucket == kOverflowBucket) --overflow_count_;
-  s.next = kNil;
-  s.prev = kNil;
-  s.bucket = kNil;
-}
-
-void Simulation::link(std::uint32_t slot, std::uint32_t b) noexcept {
-  std::uint32_t& head =
-      (b == kOverflowBucket) ? overflow_head_ : bucket_heads_[b];
-  Slot& s = slots_[slot];
-  s.prev = kNil;
-  s.next = head;
-  s.bucket = b;
-  s.where = Where::kFar;
-  if (head != kNil) slots_[head].prev = slot;
-  head = slot;
-  if (b == kOverflowBucket) ++overflow_count_;
-}
-
-std::uint32_t Simulation::bucket_index(Time t) const noexcept {
-  const Time rel = (t - bucket_base_) / bucket_width_;
-  std::size_t idx;
-  if (!(rel > 0.0)) {
-    idx = 0;
-  } else if (rel >= static_cast<Time>(n_buckets_)) {
-    idx = n_buckets_ - 1;
-  } else {
-    idx = static_cast<std::size_t>(rel);
-    if (idx >= n_buckets_) idx = n_buckets_ - 1;  // FP edge of the cast
-  }
-  if (idx < cur_bucket_) idx = cur_bucket_;
-  // The division may round up across a bucket boundary; walk down until
-  // the bucket's computed start covers `t`. Events may legally land in
-  // bucket cur_bucket_ even below its start (it is the next one drained).
-  while (idx > cur_bucket_ && t < bucket_start(idx)) --idx;
-  return static_cast<std::uint32_t>(idx);
-}
-
-void Simulation::heap_push(const QueueEntry& e) {
+void Simulation::heap_push(const Entry& e) {
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Compare{});
 }
@@ -91,100 +40,17 @@ void Simulation::heap_pop() noexcept {
   heap_.pop_back();
 }
 
-void Simulation::drain_list_to_heap(std::uint32_t head) {
-  for (std::uint32_t i = head; i != kNil;) {
-    Slot& s = slots_[i];
-    const std::uint32_t next = s.next;
-    s.next = kNil;
-    s.prev = kNil;
-    s.bucket = kNil;
-    s.where = Where::kNear;
-    heap_push(QueueEntry{s.time, static_cast<int>(s.priority), s.seq, i,
-                         s.generation});
-    i = next;
+const Simulation::Entry* Simulation::live_top() noexcept {
+  while (!heap_.empty()) {
+    if (is_live(heap_.front())) return &heap_.front();
+    heap_pop();
   }
+  return nullptr;
 }
 
-void Simulation::start_season() {
-  // One scan of the overflow list for population and time span.
-  Time min_t = slots_[overflow_head_].time;
-  Time max_t = min_t;
-  for (std::uint32_t i = overflow_head_; i != kNil; i = slots_[i].next) {
-    const Time t = slots_[i].time;
-    min_t = std::min(min_t, t);
-    max_t = std::max(max_t, t);
-  }
-  const std::size_t n = overflow_count_;
-  std::size_t n_buckets = 0;
-  Time width = 0.0;
-  if (n > kDirectMoveThreshold && max_t > min_t) {
-    n_buckets = std::clamp(n / 8, kMinBuckets, kMaxBuckets);
-    width = (max_t - min_t) / static_cast<Time>(n_buckets);
-    if (!(width > 0.0)) n_buckets = 0;  // span too narrow to subdivide
-  }
-  std::uint32_t i = overflow_head_;
-  overflow_head_ = kNil;
-  overflow_count_ = 0;
-  if (n_buckets == 0) {
-    // Plain-heap season: the whole population moves into the near heap.
-    while (i != kNil) {
-      Slot& s = slots_[i];
-      const std::uint32_t next = s.next;
-      s.next = kNil;
-      s.prev = kNil;
-      s.bucket = kNil;
-      s.where = Where::kNear;
-      heap_push(QueueEntry{s.time, static_cast<int>(s.priority), s.seq, i,
-                           s.generation});
-      i = next;
-    }
-    heap_limit_ =
-        std::nextafter(max_t, std::numeric_limits<Time>::infinity());
-    return;
-  }
-  if (bucket_heads_.size() < n_buckets) bucket_heads_.resize(n_buckets, kNil);
-  bucket_base_ = min_t;
-  bucket_width_ = width;
-  n_buckets_ = n_buckets;
-  cur_bucket_ = 0;
-  bucket_range_end_ = bucket_start(n_buckets);
-  if (!(bucket_range_end_ > max_t)) {
-    // FP guard: the last bucket must absorb max_t.
-    bucket_range_end_ =
-        std::nextafter(max_t, std::numeric_limits<Time>::infinity());
-  }
-  while (i != kNil) {
-    const std::uint32_t next = slots_[i].next;
-    link(i, bucket_index(slots_[i].time));
-    i = next;
-  }
-}
-
-bool Simulation::refill() {
-  for (;;) {
-    while (n_buckets_ != 0) {
-      if (cur_bucket_ == n_buckets_) {
-        // Season exhausted; everything below its range is dispatched or
-        // already in the heap.
-        n_buckets_ = 0;
-        cur_bucket_ = 0;
-        heap_limit_ = bucket_range_end_;
-        break;
-      }
-      const std::size_t b = cur_bucket_++;
-      heap_limit_ = (cur_bucket_ == n_buckets_) ? bucket_range_end_
-                                                : bucket_start(cur_bucket_);
-      const std::uint32_t head = bucket_heads_[b];
-      if (head != kNil) {
-        bucket_heads_[b] = kNil;
-        drain_list_to_heap(head);
-        return true;
-      }
-    }
-    if (overflow_count_ == 0) return !heap_.empty();
-    start_season();
-    if (!heap_.empty()) return true;  // plain-heap seasons fill it directly
-  }
+void Simulation::purge_cancelled() {
+  std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
+  std::make_heap(heap_.begin(), heap_.end(), Compare{});
 }
 
 Simulation::EventHandle Simulation::schedule_at(Time t, Callback cb,
@@ -207,22 +73,21 @@ Simulation::EventHandle Simulation::schedule_at(Time t, Callback cb,
   }
   Slot& slot = slots_[index];
   slot.callback = std::move(cb);
-  slot.time = t;
   slot.seq = next_seq_++;
   slot.tag = tag;
-  slot.priority = static_cast<std::uint8_t>(prio);
 #if RRSIM_VALIDATE_ENABLED
   slot.epoch = dispatched_;
 #endif
-  if (t < heap_limit_) {
-    slot.where = Where::kNear;
-    heap_push(QueueEntry{t, static_cast<int>(prio), slot.seq, index,
-                         slot.generation});
-  } else if (n_buckets_ != 0 && t < bucket_range_end_) {
-    link(index, bucket_index(t));
-  } else {
-    link(index, kOverflowBucket);
-  }
+  // Cancelled entries linger until they reach the top, so a caller that
+  // keeps cancelling and rescheduling one event (CBF's wake-up) would grow
+  // the heap without bound; drop them all once they outnumber the live
+  // events. A purge removes more entries than it keeps, so it costs O(1)
+  // amortized per cancelled entry.
+  if (heap_.size() > 2 * live_ + kPurgeSlack) purge_cancelled();
+  const std::uint64_t key =
+      (std::uint64_t{static_cast<std::uint8_t>(prio)} << kPriorityShift) |
+      slot.seq;
+  heap_push(Entry{t, key, index});
   ++live_;
   return EventHandle(this, index, slot.generation);
 }
@@ -240,17 +105,39 @@ void TieBreakPolicy::attach_coupling_probe(
   (void)probe;
 }
 
-bool Simulation::step_policy() {
-  // Skim stale entries until the heap top is live (refilling as needed):
-  // the top then carries the global minimum under (time, priority, seq).
-  for (;;) {
-    if (heap_.empty() && !refill()) return false;
-    const QueueEntry& top = heap_.front();
-    if (is_live(top.slot, top.gen)) break;
-    heap_pop();
+void Simulation::fire(std::uint32_t slot, Time t) {
+  now_ = t;
+  // Move the callback out (single move-construction — cheaper than going
+  // through retire()'s assignment) and retire the slot *before* running
+  // it, so the callback can schedule new events (possibly reusing this
+  // slot) and outstanding handles read "fired".
+  Callback cb(std::move(slots_[slot].callback));
+  retire(slot);
+  if (live_ > 0) --live_;
+  ++dispatched_;
+  cb();
+}
+
+void Simulation::gather_cohort(std::size_t i) {
+  // A heap parent never sorts after its child, so every entry sharing the
+  // root's (time, priority) has only such entries above it: the cohort,
+  // cancelled entries included, is a subtree at the root.
+  if (i >= heap_.size()) return;
+  const Entry& e = heap_[i];
+  if (e.time != group_time_ || priority_of(e) != group_prio_) return;
+  if (is_live(e)) {
+    group_members_.push_back(
+        GroupMember{seq_of(e), e.slot, slots_[e.slot].tag});
   }
-  const Time t = heap_.front().time;
-  const int prio = heap_.front().priority;
+  gather_cohort(2 * i + 1);
+  gather_cohort(2 * i + 2);
+}
+
+bool Simulation::step_policy() {
+  const Entry* top = live_top();
+  if (top == nullptr) return false;
+  const Time t = top->time;
+  const int prio = priority_of(*top);
   // Group accounting: each maximal run of same-(time, priority)
   // dispatches is one group; ordinals are dense over the run (singleton
   // groups included) so a replay driver can address a group stably.
@@ -260,16 +147,8 @@ bool Simulation::step_policy() {
     group_prio_ = prio;
     ++tie_groups_;
   }
-  // Gather the cohort. The calendar invariant — every live event below
-  // heap_limit_ sits in the near heap, far events are at or above it —
-  // puts every event sharing the minimal (time, priority) pair in heap_,
-  // so a single scan sees the whole group.
   group_members_.clear();
-  for (const QueueEntry& e : heap_) {
-    if (e.time != t || e.priority != prio) continue;
-    if (!is_live(e.slot, e.gen)) continue;
-    group_members_.push_back(GroupMember{e.seq, e.slot, slots_[e.slot].tag});
-  }
+  gather_cohort(0);
   std::sort(group_members_.begin(), group_members_.end(),
             [](const GroupMember& a, const GroupMember& b) {
               return a.seq < b.seq;  // seqs are unique: a total order
@@ -307,63 +186,46 @@ bool Simulation::step_policy() {
   vd_last_seq_ = chosen.seq;
   vd_last_epoch_ = dispatched_ + 1;
 #endif
-  now_ = t;
   // Dispatch the chosen member directly off its slot. Its heap entry (if
-  // it was not the top) stays behind and is lazily skipped once the slot
-  // retires — the same mechanism that absorbs cancelled near events.
-  Callback cb(std::move(slots_[chosen.slot].callback));
-  retire(chosen.slot);
-  if (live_ > 0) --live_;
-  ++dispatched_;
-  cb();
+  // it was not the top) stays behind and is skipped like a cancelled one.
+  fire(chosen.slot, t);
   return true;
 }
 
 bool Simulation::step() {
   if (policy_ != nullptr) return step_policy();
-  for (;;) {
-    if (heap_.empty() && !refill()) return false;
-    const QueueEntry entry = heap_.front();
-    heap_pop();
-    if (!is_live(entry.slot, entry.gen)) continue;  // cancelled; skip
+  const Entry* top = live_top();
+  if (top == nullptr) return false;
+  const Entry entry = *top;
+  heap_pop();
 #if RRSIM_VALIDATE_ENABLED
-    // Dispatch-order oracle. Time never goes backwards; the full
-    // (time, priority, seq) order additionally holds against any event
-    // that was already queued at the previous pop (an event inserted
-    // during that dispatch may legally share its time with a lower
-    // priority, so only the time axis binds for those).
-    RRSIM_CHECK(entry.time >= now_, "event dispatched before now()");
-    if (vd_have_last_) {
-      RRSIM_CHECK(entry.time >= vd_last_time_,
-                  "dispatch time went backwards");
-      if (slots_[entry.slot].epoch < vd_last_epoch_) {
-        const bool after =
-            entry.time > vd_last_time_ ||
-            entry.priority > vd_last_prio_ ||
-            (entry.priority == vd_last_prio_ && entry.seq > vd_last_seq_);
-        RRSIM_CHECK(after,
-                    "(time, priority, seq) dispatch order violated for "
-                    "events queued across a pop");
-      }
+  // Dispatch-order oracle. Time never goes backwards; the full
+  // (time, priority, seq) order additionally holds against any event
+  // that was already queued at the previous pop (an event inserted
+  // during that dispatch may legally share its time with a lower
+  // priority, so only the time axis binds for those).
+  const int prio = priority_of(entry);
+  const std::uint64_t seq = seq_of(entry);
+  RRSIM_CHECK(entry.time >= now_, "event dispatched before now()");
+  if (vd_have_last_) {
+    RRSIM_CHECK(entry.time >= vd_last_time_, "dispatch time went backwards");
+    if (slots_[entry.slot].epoch < vd_last_epoch_) {
+      const bool after =
+          entry.time > vd_last_time_ || prio > vd_last_prio_ ||
+          (prio == vd_last_prio_ && seq > vd_last_seq_);
+      RRSIM_CHECK(after,
+                  "(time, priority, seq) dispatch order violated for "
+                  "events queued across a pop");
     }
-    vd_have_last_ = true;
-    vd_last_time_ = entry.time;
-    vd_last_prio_ = entry.priority;
-    vd_last_seq_ = entry.seq;
-    vd_last_epoch_ = dispatched_ + 1;
-#endif
-    now_ = entry.time;
-    // Move the callback out (single move-construction — cheaper than
-    // going through retire()'s assignment) and retire the slot *before*
-    // running it, so the callback can schedule new events (possibly
-    // reusing this slot) and outstanding handles read "fired".
-    Callback cb(std::move(slots_[entry.slot].callback));
-    retire(entry.slot);
-    if (live_ > 0) --live_;
-    ++dispatched_;
-    cb();
-    return true;
   }
+  vd_have_last_ = true;
+  vd_last_time_ = entry.time;
+  vd_last_prio_ = prio;
+  vd_last_seq_ = seq;
+  vd_last_epoch_ = dispatched_ + 1;
+#endif
+  fire(entry.slot, entry.time);
+  return true;
 }
 
 void Simulation::run() {
@@ -373,14 +235,8 @@ void Simulation::run() {
 
 void Simulation::run_until(Time t) {
   if (t < now_) throw std::invalid_argument("run_until: time in the past");
-  for (;;) {
-    if (heap_.empty() && !refill()) break;
-    const QueueEntry& top = heap_.front();
-    if (!is_live(top.slot, top.gen)) {
-      heap_pop();
-      continue;
-    }
-    if (top.time > t) break;
+  while (const Entry* top = live_top()) {
+    if (top->time > t) break;
     step();
   }
   now_ = t;
@@ -388,35 +244,22 @@ void Simulation::run_until(Time t) {
 
 void Simulation::run_before(Time t) {
   if (t < now_) throw std::invalid_argument("run_before: time in the past");
-  for (;;) {
-    if (heap_.empty() && !refill()) break;
-    const QueueEntry& top = heap_.front();
-    if (!is_live(top.slot, top.gen)) {
-      heap_pop();
-      continue;
-    }
-    if (!(top.time < t)) break;
+  while (const Entry* top = live_top()) {
+    if (!(top->time < t)) break;
     step();
   }
   if (t > now_) now_ = t;
 }
 
 Time Simulation::next_event_time() {
-  for (;;) {
-    if (heap_.empty() && !refill()) return kTimeInfinity;
-    const QueueEntry& top = heap_.front();
-    if (!is_live(top.slot, top.gen)) {
-      heap_pop();
-      continue;
-    }
-    return top.time;
-  }
+  const Entry* top = live_top();
+  return top != nullptr ? top->time : kTimeInfinity;
 }
 
 #if RRSIM_VALIDATE_ENABLED
 std::uint64_t Simulation::debug_fingerprint() const noexcept {
   // FNV-1a over the semantic state. Arena capacities (slab size, heap /
-  // bucket / free-list storage) are deliberately excluded: they are what
+  // free-list storage) are deliberately excluded: they are what
   // reset() keeps warm. What must match a fresh simulation is everything
   // observable through the public API plus queue occupancy.
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -437,25 +280,12 @@ std::uint64_t Simulation::debug_fingerprint() const noexcept {
   mix(dispatched_);
   mix(live_);
   mix(heap_.size());
-  mix_time(heap_limit_);
-  mix(n_buckets_);
-  mix(cur_bucket_);
-  mix_time(bucket_base_);
-  mix_time(bucket_width_);
-  mix_time(bucket_range_end_);
-  mix(overflow_head_ == kNil ? 0 : 1);
-  mix(overflow_count_);
   mix(slots_.size() - free_slots_.size());  // slots not on the free list
   std::uint64_t busy = 0;
   for (const Slot& s : slots_) {
-    if (s.where != Where::kFree) ++busy;
+    if (s.seq != kNoSeq) ++busy;
   }
   mix(busy);
-  std::uint64_t linked_heads = 0;
-  for (const std::uint32_t head : bucket_heads_) {
-    if (head != kNil) ++linked_heads;
-  }
-  mix(linked_heads);
   mix(policy_ == nullptr ? 0 : 1);
   mix(policy_partition_);
   mix(tie_groups_);
@@ -471,14 +301,6 @@ void Simulation::reset() noexcept {
   dispatched_ = 0;
   live_ = 0;
   heap_.clear();
-  heap_limit_ = 0.0;
-  n_buckets_ = 0;
-  cur_bucket_ = 0;
-  bucket_base_ = 0.0;
-  bucket_width_ = 0.0;
-  bucket_range_end_ = 0.0;
-  overflow_head_ = kNil;
-  overflow_count_ = 0;
   // The policy is per-run configuration: clearing it keeps a pooled
   // workspace simulation from calling into a policy object the previous
   // run's driver may already have destroyed.
@@ -490,7 +312,6 @@ void Simulation::reset() noexcept {
   group_prio_ = 0;
   group_members_.clear();
   group_scratch_.clear();
-  std::fill(bucket_heads_.begin(), bucket_heads_.end(), kNil);
   // Retire every slot: destroy lingering callbacks (a truncated run leaves
   // events queued) and bump generations so handles from the previous run
   // are inert. The free list is rebuilt highest-index-first so the next
@@ -501,10 +322,7 @@ void Simulation::reset() noexcept {
     Slot& s = slots_[i];
     s.callback = nullptr;
     ++s.generation;
-    s.where = Where::kFree;
-    s.next = kNil;
-    s.prev = kNil;
-    s.bucket = kNil;
+    s.seq = kNoSeq;
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
 #if RRSIM_VALIDATE_ENABLED

@@ -3,7 +3,7 @@
 // Compiled with -DRRSIM_VALIDATE=1 (CMake option RRSIM_VALIDATE=ON, or
 // the always-on `validate_tests` ctest binary), every core data
 // structure checks its invariants after each mutating operation:
-// calendar-queue dispatch order, CBF profile canonicality, scheduler
+// event-queue dispatch order, CBF profile canonicality, scheduler
 // accounting, gateway replica tracking, and Simulation::reset coverage.
 // A broken invariant aborts immediately with a message — turning
 // "ordering silently corrupted, results subtly wrong" into a loud crash

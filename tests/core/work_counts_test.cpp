@@ -87,6 +87,19 @@ TEST(WorkCounts, PdesRunIsTheSameWorkOnAnyWorkerCount) {
   }
 }
 
+TEST(WorkCounts, CbfRunPinsItsWakeUpTraffic) {
+  // CBF cancels and reschedules its wake-up event on every scheduling
+  // pass: about half of the events a CBF workload schedules. On this
+  // shape every wake-up is cancelled before it fires:
+  // the run dispatches exactly as many events as the EASY run of
+  // StreamingWindowedRun.
+  ExperimentConfig c = four_clusters_r2();
+  c.algorithm = sched::Algorithm::kCbf;
+  const SimResult r = run_experiment(c);
+  EXPECT_EQ(r.jobs_generated, 4681u);
+  expect_counts(r, {14163, {9362, 0, 4444, 4681, 4681, 237, 23168}, 4681});
+}
+
 TEST(WorkCounts, RejectsAreSummedOverClusters) {
   // A per-user pending limit refuses replicas; the platform total must
   // carry the schedulers' rejects like every other counter.

@@ -42,9 +42,9 @@ TEST(HorizonApi, NextEventTimeSkipsCancelledEntries) {
 }
 
 TEST(HorizonApi, NextEventTimeSkipsCancelledAcrossCalendarTiers) {
-  // Far-future events live in coarser calendar tiers than near ones;
-  // cancelling the whole near cohort forces the peek to refill from the
-  // far tiers and still report the earliest *live* timestamp.
+  // Cancelling the whole near cohort leaves 32 cancelled entries above
+  // the one far-future event; the peek must skim past all of them and
+  // still report the earliest *live* timestamp.
   Simulation sim;
   std::vector<Simulation::EventHandle> near_events;
   for (int i = 0; i < 32; ++i) {

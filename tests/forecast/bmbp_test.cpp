@@ -58,7 +58,9 @@ TEST(OrderStatistic, MatchesDirectScan) {
     // k is feasible...
     EXPECT_GE(binomial_cdf(*k - 1, n, 0.9), 0.95);
     // ...and minimal.
-    if (*k > 1) EXPECT_LT(binomial_cdf(*k - 2, n, 0.9), 0.95);
+    if (*k > 1) {
+      EXPECT_LT(binomial_cdf(*k - 2, n, 0.9), 0.95);
+    }
   }
 }
 

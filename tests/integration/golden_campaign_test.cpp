@@ -1,12 +1,13 @@
 // Golden bit-identity tests for the kernel hot-path overhaul.
 //
-// The calendar event queue, inline callbacks, and flat job tables are
-// pure representation changes: every simulated trajectory must be
-// bit-identical to the pre-overhaul kernel (binary-heap queue,
-// std::function callbacks, std::map/unordered_map job tables). These
-// tests pin fig1/table1-shaped campaign outputs to hex-float values
-// captured from that baseline — any FP-visible deviation anywhere in the
-// schedule → dispatch → metrics pipeline fails EXPECT_EQ on doubles.
+// The event queue (pooled slab, compact heap entries, purged cancels),
+// inline callbacks, and flat job tables are pure representation changes:
+// every simulated trajectory must be bit-identical to the pre-overhaul
+// kernel (binary-heap queue of full entries, std::function callbacks,
+// std::map/unordered_map job tables). These tests pin fig1/table1-shaped
+// campaign outputs to hex-float values captured from that baseline — any
+// FP-visible deviation anywhere in the schedule → dispatch → metrics
+// pipeline fails EXPECT_EQ on doubles.
 //
 // If one of these fails after an *intentional* semantic change, recapture
 // the constants with a build of the old semantics and say so loudly in

@@ -136,9 +136,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Algorithm::kFcfs, Algorithm::kEasy,
                                          Algorithm::kCbf),
                        ::testing::Values(1u, 2u, 3u, 7u, 2026u)),
-    [](const ::testing::TestParamInfo<Param>& info) {
-      return algorithm_name(std::get<0>(info.param)) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<Param>& param_info) {
+      return algorithm_name(std::get<0>(param_info.param)) + "_seed" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Factory, ParseAndNames) {

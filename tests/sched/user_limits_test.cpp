@@ -92,8 +92,9 @@ TEST_P(UserLimits, RejectsNegativeLimit) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, UserLimits,
                          ::testing::Values(Algorithm::kFcfs, Algorithm::kEasy,
                                            Algorithm::kCbf),
-                         [](const ::testing::TestParamInfo<Algorithm>& info) {
-                           return algorithm_name(info.param);
+                         [](const ::testing::TestParamInfo<Algorithm>&
+                                param_info) {
+                           return algorithm_name(param_info.param);
                          });
 
 }  // namespace

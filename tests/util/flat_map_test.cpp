@@ -50,7 +50,9 @@ TEST(FlatHashMap, RandomizedAgainstMapOracle) {
         int* v = flat.find(k);
         const auto it = oracle.find(k);
         ASSERT_EQ(v != nullptr, it != oracle.end());
-        if (v != nullptr) EXPECT_EQ(*v, it->second);
+        if (v != nullptr) {
+          EXPECT_EQ(*v, it->second);
+        }
         EXPECT_EQ(flat.contains(k), v != nullptr);
         break;
       }
@@ -135,7 +137,9 @@ TEST(FlatOrderedMap, RandomizedAgainstMapOracleWithOrder) {
         const auto it = flat.find(k);
         const auto o = oracle.find(k);
         ASSERT_EQ(it != flat.end(), o != oracle.end());
-        if (it != flat.end()) EXPECT_EQ(it->second, o->second);
+        if (it != flat.end()) {
+          EXPECT_EQ(it->second, o->second);
+        }
         break;
       }
     }

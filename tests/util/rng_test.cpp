@@ -70,7 +70,8 @@ TEST(Rng, BelowIsUnbiasedAcrossSmallRange) {
     ++counts[rng.below(7)];
   }
   for (int k = 0; k < 7; ++k) {
-    EXPECT_NEAR(counts[k], n / 7, n / 7 * 0.1) << "bucket " << k;
+    EXPECT_NEAR(counts[static_cast<std::size_t>(k)], n / 7, n / 7 * 0.1)
+        << "bucket " << k;
   }
 }
 

@@ -99,7 +99,7 @@ TEST(ValidateDeath, DispatchOrderOracleTripsOnTimeRegression) {
   des::Simulation sim;
   sim.schedule_at(10.0, [] {});
   // Pretend an event at t=100 already fired; popping t=10 next is the
-  // out-of-order dispatch a broken calendar queue would produce.
+  // out-of-order dispatch a broken event queue would produce.
   sim.debug_force_dispatch_watermark(100.0);
   EXPECT_DEATH(sim.step(), "dispatch time went backwards");
 }

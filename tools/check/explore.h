@@ -29,7 +29,7 @@
 // drives the classic single-simulation kernel and the PDES coordinator
 // (pdes_jobs == 1, so policy calls stay single-threaded). In an
 // RRSIM_VALIDATE build every replay additionally runs under the kernel's
-// internal oracles (calendar order, CBF/EASY rebuild replicas), which
+// internal oracles (dispatch order, CBF/EASY rebuild replicas), which
 // turns the explorer into a fuzzer for the incremental fast paths under
 // permuted schedules.
 #pragma once
