@@ -95,13 +95,6 @@ class LegacyCbf final : public sched::ClusterScheduler {
     dispatch_ready();
   }
 
-  std::vector<const sched::Job*> pending_in_order() const override {
-    std::vector<const sched::Job*> out;
-    out.reserve(queue_.size());
-    for (const Entry& e : queue_) out.push_back(&e.job);
-    return out;
-  }
-
  private:
   struct Entry {
     sched::Job job;
@@ -199,13 +192,6 @@ class DequeEasy final : public sched::ClusterScheduler {
     schedule_pass();
   }
 
-  std::vector<const sched::Job*> pending_in_order() const override {
-    std::vector<const sched::Job*> out;
-    out.reserve(queue_.size());
-    for (const sched::Job& j : queue_) out.push_back(&j);
-    return out;
-  }
-
  private:
   struct Shadow {
     sched::Time time = 0.0;
@@ -298,13 +284,6 @@ class DequeFcfs final : public sched::ClusterScheduler {
   }
 
   void handle_completion(const sched::Job&) override { schedule_pass(); }
-
-  std::vector<const sched::Job*> pending_in_order() const override {
-    std::vector<const sched::Job*> out;
-    out.reserve(queue_.size());
-    for (const sched::Job& j : queue_) out.push_back(&j);
-    return out;
-  }
 
  private:
   void schedule_pass() {

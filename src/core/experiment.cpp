@@ -71,6 +71,12 @@ SimResult run_experiment(const ExperimentConfig& config,
         "middleware_ops_per_sec must be finite and >= 0 (0 disables "
         "middleware)");
   }
+  if (config.record_predictions &&
+      config.algorithm != sched::Algorithm::kCbf) {
+    throw std::invalid_argument(
+        "record_predictions needs the CBF scheduler (FCFS and EASY make "
+        "no submit-time prediction)");
+  }
   // The parallel kernel only exists where cross-cluster edges do: with
   // one cluster (or zero latency) the classic zero-delay kernel *is* the
   // degenerate single-partition path, bit-identically.

@@ -143,7 +143,10 @@ struct ExperimentConfig {
   int pdes_jobs = 0;
 
   // --- bookkeeping ---------------------------------------------------------
-  bool record_predictions = false;  ///< Section 5 instrumentation
+  /// Section 5 instrumentation: record CBF's submit-time reservations as
+  /// queue-wait predictions. Requires algorithm == kCbf, the only
+  /// scheduler that predicts.
+  bool record_predictions = false;
   /// If true (the default), every finished job is appended to
   /// SimResult::records — the mode all figure/table pipelines use. If
   /// false, the run *streams*: per-job outcomes are folded into

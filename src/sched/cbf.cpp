@@ -1,5 +1,6 @@
 #include "rrsim/sched/cbf.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,16 +8,9 @@ namespace rrsim::sched {
 
 #if RRSIM_VALIDATE_ENABLED
 void CbfScheduler::validate_index() const {
-  RRSIM_CHECK(pos_.size() == queue_.size(),
-              "cbf: pos_ index and queue_ disagree on size");
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const std::size_t* p = pos_.find(queue_[i].job.id);
-    RRSIM_CHECK(p != nullptr && *p == i,
-                "cbf: pos_ entry does not point at the job's queue slot");
-    if (i > 0) {
-      RRSIM_CHECK(queue_[i - 1].seq < queue_[i].seq,
-                  "cbf: queue_ no longer in submission (FCFS) order");
-    }
+  for (std::size_t i = 1; i < queue_.size(); ++i) {
+    RRSIM_CHECK(queue_[i - 1].job.submit_time <= queue_[i].job.submit_time,
+                "cbf: queue_ no longer in submission (FCFS) order");
   }
   running_end_.for_each([this](const JobId& id, const Time& end) {
     RRSIM_CHECK(running_jobs().find(id) != running_jobs().end(),
@@ -41,11 +35,7 @@ void CbfScheduler::handle_submit(Job job) {
       profile_.earliest_start(now, job.nodes, job.requested_time);
   profile_.reserve(s, job.requested_time, job.nodes);
   record_prediction(job.id, s);  // the Section 5 predictor
-  const JobId id = job.id;
-  const std::uint64_t seq = next_seq_++;
-  pos_.try_emplace(id, queue_.size());
-  queue_.push_back(Entry{std::move(job), s, seq});
-  heap_.push(HeapEntry{s, seq, id});
+  queue_.push_back(Entry{std::move(job), s});
   dispatch_ready();
 #if RRSIM_VALIDATE_ENABLED
   validate_index();
@@ -53,14 +43,13 @@ void CbfScheduler::handle_submit(Job job) {
 }
 
 Job CbfScheduler::handle_cancel(JobId id) {
-  const std::size_t* p = pos_.find(id);
-  if (p == nullptr) {
+  const std::size_t k = position_of(id);
+  if (k == queue_.size()) {
     throw std::logic_error("cbf: cancel of non-pending job");
   }
-  const std::size_t k = *p;
   Job job = std::move(queue_[k].job);
   const Time r = queue_[k].reserved_start;
-  erase_entry(k);
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(k));
   if (compress_ && incremental_base_ok()) {
     // Freed slot: drop the reservation in place and pull the suffix
     // earlier. The prefix cannot move (its slots depend only on the
@@ -106,32 +95,16 @@ void CbfScheduler::handle_completion(const Job& job) {
 #endif
 }
 
-std::vector<const Job*> CbfScheduler::pending_in_order() const {
-  std::vector<const Job*> out;
-  out.reserve(queue_.size());
-  for (const Entry& e : queue_) out.push_back(&e.job);
-  return out;
-}
-
 std::optional<Time> CbfScheduler::current_reservation(JobId id) const {
-  const std::size_t* p = pos_.find(id);
-  if (p == nullptr) return std::nullopt;
-  return queue_[*p].reserved_start;
+  const std::size_t k = position_of(id);
+  if (k == queue_.size()) return std::nullopt;
+  return queue_[k].reserved_start;
 }
 
-bool CbfScheduler::entry_current(const HeapEntry& e) const {
-  const std::size_t* p = pos_.find(e.id);
-  if (p == nullptr) return false;
-  const Entry& entry = queue_[*p];
-  return entry.seq == e.seq && entry.reserved_start == e.time;
-}
-
-void CbfScheduler::erase_entry(std::size_t k) {
-  pos_.erase(queue_[k].job.id);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(k));
-  for (std::size_t i = k; i < queue_.size(); ++i) {
-    pos_[queue_[i].job.id] = i;
-  }
+std::size_t CbfScheduler::position_of(JobId id) const {
+  std::size_t k = 0;
+  while (k < queue_.size() && queue_[k].job.id != id) ++k;
+  return k;
 }
 
 void CbfScheduler::release_reservation(Time r, Time req, int nodes) {
@@ -175,10 +148,7 @@ void CbfScheduler::compress_from(std::size_t from_pos) {
     const Time s =
         profile_.earliest_start(now, e.job.nodes, e.job.requested_time);
     profile_.reserve(s, e.job.requested_time, e.job.nodes);
-    if (s != e.reserved_start) {
-      e.reserved_start = s;
-      heap_.push(HeapEntry{s, e.seq, e.job.id});
-    }
+    e.reserved_start = s;
   }
 }
 
@@ -201,48 +171,46 @@ void CbfScheduler::rebuild_profile() {
     const Time s =
         profile_.earliest_start(now, e.job.nodes, e.job.requested_time);
     profile_.reserve(s, e.job.requested_time, e.job.nodes);
-    if (s != e.reserved_start) {
-      e.reserved_start = s;
-      heap_.push(HeapEntry{s, e.seq, e.job.id});
-    }
+    e.reserved_start = s;
   }
 }
 
 void CbfScheduler::dispatch_ready() {
   count_pass();
-  // Reservations whose time has arrived, collected from the heap. Entries
-  // stay in `due` across start attempts and are revalidated each round:
-  // a start can trigger callbacks that cancel or compress reentrantly.
-  std::vector<HeapEntry> due;
+  const Time now = sim_.now();
   for (;;) {
-    const Time now = sim_.now();
-    while (!heap_.empty() && heap_.top().time <= now) {
-      const HeapEntry e = heap_.top();
-      heap_.pop();
-      if (entry_current(e)) due.push_back(e);
-    }
-    // The first due-and-fitting job in queue order starts; the minimum
-    // seq among due entries is that job.
-    std::size_t best = due.size();
-    for (std::size_t i = 0; i < due.size(); ++i) {
-      if (!entry_current(due[i])) continue;
-      const Entry& entry = queue_[*pos_.find(due[i].id)];
-      if (entry.job.nodes > free_nodes()) {
-        // Due, but a same-timestamp completion has not freed its nodes
-        // yet (equal-time completions drain one at a time). That
-        // completion will re-enter dispatch_ready; starting must wait.
-        continue;
+    // The first job in queue order whose reservation has arrived and
+    // whose nodes are free starts; then the scan begins again at the head,
+    // since a decline's compression moves reservations and a start's
+    // callbacks may re-enter. A due job whose nodes are still busy needs
+    // no wake-up: the same-timestamp completion that frees them (equal-
+    // time completions drain one at a time) re-enters dispatch_ready. A
+    // scan that starts nothing has seen every future reservation.
+    Time next = des::kTimeInfinity;
+    std::size_t k = 0;
+    for (; k < queue_.size(); ++k) {
+      const Entry& e = queue_[k];
+      if (e.reserved_start > now) {
+        next = std::min(next, e.reserved_start);
+      } else if (e.job.nodes <= free_nodes()) {
+        break;
       }
-      if (best == due.size() || due[i].seq < due[best].seq) best = i;
     }
-    if (best == due.size()) break;
-    const JobId id = due[best].id;
-    const std::size_t k = *pos_.find(id);
+    if (k == queue_.size()) {
+      wakeup_.cancel();
+      if (next < des::kTimeInfinity) {
+        wakeup_ = sim_.schedule_at(
+            next, [this] { dispatch_ready(); }, des::Priority::kControl,
+            event_tag());
+      }
+      return;
+    }
+    const JobId id = queue_[k].job.id;
     const Time r = queue_[k].reserved_start;
     const Time req = queue_[k].job.requested_time;
     const int nodes = queue_[k].job.nodes;
     Job job = std::move(queue_[k].job);
-    erase_entry(k);
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(k));
     if (try_start(std::move(job))) {
       // Its footprint in the profile is the reservation it held.
       running_end_.try_emplace(id, r + req);
@@ -257,36 +225,6 @@ void CbfScheduler::dispatch_ready() {
       }
       if (self_check_) verify_against_rebuild();
     }
-  }
-  // Wake up at the next future reservation. Entries already due but
-  // blocked on a same-timestamp completion need no wake-up: that
-  // completion re-enters dispatch_ready after freeing its nodes.
-  wakeup_.cancel();
-  const Time now = sim_.now();
-  for (const HeapEntry& e : due) {
-    if (entry_current(e)) heap_.push(e);  // blocked: keep indexed
-  }
-  Time next = des::kTimeInfinity;
-  std::vector<HeapEntry> keep;
-  while (!heap_.empty()) {
-    const HeapEntry e = heap_.top();
-    if (!entry_current(e)) {
-      heap_.pop();  // superseded assignment: drop it for good
-      continue;
-    }
-    if (e.time <= now) {
-      heap_.pop();  // due-but-blocked: look past it for the wake-up
-      keep.push_back(e);
-      continue;
-    }
-    next = e.time;
-    break;
-  }
-  for (const HeapEntry& e : keep) heap_.push(e);
-  if (next < des::kTimeInfinity) {
-    wakeup_ = sim_.schedule_at(
-        next, [this] { dispatch_ready(); }, des::Priority::kControl,
-        event_tag());
   }
 }
 

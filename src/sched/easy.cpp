@@ -31,10 +31,6 @@ void EasyScheduler::handle_completion(const Job& job) {
   schedule_pass();
 }
 
-std::vector<const Job*> EasyScheduler::pending_in_order() const {
-  return queue_.in_order();
-}
-
 EasyScheduler::Shadow EasyScheduler::compute_shadow() const {
   const Job& head = queue_.job(queue_.head());
   int avail = free_nodes();

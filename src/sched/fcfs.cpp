@@ -15,10 +15,6 @@ Job FcfsScheduler::handle_cancel(JobId id) {
 
 void FcfsScheduler::handle_completion(const Job&) { schedule_pass(); }
 
-std::vector<const Job*> FcfsScheduler::pending_in_order() const {
-  return queue_.in_order();
-}
-
 void FcfsScheduler::schedule_pass() {
   count_pass();
   while (!queue_.empty() && queue_.nodes(queue_.head()) <= free_nodes()) {

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "rrsim/sched/profile.h"
@@ -44,7 +44,7 @@ class CbfScheduler final : public ClusterScheduler {
 
   /// Current (possibly compressed) reservation for a pending job, or
   /// nullopt if the job is not pending. The *submit-time* value is
-  /// available via predicted_start_at_submit(). O(1).
+  /// available via predicted_start_at_submit(). O(queue).
   std::optional<Time> current_reservation(JobId id) const;
 
   /// Enables the incremental-vs-rebuild oracle: after every profile
@@ -70,18 +70,14 @@ class CbfScheduler final : public ClusterScheduler {
 
   std::size_t live_state_bytes() const noexcept override {
     return ClusterScheduler::live_state_bytes() +
-           queue_.capacity() * sizeof(Entry) + pos_.memory_bytes() +
-           running_end_.memory_bytes() + heap_.size() * sizeof(HeapEntry);
+           queue_.capacity() * sizeof(Entry) + running_end_.memory_bytes();
   }
 
   void reset() override {
     ClusterScheduler::reset();
     queue_.clear();
     profile_.reset();
-    pos_.clear();
     running_end_.clear();
-    heap_ = {};  // priority_queue has no clear(); small, rebuilt on demand
-    next_seq_ = 0;
     wakeup_ = {};  // the underlying event died with the Simulation reset
     self_check_fallbacks_ = 0;
     rebuilds_ = 0;
@@ -91,10 +87,10 @@ class CbfScheduler final : public ClusterScheduler {
   /// Base sweep plus the CBF index invariants (validate_index()).
   void debug_validate() const override;
 
-  /// Corruption hook for the oracle death tests: points the front job's
-  /// pos_ entry at the wrong queue position.
+  /// Corruption hook for the oracle death tests: swaps the first and last
+  /// queued jobs, as an insert that ignored FCFS order would leave them.
   void debug_corrupt_index() {
-    if (!queue_.empty()) pos_[queue_.front().job.id] = queue_.size();
+    if (!queue_.empty()) std::swap(queue_.front(), queue_.back());
   }
 #endif
 
@@ -102,36 +98,16 @@ class CbfScheduler final : public ClusterScheduler {
   void handle_submit(Job job) override;
   Job handle_cancel(JobId id) override;
   void handle_completion(const Job& job) override;
-  std::vector<const Job*> pending_in_order() const override;
 
  private:
   struct Entry {
     Job job;
     Time reserved_start = 0.0;
-    std::uint64_t seq = 0;  ///< submission order, strictly increasing
   };
 
-  /// Lazily-invalidated wake-up/dispatch index: one entry per reservation
-  /// assignment. An entry is current iff the job is still queued with the
-  /// same seq and reserved_start (reservations only move earlier, so a
-  /// superseded entry never shadows the live one at the heap top).
-  struct HeapEntry {
-    Time time;
-    std::uint64_t seq;
-    JobId id;
-  };
-  struct HeapLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// True if `e` still describes a queued reservation.
-  bool entry_current(const HeapEntry& e) const;
-
-  /// Removes queue position `k`, keeping the id->position index in step.
-  void erase_entry(std::size_t k);
+  /// Queue position of pending job `id`, or queue_.size() if it is not
+  /// queued. O(queue).
+  std::size_t position_of(JobId id) const;
 
   /// Releases reservation [r, r+req) from the profile, clipped to the
   /// future (the part before `now` may already have been pruned).
@@ -162,8 +138,9 @@ class CbfScheduler final : public ClusterScheduler {
   /// incremental_base_ok() fails, and by the self-check fallback.
   void rebuild_profile();
 
-  /// Starts every queued job whose reservation time has arrived, then
-  /// schedules a wake-up at the next reservation.
+  /// Starts, in queue order, every queued job whose reservation time has
+  /// arrived and whose nodes are free, then schedules a wake-up at the
+  /// next future reservation.
   void dispatch_ready();
 
   /// Self-check oracle body: compares incremental state against a
@@ -171,23 +148,20 @@ class CbfScheduler final : public ClusterScheduler {
   void verify_against_rebuild();
 
 #if RRSIM_VALIDATE_ENABLED
-  /// queue_/pos_ bijection, FCFS seq order, running_end_ ⊆ running set.
+  /// queue_ in FCFS (submit time) order, running_end_ ⊆ running set.
   /// O(queue) — runs after each handler (the handlers themselves are
   /// already O(queue) on their mutation paths).
   void validate_index() const;
 #endif
 
   bool compress_;
-  std::vector<Entry> queue_;  // FCFS order
+  std::vector<Entry> queue_;  // FCFS order: the only pending structure
   Profile profile_;
-  util::FlatHashMap<JobId, std::size_t> pos_;  // id -> queue position
   /// Where each running job's footprint actually ends *in the profile*:
   /// its reservation end at start time, possibly re-snapped by a later
   /// rebuild. Tail releases on early completion must use this value, not
   /// a recomputed end, to invert the stored reservation bit-exactly.
   util::FlatHashMap<JobId, Time> running_end_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater> heap_;
-  std::uint64_t next_seq_ = 0;
   des::Simulation::EventHandle wakeup_;
 
   bool self_check_ = false;

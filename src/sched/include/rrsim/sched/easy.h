@@ -51,7 +51,6 @@ class EasyScheduler final : public ClusterScheduler {
   void handle_submit(Job job) override;
   Job handle_cancel(JobId id) override;
   void handle_completion(const Job& job) override;
-  std::vector<const Job*> pending_in_order() const override;
 
  private:
   struct Shadow {

@@ -37,7 +37,6 @@ class FcfsScheduler final : public ClusterScheduler {
   void handle_submit(Job job) override;
   Job handle_cancel(JobId id) override;
   void handle_completion(const Job& job) override;
-  std::vector<const Job*> pending_in_order() const override;
 
  private:
   /// Starts queued jobs from the head while they fit.

@@ -118,16 +118,6 @@ class PendingQueue {
     live_ = 0;
   }
 
-  /// The live jobs in queue order.
-  std::vector<const Job*> in_order() const {
-    std::vector<const Job*> out;
-    out.reserve(live_);
-    for (Slot s = head_; s < end(); ++s) {
-      if (nodes_[s] != kTombstone) out.push_back(&jobs_[s]);
-    }
-    return out;
-  }
-
   /// Bytes of backing storage held (capacity-based high-water footprint).
   std::size_t memory_bytes() const noexcept {
     return jobs_.capacity() * sizeof(Job) + nodes_.capacity() * sizeof(int) +

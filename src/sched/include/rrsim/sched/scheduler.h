@@ -12,7 +12,6 @@
 
 #include "rrsim/des/simulation.h"
 #include "rrsim/sched/job.h"
-#include "rrsim/sched/profile.h"
 #include "rrsim/util/flat_map.h"
 
 namespace rrsim::sched {
@@ -142,24 +141,16 @@ class ClusterScheduler {
   des::Simulation& simulation() noexcept { return sim_; }
 
   /// The queue-wait prediction made *at submission time* for a still-known
-  /// job, in seconds of predicted start time (absolute). CBF answers from
-  /// its reservation (the paper's Section 5 predictor); FCFS and EASY
-  /// answer from the conservative profile simulation done at submit.
+  /// job, in seconds of predicted start time (absolute). Only CBF records
+  /// one: its reservation at submit (the paper's Section 5 predictor).
+  /// FCFS and EASY record none and return nullopt.
   std::optional<Time> predicted_start_at_submit(JobId id) const;
-
-  /// Predicts the start time a hypothetical `nodes` x `requested_time`
-  /// request submitted now would get, by building a conservative
-  /// availability profile from the running set (requested end times) and
-  /// the current queue in FCFS order — the "simulation of the batch queue"
-  /// predictor the paper describes. Does not modify state.
-  Time predict_hypothetical_start(int nodes, Time requested_time) const;
 
   /// Bytes of job-proportional live state this scheduler holds: the flat
   /// per-job tables (lifecycle index, predictions, running set, per-user
   /// counts) plus the algorithm's own pending structures. Capacity-based,
   /// so it reports the run's high-water footprint even after erasures —
-  /// the number the memory-budget benches track. CBF's dispatch heap is
-  /// counted at current size (std::priority_queue exposes no capacity).
+  /// the number the memory-budget benches track.
   virtual std::size_t live_state_bytes() const noexcept;
 
   /// Returns the scheduler to its just-constructed state — empty queue,
@@ -204,9 +195,6 @@ class ClusterScheduler {
     return running_;
   }
 
-  /// Pending jobs in FCFS (submission) order, for prediction profiles.
-  virtual std::vector<const Job*> pending_in_order() const = 0;
-
   /// Called after submit() has validated and counted the job.
   virtual void handle_submit(Job job) = 0;
 
@@ -217,8 +205,8 @@ class ClusterScheduler {
   /// Called after a running job finished and freed its nodes.
   virtual void handle_completion(const Job& job) = 0;
 
-  /// Record a submit-time prediction for `id` (used by EASY/FCFS which
-  /// have no reservations; CBF records its own reservations).
+  /// Records the submit-time prediction for `id` that
+  /// predicted_start_at_submit() answers (CBF: the job's reservation).
   void record_prediction(JobId id, Time predicted_start);
 
   void count_pass() noexcept { ++counters_.sched_passes; }
@@ -251,9 +239,6 @@ class ClusterScheduler {
   /// Lifecycle of every id ever submitted: duplicate-id guard and the
   /// O(1) pending/running membership check behind cancel().
   util::FlatHashMap<JobId, JobState> known_ids_;
-  /// Reused by predict_hypothetical_start (reset, not reallocated):
-  /// Section-5 prediction sweeps call it per job submission.
-  mutable Profile scratch_profile_;
 };
 
 }  // namespace rrsim::sched

@@ -8,8 +8,7 @@ namespace rrsim::sched {
 ClusterScheduler::ClusterScheduler(des::Simulation& sim, int total_nodes)
     : sim_(sim),
       total_nodes_(total_nodes),
-      free_nodes_(total_nodes),
-      scratch_profile_(total_nodes < 1 ? 1 : total_nodes) {
+      free_nodes_(total_nodes) {
   if (total_nodes_ < 1) {
     throw std::invalid_argument("scheduler needs >= 1 node");
   }
@@ -242,32 +241,6 @@ std::optional<Time> ClusterScheduler::predicted_start_at_submit(
   const Time* t = predictions_.find(id);
   if (t == nullptr) return std::nullopt;
   return *t;
-}
-
-Time ClusterScheduler::predict_hypothetical_start(int nodes,
-                                                  Time requested_time) const {
-  if (nodes < 1 || nodes > total_nodes_) {
-    throw std::invalid_argument("hypothetical job cannot run here");
-  }
-  const Time now = sim_.now();
-  // The scratch profile is reset in place — prediction sweeps call this
-  // once per submission, and a fresh Profile per call was the dominant
-  // allocation of the Section-5 studies.
-  Profile& profile = scratch_profile_;
-  profile.reset();
-  // Running jobs hold their nodes until their *requested* end — the
-  // conservative assumption every queue-based predictor makes.
-  for (const auto& kv : running_) {
-    const Job& job = kv.second;
-    const Time end = job.start_time + job.requested_time;
-    if (end > now) profile.reserve(now, end - now, job.nodes);
-  }
-  // Queued jobs claim slots in FCFS order.
-  for (const Job* j : pending_in_order()) {
-    const Time s = profile.earliest_start(now, j->nodes, j->requested_time);
-    profile.reserve(s, j->requested_time, j->nodes);
-  }
-  return profile.earliest_start(now, nodes, requested_time);
 }
 
 }  // namespace rrsim::sched

@@ -133,6 +133,26 @@ TEST(Experiment, NonFiniteRunInputsAreRejected) {
   }
 }
 
+TEST(Experiment, PredictionsNeedCbf) {
+  // Only CBF records submit-time predictions; under FCFS or EASY a
+  // prediction campaign would report accuracy over zero jobs.
+  ExperimentConfig c = small_config();
+  c.submit_horizon = 600.0;
+  c.record_predictions = true;
+  for (const sched::Algorithm algo :
+       {sched::Algorithm::kFcfs, sched::Algorithm::kEasy}) {
+    c.algorithm = algo;
+    EXPECT_THROW(run_experiment(c), std::invalid_argument)
+        << sched::algorithm_name(algo);
+  }
+  c.algorithm = sched::Algorithm::kCbf;
+  const SimResult r = run_experiment(c);
+  ASSERT_FALSE(r.records.empty());
+  for (const metrics::JobRecord& rec : r.records) {
+    EXPECT_TRUE(rec.predicted_start.has_value()) << rec.grid_id;
+  }
+}
+
 TEST(Experiment, DrainCompletesEveryJob) {
   const SimResult r = run_experiment(small_config());
   EXPECT_GT(r.jobs_generated, 0u);

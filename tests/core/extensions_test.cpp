@@ -51,6 +51,7 @@ TEST(MiddlewareExperiment, DisabledByDefault) {
 
 TEST(MiddlewareExperiment, IncompatibleWithPredictions) {
   ExperimentConfig c = small_config();
+  c.algorithm = sched::Algorithm::kCbf;  // predictions need CBF anyway
   c.middleware_ops_per_sec = 1.0;
   c.record_predictions = true;
   EXPECT_THROW(run_experiment(c), std::invalid_argument);

@@ -3,8 +3,9 @@
 // the classic kernel, plus both input sources on the PDES kernel, must
 // reproduce the same kernel's retained whole-stream replay — record by
 // record where records are kept, headline metrics bit for bit where they
-// are folded online. Run on the Lublin model and on an SWF trace whose
-// integer submit times tie within and across clusters at every arrival.
+// are folded online. Run under EASY and CBF, on the Lublin model and on
+// an SWF trace whose integer submit times tie within and across clusters
+// at every arrival.
 // Across schemes instead of modes: schemes of one effective degree run
 // identically on every kernel, the exactness CampaignSweep's run sharing
 // rests on (RedundancyScheme::effective).
@@ -137,23 +138,30 @@ TEST(ModeMatrix, EveryCellMatchesRetainedInMemoryReplay) {
       {false, 1, false}, {false, 64, true}, {false, 64, false},
       {true, 1, true},  {true, 64, true},
   };
-  for (const ExperimentConfig& input : {lublin_input(), swf_ties_input(path)}) {
-    SCOPED_TRACE(input.trace_files.empty() ? "lublin" : "swf ties");
-    const SimResult classic = run_experiment(with_cell(input, {false, 0, true}));
-    const SimResult pdes = run_experiment(with_cell(input, {true, 0, true}));
-    ASSERT_GT(classic.jobs_generated, 100u);
-    ASSERT_EQ(classic.records.size(), classic.jobs_generated);
-    ASSERT_GT(pdes.pdes_windows, 0u);
-    for (const Cell& cell : cells) {
-      SCOPED_TRACE(cell.name());
-      SimResult got;
-      try {
-        got = run_experiment(with_cell(input, cell));
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "cell rejected: " << e.what();
-        continue;
+  for (const sched::Algorithm algo :
+       {sched::Algorithm::kEasy, sched::Algorithm::kCbf}) {
+    for (ExperimentConfig input : {lublin_input(), swf_ties_input(path)}) {
+      input.algorithm = algo;
+      SCOPED_TRACE(sched::algorithm_name(algo) +
+                   (input.trace_files.empty() ? " lublin" : " swf ties"));
+      // Each cell against the same algorithm's replay on its kernel.
+      const SimResult classic =
+          run_experiment(with_cell(input, {false, 0, true}));
+      const SimResult pdes = run_experiment(with_cell(input, {true, 0, true}));
+      ASSERT_GT(classic.jobs_generated, 100u);
+      ASSERT_EQ(classic.records.size(), classic.jobs_generated);
+      ASSERT_GT(pdes.pdes_windows, 0u);
+      for (const Cell& cell : cells) {
+        SCOPED_TRACE(cell.name());
+        SimResult got;
+        try {
+          got = run_experiment(with_cell(input, cell));
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "cell rejected: " << e.what();
+          continue;
+        }
+        expect_same_cell(got, cell.pdes ? pdes : classic);
       }
-      expect_same_cell(got, cell.pdes ? pdes : classic);
     }
   }
 }

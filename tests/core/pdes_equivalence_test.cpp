@@ -156,6 +156,7 @@ TEST(PdesEquivalence, RejectsUnsupportedCombinations) {
   EXPECT_THROW(run_experiment(c), std::invalid_argument);
 
   c = pdes_config(1.0, 1);
+  c.algorithm = sched::Algorithm::kCbf;  // predictions need CBF anyway
   c.record_predictions = true;
   EXPECT_THROW(run_experiment(c), std::invalid_argument);
 

@@ -63,7 +63,10 @@ TEST(Streaming, BitIdenticalScheduleAndMetrics) {
 }
 
 TEST(Streaming, PredictionAccuracyMatchesBatch) {
+  // Table 4's predictor: CBF reservations under conservative estimates.
   ExperimentConfig config = small_config();
+  config.algorithm = sched::Algorithm::kCbf;
+  config.estimator = "uniform216";
   config.record_predictions = true;
   const SimResult retained = run_experiment(config);
   config.retain_records = false;
@@ -73,6 +76,7 @@ TEST(Streaming, PredictionAccuracyMatchesBatch) {
     const metrics::PredictionAccuracy batch =
         metrics::compute_prediction_accuracy(retained.records, cls);
     const metrics::PredictionAccuracy online = streamed.stream.prediction(cls);
+    EXPECT_GT(batch.jobs, 0u);
     EXPECT_EQ(online.jobs, batch.jobs);
     EXPECT_EQ(online.avg_ratio, batch.avg_ratio);
     EXPECT_EQ(online.cv_ratio_percent, batch.cv_ratio_percent);
@@ -123,9 +127,13 @@ TEST(Streaming, RelativeCampaignMatchesRetained) {
 
 TEST(Streaming, PredictionCampaignMatchesRetainedWithinRounding) {
   ExperimentConfig config = small_config();
+  config.algorithm = sched::Algorithm::kCbf;  // the only predictor
+  config.estimator = "uniform216";
   const PredictionCampaign retained = run_prediction_campaign(config, 3, 1);
   config.retain_records = false;
   const PredictionCampaign streamed = run_prediction_campaign(config, 3, 1);
+  EXPECT_GT(retained.redundant.jobs, 0u);
+  EXPECT_GT(retained.non_redundant.jobs, 0u);
   EXPECT_EQ(streamed.all.jobs, retained.all.jobs);
   EXPECT_EQ(streamed.redundant.jobs, retained.redundant.jobs);
   // Pooling across reps is a Welford merge in the streaming path vs. one

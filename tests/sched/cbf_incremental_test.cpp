@@ -64,13 +64,6 @@ class LegacyCbf final : public ClusterScheduler {
     dispatch_ready();
   }
 
-  std::vector<const Job*> pending_in_order() const override {
-    std::vector<const Job*> out;
-    out.reserve(queue_.size());
-    for (const Entry& e : queue_) out.push_back(&e.job);
-    return out;
-  }
-
  private:
   struct Entry {
     Job job;
@@ -143,12 +136,20 @@ struct WorkloadParams {
   double cancel_fraction = 0.5;
   bool declines = true;
   bool compress = true;
+  /// Integer submit gaps in [0, 3] s and integer requested, actual and
+  /// cancel times: same-instant arrivals, simultaneous completions, and
+  /// due jobs that wait for a same-timestamp completion's nodes.
+  bool ties = false;
+  bool self_check = false;  ///< CbfScheduler only
 };
 
 template <typename Scheduler>
 Trace run_workload(const WorkloadParams& wp) {
   des::Simulation sim;
   Scheduler sched(sim, wp.nodes, wp.compress);
+  if constexpr (std::is_same_v<Scheduler, CbfScheduler>) {
+    sched.set_self_check(wp.self_check);
+  }
   Trace trace;
 
   ClusterScheduler::Callbacks cb;
@@ -168,20 +169,29 @@ Trace run_workload(const WorkloadParams& wp) {
 
   util::Rng rng(wp.seed);
   double t = 0.0;
+  // A uniform draw in [lo, hi]; an integer one under wp.ties.
+  const auto draw = [&rng, &wp](double lo, double hi) {
+    return wp.ties ? static_cast<double>(
+                         rng.between(static_cast<std::int64_t>(lo),
+                                     static_cast<std::int64_t>(hi)))
+                   : rng.uniform(lo, hi);
+  };
   for (JobId id = 1; id <= static_cast<JobId>(wp.jobs); ++id) {
-    t += rng.uniform(0.05, 12.0);
+    t += wp.ties ? draw(0.0, 3.0) : rng.uniform(0.05, 12.0);
     Job job;
     job.id = id;
     job.nodes = static_cast<int>(rng.between(1, wp.nodes));
-    job.requested_time = rng.uniform(5.0, 250.0);
+    job.requested_time = draw(5.0, 250.0);
     // Frequent early completions exercise the compression path.
-    job.actual_time = rng.chance(0.3)
-                          ? job.requested_time
-                          : job.requested_time * rng.uniform(0.15, 0.95);
+    job.actual_time =
+        rng.chance(0.3)
+            ? job.requested_time
+            : (wp.ties ? draw(1.0, job.requested_time - 1.0)
+                       : job.requested_time * rng.uniform(0.15, 0.95));
     sim.schedule_at(t, [&s = sched, job] { s.submit(job); },
                     des::Priority::kArrival);
     if (rng.chance(wp.cancel_fraction)) {
-      const double cancel_at = t + rng.uniform(0.0, 120.0);
+      const double cancel_at = t + draw(0.0, 120.0);
       sim.schedule_at(cancel_at,
                       [&s = sched, &trace, id] {
                         if (s.cancel(id)) ++trace.cancels_issued;
@@ -249,6 +259,28 @@ TEST(CbfIncremental, MatchesLegacyWithoutDeclines) {
   const Trace legacy = run_workload<LegacyCbf>(wp);
   const Trace incremental = run_workload<CbfScheduler>(wp);
   expect_traces_equal(legacy, incremental, wp.seed);
+}
+
+TEST(CbfIncremental, TieHeavyTraceMatchesLegacy) {
+  // Integer times make every tie the continuous workloads above almost
+  // never draw: same-instant submits, cancels and completions, and due
+  // jobs blocked until an equal-time completion frees their nodes.
+  for (const bool compress : {true, false}) {
+    for (std::uint64_t seed : {2u, 31u, 97u}) {
+      WorkloadParams wp;
+      wp.seed = seed;
+      wp.ties = true;
+      wp.compress = compress;
+      wp.self_check = true;
+      const Trace legacy = run_workload<LegacyCbf>(wp);
+      const Trace incremental = run_workload<CbfScheduler>(wp);
+      SCOPED_TRACE(compress ? "compression on" : "compression off");
+      expect_traces_equal(legacy, incremental, seed);
+      EXPECT_EQ(incremental.fallbacks, 0u) << "seed=" << seed;
+      EXPECT_GT(incremental.counters.declines, 0u) << "seed=" << seed;
+      EXPECT_GT(incremental.cancels_issued, 20u) << "seed=" << seed;
+    }
+  }
 }
 
 TEST(CbfIncremental, SelfCheckReportsNoDivergence) {

@@ -75,13 +75,6 @@ class DequeEasy final : public ClusterScheduler {
     schedule_pass();
   }
 
-  std::vector<const Job*> pending_in_order() const override {
-    std::vector<const Job*> out;
-    out.reserve(queue_.size());
-    for (const Job& j : queue_) out.push_back(&j);
-    return out;
-  }
-
  private:
   struct Shadow {
     Time time = 0.0;
@@ -181,13 +174,6 @@ class DequeFcfs final : public ClusterScheduler {
 
   void handle_completion(const Job&) override { schedule_pass(); }
 
-  std::vector<const Job*> pending_in_order() const override {
-    std::vector<const Job*> out;
-    out.reserve(queue_.size());
-    for (const Job& j : queue_) out.push_back(&j);
-    return out;
-  }
-
  private:
   void schedule_pass() {
     count_pass();
@@ -199,22 +185,6 @@ class DequeFcfs final : public ClusterScheduler {
   }
 
   std::deque<Job> queue_;
-};
-
-// pending_in_order() is a protected hook of ClusterScheduler. A pointer to
-// it formed through a derived class may be invoked on any scheduler, which
-// lets the oracle read the queue order of the final EASY and FCFS classes.
-std::vector<JobId> ids_of(const std::vector<const Job*>& jobs) {
-  std::vector<JobId> out;
-  out.reserve(jobs.size());
-  for (const Job* j : jobs) out.push_back(j->id);
-  return out;
-}
-
-struct PendingPeek : ClusterScheduler {
-  static std::vector<JobId> ids(const ClusterScheduler& s) {
-    return ids_of((s.*(&PendingPeek::pending_in_order))());
-  }
 };
 
 // --- Seeded scripts -------------------------------------------------------
@@ -246,7 +216,6 @@ struct ScriptParams {
   double picked_cancel = 0.2;  ///< chance of one picked cancel per submit
   double decline = 0.1;      ///< chance the grant callback refuses a job
   int user_limit = 0;        ///< per-user pending limit; 0 = none
-  std::size_t probe_every = 1;  ///< prediction probe period, in events
 };
 
 struct Script {
@@ -327,6 +296,7 @@ struct Side {
     if (p.user_limit > 0) sched.set_per_user_pending_limit(p.user_limit);
     ClusterScheduler::Callbacks cb;
     cb.on_grant = [this, &script](const Job& j) {
+      pending.erase(j.id);  // it starts or is declined: either way it leaves
       if (!script.declined[j.id]) return true;
       log.push_back(Event{'d', j.id, sim.now(), false});
       return false;
@@ -342,6 +312,7 @@ struct Side {
     };
     cb.on_cancelled = [this](const Job& j) {
       log.push_back(Event{'c', j.id, sim.now(), true});
+      pending.erase(j.id);
     };
     sched.set_callbacks(std::move(cb));
     for (const Action& a : script.actions) {
@@ -357,7 +328,12 @@ struct Side {
 
   void apply(const Action& a) {
     if (a.kind == Kind::kSubmit) {
-      log.push_back(Event{'S', a.job.id, sim.now(), sched.submit(a.job)});
+      // Queued before submit(): the pass inside it may start or decline
+      // the job at once.
+      pending.insert(a.job.id);
+      const bool accepted = sched.submit(a.job);
+      if (!accepted) pending.erase(a.job.id);
+      log.push_back(Event{'S', a.job.id, sim.now(), accepted});
       peak_queue = std::max(peak_queue, sched.queue_length());
       return;
     }
@@ -379,13 +355,12 @@ struct Side {
         return a.id;
       case Kind::kCancelHead:
       case Kind::kCancelTail:
-      case Kind::kCancelMid: {
-        const std::vector<JobId> ids = PendingPeek::ids(sched);
-        if (ids.empty()) return 0;
-        if (a.kind == Kind::kCancelHead) return ids.front();
-        if (a.kind == Kind::kCancelTail) return ids.back();
-        return ids[pick(ids.size())];
-      }
+      case Kind::kCancelMid:
+        if (pending.empty()) return 0;
+        if (a.kind == Kind::kCancelHead) return *pending.begin();
+        if (a.kind == Kind::kCancelTail) return *pending.rbegin();
+        return *std::next(pending.begin(),
+                          static_cast<std::ptrdiff_t>(pick(pending.size())));
       case Kind::kCancelRunning:
         if (running.empty()) return 0;
         return *std::next(running.begin(),
@@ -402,6 +377,9 @@ struct Side {
   des::Simulation sim;
   Sched sched;
   std::vector<Event> log;
+  /// The queue as the callbacks saw it. Scripts submit ids in ascending
+  /// order, so the set's order is FCFS order.
+  std::set<JobId> pending;
   std::set<JobId> running;
   std::vector<JobId> finished;
   std::size_t peak_queue = 0;
@@ -410,8 +388,7 @@ struct Side {
 
 template <typename A, typename B>
 testing::AssertionResult same_state(const Side<A>& ref, const Side<B>& sub,
-                                    std::size_t& logged, bool probe,
-                                    int probe_nodes) {
+                                    std::size_t& logged) {
   if (ref.log.size() != sub.log.size()) {
     return testing::AssertionFailure()
            << "event log length " << ref.log.size() << " vs "
@@ -437,20 +414,9 @@ testing::AssertionResult same_state(const Side<A>& ref, const Side<B>& sub,
            << "queue_length " << ref.sched.queue_length() << " vs "
            << sub.sched.queue_length();
   }
-  if (PendingPeek::ids(ref.sched) != PendingPeek::ids(sub.sched)) {
-    return testing::AssertionFailure() << "pending_in_order ids differ";
-  }
   if constexpr (requires { sub.sched.head_shadow_time(); }) {
     if (ref.sched.head_shadow_time() != sub.sched.head_shadow_time()) {
       return testing::AssertionFailure() << "head_shadow_time differs";
-    }
-  }
-  if (probe) {
-    const Time pa = ref.sched.predict_hypothetical_start(probe_nodes, 300.0);
-    const Time pb = sub.sched.predict_hypothetical_start(probe_nodes, 300.0);
-    if (pa != pb) {
-      return testing::AssertionFailure()
-             << "predict_hypothetical_start " << pa << " vs " << pb;
     }
   }
   return testing::AssertionSuccess();
@@ -477,8 +443,7 @@ ReplayStats replay_side_by_side(const ScriptParams& p) {
     const bool b = sub.sim.step();
     EXPECT_EQ(a, b) << "seed=" << p.seed << " step=" << step;
     if (!a || !b) break;
-    const testing::AssertionResult same = same_state(
-        ref, sub, logged, step % p.probe_every == 0, p.nodes / 2);
+    const testing::AssertionResult same = same_state(ref, sub, logged);
     if (!same) {
       ADD_FAILURE() << "seed=" << p.seed << " step=" << step << " t="
                     << ref.sim.now() << ": " << same.message();
@@ -524,7 +489,7 @@ std::vector<ScriptParams> shallow_scripts() {
 
 // Deep scripts: arrivals far outpace the cluster, so the queue grows past
 // 2 000 pending while cancels keep tombstoning slots and every submit may
-// compact. Predictions are probed periodically: each costs O(queue^2).
+// compact.
 std::vector<ScriptParams> deep_scripts() {
   std::vector<ScriptParams> out;
   for (const std::uint64_t seed : {7u, 4242u}) {
@@ -532,7 +497,6 @@ std::vector<ScriptParams> deep_scripts() {
     p.seed = seed;
     p.jobs = 7000;
     p.max_gap = 1;
-    p.probe_every = 500;
     out.push_back(p);
   }
   return out;
@@ -610,7 +574,11 @@ TEST(PendingQueue, MatchesAVectorModelThroughCompactions) {
       std::vector<JobId> want;
       want.reserve(model.size());
       for (const Job& j : model) want.push_back(j.id);
-      ASSERT_EQ(ids_of(q.in_order()), want) << "op=" << op;
+      std::vector<JobId> live;
+      for (PendingQueue::Slot s = q.head(); s < q.end(); ++s) {
+        if (q.nodes(s) != PendingQueue::kTombstone) live.push_back(q.job(s).id);
+      }
+      ASSERT_EQ(live, want) << "op=" << op;
       // next_fitting visits exactly the model's fitting jobs, in order.
       const int free = static_cast<int>(rng.between(1, 16));
       std::vector<JobId> fit_got;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <tuple>
 #include <vector>
 
+#include "rrsim/sched/cbf.h"
 #include "rrsim/sched/factory.h"
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/lublin.h"
@@ -110,25 +112,45 @@ TEST_P(SchedulerInvariants, DeterministicAcrossRuns) {
 }
 
 TEST_P(SchedulerInvariants, HypotheticalPredictionIsValidStart) {
-  // predict_hypothetical_start must return a time no earlier than "now"
-  // and must be feasible under conservative assumptions.
+  // Only CBF predicts at submit: the prediction is the reservation the job
+  // got, no earlier than its submit time. FCFS and EASY predict nothing.
   const auto [algo, seed] = GetParam();
   des::Simulation sim;
   auto sched = make_scheduler(algo, sim, 16);
+  const auto* cbf = dynamic_cast<const CbfScheduler*>(sched.get());
+  ASSERT_EQ(cbf != nullptr, algo == Algorithm::kCbf);
+  std::map<JobId, Time> started;
+  ClusterScheduler::Callbacks cb;
+  cb.on_start = [&started](const Job& j) { started[j.id] = j.start_time; };
+  sched->set_callbacks(std::move(cb));
   util::Rng rng(seed);
-  JobId id = 1;
-  for (int i = 0; i < 20; ++i) {
+  int checked = 0;
+  for (JobId id = 1; id <= 20; ++id) {
     Job job;
-    job.id = id++;
+    job.id = id;
     job.nodes = static_cast<int>(rng.between(1, 16));
     job.requested_time = rng.uniform(10.0, 100.0);
     job.actual_time = job.requested_time;
-    sched->submit(job);
+    // Checked as submit() returns, before a later event can compress the
+    // reservation; a job that started inside submit() started at it.
+    sim.schedule_at(rng.uniform(0.0, 60.0), [&, job] {
+      ASSERT_TRUE(sched->submit(job));
+      const std::optional<Time> p = sched->predicted_start_at_submit(job.id);
+      ++checked;
+      if (cbf == nullptr) {
+        EXPECT_FALSE(p.has_value()) << "job " << job.id;
+        return;
+      }
+      ASSERT_TRUE(p.has_value()) << "job " << job.id;
+      EXPECT_GE(*p, sim.now()) << "job " << job.id;
+      const auto it = started.find(job.id);
+      const std::optional<Time> reserved =
+          it != started.end() ? it->second : cbf->current_reservation(job.id);
+      EXPECT_EQ(reserved, p) << "job " << job.id;
+    });
   }
-  const Time t = sched->predict_hypothetical_start(8, 50.0);
-  EXPECT_GE(t, sim.now());
-  EXPECT_THROW(sched->predict_hypothetical_start(17, 50.0),
-               std::invalid_argument);
+  sim.run();
+  EXPECT_EQ(checked, 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -135,11 +135,13 @@ TEST(ValidateDeath, CbfValidatorTripsOnCorruptQueueIndex) {
   sched::CbfScheduler sched(sim, 4);
   sched.submit(make_job(1, 4, 100.0));
   sched.submit(make_job(2, 4, 100.0));  // cannot start: stays queued
-  sim.run_until(0.0);
-  ASSERT_GE(sched.queue_length(), 1u);
-  sched.debug_corrupt_index();
+  sim.schedule_at(10.0, [&sched] { sched.submit(make_job(3, 4, 100.0)); });
+  sim.run_until(10.0);
+  ASSERT_EQ(sched.queue_length(), 2u);
+  sched.debug_validate();
+  sched.debug_corrupt_index();  // job 3 (submitted at 10) ahead of job 2
   EXPECT_DEATH(sched.debug_validate(),
-               "pos_ entry does not point at the job's queue slot");
+               "queue_ no longer in submission \\(FCFS\\) order");
 }
 
 TEST(ValidateDeath, PendingQueueValidatorTripsOnCorruptIndex) {
