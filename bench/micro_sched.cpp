@@ -105,8 +105,9 @@ class LegacyCbf final : public sched::ClusterScheduler {
     count_pass();
     const sched::Time now = sim_.now();
     profile_ = sched::Profile(total_nodes());
-    for (const auto& [end, nodes] : running_requested_ends()) {
-      if (end > now) profile_.reserve(now, end - now, nodes);
+    for (const auto& [id, job] : running_jobs()) {
+      const sched::Time end = job.start_time + job.requested_time;
+      if (end > now) profile_.reserve(now, end - now, job.nodes);
     }
     for (Entry& e : queue_) {
       e.reserved_start =

@@ -12,10 +12,12 @@ void set_default_jobs(int jobs);
 
 /// Resolves a requested worker count: `requested` if >= 1, else the value
 /// from set_default_jobs, else the RRSIM_JOBS environment variable, else
-/// std::thread::hardware_concurrency() (at least 1).
-int resolve_jobs(int requested) noexcept;
+/// std::thread::hardware_concurrency() (at least 1). Throws
+/// std::invalid_argument when RRSIM_JOBS is read and set to anything but
+/// an integer in [1, 4096]; an empty value counts as unset.
+int resolve_jobs(int requested);
 
 /// resolve_jobs(0): the worker count campaigns use by default.
-inline int default_jobs() noexcept { return resolve_jobs(0); }
+inline int default_jobs() { return resolve_jobs(0); }
 
 }  // namespace rrsim::exec

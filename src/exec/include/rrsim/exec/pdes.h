@@ -41,7 +41,6 @@
 
 #include "rrsim/des/simulation.h"
 #include "rrsim/exec/thread_pool.h"
-#include "rrsim/util/inline_fn.h"
 #include "rrsim/util/validate.h"
 
 namespace rrsim::exec {
@@ -74,9 +73,12 @@ class PdesCoordinator {
   /// `source` (its window thread), with t >= partition(source).now() +
   /// lookahead() — the conservative contract; violations throw
   /// std::logic_error. Same-partition effects should use the partition's
-  /// own schedule_in/schedule_at instead (no latency, no mailbox).
+  /// own schedule_in/schedule_at instead (no latency, no mailbox). `fn`
+  /// is the kernel's own non-allocating callback type, so a message moves
+  /// from its mailbox into the destination's event slab without a heap
+  /// allocation.
   void post(std::size_t source, std::size_t dest, des::Time t,
-            des::Priority prio, util::TaskFunction fn);
+            des::Priority prio, des::Simulation::Callback fn);
 
   /// Runs the barrier loop until no events or undelivered messages
   /// remain at time <= `limit`. Mirrors Simulation semantics: with the
@@ -117,7 +119,7 @@ class PdesCoordinator {
     std::uint32_t source;
     std::uint32_t dest;
     std::uint64_t seq;  ///< per-source posting sequence
-    util::TaskFunction fn;
+    des::Simulation::Callback fn;
   };
 
   /// Moves every staged mailbox into pending_, in source order. Runs on

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace rrsim::exec {
@@ -12,12 +14,19 @@ namespace {
 // counts, so this can never leak into outputs.
 std::atomic<int> g_default_jobs{0};
 
-int env_jobs() noexcept {
+/// RRSIM_JOBS as a worker count; 0 when unset or empty. Anything else
+/// that is not an integer in [1, 4096] throws: a typo must not silently
+/// run on every hardware thread.
+int env_jobs() {
   const char* env = std::getenv("RRSIM_JOBS");
   if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;
   const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 4096) return 0;
+  if (end == env || *end != '\0' || v < 1 || v > 4096) {
+    throw std::invalid_argument(
+        "RRSIM_JOBS must be an integer in [1, 4096] (got \"" +
+        std::string(env) + "\")");
+  }
   return static_cast<int>(v);
 }
 }  // namespace
@@ -26,7 +35,7 @@ void set_default_jobs(int jobs) {
   g_default_jobs.store(jobs < 0 ? 0 : jobs, std::memory_order_relaxed);
 }
 
-int resolve_jobs(int requested) noexcept {
+int resolve_jobs(int requested) {
   if (requested >= 1) return requested;
   const int configured = g_default_jobs.load(std::memory_order_relaxed);
   if (configured >= 1) return configured;

@@ -52,7 +52,8 @@ PdesCoordinator::PdesCoordinator(std::size_t partitions, double lookahead,
 }
 
 void PdesCoordinator::post(std::size_t source, std::size_t dest, des::Time t,
-                           des::Priority prio, util::TaskFunction fn) {
+                           des::Priority prio,
+                           des::Simulation::Callback fn) {
   if (source >= sims_.size() || dest >= sims_.size()) {
     throw std::out_of_range("pdes: partition index out of range");
   }
@@ -92,9 +93,8 @@ void PdesCoordinator::deliver_messages(des::Time bound, bool inclusive) {
     des::Simulation& dst = *sims_[m.dest];
     RRSIM_CHECK(m.time >= dst.now(),
                 "pdes: message delivered into its destination's past");
-    dst.schedule_at(
-        m.time, [fn = std::move(m.fn)]() mutable { fn(); },
-        static_cast<des::Priority>(m.priority), m.dest);
+    dst.schedule_at(m.time, std::move(m.fn),
+                    static_cast<des::Priority>(m.priority), m.dest);
     ++delivered_;
   }
   pending_.erase(pending_.begin(),

@@ -62,10 +62,10 @@ void SweepRunner::run() {
     } else {
       // Parallel: leaders fan out first (cold generation runs once per
       // group, concurrently across groups), then a barrier, then the
-      // followers (every shared lookup hits). Sequential parallel_for_each
-      // calls on one pool are safe — each call carries its own
-      // synchronization — and the pool (with its thread_local workspace
-      // arenas) stays warm across the phases.
+      // followers (every shared lookup hits). Back-to-back
+      // parallel_for_each calls on one pool are safe — each returns only
+      // after every worker has left its loop — and the pool (with its
+      // thread_local workspace arenas) stays warm across the phases.
       ThreadPool pool(jobs_ < n ? jobs_ : n);
       parallel_for_each(pool, static_cast<int>(leaders.size()),
                         [&flat, &leaders, this](int i) {

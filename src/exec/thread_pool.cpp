@@ -1,7 +1,5 @@
 #include "rrsim/exec/thread_pool.h"
 
-#include <utility>
-
 namespace rrsim::exec {
 
 ThreadPool::ThreadPool(int threads) {
@@ -17,62 +15,38 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  task_cv_.notify_all();
+  start_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::grow_ring(std::size_t min_cap) {
-  std::size_t cap = ring_.empty() ? 16 : ring_.size();
-  while (cap < min_cap) cap *= 2;
-  if (cap <= ring_.size()) return;
-  std::vector<util::TaskFunction> bigger(cap);
-  const std::size_t mask = ring_.size() - 1;
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    bigger[i] = std::move(ring_[(ring_head_ + i) & mask]);
-  }
-  ring_ = std::move(bigger);
-  ring_head_ = 0;
-}
-
-void ThreadPool::reserve(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  grow_ring(n);
-}
-
-void ThreadPool::submit(util::TaskFunction task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ring_count_ == ring_.size()) grow_ring(ring_count_ + 1);
-    ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)] = std::move(task);
-    ++ring_count_;
-  }
-  task_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
+void ThreadPool::run(int n, Body body, void* ctx) {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return ring_count_ == 0 && active_ == 0; });
+  body_ = body;
+  ctx_ = ctx;
+  n_ = n;
+  next_ = 0;
+  busy_ = size();
+  ++generation_;
+  start_cv_.notify_all();
+  done_cv_.wait(lock, [this] { return busy_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    util::TaskFunction task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_cv_.wait(lock, [this] { return stop_ || ring_count_ != 0; });
-      // Drain the queue even when stopping so submitted work always runs.
-      if (ring_count_ == 0) return;
-      task = std::move(ring_[ring_head_]);  // leaves the slot empty
-      ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-      --ring_count_;
-      ++active_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (ring_count_ == 0 && active_ == 0) idle_cv_.notify_all();
-    }
+    start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+    if (stop_) return;
+    seen = generation_;
+    const Body body = body_;
+    void* const ctx = ctx_;
+    const int n = n_;
+    lock.unlock();
+    // One shared counter: indices are claimed in ascending order, and an
+    // index is claimed by exactly one worker.
+    for (int i = next_++; i < n; i = next_++) body(ctx, i);
+    lock.lock();
+    if (--busy_ == 0) done_cv_.notify_one();
   }
 }
 

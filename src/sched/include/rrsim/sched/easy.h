@@ -87,7 +87,7 @@ class EasyScheduler final : public ClusterScheduler {
   PendingQueue queue_;
   /// Running jobs as (requested_end, nodes), kept sorted across
   /// start/finish so compute_shadow never re-sorts the running set. The
-  /// pair ordering matches what sorting running_requested_ends() yielded.
+  /// pairs sort by requested end, then node count.
   /// A sorted vector rather than a multiset: the population is bounded by
   /// the node count, inserts/erases are memmoves of a contiguous 16-byte
   /// element, and compute_shadow becomes a linear scan of one array.

@@ -8,7 +8,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "rrsim/des/simulation.h"
 #include "rrsim/sched/job.h"
@@ -183,9 +182,6 @@ class ClusterScheduler {
   /// true. On decline records the job as Declined and returns false. The
   /// caller must have removed the job from its pending structures first.
   bool try_start(Job job);
-
-  /// Running jobs as (requested_end_time, nodes), unsorted.
-  std::vector<std::pair<Time, int>> running_requested_ends() const;
 
   /// The authoritative running set, keyed by id (iteration order is id
   /// order — profile rebuilds must reserve footprints in this order to

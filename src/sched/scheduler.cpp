@@ -222,16 +222,6 @@ void ClusterScheduler::complete_job(JobId id) {
   handle_completion(job);
 }
 
-std::vector<std::pair<Time, int>> ClusterScheduler::running_requested_ends()
-    const {
-  std::vector<std::pair<Time, int>> out;
-  out.reserve(running_.size());
-  for (const auto& [id, job] : running_) {
-    out.emplace_back(job.start_time + job.requested_time, job.nodes);
-  }
-  return out;
-}
-
 void ClusterScheduler::record_prediction(JobId id, Time predicted_start) {
   predictions_[id] = predicted_start;
 }

@@ -1,17 +1,15 @@
-// Type-erased callables that keep the hot paths off the heap.
+// Type-erased callable that keeps the hot paths off the heap.
 //
-//  * InlineFunction<N> — never allocates: the callable lives in a fixed
-//    N-byte inline buffer and over-sized captures are rejected at compile
-//    time. This is the DES kernel's callback type: scheduling an event
-//    writes the capture into the event slab slot and nothing else.
-//  * TaskFunction — move-only std::function replacement for the thread
-//    pool: small-buffer-optimized with a heap fallback for large
-//    captures, so typical pool tasks enqueue without allocating while
-//    arbitrary ones still work.
+// InlineFunction<N> never allocates: the callable lives in a fixed N-byte
+// inline buffer and over-sized captures are rejected at compile time.
+// This is the DES kernel's callback type (des::Simulation::Callback):
+// scheduling an event writes the capture into the event slab slot and
+// nothing else, and a cross-partition PDES message carries the same type
+// from its mailbox straight into the destination's slab.
 //
-// Both are move-only (moving transfers the erased callable; the source
-// becomes empty) and require nothrow-move-constructible callables so the
-// containers holding them can relocate without exception-safety holes.
+// It is move-only (moving transfers the erased callable; the source
+// becomes empty) and requires nothrow-move-constructible callables so the
+// containers holding it can relocate without exception-safety holes.
 #pragma once
 
 #include <cstddef>
@@ -98,99 +96,6 @@ class InlineFunction {
   /// callable into dst and destroy src (a single "relocate" operation).
   void (*manage_)(void* dst, void* src) noexcept = nullptr;
   alignas(std::max_align_t) unsigned char buf_[Capacity];
-};
-
-/// Move-only void() callable with small-buffer optimization and a heap
-/// fallback: the thread pool's task type. Unlike std::function it never
-/// requires copyability, so tasks can own move-only resources.
-class TaskFunction {
- public:
-  static constexpr std::size_t kInlineCapacity = 48;
-
-  TaskFunction() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, TaskFunction>>>
-  TaskFunction(F&& f) {  // NOLINT: implicit like std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      invoke_ = [](TaskFunction& self) {
-        (*static_cast<Fn*>(static_cast<void*>(self.buf_)))();
-      };
-      manage_ = [](TaskFunction* dst, TaskFunction& src) noexcept {
-        Fn* s = static_cast<Fn*>(static_cast<void*>(src.buf_));
-        if (dst != nullptr) {
-          ::new (static_cast<void*>(dst->buf_)) Fn(std::move(*s));
-        }
-        s->~Fn();
-      };
-    } else {
-      heap_ = new Fn(std::forward<F>(f));
-      invoke_ = [](TaskFunction& self) {
-        (*static_cast<Fn*>(self.heap_))();
-      };
-      manage_ = [](TaskFunction* dst, TaskFunction& src) noexcept {
-        if (dst != nullptr) {
-          dst->heap_ = src.heap_;
-        } else {
-          delete static_cast<Fn*>(src.heap_);
-        }
-        src.heap_ = nullptr;
-      };
-    }
-  }
-
-  TaskFunction(TaskFunction&& other) noexcept { move_from(other); }
-
-  TaskFunction& operator=(TaskFunction&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-
-  TaskFunction(const TaskFunction&) = delete;
-  TaskFunction& operator=(const TaskFunction&) = delete;
-
-  ~TaskFunction() { reset(); }
-
-  explicit operator bool() const noexcept { return invoke_ != nullptr; }
-
-  void operator()() { invoke_(*this); }
-
-  void reset() noexcept {
-    if (manage_ != nullptr) {
-      manage_(nullptr, *this);
-      invoke_ = nullptr;
-      manage_ = nullptr;
-    }
-  }
-
- private:
-  void move_from(TaskFunction& other) noexcept {
-    if (other.manage_ != nullptr) {
-      other.manage_(this, other);
-      invoke_ = other.invoke_;
-      manage_ = other.manage_;
-      other.invoke_ = nullptr;
-      other.manage_ = nullptr;
-    }
-  }
-
-  void (*invoke_)(TaskFunction&) = nullptr;
-  /// dst == nullptr: destroy/release src. Otherwise transfer the callable
-  /// from src to dst (inline: move-construct + destroy; heap: pointer
-  /// hand-off) without touching dst's previous state.
-  void (*manage_)(TaskFunction* dst, TaskFunction& src) noexcept = nullptr;
-  union {
-    alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
-    void* heap_;
-  };
 };
 
 }  // namespace rrsim::util

@@ -156,9 +156,9 @@ TEST(PdesCoordinator, PostValidatesArguments) {
                std::out_of_range);
   EXPECT_THROW(coord.post(5, 1, 2.0, des::Priority::kArrival, [] {}),
                std::out_of_range);
-  EXPECT_THROW(
-      coord.post(0, 1, 2.0, des::Priority::kArrival, util::TaskFunction{}),
-      std::invalid_argument);
+  EXPECT_THROW(coord.post(0, 1, 2.0, des::Priority::kArrival,
+                          des::Simulation::Callback{}),
+               std::invalid_argument);
 }
 
 TEST(PdesCoordinator, FiniteLimitMirrorsRunUntil) {

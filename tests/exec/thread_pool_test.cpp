@@ -23,39 +23,6 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
   EXPECT_EQ(pool2.size(), 1);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // no wait_idle: the destructor must finish the queue before joining
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // idle pool: returns immediately
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
 TEST(ParallelForEach, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const int n = 500;
@@ -88,6 +55,61 @@ TEST(ParallelForEach, RethrowsLowestFailingIndex) {
   }
 }
 
+TEST(ParallelForEach, BackToBackLoopsRunEveryIndexOnce) {
+  // The per-window PDES shape: many short loops on one pool. A worker that
+  // missed a loop, ran one twice or returned before its last index would
+  // show as a count other than 1.
+  ThreadPool pool(4);
+  constexpr int kLoops = 10000;
+  constexpr int kN = 8;
+  std::vector<std::atomic<int>> hits(kN);
+  int bad_loops = 0;
+  for (int loop = 0; loop < kLoops; ++loop) {
+    for (std::atomic<int>& h : hits) h.store(0, std::memory_order_relaxed);
+    parallel_for_each(pool, kN, [&hits](int i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+    });
+    for (const std::atomic<int>& h : hits) {
+      if (h.load(std::memory_order_relaxed) != 1) {
+        ++bad_loops;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bad_loops, 0);
+}
+
+TEST(ParallelForEach, LoopAfterAThrowingLoopRunsNormally) {
+  ThreadPool pool(3);
+  EXPECT_THROW(parallel_for_each(pool, 16,
+                                 [](int i) {
+                                   if (i == 5) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  std::vector<int> out(16, 0);
+  parallel_for_each(pool, 16, [&out](int i) {
+    out[static_cast<std::size_t>(i)] = i * i;
+  });
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i) << "index " << i;
+  }
+}
+
+TEST(ParallelForEach, FewerIndicesThanWorkers) {
+  ThreadPool pool(8);
+  for (int n = 1; n < 8; ++n) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    parallel_for_each(pool, n, [&hits](int i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "n " << n << " index " << i;
+    }
+  }
+}
+
 TEST(JobsResolution, ExplicitBeatsDefaultBeatsHardware) {
   set_default_jobs(0);  // reset process default
   EXPECT_EQ(resolve_jobs(7), 7);
@@ -104,7 +126,14 @@ TEST(JobsResolution, EnvVariableIsHonoured) {
   ASSERT_EQ(setenv("RRSIM_JOBS", "5", 1), 0);
   EXPECT_EQ(resolve_jobs(0), 5);
   ASSERT_EQ(setenv("RRSIM_JOBS", "garbage", 1), 0);
-  EXPECT_GE(resolve_jobs(0), 1);  // malformed env falls through to hardware
+  EXPECT_THROW(resolve_jobs(0), std::invalid_argument);
+  for (const char* bad : {"0", "5000", "-2", "3x"}) {
+    ASSERT_EQ(setenv("RRSIM_JOBS", bad, 1), 0);
+    EXPECT_THROW(resolve_jobs(0), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(resolve_jobs(2), 2);  // an explicit count never reads the env
+  ASSERT_EQ(setenv("RRSIM_JOBS", "", 1), 0);
+  EXPECT_GE(resolve_jobs(0), 1);  // empty means unset: hardware fallback
   ASSERT_EQ(unsetenv("RRSIM_JOBS"), 0);
 }
 

@@ -74,8 +74,9 @@ class LegacyCbf final : public ClusterScheduler {
     count_pass();
     const Time now = sim_.now();
     profile_ = Profile(total_nodes());
-    for (const auto& [end, nodes] : running_requested_ends()) {
-      if (end > now) profile_.reserve(now, end - now, nodes);
+    for (const auto& [id, job] : running_jobs()) {
+      const Time end = job.start_time + job.requested_time;
+      if (end > now) profile_.reserve(now, end - now, job.nodes);
     }
     for (Entry& e : queue_) {
       e.reserved_start =

@@ -1,5 +1,5 @@
-// Tests for the non-allocating callable types: lifetime of captures,
-// move semantics, and the inline/heap split of TaskFunction.
+// Tests for the non-allocating callable type: lifetime of captures and
+// move semantics.
 #include "rrsim/util/inline_fn.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 namespace {
 
 using rrsim::util::InlineFunction;
-using rrsim::util::TaskFunction;
 
 TEST(InlineFunction, InvokesAndReportsEngaged) {
   int hits = 0;
@@ -58,44 +57,6 @@ TEST(InlineFunction, AssignmentReplacesPreviousCapture) {
   fn = InlineFunction<64>([second] { (void)*second; });
   EXPECT_EQ(first.use_count(), 1);
   EXPECT_EQ(second.use_count(), 2);
-}
-
-TEST(TaskFunction, SmallAndLargeCapturesBothWork) {
-  int hits = 0;
-  TaskFunction small = [&hits] { ++hits; };  // fits the inline buffer
-  struct Big {
-    double pad[16];
-  };
-  Big big{};
-  big.pad[0] = 4.0;
-  TaskFunction large = [&hits, big] { hits += static_cast<int>(big.pad[0]); };
-  small();
-  large();
-  EXPECT_EQ(hits, 5);
-}
-
-TEST(TaskFunction, SupportsMoveOnlyCaptures) {
-  auto owned = std::make_unique<int>(7);
-  int out = 0;
-  TaskFunction fn = [&out, p = std::move(owned)] { out = *p; };
-  TaskFunction moved = std::move(fn);
-  EXPECT_FALSE(static_cast<bool>(fn));
-  moved();
-  EXPECT_EQ(out, 7);
-}
-
-TEST(TaskFunction, HeapCapturesReleaseOnDestructionAndMove) {
-  const auto token = std::make_shared<int>(1);
-  struct Pad {
-    double pad[16];
-  };
-  {
-    TaskFunction fn = [token, pad = Pad{}] { (void)*token, (void)pad; };
-    EXPECT_EQ(token.use_count(), 2);
-    TaskFunction moved = std::move(fn);
-    EXPECT_EQ(token.use_count(), 2);  // hand-off, not a copy
-  }
-  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -53,8 +53,8 @@ const std::vector<RuleInfo> kRules = {
      "replay determinism; pass state explicitly or make it constexpr"},
     {kStdFunctionMember,
      "std::function stored as a class member in src/: use "
-     "util::InlineFunction / util::TaskFunction on hot paths, or justify "
-     "why the type-erased heap fallback is acceptable"},
+     "util::InlineFunction on hot paths, or justify why the type-erased "
+     "heap fallback is acceptable"},
     {kWorkerRefCapture,
      "default reference capture ([&] / [&, ...]) on a worker callback "
      "passed to parallel_for_each in src/: wholesale capture silently "
@@ -485,8 +485,7 @@ class Scanner {
         report(kStdFunctionMember, tok(stmt_[s]).line,
                "std::function stored in a class: each assignment may heap-"
                "allocate and every call is double-indirect; use "
-               "util::InlineFunction (fixed capacity, never allocates) or "
-               "util::TaskFunction (SBO + fallback)");
+               "util::InlineFunction (fixed capacity, never allocates)");
         return;
       }
     }
