@@ -61,12 +61,11 @@ int main(int argc, char** argv) {
     core::CampaignSweep sweep(1);
     sweep.runner().add(
         max_shapes,
-        [&stream, &parallel_fraction, &params, nodes](int unit) {
+        [&stream, &parallel_fraction, nodes](int unit) {
           const int k = unit + 1;
           des::Simulation sim;
-          grid::Platform platform(
-              sim, grid::homogeneous_configs(1, nodes, params),
-              sched::Algorithm::kEasy);
+          grid::Platform platform(sim, std::vector<int>(1, nodes),
+                                  sched::Algorithm::kEasy);
           grid::Gateway gateway(platform);
           std::vector<grid::GridJob> jobs;
           jobs.reserve(stream.size());

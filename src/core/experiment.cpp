@@ -102,37 +102,29 @@ SimResult run_experiment(const ExperimentConfig& config,
   //
   // Classic: the workspace's simulation, platform and gateway. Schedulers
   // depend only on (algorithm, node count), so a platform with the same
-  // cluster layout is reset in place; any mismatch reconstructs. The
-  // workload parameters inside the platform's configs are never read.
+  // cluster layout is reset in place; any mismatch reconstructs.
   std::optional<exec::PdesCoordinator> coord;
   std::optional<grid::Platform> run_platform;
   std::optional<grid::Gateway> run_gateway;
   workspace.sim_.reset();
   if (partitioned) {
     coord.emplace(n, latency, config.pdes_jobs);
-    run_platform.emplace(*coord, rc.cluster_configs, config.algorithm);
+    run_platform.emplace(*coord, rc.nodes, config.algorithm);
     run_gateway.emplace(*run_platform, config.record_predictions);
+  } else if (workspace.platform_ != nullptr &&
+             workspace.platform_->algorithm() == config.algorithm &&
+             workspace.platform_->cluster_sizes() == rc.nodes) {
+    workspace.platform_->reset();
+    workspace.gateway_->reset(config.record_predictions);
+    ++workspace.reuses_;
   } else {
-    bool reuse = workspace.platform_ != nullptr &&
-                 workspace.platform_->algorithm() == config.algorithm &&
-                 workspace.platform_->size() == n;
-    for (std::size_t i = 0; reuse && i < n; ++i) {
-      reuse = workspace.platform_->cluster_sizes()[i] ==
-              rc.cluster_configs[i].nodes;
-    }
-    if (reuse) {
-      workspace.platform_->reset();
-      workspace.gateway_->reset(config.record_predictions);
-      ++workspace.reuses_;
-    } else {
-      // The gateway references the platform; destroy it first.
-      workspace.gateway_.reset();
-      workspace.platform_.reset();
-      workspace.platform_ = std::make_unique<grid::Platform>(
-          workspace.sim_, rc.cluster_configs, config.algorithm);
-      workspace.gateway_ = std::make_unique<grid::Gateway>(
-          *workspace.platform_, config.record_predictions);
-    }
+    // The gateway references the platform; destroy it first.
+    workspace.gateway_.reset();
+    workspace.platform_.reset();
+    workspace.platform_ = std::make_unique<grid::Platform>(
+        workspace.sim_, rc.nodes, config.algorithm);
+    workspace.gateway_ = std::make_unique<grid::Gateway>(
+        *workspace.platform_, config.record_predictions);
   }
   grid::Platform& platform =
       run_platform ? *run_platform : *workspace.platform_;
@@ -172,19 +164,13 @@ SimResult run_experiment(const ExperimentConfig& config,
   // Declared here: the streaming sink points at result.stream and must
   // outlive the run.
   SimResult result;
-  for (std::size_t i = 0; i < n; ++i) {
-    sched::ClusterScheduler& sched = platform.scheduler(i);
-    if (config.per_user_pending_limit > 0) {
-      sched.set_per_user_pending_limit(config.per_user_pending_limit);
+  if (config.per_user_pending_limit > 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      platform.scheduler(i).set_per_user_pending_limit(
+          config.per_user_pending_limit);
     }
-    // Streaming runs keep the schedulers' per-job tables O(live jobs): the
-    // gateway never reuses replica ids, so terminal lifecycle entries (and
-    // their submit-time predictions) can be dropped as they occur.
-    // Retained runs keep the historical full-lifecycle tables (set
-    // explicitly, not left to reset(), so a reused workspace is
-    // deterministic either way).
-    sched.set_forget_terminal_ids(!config.retain_records);
   }
+  // The record mode decides only where the gateway puts each record.
   result.streamed = !config.retain_records;
   if (!config.retain_records) gateway.set_record_sink(&result.stream);
   // Middleware stations, one per cluster on that cluster's simulation. The
@@ -203,8 +189,8 @@ SimResult run_experiment(const ExperimentConfig& config,
   }
   const auto placement = grid::make_placement(config.placement);
   const auto estimator = workload::make_estimator(config.estimator);
-  detail::ResolvedInputs inputs = detail::resolve_inputs(
-      config, rc.cluster_configs, rc.master, *estimator);
+  detail::ResolvedInputs inputs =
+      detail::resolve_inputs(config, rc, *estimator);
 
   // Retained runs append every finished job to its origin partition's
   // record buffer, sized once to the jobs of that partition's clusters:

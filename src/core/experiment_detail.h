@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "rrsim/core/experiment.h"
-#include "rrsim/grid/platform.h"
 #include "rrsim/util/rng.h"
 #include "rrsim/workload/calibrate.h"
 #include "rrsim/workload/estimators.h"
+#include "rrsim/workload/lublin.h"
 #include "rrsim/workload/stream_window.h"
 #include "rrsim/workload/swf.h"
 #include "rrsim/workload/trace_cache.h"
@@ -49,11 +49,12 @@ enum Substream : std::uint64_t {
 inline constexpr std::uint64_t kUserIdStride = 4096;
 inline constexpr std::size_t kMaxClusters = std::size_t{1} << 20;
 
-/// Output of resolve_clusters(): validated platform shape plus the master
-/// generator, positioned exactly where the historical inline code left it
-/// (calibration substream consumed).
+/// Output of resolve_clusters(): validated platform shape, each cluster's
+/// workload parameters, and the master generator, positioned exactly where
+/// the historical inline code left it (calibration substream consumed).
 struct ResolvedClusters {
-  std::vector<grid::ClusterConfig> cluster_configs;
+  std::vector<int> nodes;                      ///< cluster sizes
+  std::vector<workload::LublinParams> params;  ///< per-cluster workloads
   util::Rng master{0};
 };
 
@@ -99,7 +100,7 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
     throw std::invalid_argument("submit_horizon must be finite and >= 0");
   }
 
-  ResolvedClusters out{{}, util::Rng(config.seed)};
+  ResolvedClusters out{{}, {}, util::Rng(config.seed)};
 
   // Calibration and stream generation use substreams that depend only on
   // the seed and the cluster index, never on the redundancy scheme, so
@@ -110,25 +111,24 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
   // the TraceCache under its start fingerprint; a hit restores the
   // substream from the memoized end fingerprint, so later clusters (and
   // every later fork of `master`) see exactly what a miss would leave.
-  out.cluster_configs.resize(config.n_clusters);
+  out.nodes.resize(config.n_clusters);
+  out.params.resize(config.n_clusters, config.base_workload);
   {
     util::Rng calib_rng = out.master.fork(kStreamCalibration);
     workload::TraceCache& cache = workload::TraceCache::global();
     for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      grid::ClusterConfig& cc = out.cluster_configs[i];
-      cc.nodes = config.nodes_of(i);
-      cc.workload = config.base_workload;
+      out.nodes[i] = config.nodes_of(i);
+      workload::LublinParams& params = out.params[i];
       if (!config.cluster_mean_iat.empty()) {
-        cc.workload =
-            cc.workload.with_mean_interarrival(config.cluster_mean_iat[i]);
+        params = params.with_mean_interarrival(config.cluster_mean_iat[i]);
       } else if (config.load_mode == LoadMode::kSharedPeak) {
-        cc.workload = cc.workload.with_mean_interarrival(
-            cc.workload.mean_interarrival() *
+        params = params.with_mean_interarrival(
+            params.mean_interarrival() *
             static_cast<double>(config.n_clusters));
       } else if (config.load_mode == LoadMode::kCalibrated) {
         workload::CalibrationKey key;
-        key.params = cc.workload;
-        key.max_nodes = cc.nodes;
+        key.params = params;
+        key.max_nodes = out.nodes[i];
         key.target_utilization = config.target_utilization;
         key.samples = workload::kCalibrationSamples;
         key.rng_start = calib_rng.fingerprint();
@@ -143,7 +143,7 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
           return c;
         });
         calib_rng = util::Rng::from_fingerprint(cal.rng_end);
-        cc.workload = cc.workload.with_mean_interarrival(cal.mean_interarrival);
+        params = params.with_mean_interarrival(cal.mean_interarrival);
       }
       // kPerClusterPeak keeps the literal model rate.
     }
@@ -207,8 +207,8 @@ struct ResolvedInputs {
 };
 
 /// Resolves every cluster's job source and positions the user/redundancy
-/// substreams. `master` must be the generator resolve_clusters()
-/// returned, untouched in between.
+/// substreams. `rc` must be what resolve_clusters() returned, its master
+/// generator untouched in between.
 ///
 /// Sources are memoized in the TraceCache, keyed by everything that
 /// determines them: whole streams or checkpoint tables (keyed on the
@@ -229,9 +229,9 @@ struct ResolvedInputs {
 /// straight to the end fingerprints. A miss replays the calls the lanes
 /// make: below() per job, and chance() only when a scheme is active.
 inline ResolvedInputs resolve_inputs(
-    const ExperimentConfig& config,
-    const std::vector<grid::ClusterConfig>& cluster_configs,
-    util::Rng& master, const workload::RuntimeEstimator& estimator) {
+    const ExperimentConfig& config, ResolvedClusters& rc,
+    const workload::RuntimeEstimator& estimator) {
+  util::Rng& master = rc.master;
   ResolvedInputs out;
   util::Rng redundancy_rng = master.fork(kStreamRedundancy);
   util::Rng users_rng = master.fork(kStreamUsers);
@@ -242,7 +242,8 @@ inline ResolvedInputs resolve_inputs(
   for (std::size_t i = 0; i < config.n_clusters; ++i) {
     util::Rng stream_rng = master.fork(kStreamWorkloadBase + i);
     util::Rng est_rng = master.fork(kStreamEstimatorBase + i);
-    const grid::ClusterConfig& cc = cluster_configs[i];
+    const int nodes = rc.nodes[i];
+    const workload::LublinParams& params = rc.params[i];
     ClusterInput& in = out.clusters[i];
     if (!config.trace_files.empty()) {
       const std::string& path =
@@ -250,14 +251,14 @@ inline ResolvedInputs resolve_inputs(
       if (window > 0) {
         workload::SpoolKey skey;
         skey.path = path;
-        skey.max_nodes = cc.nodes;
+        skey.max_nodes = nodes;
         skey.horizon = config.submit_horizon;
         skey.window = window;
         workload::TraceCache::SpoolPtr spool =
             cache.get_or_build_spool(skey, [&]() {
               workload::WindowSpool built(window);
               for (const workload::JobSpec& spec :
-                   load_swf_stream(path, config.submit_horizon, cc.nodes)) {
+                   load_swf_stream(path, config.submit_horizon, nodes)) {
                 built.append(spec);
               }
               built.finish();
@@ -269,33 +270,33 @@ inline ResolvedInputs resolve_inputs(
             std::make_unique<workload::WindowSpool::Reader>(std::move(spool));
       } else {
         auto stream = std::make_shared<const workload::JobStream>(
-            load_swf_stream(path, config.submit_horizon, cc.nodes));
+            load_swf_stream(path, config.submit_horizon, nodes));
         in.jobs = stream->size();
         in.resident_bytes = stream->size() * sizeof(workload::JobSpec);
         in.source = std::make_unique<workload::MemorySource>(std::move(stream));
       }
     } else {
       const workload::TraceKey key =
-          workload::TraceKey::of(cc.workload, cc.nodes, config.submit_horizon,
+          workload::TraceKey::of(params, nodes, config.submit_horizon,
                                  stream_rng, est_rng, estimator);
       if (window > 0) {
         const workload::TraceCache::CheckpointPtr table =
             cache.get_or_build_checkpoints(key, window, [&]() {
               return workload::scan_checkpoints(
-                  cc.workload, cc.nodes, config.submit_horizon, stream_rng,
+                  params, nodes, config.submit_horizon, stream_rng,
                   est_rng, estimator, window);
             });
         in.jobs = table->total_jobs;
         in.resident_bytes = table->payload_bytes();
         if (in.jobs > 0) {
           in.source = std::make_unique<workload::StreamWindow>(
-              cc.workload, cc.nodes, config.submit_horizon,
+              params, nodes, config.submit_horizon,
               table->checkpoints.front(), estimator);
         }
       } else {
         workload::TraceCache::StreamPtr stream =
             cache.get_or_generate(key, [&]() {
-              const workload::LublinModel model(cc.workload, cc.nodes);
+              const workload::LublinModel model(params, nodes);
               // rrsim-lint-allow(stream-materialization): the whole-stream
               // source (stream_window == 0) — the memoized snapshot every
               // figure pipeline replays; windowed runs scan checkpoints

@@ -150,9 +150,9 @@ struct ExperimentConfig {
   /// If true (the default), every finished job is appended to
   /// SimResult::records — the mode all figure/table pipelines use. If
   /// false, the run *streams*: per-job outcomes are folded into
-  /// SimResult::stream as they finish and the schedulers drop terminal
-  /// jobs, so record-side memory stays O(live jobs) instead of O(total
-  /// jobs) — the mode that makes 10^6-job campaigns fit in tens of MB.
+  /// SimResult::stream as they finish, so record-side memory stays
+  /// O(live jobs) instead of O(total jobs) — the mode that makes 10^6-job
+  /// campaigns fit in tens of MB.
   /// Only the gateway's record sink differs: the simulated schedule, and
   /// so every metric, is bit-identical to the retained mode, including
   /// integer-time SWF ties. Composes with any stream_window.

@@ -1,7 +1,6 @@
 #include "rrsim/grid/gateway.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -471,44 +470,27 @@ void Gateway::record_finish(std::size_t cluster, const sched::Job& job) {
   const double submit_time = platform_.partition_of(cluster) == origin
                                  ? job.submit_time
                                  : tracked.submit_time;
+  metrics::JobRecord rec;
+  rec.submit_time = submit_time;
+  rec.start_time = job.start_time;
+  rec.finish_time = job.finish_time;
+  rec.actual_time = job.actual_time;
+  rec.requested_time = job.requested_time;
+  rec.predicted_start = tracked.predicted_start;  // NaN = none
+  rec.grid_id = static_cast<std::uint32_t>(grid_id);
+  rec.origin_cluster = tracked.origin;
+  rec.winner_cluster = static_cast<std::uint32_t>(cluster);
+  rec.nodes = job.nodes;
+  rec.replicas = tracked.replicas_sent;
+  // tracked.replicas holds the replicas actually *delivered* (dropped and
+  // limit-rejected ones were removed; nothing else shrinks the list).
+  // It saturates at 2^16 - 1, like replicas_sent.
+  rec.replicas_delivered = static_cast<std::uint16_t>(
+      std::min<std::size_t>(tracked.replicas.size(), 0xffff));
+  rec.redundant = tracked.redundant;
   if (sink_ != nullptr) {
-    metrics::JobRecord32 rec;
-    rec.grid_id = static_cast<std::uint32_t>(grid_id);
-    rec.origin_cluster = static_cast<std::uint16_t>(tracked.origin);
-    rec.winner_cluster = static_cast<std::uint16_t>(cluster);
-    rec.redundant = tracked.redundant;
-    rec.replicas = static_cast<std::uint8_t>(
-        std::min<unsigned>(tracked.replicas_sent, 0xff));
-    rec.replicas_delivered = static_cast<std::uint8_t>(
-        std::min<std::size_t>(tracked.replicas.size(), 0xff));
-    rec.nodes = static_cast<std::uint16_t>(
-        std::min(job.nodes, 0xffff));
-    rec.submit_time = submit_time;
-    rec.start_time = job.start_time;
-    rec.finish_time = job.finish_time;
-    rec.actual_time = job.actual_time;
-    rec.predicted_start = tracked.predicted_start;  // NaN = none
     sink_->add(rec);
   } else {
-    metrics::JobRecord rec;
-    rec.grid_id = grid_id;
-    rec.origin_cluster = tracked.origin;
-    rec.winner_cluster = cluster;
-    rec.redundant = tracked.redundant;
-    rec.replicas = static_cast<int>(tracked.replicas_sent);
-    // tracked.replicas holds the replicas actually *delivered* (dropped
-    // and limit-rejected ones were removed; nothing else shrinks the
-    // list).
-    rec.replicas_delivered = static_cast<int>(tracked.replicas.size());
-    rec.nodes = job.nodes;
-    rec.submit_time = submit_time;
-    rec.start_time = job.start_time;
-    rec.finish_time = job.finish_time;
-    rec.actual_time = job.actual_time;
-    rec.requested_time = job.requested_time;
-    if (!std::isnan(tracked.predicted_start)) {
-      rec.predicted_start = tracked.predicted_start;
-    }
     agent.records.push_back(rec);
   }
   // Reclaim the job's tracking state. On one partition with direct

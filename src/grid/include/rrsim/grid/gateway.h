@@ -42,6 +42,7 @@
 #include "rrsim/metrics/online.h"
 #include "rrsim/metrics/record.h"
 #include "rrsim/util/flat_map.h"
+#include "rrsim/workload/jobspec.h"
 
 namespace rrsim::grid {
 
@@ -102,13 +103,15 @@ class Gateway {
   /// origin's replica ids run out.
   void submit(const GridJob& job, double remote_inflation = 1.0);
 
-  /// Streams per-finish outcomes into `sink` instead of appending to the
-  /// record buffer (constant-memory campaigns). Records are fed in finish
-  /// order — the same order records() would hold them — so metrics from
-  /// the accumulator are bit-identical to the batch functions over the
-  /// records a retained run would have produced. Pass nullptr to restore
-  /// record retention. The sink must outlive the run; reset() clears it.
-  /// Throws std::invalid_argument for a sink on more than one partition.
+  /// Folds each finished job's record into `sink` instead of appending it
+  /// to the record buffer (constant-memory campaigns). This is the only
+  /// difference between the two record modes: the same JobRecord is built
+  /// either way, and records are fed in finish order — the order
+  /// records() would hold them — so metrics from the accumulator are
+  /// bit-identical to the batch functions over a retained run's records.
+  /// Pass nullptr to restore record retention. The sink must outlive the
+  /// run; reset() clears it. Throws std::invalid_argument for a sink on
+  /// more than one partition.
   void set_record_sink(metrics::OnlineAccumulator* sink);
 
   /// Bytes of job-proportional live tracking state (tracked jobs, their

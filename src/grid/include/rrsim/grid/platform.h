@@ -1,7 +1,8 @@
-// The multi-site platform: N clusters, each with its own size, its own
-// batch scheduler, and its own workload parameters. Covers both the
-// paper's homogeneous setups (identical 128-node clusters) and the
-// Table 3 heterogeneous one (sizes in {16..256}, varying arrival rates).
+// The multi-site platform: N clusters, each with its own size and its own
+// batch scheduler. Covers both the paper's homogeneous setups (identical
+// 128-node clusters) and the Table 3 heterogeneous one (sizes in
+// {16..256}). Each cluster's workload is the experiment's business
+// (core/experiment_detail.h); the platform never reads it.
 //
 // The platform also says where each cluster runs: all on one simulation
 // (the classic zero-delay kernel, one partition), or each on its own
@@ -16,39 +17,31 @@
 #include "rrsim/des/simulation.h"
 #include "rrsim/exec/pdes.h"
 #include "rrsim/sched/factory.h"
-#include "rrsim/workload/lublin.h"
 
 namespace rrsim::grid {
-
-/// Static description of one cluster.
-struct ClusterConfig {
-  int nodes = 128;
-  workload::LublinParams workload;  ///< arrival/shape parameters for the
-                                    ///< job stream originating here
-};
 
 /// N clusters, each with a scheduler of the same algorithm (the paper
 /// never mixes algorithms across sites).
 class Platform {
  public:
-  /// Builds the clusters and their schedulers on one shared simulation.
-  /// Throws std::invalid_argument if `configs` is empty.
-  Platform(des::Simulation& sim, std::vector<ClusterConfig> configs,
+  /// Builds one cluster of nodes[i] nodes per entry, with their
+  /// schedulers on one shared simulation. Throws std::invalid_argument if
+  /// `nodes` is empty.
+  Platform(des::Simulation& sim, std::vector<int> nodes,
            sched::Algorithm algorithm);
 
   /// Builds cluster i's scheduler on coord.partition(i). Throws
-  /// std::invalid_argument unless there is one config per partition.
-  Platform(exec::PdesCoordinator& coord, std::vector<ClusterConfig> configs,
+  /// std::invalid_argument unless there is one cluster per partition.
+  Platform(exec::PdesCoordinator& coord, std::vector<int> nodes,
            sched::Algorithm algorithm);
 
-  std::size_t size() const noexcept { return configs_.size(); }
+  std::size_t size() const noexcept { return sizes_.size(); }
   sched::ClusterScheduler& scheduler(std::size_t i) {
     return *schedulers_.at(i);
   }
   const sched::ClusterScheduler& scheduler(std::size_t i) const {
     return *schedulers_.at(i);
   }
-  const ClusterConfig& config(std::size_t i) const { return configs_.at(i); }
   sched::Algorithm algorithm() const noexcept { return algorithm_; }
 
   /// Cluster sizes by id, the shape placement policies consume.
@@ -72,11 +65,11 @@ class Platform {
   sched::OpCounters total_counters() const;
 
   /// Resets every scheduler in place (see ClusterScheduler::reset),
-  /// keeping their arenas warm. Shape, workload configs, and algorithm
-  /// are immutable, so a Platform may only be reused for an experiment
-  /// with an identical cluster layout — callers compare size(),
-  /// cluster_sizes(), algorithm(), and config() first and reconstruct on
-  /// any mismatch. The owning Simulation must be reset alongside.
+  /// keeping their arenas warm. Cluster sizes and algorithm are
+  /// immutable, so a Platform may only be reused for an experiment with an
+  /// identical cluster layout — callers compare cluster_sizes() and
+  /// algorithm() first and reconstruct on any mismatch. The owning
+  /// Simulation must be reset alongside.
   void reset() {
     for (auto& s : schedulers_) s->reset();
   }
@@ -86,15 +79,10 @@ class Platform {
   /// partitions when it is null.
   void build(des::Simulation* shared);
 
-  std::vector<ClusterConfig> configs_;
-  std::vector<std::unique_ptr<sched::ClusterScheduler>> schedulers_;
   std::vector<int> sizes_;
+  std::vector<std::unique_ptr<sched::ClusterScheduler>> schedulers_;
   sched::Algorithm algorithm_;
   exec::PdesCoordinator* coord_ = nullptr;
 };
-
-/// Convenience: N identical clusters sharing one workload parameter set.
-std::vector<ClusterConfig> homogeneous_configs(
-    std::size_t n, int nodes, const workload::LublinParams& params);
 
 }  // namespace rrsim::grid

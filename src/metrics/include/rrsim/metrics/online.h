@@ -1,20 +1,18 @@
 // Streaming (constant-memory) metrics: everything the batch pipeline in
 // summary.h computes from a retained JobRecord vector, computed instead
-// from a one-pass accumulator fed per finished job. Feeding records in
-// the same order the gateway would have appended them reproduces the
-// batch results bit-identically for every mean/CV/max (the batch path is
-// itself a sequence of util::OnlineStats::add calls in record order); the
-// quantile sketch is the one genuinely approximate extension.
+// from a one-pass accumulator fed the same JobRecord per finished job.
+// Feeding records in the same order the gateway would have appended them
+// reproduces the batch results bit-identically for every mean/CV/max (the
+// batch path is itself a sequence of util::OnlineStats::add calls in
+// record order); the quantile sketch is the one genuinely approximate
+// extension.
 //
 // This is what unlocks the ROADMAP's grid-scale campaigns: a 10^6-job run
-// needs ~500 bytes of metric state instead of ~100 MB of records.
+// needs ~500 bytes of metric state instead of ~70 MB of records.
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "rrsim/metrics/record.h"
@@ -22,40 +20,6 @@
 #include "rrsim/util/stats.h"
 
 namespace rrsim::metrics {
-
-/// Compact per-job record for the streaming path: 32-bit grid id, 16-bit
-/// cluster indices, and a NaN sentinel instead of optional<double> — 56
-/// bytes against JobRecord's ~104. All time fields stay full doubles, so
-/// every metric derived from a JobRecord32 is bit-identical to the same
-/// metric derived from the JobRecord it was compacted from
-/// (requested_time is dropped: no metric reads it).
-struct JobRecord32 {
-  double submit_time = 0.0;
-  double start_time = 0.0;
-  double finish_time = 0.0;
-  double actual_time = 1.0;
-  /// Queue-wait prediction made at submit time; NaN when none was
-  /// recorded (predictions are real start times, never NaN themselves).
-  double predicted_start = std::numeric_limits<double>::quiet_NaN();
-  std::uint32_t grid_id = 0;
-  std::uint16_t origin_cluster = 0;
-  std::uint16_t winner_cluster = 0;
-  std::uint16_t nodes = 1;
-  std::uint8_t replicas = 1;
-  std::uint8_t replicas_delivered = 1;
-  bool redundant = false;
-
-  double wait_time() const noexcept { return start_time - submit_time; }
-  double turnaround() const noexcept { return finish_time - submit_time; }
-  bool has_prediction() const noexcept { return !std::isnan(predicted_start); }
-};
-static_assert(sizeof(JobRecord32) <= 56, "JobRecord32 grew past 56 bytes");
-
-/// Narrows a full record (saturating the id/counter fields).
-JobRecord32 compact(const JobRecord& r) noexcept;
-
-/// Stretch with the same 1 s denominator clamp as stretch_of(JobRecord).
-double stretch_of(const JobRecord32& r) noexcept;
 
 /// Single-quantile streaming estimator (Jain & Chlamtac's P² algorithm):
 /// five markers tracking the target quantile and its neighbourhood,
@@ -107,8 +71,7 @@ class OnlineAccumulator {
   /// compute_prediction_accuracy's default of 1 s.
   explicit OnlineAccumulator(double min_wait = 1.0);
 
-  void add(const JobRecord32& r) noexcept;
-  void add(const JobRecord& r) noexcept { add(compact(r)); }
+  void add(const JobRecord& r) noexcept;
 
   void merge(const OnlineAccumulator& other) noexcept;
 

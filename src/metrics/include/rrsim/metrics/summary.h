@@ -5,6 +5,7 @@
 // (redundant vs. non-redundant).
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "rrsim/metrics/record.h"

@@ -4,32 +4,6 @@
 
 namespace rrsim::metrics {
 
-JobRecord32 compact(const JobRecord& r) noexcept {
-  JobRecord32 c;
-  c.submit_time = r.submit_time;
-  c.start_time = r.start_time;
-  c.finish_time = r.finish_time;
-  c.actual_time = r.actual_time;
-  if (r.predicted_start) c.predicted_start = *r.predicted_start;
-  c.grid_id = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(r.grid_id, UINT32_MAX));
-  c.origin_cluster = static_cast<std::uint16_t>(
-      std::min<std::size_t>(r.origin_cluster, UINT16_MAX));
-  c.winner_cluster = static_cast<std::uint16_t>(
-      std::min<std::size_t>(r.winner_cluster, UINT16_MAX));
-  c.nodes = static_cast<std::uint16_t>(std::clamp(r.nodes, 0, 0xffff));
-  c.replicas = static_cast<std::uint8_t>(std::clamp(r.replicas, 0, 0xff));
-  c.replicas_delivered =
-      static_cast<std::uint8_t>(std::clamp(r.replicas_delivered, 0, 0xff));
-  c.redundant = r.redundant;
-  return c;
-}
-
-double stretch_of(const JobRecord32& r) noexcept {
-  const double denom = std::max(r.actual_time, 1.0);
-  return r.turnaround() / denom;
-}
-
 // --- P2Quantile ------------------------------------------------------------
 
 P2Quantile::P2Quantile(double q) : q_(q) {
@@ -112,7 +86,7 @@ double P2Quantile::value() const noexcept {
 
 OnlineAccumulator::OnlineAccumulator(double min_wait) : min_wait_(min_wait) {}
 
-void OnlineAccumulator::add(const JobRecord32& r) noexcept {
+void OnlineAccumulator::add(const JobRecord& r) noexcept {
   // Mirror compute_filtered exactly: one add per series, in this order,
   // per class the record belongs to — independent accumulators see the
   // same value sequences the batch path feeds them.

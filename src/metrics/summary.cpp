@@ -6,11 +6,6 @@
 
 namespace rrsim::metrics {
 
-double stretch_of(const JobRecord& r) noexcept {
-  const double denom = std::max(r.actual_time, 1.0);
-  return r.turnaround() / denom;
-}
-
 namespace {
 
 template <typename Filter>
@@ -59,11 +54,11 @@ PredictionAccuracy compute_prediction_accuracy(
   util::OnlineStats ratios;
   for (const JobRecord& r : records) {
     if (redundant_only && r.redundant != *redundant_only) continue;
-    if (!r.predicted_start) continue;
+    if (!r.has_prediction()) continue;
     const double actual_wait = r.wait_time();
     if (actual_wait < min_wait) continue;
     const double predicted_wait =
-        std::max(0.0, *r.predicted_start - r.submit_time);
+        std::max(0.0, r.predicted_start - r.submit_time);
     ratios.add(predicted_wait / actual_wait);
   }
   PredictionAccuracy acc;

@@ -50,7 +50,7 @@ Job CbfScheduler::handle_cancel(JobId id) {
   Job job = std::move(queue_[k].job);
   const Time r = queue_[k].reserved_start;
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(k));
-  if (compress_ && incremental_base_ok()) {
+  if (incremental_base_ok()) {
     // Freed slot: drop the reservation in place and pull the suffix
     // earlier. The prefix cannot move (its slots depend only on the
     // running set and earlier positions), so this equals a rebuild.
@@ -75,7 +75,7 @@ void CbfScheduler::handle_completion(const Job& job) {
   }
   const bool early =
       job.finish_time < job.start_time + job.requested_time;
-  if (early && compress_) {
+  if (early) {
     if (incremental_base_ok()) {
       // Release the unused tail of the conservative footprint, then pull
       // every reservation as early as possible.
@@ -217,7 +217,7 @@ void CbfScheduler::dispatch_ready() {
     } else {
       // Declined: its reservation must be released so later jobs can
       // move up.
-      if (compress_ && incremental_base_ok()) {
+      if (incremental_base_ok()) {
         release_reservation(r, req, nodes);
         compress_from(k);
       } else {

@@ -10,7 +10,10 @@
 // re-reserve only the queue suffix whose slots can actually move, instead
 // of rebuilding the whole profile from scratch. Redundant-request
 // workloads are cancel-heavy by construction (degree N costs up to N-1
-// cancels per grid job), so this is the scheduler's hottest path.
+// cancels per grid job), so this is the scheduler's hottest path. An early
+// completion always releases the unused tail of its footprint and pulls
+// every reservation as early as it can go (the published algorithm's
+// "compression" step).
 #pragma once
 
 #include <cstdint>
@@ -26,16 +29,8 @@ namespace rrsim::sched {
 /// Conservative-backfilling batch scheduler.
 class CbfScheduler final : public ClusterScheduler {
  public:
-  /// `compress_on_early_completion`: when a job finishes before its
-  /// requested time, release the unused tail of its footprint and pull
-  /// every reservation as early as possible (the "compression" step of
-  /// the published algorithm). Disable for very deep queues where O(Q)
-  /// compression per completion dominates; predictions and correctness
-  /// are unaffected, only responsiveness to early completions.
-  CbfScheduler(des::Simulation& sim, int total_nodes,
-               bool compress_on_early_completion = true)
+  CbfScheduler(des::Simulation& sim, int total_nodes)
       : ClusterScheduler(sim, total_nodes),
-        compress_(compress_on_early_completion),
         profile_(total_nodes),
         rebuild_scratch_(total_nodes) {}
 
@@ -63,9 +58,9 @@ class CbfScheduler final : public ClusterScheduler {
   }
 
   /// Number of from-scratch profile rebuilds performed (the fallback
-  /// path). With compression enabled this should be a small fraction of
-  /// cancels — it only runs when incremental_base_ok() detects that a
-  /// rebuild's floating-point snapping would not be a no-op.
+  /// path). This should be a small fraction of cancels — it only runs
+  /// when incremental_base_ok() detects that a rebuild's floating-point
+  /// snapping would not be a no-op.
   std::uint64_t rebuilds() const noexcept { return rebuilds_; }
 
   std::size_t live_state_bytes() const noexcept override {
@@ -132,10 +127,8 @@ class CbfScheduler final : public ClusterScheduler {
 
   /// From-scratch fallback: resets the profile (in place) from the
   /// running set and re-reserves every queued job in FCFS order;
-  /// reservations can only move earlier. Used when compression is
-  /// disabled (the profile may then hold conservative "ghost" footprints
-  /// of early-finished jobs that a rebuild must drop), when
-  /// incremental_base_ok() fails, and by the self-check fallback.
+  /// reservations can only move earlier. Used when incremental_base_ok()
+  /// fails and by the self-check fallback.
   void rebuild_profile();
 
   /// Starts, in queue order, every queued job whose reservation time has
@@ -154,7 +147,6 @@ class CbfScheduler final : public ClusterScheduler {
   void validate_index() const;
 #endif
 
-  bool compress_;
   std::vector<Entry> queue_;  // FCFS order: the only pending structure
   Profile profile_;
   /// Where each running job's footprint actually ends *in the profile*:

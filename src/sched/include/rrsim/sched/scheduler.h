@@ -47,6 +47,11 @@ struct OpCounters {
 /// replica already won elsewhere (the paper's cancel-on-callback protocol
 /// with zero network delay). Completions are scheduled on the simulation
 /// at start + actual_time.
+///
+/// Per-job state covers live jobs only: the moment a job is cancelled,
+/// declined or finished, its lifecycle entry and submit-time prediction
+/// are erased, so the tables stay O(live jobs) over arbitrarily long runs.
+/// An ended id then answers like an unknown one.
 class ClusterScheduler {
  public:
   /// Owner hooks. All optional; a null grant accepts every start.
@@ -89,7 +94,9 @@ class ClusterScheduler {
   /// their limit). Returns false — and leaves all state untouched — when
   /// a configured per-user pending limit refuses the request. Throws
   /// std::invalid_argument if the job can never run here (nodes < 1 or >
-  /// total), has a duplicate id, or non-positive times.
+  /// total), has the id of a pending or running job, or non-positive
+  /// times. The id of a job that has ended is forgotten and may be
+  /// submitted again; the gateway never reuses one.
   bool submit(Job job);
 
   /// Caps the number of *pending* requests any one user may have in this
@@ -98,23 +105,8 @@ class ClusterScheduler {
   /// bypass it.
   void set_per_user_pending_limit(std::optional<int> limit);
 
-  /// When enabled, a job's lifecycle entry (and any recorded submit-time
-  /// prediction) is erased the moment it reaches a terminal state —
-  /// cancelled, declined or finished — instead of being kept for the
-  /// run's lifetime, so the per-job tables stay O(live jobs) over
-  /// arbitrarily long runs. Scheduling behaviour is unchanged: cancel()
-  /// on a forgotten id answers false through the unknown-id path, which
-  /// is indistinguishable from the terminal-state answer. The one
-  /// observable difference is that resubmitting a *terminal* id is no
-  /// longer caught as a duplicate, so only drivers that never reuse ids
-  /// (the gateway allocates monotonically) may enable this. Off by
-  /// default; reset() turns it back off.
-  void set_forget_terminal_ids(bool forget) noexcept {
-    forget_terminal_ids_ = forget;
-  }
-
   /// Cancels a *pending* request (qdel). Returns true if the job was
-  /// pending and has been removed; false if unknown, running, or done.
+  /// pending and has been removed; false if unknown, running, or ended.
   /// The membership check is an O(1) hash lookup on the lifecycle index
   /// (redundant-request workloads are cancel-heavy: every grid job with
   /// redundancy degree N issues up to N-1 cancels).
@@ -139,10 +131,11 @@ class ClusterScheduler {
   const OpCounters& counters() const noexcept { return counters_; }
   des::Simulation& simulation() noexcept { return sim_; }
 
-  /// The queue-wait prediction made *at submission time* for a still-known
-  /// job, in seconds of predicted start time (absolute). Only CBF records
-  /// one: its reservation at submit (the paper's Section 5 predictor).
-  /// FCFS and EASY record none and return nullopt.
+  /// The queue-wait prediction made *at submission time* for a pending or
+  /// running job, in seconds of predicted start time (absolute); nullopt
+  /// once the job has ended. Only CBF records one: its reservation at
+  /// submit (the paper's Section 5 predictor). FCFS and EASY record none
+  /// and return nullopt.
   std::optional<Time> predicted_start_at_submit(JobId id) const;
 
   /// Bytes of job-proportional live state this scheduler holds: the flat
@@ -153,13 +146,13 @@ class ClusterScheduler {
   virtual std::size_t live_state_bytes() const noexcept;
 
   /// Returns the scheduler to its just-constructed state — empty queue,
-  /// all nodes free, zeroed counters, no lifecycle history, no per-user
-  /// limit — while keeping container storage allocated where the
-  /// representation allows, so a reused scheduler runs its next
-  /// experiment with warm arenas. Owner callbacks are kept (they bind
-  /// the scheduler to its Gateway, which outlives resets). Callers must
-  /// reset the owning Simulation first/alongside: completion events
-  /// scheduled by the previous run are orphaned, not cancelled, here.
+  /// all nodes free, zeroed counters, no per-user limit — while keeping
+  /// container storage allocated where the representation allows, so a
+  /// reused scheduler runs its next experiment with warm arenas. Owner
+  /// callbacks are kept (they bind the scheduler to its Gateway, which
+  /// outlives resets). Callers must reset the owning Simulation
+  /// first/alongside: completion events scheduled by the previous run are
+  /// orphaned, not cancelled, here.
   virtual void reset();
 
 #if RRSIM_VALIDATE_ENABLED
@@ -215,7 +208,8 @@ class ClusterScheduler {
 #if RRSIM_VALIDATE_ENABLED
   /// Per-operation check, O(running): free_nodes_ must equal total minus
   /// the running set's footprint, and the job the operation touched must
-  /// be in the lifecycle state the operation left it in.
+  /// be in the lifecycle state the operation left it in — absent from the
+  /// lifecycle index and predictions once it has ended.
   void validate_op(JobId touched, JobState expected) const;
 #endif
 
@@ -225,15 +219,15 @@ class ClusterScheduler {
   Callbacks callbacks_;
   OpCounters counters_;
   std::optional<int> per_user_limit_;
-  bool forget_terminal_ids_ = false;  // see set_forget_terminal_ids()
   // Per-job bookkeeping lives in flat tables: these are touched on every
   // submit/cancel/start/finish, and none of them needs ordered iteration
   // (the running set, which does, gets the sorted-vector map).
   util::FlatHashMap<UserId, int> pending_per_user_;
   util::FlatOrderedMap<JobId, Job> running_;
   util::FlatHashMap<JobId, Time> predictions_;  // submit-time starts
-  /// Lifecycle of every id ever submitted: duplicate-id guard and the
-  /// O(1) pending/running membership check behind cancel().
+  /// Lifecycle of every pending or running id: duplicate-id guard and the
+  /// O(1) pending membership check behind cancel(). An id leaves it (and
+  /// predictions_) when its job is cancelled, declined or finished.
   util::FlatHashMap<JobId, JobState> known_ids_;
 };
 

@@ -18,7 +18,6 @@ void ClusterScheduler::reset() {
   free_nodes_ = total_nodes_;
   counters_ = OpCounters{};
   per_user_limit_.reset();
-  forget_terminal_ids_ = false;
   pending_per_user_.clear();
   running_.clear();
   predictions_.clear();
@@ -40,9 +39,9 @@ void ClusterScheduler::validate_op(JobId touched, JobState expected) const {
   const bool terminal = expected == JobState::kCancelled ||
                         expected == JobState::kDeclined ||
                         expected == JobState::kFinished;
-  if (forget_terminal_ids_ && terminal) {
-    RRSIM_CHECK(state == nullptr,
-                "terminal id still in the lifecycle index in forget mode");
+  if (terminal) {
+    RRSIM_CHECK(state == nullptr && predictions_.find(touched) == nullptr,
+                "ended id still in the lifecycle index or predictions");
   } else {
     RRSIM_CHECK(state != nullptr && *state == expected,
                 "lifecycle index disagrees with the operation just applied");
@@ -117,17 +116,12 @@ bool ClusterScheduler::submit(Job job) {
   // nodes), finished it (zero-ish runtimes do not exist, so no), or
   // declined it; accept whatever lifecycle state it reached, but the
   // accounting and membership agreement must hold regardless.
+  // An immediate decline — the sole terminal state reachable inside
+  // submit, completions being events — erases the entry before we get
+  // here.
   const JobState* reached = known_ids_.find(submitted_id);
-  if (reached == nullptr) {
-    // Only legal in forget mode, where an immediate decline (the sole
-    // terminal state reachable inside submit — completions are events)
-    // erases the entry before we get here.
-    RRSIM_CHECK(forget_terminal_ids_,
-                "submitted job vanished from lifecycle");
-    validate_op(submitted_id, JobState::kDeclined);
-  } else {
-    validate_op(submitted_id, *reached);
-  }
+  validate_op(submitted_id,
+              reached != nullptr ? *reached : JobState::kDeclined);
 #endif
   return true;
 }
@@ -142,14 +136,8 @@ bool ClusterScheduler::cancel(JobId id) {
   }
   Job job = handle_cancel(id);
   job.state = JobState::kCancelled;
-  // Re-find: handle_cancel is virtual and the flat table invalidates
-  // pointers on insert, so the pre-call pointer must not be trusted.
-  if (forget_terminal_ids_) {
-    known_ids_.erase(id);
-    predictions_.erase(id);
-  } else {
-    known_ids_.at(id) = JobState::kCancelled;
-  }
+  known_ids_.erase(id);
+  predictions_.erase(id);
   ++counters_.cancels;
   --pending_per_user_[job.user];
 #if RRSIM_VALIDATE_ENABLED
@@ -168,12 +156,8 @@ bool ClusterScheduler::try_start(Job job) {
   --pending_per_user_[job.user];
   if (callbacks_.on_grant && !callbacks_.on_grant(job)) {
     ++counters_.declines;
-    if (forget_terminal_ids_) {
-      known_ids_.erase(job.id);
-      predictions_.erase(job.id);
-    } else {
-      known_ids_[job.id] = JobState::kDeclined;
-    }
+    known_ids_.erase(job.id);
+    predictions_.erase(job.id);
 #if RRSIM_VALIDATE_ENABLED
     validate_op(job.id, JobState::kDeclined);
 #endif
@@ -207,12 +191,8 @@ void ClusterScheduler::complete_job(JobId id) {
   Job job = it->second;
   running_.erase(it);
   job.state = JobState::kFinished;
-  if (forget_terminal_ids_) {
-    known_ids_.erase(id);
-    predictions_.erase(id);
-  } else {
-    known_ids_[id] = JobState::kFinished;
-  }
+  known_ids_.erase(id);
+  predictions_.erase(id);
   free_nodes_ += job.nodes;
   ++counters_.finishes;
 #if RRSIM_VALIDATE_ENABLED

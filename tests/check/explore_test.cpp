@@ -417,7 +417,7 @@ TEST(OutcomeOf, CommutativeOverRecordOrder) {
   metrics::JobRecords records;
   for (int i = 0; i < 5; ++i) {
     metrics::JobRecord r{};
-    r.grid_id = static_cast<std::uint64_t>(i);
+    r.grid_id = static_cast<std::uint32_t>(i);
     r.submit_time = 10.0 * i;
     r.start_time = r.submit_time + 1.0;
     r.finish_time = r.start_time + 30.0;

@@ -149,7 +149,7 @@ TEST(Experiment, PredictionsNeedCbf) {
   const SimResult r = run_experiment(c);
   ASSERT_FALSE(r.records.empty());
   for (const metrics::JobRecord& rec : r.records) {
-    EXPECT_TRUE(rec.predicted_start.has_value()) << rec.grid_id;
+    EXPECT_TRUE(rec.has_prediction()) << rec.grid_id;
   }
 }
 

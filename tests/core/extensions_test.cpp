@@ -114,9 +114,8 @@ TEST(MoldableGateway, WorksThroughMiddlewareToo) {
   (void)c;  // engine-level moldable submission is exercised at grid level;
             // this test pins that the pieces at least coexist in one sim.
   des::Simulation sim;
-  grid::Platform platform(
-      sim, grid::homogeneous_configs(1, 8, workload::LublinParams{}),
-      sched::Algorithm::kEasy);
+  grid::Platform platform(sim, std::vector<int>(1, 8),
+                          sched::Algorithm::kEasy);
   grid::Gateway gateway(platform);
   grid::MiddlewareStation station(sim, 2.0);
   gateway.set_middleware({&station});

@@ -115,5 +115,46 @@ TEST(WorkCounts, RejectsAreSummedOverClusters) {
                 {12560, {7471, 11253, 2046, 4681, 4681, 744, 14198}, 2790});
 }
 
+// Toy versions of two benchmark workloads (perfbench/src/workloads.cpp),
+// so their simulated work is gated without timing: 128-node clusters at
+// a calibrated 0.7 load, half the jobs sending four requests.
+ExperimentConfig benchmark_shape(std::size_t clusters, double hours) {
+  ExperimentConfig c;
+  c.n_clusters = clusters;
+  c.nodes_per_cluster = 128;
+  c.load_mode = LoadMode::kCalibrated;
+  c.target_utilization = 0.7;
+  c.submit_horizon = hours * 3600.0;
+  c.scheme = RedundancyScheme::fixed(4);
+  c.redundant_fraction = 0.5;
+  return c;
+}
+
+TEST(WorkCounts, GridWindowedToyShape) {
+  ExperimentConfig c = benchmark_shape(16, 1.0);
+  c.retain_records = false;
+  c.stream_window = 256;
+  const SimResult r = run_experiment(c);
+  EXPECT_EQ(r.jobs_generated, 1615u);
+  EXPECT_EQ(r.duplicate_starts, 0u);
+  expect_counts(r, {5744, {4069, 0, 651, 1615, 1615, 1803, 6335}, 2454});
+}
+
+TEST(WorkCounts, PdesLatencyToyShapeOnOneAndTwoWorkers) {
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE("pdes_jobs=" + std::to_string(jobs));
+    ExperimentConfig c = benchmark_shape(8, 5.0);
+    c.pdes = true;
+    c.cross_cluster_latency = 60.0;
+    c.pdes_jobs = jobs;
+    const SimResult r = run_experiment(c);
+    EXPECT_EQ(r.jobs_generated, 4033u);
+    EXPECT_EQ(r.pdes_windows, 349u);
+    EXPECT_EQ(r.duplicate_starts, 3902u);
+    expect_counts(r,
+                  {36132, {10237, 0, 2302, 7935, 7935, 0, 20474}, 2302});
+  }
+}
+
 }  // namespace
 }  // namespace rrsim::core

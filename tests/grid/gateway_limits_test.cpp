@@ -4,6 +4,7 @@
 
 #include "rrsim/grid/gateway.h"
 #include "rrsim/grid/platform.h"
+#include "rrsim/util/rng.h"
 
 namespace rrsim::grid {
 namespace {
@@ -14,8 +15,7 @@ struct Fixture {
   Gateway gateway;
 
   explicit Fixture(std::size_t n, int limit)
-      : platform(sim, homogeneous_configs(n, 8, workload::LublinParams{}),
-                 sched::Algorithm::kEasy),
+      : platform(sim, std::vector<int>(n, 8), sched::Algorithm::kEasy),
         gateway(platform) {
     for (std::size_t i = 0; i < n; ++i) {
       platform.scheduler(i).set_per_user_pending_limit(limit);

@@ -23,8 +23,7 @@ struct Fixture {
   std::vector<std::unique_ptr<MiddlewareStation>> stations;
 
   Fixture(std::size_t n, const std::vector<double>& rates)
-      : platform(sim, homogeneous_configs(n, 8, workload::LublinParams{}),
-                 sched::Algorithm::kEasy),
+      : platform(sim, std::vector<int>(n, 8), sched::Algorithm::kEasy),
         gateway(platform) {
     std::vector<MiddlewareStation*> raw;
     for (std::size_t i = 0; i < n; ++i) {
@@ -139,9 +138,7 @@ TEST(GatewayMiddlewareDrop, DirectDeliveryNeverDrops) {
   // Without middleware every qsub has already been issued when the first
   // grant lands, so losers are declined or cancelled, never dropped.
   des::Simulation sim;
-  Platform platform(sim,
-                    homogeneous_configs(2, 8, workload::LublinParams{}),
-                    sched::Algorithm::kEasy);
+  Platform platform(sim, std::vector<int>(2, 8), sched::Algorithm::kEasy);
   Gateway gateway(platform);
   GridJob job = make_grid_job(1, 0, {0, 1}, 7, 5.0);
   gateway.submit(job);

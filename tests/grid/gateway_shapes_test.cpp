@@ -5,6 +5,7 @@
 
 #include "rrsim/grid/gateway.h"
 #include "rrsim/grid/platform.h"
+#include "rrsim/util/rng.h"
 
 namespace rrsim::grid {
 namespace {
@@ -15,8 +16,7 @@ struct Fixture {
   Gateway gateway;
 
   explicit Fixture(std::size_t n, int nodes = 8)
-      : platform(sim, homogeneous_configs(n, nodes, workload::LublinParams{}),
-                 sched::Algorithm::kEasy),
+      : platform(sim, std::vector<int>(n, nodes), sched::Algorithm::kEasy),
         gateway(platform) {}
 };
 

@@ -6,6 +6,7 @@
 
 #include "rrsim/exec/pdes.h"
 #include "rrsim/grid/platform.h"
+#include "rrsim/util/rng.h"
 
 namespace rrsim::grid {
 namespace {
@@ -18,8 +19,7 @@ struct Fixture {
   explicit Fixture(std::size_t n, int nodes = 8,
                    sched::Algorithm algo = sched::Algorithm::kEasy,
                    bool predictions = false)
-      : platform(sim, homogeneous_configs(n, nodes, workload::LublinParams{}),
-                 algo),
+      : platform(sim, std::vector<int>(n, nodes), algo),
         gateway(platform, predictions) {}
 };
 
@@ -96,9 +96,7 @@ TEST(Gateway, ReplicaIdsEndAtThe32BitBoundary) {
 
 TEST(Gateway, SingleInstantFeaturesNeedOnePartition) {
   exec::PdesCoordinator coord(2, 5.0, 1);
-  Platform platform(coord,
-                    homogeneous_configs(2, 8, workload::LublinParams{}),
-                    sched::Algorithm::kEasy);
+  Platform platform(coord, std::vector<int>(2, 8), sched::Algorithm::kEasy);
   EXPECT_THROW(Gateway(platform, /*record_predictions=*/true),
                std::invalid_argument);
   Gateway gateway(platform);
@@ -120,9 +118,7 @@ TEST(Gateway, RemoteWinnerRecordKeepsTheUsersSubmitInstant) {
   // the user's instant.
   constexpr double kLatency = 5.0;
   exec::PdesCoordinator coord(2, kLatency, 1);
-  Platform platform(coord,
-                    homogeneous_configs(2, 8, workload::LublinParams{}),
-                    sched::Algorithm::kEasy);
+  Platform platform(coord, std::vector<int>(2, 8), sched::Algorithm::kEasy);
   Gateway gateway(platform);
   coord.partition(0).schedule_at(1.0, [&gateway] {
     gateway.submit(make_grid_job(1, 0, {0}, 8, 100.0));
@@ -254,8 +250,8 @@ TEST(Gateway, PredictionRecordedAsMinOverReplicas) {
   f.sim.run();
   for (const auto& r : f.gateway.records()) {
     if (r.grid_id == 3) {
-      ASSERT_TRUE(r.predicted_start.has_value());
-      EXPECT_DOUBLE_EQ(*r.predicted_start, 30.0);  // min(100, 30)
+      ASSERT_TRUE(r.has_prediction());
+      EXPECT_DOUBLE_EQ(r.predicted_start, 30.0);  // min(100, 30)
       EXPECT_EQ(r.start_time, 30.0);
     }
   }

@@ -6,6 +6,7 @@
 
 #include "rrsim/grid/gateway.h"
 #include "rrsim/grid/platform.h"
+#include "rrsim/util/rng.h"
 
 namespace rrsim::grid {
 namespace {
@@ -81,8 +82,7 @@ struct Fixture {
   std::vector<std::unique_ptr<MiddlewareStation>> stations;
 
   Fixture(std::size_t n, double rate)
-      : platform(sim, homogeneous_configs(n, 8, workload::LublinParams{}),
-                 sched::Algorithm::kEasy),
+      : platform(sim, std::vector<int>(n, 8), sched::Algorithm::kEasy),
         gateway(platform) {
     std::vector<MiddlewareStation*> raw;
     for (std::size_t i = 0; i < n; ++i) {
@@ -131,8 +131,7 @@ TEST(GatewayMiddleware, LateReplicaDroppedAfterSiblingStarts) {
 
 TEST(GatewayMiddleware, ValidatesConfiguration) {
   des::Simulation sim;
-  Platform platform(sim, homogeneous_configs(2, 8, workload::LublinParams{}),
-                    sched::Algorithm::kEasy);
+  Platform platform(sim, std::vector<int>(2, 8), sched::Algorithm::kEasy);
   Gateway gateway(platform);
   MiddlewareStation station(sim, 1.0);
   EXPECT_THROW(gateway.set_middleware({&station}), std::invalid_argument);

@@ -2,23 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace rrsim::grid {
 namespace {
 
-TEST(Platform, HomogeneousFactory) {
-  const auto configs = homogeneous_configs(5, 128, workload::LublinParams{});
-  ASSERT_EQ(configs.size(), 5u);
-  for (const ClusterConfig& c : configs) {
-    EXPECT_EQ(c.nodes, 128);
-  }
-  EXPECT_THROW(homogeneous_configs(0, 128, workload::LublinParams{}),
-               std::invalid_argument);
-}
-
 TEST(Platform, BuildsSchedulersOfRequestedAlgorithm) {
   des::Simulation sim;
-  Platform platform(sim, homogeneous_configs(3, 64, workload::LublinParams{}),
-                    sched::Algorithm::kCbf);
+  Platform platform(sim, std::vector<int>(3, 64), sched::Algorithm::kCbf);
   EXPECT_EQ(platform.size(), 3u);
   EXPECT_EQ(platform.algorithm(), sched::Algorithm::kCbf);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -29,13 +20,9 @@ TEST(Platform, BuildsSchedulersOfRequestedAlgorithm) {
 
 TEST(Platform, HeterogeneousSizes) {
   des::Simulation sim;
-  std::vector<ClusterConfig> configs(3);
-  configs[0].nodes = 16;
-  configs[1].nodes = 128;
-  configs[2].nodes = 256;
-  Platform platform(sim, configs, sched::Algorithm::kEasy);
+  Platform platform(sim, {16, 128, 256}, sched::Algorithm::kEasy);
   EXPECT_EQ(platform.cluster_sizes(), (std::vector<int>{16, 128, 256}));
-  EXPECT_EQ(platform.config(2).nodes, 256);
+  EXPECT_EQ(platform.scheduler(2).total_nodes(), 256);
 }
 
 TEST(Platform, RejectsEmpty) {
@@ -46,8 +33,7 @@ TEST(Platform, RejectsEmpty) {
 
 TEST(Platform, TotalCountersSumAcrossClusters) {
   des::Simulation sim;
-  Platform platform(sim, homogeneous_configs(2, 8, workload::LublinParams{}),
-                    sched::Algorithm::kFcfs);
+  Platform platform(sim, std::vector<int>(2, 8), sched::Algorithm::kFcfs);
   sched::Job job;
   job.id = 1;
   job.nodes = 4;

@@ -68,8 +68,8 @@ TEST(Predictability, RedundancyShrinksQueueFloodedPredictionsViaMin) {
   double nr_pred = 0.0, nr_act = 0.0, r_pred = 0.0, r_act = 0.0;
   std::size_t nr_n = 0, r_n = 0;
   for (const auto& rec : r.records) {
-    if (!rec.predicted_start) continue;
-    const double pred = std::max(0.0, *rec.predicted_start - rec.submit_time);
+    if (!rec.has_prediction()) continue;
+    const double pred = std::max(0.0, rec.predicted_start - rec.submit_time);
     if (rec.redundant) {
       r_pred += pred;
       r_act += rec.wait_time();

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "rrsim/metrics/summary.h"
@@ -38,11 +39,11 @@ std::vector<JobRecord> random_records(std::size_t n, std::uint64_t seed) {
                                           : rng.uniform(1.0, 3000.0);
     JobRecord r = make_record(submit, submit + wait, actual,
                               rng.chance(0.5));
-    r.grid_id = i + 1;
-    r.origin_cluster = i % 7;
-    r.winner_cluster = i % 5;
+    r.grid_id = static_cast<std::uint32_t>(i + 1);
+    r.origin_cluster = static_cast<std::uint32_t>(i % 7);
+    r.winner_cluster = static_cast<std::uint32_t>(i % 5);
     r.nodes = 1 + static_cast<int>(rng.below(64));
-    r.replicas = 1 + static_cast<int>(rng.below(4));
+    r.replicas = static_cast<std::uint16_t>(1 + rng.below(4));
     r.replicas_delivered = r.replicas;
     if (rng.chance(0.5)) {
       r.predicted_start = submit + rng.uniform(0.0, 2.0 * wait + 1.0);
@@ -50,44 +51,6 @@ std::vector<JobRecord> random_records(std::size_t n, std::uint64_t seed) {
     rs.push_back(r);
   }
   return rs;
-}
-
-// --- compact / JobRecord32 ------------------------------------------------
-
-TEST(Compact, PreservesEveryMetricInput) {
-  JobRecord r = make_record(12.5, 40.25, 99.75, true);
-  r.grid_id = 7;
-  r.predicted_start = 33.0;
-  const JobRecord32 c = compact(r);
-  EXPECT_EQ(c.submit_time, r.submit_time);
-  EXPECT_EQ(c.start_time, r.start_time);
-  EXPECT_EQ(c.finish_time, r.finish_time);
-  EXPECT_EQ(c.actual_time, r.actual_time);
-  EXPECT_TRUE(c.has_prediction());
-  EXPECT_EQ(c.predicted_start, 33.0);
-  EXPECT_EQ(c.grid_id, 7u);
-  EXPECT_TRUE(c.redundant);
-  EXPECT_EQ(stretch_of(c), stretch_of(r));
-  EXPECT_EQ(c.wait_time(), r.wait_time());
-  EXPECT_EQ(c.turnaround(), r.turnaround());
-}
-
-TEST(Compact, MissingPredictionBecomesNaN) {
-  const JobRecord32 c = compact(make_record(0.0, 1.0, 2.0));
-  EXPECT_FALSE(c.has_prediction());
-}
-
-TEST(Compact, SaturatesNarrowFields) {
-  JobRecord r = make_record(0.0, 1.0, 2.0);
-  r.grid_id = (1ULL << 40);
-  r.origin_cluster = 1 << 20;
-  r.nodes = 1 << 20;
-  r.replicas = 1000;
-  const JobRecord32 c = compact(r);
-  EXPECT_EQ(c.grid_id, UINT32_MAX);
-  EXPECT_EQ(c.origin_cluster, UINT16_MAX);
-  EXPECT_EQ(c.nodes, UINT16_MAX);
-  EXPECT_EQ(c.replicas, 255);
 }
 
 // --- streaming vs batch oracle --------------------------------------------

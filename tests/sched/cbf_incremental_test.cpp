@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -26,10 +27,8 @@ namespace {
 // queue linearly in dispatch, and computes wake-ups with an O(Q) sweep.
 class LegacyCbf final : public ClusterScheduler {
  public:
-  LegacyCbf(des::Simulation& sim, int total_nodes, bool compress)
-      : ClusterScheduler(sim, total_nodes),
-        compress_(compress),
-        profile_(total_nodes) {}
+  LegacyCbf(des::Simulation& sim, int total_nodes)
+      : ClusterScheduler(sim, total_nodes), profile_(total_nodes) {}
 
   std::string name() const override { return "cbf-legacy"; }
   std::size_t queue_length() const override { return queue_.size(); }
@@ -60,7 +59,7 @@ class LegacyCbf final : public ClusterScheduler {
 
   void handle_completion(const Job& job) override {
     const bool early = job.finish_time < job.start_time + job.requested_time;
-    if (early && compress_) rebuild_profile();
+    if (early) rebuild_profile();
     dispatch_ready();
   }
 
@@ -112,7 +111,6 @@ class LegacyCbf final : public ClusterScheduler {
     }
   }
 
-  bool compress_;
   std::vector<Entry> queue_;
   Profile profile_;
   des::Simulation::EventHandle wakeup_;
@@ -123,7 +121,7 @@ class LegacyCbf final : public ClusterScheduler {
 struct Trace {
   // (kind, id, time): kind is 's'tart, 'f'inish, 'c'ancel.
   std::vector<std::tuple<char, JobId, Time>> events;
-  std::vector<std::pair<JobId, Time>> predictions;
+  std::map<JobId, Time> predictions;
   OpCounters counters;
   std::uint64_t fallbacks = 0;
   std::uint64_t rebuilds = 0;
@@ -136,7 +134,6 @@ struct WorkloadParams {
   int jobs = 250;
   double cancel_fraction = 0.5;
   bool declines = true;
-  bool compress = true;
   /// Integer submit gaps in [0, 3] s and integer requested, actual and
   /// cancel times: same-instant arrivals, simultaneous completions, and
   /// due jobs that wait for a same-timestamp completion's nodes.
@@ -147,14 +144,23 @@ struct WorkloadParams {
 template <typename Scheduler>
 Trace run_workload(const WorkloadParams& wp) {
   des::Simulation sim;
-  Scheduler sched(sim, wp.nodes, wp.compress);
+  Scheduler sched(sim, wp.nodes);
   if constexpr (std::is_same_v<Scheduler, CbfScheduler>) {
     sched.set_self_check(wp.self_check);
   }
   Trace trace;
+  // A scheduler forgets a job's submit-time prediction when the job ends,
+  // so read it while the job is known: as its submission returns, and at
+  // its grant (a job declined inside submit() has ended by the return).
+  const auto note_prediction = [&trace, &sched](JobId id) {
+    if (const auto p = sched.predicted_start_at_submit(id)) {
+      trace.predictions.emplace(id, *p);
+    }
+  };
 
   ClusterScheduler::Callbacks cb;
   cb.on_grant = [&](const Job& j) {
+    note_prediction(j.id);
     return !(wp.declines && j.id % 11 == 3);  // deterministic declines
   };
   cb.on_start = [&](const Job& j) {
@@ -189,7 +195,11 @@ Trace run_workload(const WorkloadParams& wp) {
             ? job.requested_time
             : (wp.ties ? draw(1.0, job.requested_time - 1.0)
                        : job.requested_time * rng.uniform(0.15, 0.95));
-    sim.schedule_at(t, [&s = sched, job] { s.submit(job); },
+    sim.schedule_at(t,
+                    [&s = sched, &note_prediction, job] {
+                      s.submit(job);
+                      note_prediction(job.id);
+                    },
                     des::Priority::kArrival);
     if (rng.chance(wp.cancel_fraction)) {
       const double cancel_at = t + draw(0.0, 120.0);
@@ -202,11 +212,6 @@ Trace run_workload(const WorkloadParams& wp) {
   }
   sim.run();
 
-  for (JobId id = 1; id <= static_cast<JobId>(wp.jobs); ++id) {
-    if (const auto p = sched.predicted_start_at_submit(id)) {
-      trace.predictions.emplace_back(id, *p);
-    }
-  }
   trace.counters = sched.counters();
   if constexpr (std::is_same_v<Scheduler, CbfScheduler>) {
     trace.fallbacks = sched.self_check_fallbacks();
@@ -239,17 +244,9 @@ TEST(CbfIncremental, MatchesLegacyRebuildTraceBitExactly) {
     const Trace incremental = run_workload<CbfScheduler>(wp);
     expect_traces_equal(legacy, incremental, seed);
     ASSERT_GT(incremental.cancels_issued, 20u) << "workload too tame";
-  }
-}
-
-TEST(CbfIncremental, MatchesLegacyWithCompressionDisabled) {
-  for (std::uint64_t seed : {5u, 71u, 123u}) {
-    WorkloadParams wp;
-    wp.seed = seed;
-    wp.compress = false;
-    const Trace legacy = run_workload<LegacyCbf>(wp);
-    const Trace incremental = run_workload<CbfScheduler>(wp);
-    expect_traces_equal(legacy, incremental, seed);
+    // Every submitted job's prediction was read before the job ended.
+    EXPECT_EQ(incremental.predictions.size(),
+              static_cast<std::size_t>(wp.jobs));
   }
 }
 
@@ -260,27 +257,26 @@ TEST(CbfIncremental, MatchesLegacyWithoutDeclines) {
   const Trace legacy = run_workload<LegacyCbf>(wp);
   const Trace incremental = run_workload<CbfScheduler>(wp);
   expect_traces_equal(legacy, incremental, wp.seed);
+  // This workload takes the from-scratch rebuild fallback, so the replica
+  // checks that path too.
+  EXPECT_GT(incremental.rebuilds, 0u);
 }
 
 TEST(CbfIncremental, TieHeavyTraceMatchesLegacy) {
   // Integer times make every tie the continuous workloads above almost
   // never draw: same-instant submits, cancels and completions, and due
   // jobs blocked until an equal-time completion frees their nodes.
-  for (const bool compress : {true, false}) {
-    for (std::uint64_t seed : {2u, 31u, 97u}) {
-      WorkloadParams wp;
-      wp.seed = seed;
-      wp.ties = true;
-      wp.compress = compress;
-      wp.self_check = true;
-      const Trace legacy = run_workload<LegacyCbf>(wp);
-      const Trace incremental = run_workload<CbfScheduler>(wp);
-      SCOPED_TRACE(compress ? "compression on" : "compression off");
-      expect_traces_equal(legacy, incremental, seed);
-      EXPECT_EQ(incremental.fallbacks, 0u) << "seed=" << seed;
-      EXPECT_GT(incremental.counters.declines, 0u) << "seed=" << seed;
-      EXPECT_GT(incremental.cancels_issued, 20u) << "seed=" << seed;
-    }
+  for (std::uint64_t seed : {2u, 31u, 97u}) {
+    WorkloadParams wp;
+    wp.seed = seed;
+    wp.ties = true;
+    wp.self_check = true;
+    const Trace legacy = run_workload<LegacyCbf>(wp);
+    const Trace incremental = run_workload<CbfScheduler>(wp);
+    expect_traces_equal(legacy, incremental, seed);
+    EXPECT_EQ(incremental.fallbacks, 0u) << "seed=" << seed;
+    EXPECT_GT(incremental.counters.declines, 0u) << "seed=" << seed;
+    EXPECT_GT(incremental.cancels_issued, 20u) << "seed=" << seed;
   }
 }
 
@@ -288,40 +284,37 @@ TEST(CbfIncremental, SelfCheckReportsNoDivergence) {
   // The built-in oracle re-derives every reservation from a from-scratch
   // rebuild after each compression; any mismatch is a correctness bug in
   // the incremental update.
-  for (const bool compress : {true, false}) {
-    for (std::uint64_t seed : {3u, 59u, 322u}) {
-      des::Simulation sim;
-      CbfScheduler sched(sim, 16, compress);
-      sched.set_self_check(true);
-      util::Rng rng(seed);
-      double t = 0.0;
-      for (JobId id = 1; id <= 200; ++id) {
-        t += rng.uniform(0.05, 10.0);
-        Job job;
-        job.id = id;
-        job.nodes = static_cast<int>(rng.between(1, 16));
-        job.requested_time = rng.uniform(5.0, 200.0);
-        job.actual_time = job.requested_time * rng.uniform(0.1, 1.0);
-        sim.schedule_at(t, [&sched, job] { sched.submit(job); },
-                        des::Priority::kArrival);
-        if (rng.chance(0.6)) {
-          sim.schedule_at(t + rng.uniform(0.0, 90.0),
-                          [&sched, id] { sched.cancel(id); },
-                          des::Priority::kCancel);
-        }
+  for (std::uint64_t seed : {3u, 59u, 322u}) {
+    des::Simulation sim;
+    CbfScheduler sched(sim, 16);
+    sched.set_self_check(true);
+    util::Rng rng(seed);
+    double t = 0.0;
+    for (JobId id = 1; id <= 200; ++id) {
+      t += rng.uniform(0.05, 10.0);
+      Job job;
+      job.id = id;
+      job.nodes = static_cast<int>(rng.between(1, 16));
+      job.requested_time = rng.uniform(5.0, 200.0);
+      job.actual_time = job.requested_time * rng.uniform(0.1, 1.0);
+      sim.schedule_at(t, [&sched, job] { sched.submit(job); },
+                      des::Priority::kArrival);
+      if (rng.chance(0.6)) {
+        sim.schedule_at(t + rng.uniform(0.0, 90.0),
+                        [&sched, id] { sched.cancel(id); },
+                        des::Priority::kCancel);
       }
-      sim.run();
-      EXPECT_EQ(sched.self_check_fallbacks(), 0u)
-          << "compress=" << compress << " seed=" << seed;
-      EXPECT_GT(sched.counters().cancels, 30u);
     }
+    sim.run();
+    EXPECT_EQ(sched.self_check_fallbacks(), 0u) << "seed=" << seed;
+    EXPECT_GT(sched.counters().cancels, 30u);
   }
 }
 
 TEST(CbfIncremental, IncrementalPathCarriesTheCancelLoad) {
-  // The rebuild fallback must be the exception, not the rule: with
-  // compression on, cancels and early completions should overwhelmingly
-  // take the in-place compression path.
+  // The rebuild fallback must be the exception, not the rule: cancels and
+  // early completions should overwhelmingly take the in-place compression
+  // path.
   WorkloadParams wp;
   wp.seed = 77;
   wp.jobs = 400;

@@ -118,17 +118,6 @@ TEST(Cbf, CompressionAfterEarlyCompletion) {
   EXPECT_EQ(rec.start_times[2], 20.0);  // compression pulled it forward
 }
 
-TEST(Cbf, NoCompressionWhenDisabled) {
-  des::Simulation sim;
-  CbfScheduler sched(sim, 8, /*compress_on_early_completion=*/false);
-  Recorder rec;
-  sched.set_callbacks(rec.callbacks(sim));
-  sched.submit(make_job(1, 8, 100.0, 20.0));
-  sched.submit(make_job(2, 8, 50.0));
-  sim.run();
-  EXPECT_EQ(rec.start_times[2], 100.0);  // sticks to its reservation
-}
-
 TEST(Cbf, CancellationCompressesQueue) {
   des::Simulation sim;
   CbfScheduler sched(sim, 8);

@@ -1,16 +1,11 @@
-// The forget-terminal-ids mode (streaming campaigns): terminal lifecycle
-// entries are erased as they occur, the schedule itself is unchanged, and
-// the documented behavioural edges hold — cancel() on a forgotten id says
-// false exactly like the terminal-state answer, and a reused terminal id
+// Schedulers erase a job's lifecycle entry the moment it ends (cancelled,
+// declined or finished), so their per-job tables stay O(live jobs). The
+// documented behavioural edges: cancel() on an ended id says false like
+// any unknown id, its submit-time prediction is gone, and reusing the id
 // is no longer caught as a duplicate.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
-
 #include "rrsim/sched/factory.h"
-#include "rrsim/util/rng.h"
-#include "rrsim/workload/lublin.h"
 
 namespace rrsim::sched {
 namespace {
@@ -24,97 +19,21 @@ Job make_job(JobId id, int nodes, double runtime) {
   return job;
 }
 
-struct Trace {
-  std::vector<JobId> starts;
-  std::vector<JobId> finishes;
-  OpCounters counters;
-  std::size_t live_bytes = 0;
-};
-
-/// A churn workload (submissions, cancels, grant declines) on one
-/// scheduler, with the forget flag on or off. Everything observable from
-/// the outside must be identical in the two modes.
-Trace run_churn(Algorithm algo, bool forget, std::uint64_t seed) {
-  des::Simulation sim;
-  auto sched = make_scheduler(algo, sim, 64);
-  sched->set_forget_terminal_ids(forget);
-  Trace trace;
-  ClusterScheduler::Callbacks cb;
-  util::Rng grant_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  cb.on_grant = [&](const Job&) { return !grant_rng.chance(0.2); };
-  cb.on_start = [&](const Job& j) { trace.starts.push_back(j.id); };
-  cb.on_finish = [&](const Job& j) { trace.finishes.push_back(j.id); };
-  sched->set_callbacks(std::move(cb));
-
-  util::Rng rng(seed);
-  const workload::LublinModel model(workload::LublinParams{}, 64);
-  double t = 0.0;
-  for (JobId id = 1; id <= 400; ++id) {
-    t += rng.uniform(1.0, 60.0);
-    const workload::JobSpec spec = model.sample_job(rng);
-    const Job job = make_job(id, spec.nodes, spec.runtime);
-    sim.schedule_at(t, [&s = *sched, job] { s.submit(job); },
-                    des::Priority::kArrival);
-    if (rng.chance(0.25)) {
-      sim.schedule_at(t + rng.uniform(0.0, 120.0),
-                      [&s = *sched, id] { s.cancel(id); },
-                      des::Priority::kArrival);
-    }
-  }
-  sim.run();
-  trace.counters = sched->counters();
-  trace.live_bytes = sched->live_state_bytes();
-  return trace;
-}
-
-TEST(ForgetTerminalIds, ScheduleIsIdenticalWithAndWithoutForgetting) {
-  for (const Algorithm algo :
-       {Algorithm::kFcfs, Algorithm::kEasy, Algorithm::kCbf}) {
-    for (const std::uint64_t seed : {11ULL, 23ULL}) {
-      const Trace keep = run_churn(algo, false, seed);
-      const Trace drop = run_churn(algo, true, seed);
-      EXPECT_EQ(keep.starts, drop.starts);
-      EXPECT_EQ(keep.finishes, drop.finishes);
-      EXPECT_EQ(keep.counters.submits, drop.counters.submits);
-      EXPECT_EQ(keep.counters.cancels, drop.counters.cancels);
-      EXPECT_EQ(keep.counters.declines, drop.counters.declines);
-      EXPECT_EQ(keep.counters.finishes, drop.counters.finishes);
-      EXPECT_EQ(keep.counters.sched_passes, drop.counters.sched_passes);
-      // The point of the mode: the per-job tables stop growing with run
-      // length. (Capacity-based accounting, so strict < is the claim.)
-      EXPECT_LT(drop.live_bytes, keep.live_bytes);
-    }
-  }
-}
-
 TEST(ForgetTerminalIds, ForgottenIdsAnswerLikeTerminalOnes) {
   des::Simulation sim;
   auto sched = make_scheduler(Algorithm::kFcfs, sim, 8);
-  sched->set_forget_terminal_ids(true);
   sim.schedule_at(1.0, [&] { sched->submit(make_job(1, 8, 10.0)); },
                   des::Priority::kArrival);
   sim.run();
   EXPECT_EQ(sched->counters().finishes, 1U);
   // Finished and forgotten: cancel answers false through the unknown-id
-  // path — indistinguishable from the kept kFinished entry.
+  // path.
   EXPECT_FALSE(sched->cancel(1));
   // The prediction recorded at submit is dropped with the lifecycle entry.
   EXPECT_FALSE(sched->predicted_start_at_submit(1).has_value());
-  // The documented trade: a reused terminal id is accepted again instead
-  // of throwing. Only drivers that never reuse ids may enable the mode.
+  // The documented trade: a reused ended id is accepted again instead of
+  // throwing. The gateway never reuses replica ids.
   EXPECT_NO_THROW(sched->submit(make_job(1, 8, 10.0)));
-}
-
-TEST(ForgetTerminalIds, ResetTurnsForgettingOff) {
-  des::Simulation sim;
-  auto sched = make_scheduler(Algorithm::kFcfs, sim, 8);
-  sched->set_forget_terminal_ids(true);
-  sched->reset();
-  sim.schedule_at(1.0, [&] { sched->submit(make_job(1, 8, 10.0)); },
-                  des::Priority::kArrival);
-  sim.run();
-  // Back to the historical full-lifecycle table: duplicate ids throw.
-  EXPECT_THROW(sched->submit(make_job(1, 8, 10.0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -33,9 +33,8 @@ TEST(ValidateClean, PdesRedundantRunWithValidatorsArmed) {
   constexpr std::size_t kN = 3;
   constexpr double kLatency = 5.0;
   exec::PdesCoordinator coord(kN, kLatency, 2);
-  grid::Platform platform(
-      coord, grid::homogeneous_configs(kN, 8, workload::LublinParams{}),
-      sched::Algorithm::kCbf);
+  grid::Platform platform(coord, std::vector<int>(kN, 8),
+                          sched::Algorithm::kCbf);
   grid::Gateway gateway(platform);
   // Staggered redundant submissions from every origin: enough traffic to
   // queue, start, cancel in-flight siblings, and produce duplicate

@@ -50,9 +50,7 @@ TEST(ValidateClean, RedundantCampaignRunsWithValidatorsArmed) {
        {sched::Algorithm::kCbf, sched::Algorithm::kEasy,
         sched::Algorithm::kFcfs}) {
     des::Simulation sim;
-    grid::Platform platform(
-        sim, grid::homogeneous_configs(3, 8, workload::LublinParams{}),
-        algo);
+    grid::Platform platform(sim, std::vector<int>(3, 8), algo);
     grid::Gateway gateway(platform);
     // Enough redundant jobs to queue, start, cancel siblings, and finish —
     // every per-operation validator fires many times along the way.
@@ -157,9 +155,8 @@ TEST(ValidateDeath, PendingQueueValidatorTripsOnCorruptIndex) {
 
 TEST(ValidateDeath, GatewayValidatorTripsOnCorruptReplicaIndex) {
   des::Simulation sim;
-  grid::Platform platform(
-      sim, grid::homogeneous_configs(2, 8, workload::LublinParams{}),
-      sched::Algorithm::kCbf);
+  grid::Platform platform(sim, std::vector<int>(2, 8),
+                          sched::Algorithm::kCbf);
   grid::Gateway gateway(platform);
   gateway.submit(make_grid_job(1, 0, {0, 1}, 4, 100.0));
   gateway.debug_corrupt_tracking();
