@@ -54,11 +54,13 @@ inline int repetitions(const util::Cli& cli, int quick_default) {
     exec::set_default_jobs(
         static_cast<int>(cli.get_int_in("jobs", 0, 1, kIntMax)));
   }
+  // --full is read even when --reps wins, so Cli::reject_unread() does
+  // not report it.
+  const bool full = cli.get_bool("full", false);
   if (cli.has("reps")) {
     return static_cast<int>(cli.get_int_in("reps", 0, 1, kIntMax));
   }
-  if (cli.get_bool("full", false)) return 50;
-  return quick_default;
+  return full ? 50 : quick_default;
 }
 
 /// Prints the harness banner: what is being reproduced and with which

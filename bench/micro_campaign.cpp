@@ -212,6 +212,8 @@ int main(int argc, char** argv) {
         "events", 2000000, 1, std::numeric_limits<std::int64_t>::max()));
     const std::string out_path =
         cli.get_string("out", "BENCH_campaign.json");
+    const core::ExperimentConfig config = campaign_config(cli);
+    cli.reject_unread();
     rrsim::bench::banner(
         "micro_campaign - campaign and kernel throughput",
         "wall-clock of a paired relative campaign at --jobs 1 vs --jobs N,\n"
@@ -228,7 +230,6 @@ int main(int argc, char** argv) {
     std::printf("  pooled slab kernel       : %12.0f events/s  (%.2fx)\n\n",
                 pooled_eps, pooled_eps / legacy_eps);
 
-    const core::ExperimentConfig config = campaign_config(cli);
     std::printf("campaign: %zu clusters, scheme %s, %d reps\n",
                 config.n_clusters, config.scheme.name().c_str(), reps);
 

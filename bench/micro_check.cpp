@@ -129,6 +129,7 @@ int main(int argc, char** argv) {
         cli.get_int_in("max-groups", 24, 0, kIntMax));
     const double hours = cli.get_double("hours", 1.0);
     const std::string out_path = cli.get_string("out", "BENCH_check.json");
+    cli.reject_unread();
     if (hours <= 0.0) {
       throw std::invalid_argument("--hours > 0 required");
     }

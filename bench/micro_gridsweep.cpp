@@ -204,6 +204,8 @@ int main(int argc, char** argv) {
         "window", 256, 1, std::numeric_limits<std::int64_t>::max()));
     const std::string out_path =
         cli.get_string("out", "BENCH_gridsweep.json");
+    const std::int64_t budget_mb = cli.get_int("assert-rss-mb", 0);
+    cli.reject_unread();
     if (!(hours > 0.0)) {
       throw std::invalid_argument("--hours must be > 0");
     }
@@ -269,7 +271,6 @@ int main(int argc, char** argv) {
     std::printf("jobs per point: %" PRIu64 "\n", serial.front().jobs);
 
     const std::size_t rss = rrsim::bench::peak_rss_bytes();
-    const std::int64_t budget_mb = cli.get_int("assert-rss-mb", 0);
     if (budget_mb > 0 &&
         rss > static_cast<std::size_t>(budget_mb) * 1048576) {
       throw std::runtime_error(

@@ -380,6 +380,7 @@ int main(int argc, char** argv) {
         "map-ops", 2000000, 1, std::numeric_limits<std::int64_t>::max());
     const std::string mode = cli.get_string("mode", "both");
     const std::string out_path = cli.get_string("out", "BENCH_kernel.json");
+    cli.reject_unread();
     if (mode != "both" && mode != "new" && mode != "legacy") {
       throw std::invalid_argument("--mode must be both, new or legacy");
     }

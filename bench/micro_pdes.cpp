@@ -90,6 +90,7 @@ int main(int argc, char** argv) {
     base.submit_horizon = 0.5 * 3600.0;
     base.scheme = core::RedundancyScheme::parse("ALL");
     base = core::apply_common_flags(base, cli);
+    cli.reject_unread();
     // The grid below owns these three knobs.
     base.pdes = true;
 

@@ -102,6 +102,9 @@ int run_child(const util::Cli& cli) {
   const std::string mode = cli.get_string("mode", "retained");
   const auto window = static_cast<std::size_t>(
       cli.get_int_in("window", 256, 1, kMaxInt64));
+  const bool ck_rerun = cli.get_bool("ck-rerun", false);
+  const std::int64_t budget_mb = cli.get_int("assert-rss-mb", 0);
+  cli.reject_unread();
   const core::ExperimentConfig config =
       scale_config(clusters, hours, mode, window);
 
@@ -113,7 +116,7 @@ int run_child(const util::Cli& cli) {
   // the first run published, so the reported counters demonstrate the
   // cross-point hit rate inside one process (untimed — `elapsed` covers
   // the first run only).
-  if (cli.get_bool("ck-rerun", false)) {
+  if (ck_rerun) {
     const core::SimResult rerun = core::run_experiment(config);
     if (rerun.jobs_generated != result.jobs_generated) {
       std::fprintf(stderr, "rerun disagreed on job count\n");
@@ -145,7 +148,6 @@ int run_child(const util::Cli& cli) {
   // Hard resident-set budget (the CI smoke): a regression that re-grows
   // the resident set past the budget fails the run, not just a number in
   // a JSON nobody reads.
-  const std::int64_t budget_mb = cli.get_int("assert-rss-mb", 0);
   if (budget_mb > 0 &&
       rss > static_cast<std::size_t>(budget_mb) * 1048576) {
     std::fprintf(stderr,
@@ -238,6 +240,7 @@ int main(int argc, char** argv) {
     };
     const auto n_points = static_cast<std::size_t>(cli.get_int_in(
         "points", 4, 1, static_cast<std::int64_t>(all_points.size())));
+    cli.reject_unread();
 
     std::printf("=== micro_scale - memory-budgeted grid-scale campaigns "
                 "===\n");

@@ -469,6 +469,7 @@ int main(int argc, char** argv) {
     const auto nodes =
         static_cast<int>(cli.get_int_in("nodes", 64, 1, kIntMax));
     const std::string out_path = cli.get_string("out", "BENCH_sched.json");
+    cli.reject_unread();
     const int deep_submissions = kDeepFactor * submissions;
 
     std::printf("=== micro_sched - scheduler hot-path throughput ===\n");

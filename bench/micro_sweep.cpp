@@ -127,6 +127,7 @@ int main(int argc, char** argv) {
     core::ExperimentConfig base = core::figure_config();
     base.submit_horizon = 1.0 * 3600.0;
     base = core::apply_common_flags(base, cli);
+    cli.reject_unread();
 
     std::printf("=== micro_sweep - sweep engine throughput ===\n");
     std::printf(

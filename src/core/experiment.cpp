@@ -213,8 +213,9 @@ SimResult run_experiment(const ExperimentConfig& config,
   // placement substream itself; P partitions fork it per partition p
   // (which holds cluster p), so PDES targets differ from the classic
   // kernel's at the same seed but not across worker counts. Only one
-  // partition sees every cluster's live queue length (least-loaded
-  // placement); across partitions the view holds the sizes alone.
+  // partition sees every cluster's live queue length at once, and only a
+  // policy that reads them (least-loaded placement) gets a snapshot;
+  // otherwise the view holds the sizes alone.
   std::vector<util::Rng> placement_rngs;
   if (partitions == 1) {
     placement_rngs.push_back(inputs.placement_rng);
@@ -223,25 +224,29 @@ SimResult run_experiment(const ExperimentConfig& config,
       placement_rngs.push_back(inputs.placement_rng.fork(p));
     }
   }
-  const bool live_view = partitions == 1;
+  const bool snapshot_queues =
+      partitions == 1 && placement->reads_queue_lengths();
+  std::vector<std::size_t> queue_lengths;  // reused by every snapshot
   const std::size_t degree = config.scheme.degree(n);
   const double inflation = config.remote_inflation;
+  // Remotes are appended to the job's own target list: the pump's reused
+  // cohort entry, so a warm run allocates nothing here.
   const auto submit = [&platform, &gateway, &placement = *placement,
-                       &placement_rngs, live_view, degree,
-                       inflation](grid::GridJob& job) {
+                       &placement_rngs, &queue_lengths, snapshot_queues,
+                       degree, inflation](grid::GridJob& job) {
     if (job.redundant && degree > 1) {
-      std::vector<std::size_t> lengths;
-      if (live_view) {
-        lengths.reserve(platform.size());
+      if (snapshot_queues) {
+        queue_lengths.clear();
         for (std::size_t c = 0; c < platform.size(); ++c) {
-          lengths.push_back(platform.scheduler(c).queue_length());
+          queue_lengths.push_back(platform.scheduler(c).queue_length());
         }
       }
-      const grid::PlatformView view{platform.cluster_sizes(), lengths};
-      auto remotes = placement.choose_remotes(
+      const grid::PlatformView view{platform.cluster_sizes(),
+                                    platform.smallest_cluster(),
+                                    queue_lengths};
+      placement.choose_remotes(
           job.origin, job.spec.nodes, view, degree - 1,
-          placement_rngs[platform.partition_of(job.origin)]);
-      job.targets.insert(job.targets.end(), remotes.begin(), remotes.end());
+          placement_rngs[platform.partition_of(job.origin)], job.targets);
       job.redundant = job.targets.size() > 1;
     } else {
       job.redundant = false;
@@ -252,10 +257,11 @@ SimResult run_experiment(const ExperimentConfig& config,
   // One pump per partition over its own clusters, added in ascending
   // order. Arrivals carry their origin-cluster tag unless placement
   // couples them: on one partition under a redundant scheme every arrival
-  // draws from the one shared placement substream and snapshots every
-  // cluster's queue length, so permuting same-timestamp arrivals — even on
-  // different clusters — changes replica targets. Untagged arrivals are
-  // dependent on everything for schedule explorers (tools/check).
+  // draws from the one shared placement substream (and, under
+  // least-loaded placement, reads every cluster's queue length), so
+  // permuting same-timestamp arrivals — even on different clusters —
+  // changes replica targets. Untagged arrivals are dependent on
+  // everything for schedule explorers (tools/check).
   const bool tag_arrivals = degree <= 1 || partitions > 1;
   using Pump = detail::ArrivalPump<decltype(submit)>;
   std::deque<Pump> pumps;

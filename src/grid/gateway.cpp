@@ -98,7 +98,7 @@ void Gateway::install_callbacks(std::size_t cluster) {
 }
 
 void Gateway::validate_submission(const GridJob& job,
-                                  double remote_inflation) const {
+                                  double remote_inflation) {
   if (remote_inflation < 1.0) {
     throw std::invalid_argument("remote inflation factor must be >= 1");
   }
@@ -120,6 +120,8 @@ void Gateway::validate_submission(const GridJob& job,
       job.targets.end()) {
     throw std::invalid_argument("origin cluster must be among the targets");
   }
+  const std::size_t p = platform_.partition_of(job.origin);
+  Agent& agent = agents_[p];
   if (!job.replica_specs.empty()) {
     // Same-queue (moldable) siblings rely on the grant-time decline, which
     // a grant outside the origin's partition cannot get.
@@ -131,19 +133,27 @@ void Gateway::validate_submission(const GridJob& job,
     if (job.replica_specs.size() != job.targets.size()) {
       throw std::invalid_argument("one replica spec per target required");
     }
-  } else {
+  } else if (job.targets.size() > 1) {
     // Identical replicas in the same queue are pointless; moldable
-    // (shaped) submissions legitimately target one queue repeatedly.
-    auto sorted = job.targets;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-      throw std::invalid_argument("duplicate target cluster");
+    // (shaped) submissions legitimately target one queue repeatedly. A
+    // fresh stamp marks this submission's targets in the origin agent's
+    // per-cluster array: O(targets), no copy.
+    if (agent.target_stamps.empty()) {
+      agent.target_stamps.assign(platform_.size(), 0);
+    }
+    if (++agent.stamp == 0) {  // wrapped: no stale mark may match
+      std::fill(agent.target_stamps.begin(), agent.target_stamps.end(), 0);
+      agent.stamp = 1;
+    }
+    for (const std::size_t target : job.targets) {
+      if (agent.target_stamps[target] == agent.stamp) {
+        throw std::invalid_argument("duplicate target cluster");
+      }
+      agent.target_stamps[target] = agent.stamp;
     }
   }
   // The last id this job would mint must exist.
-  const std::size_t p = platform_.partition_of(job.origin);
-  (void)replica_id(p, agents_.size(),
-                   agents_[p].minted + job.targets.size() - 1);
+  (void)replica_id(p, agents_.size(), agent.minted + job.targets.size() - 1);
 }
 
 template <typename Fn>
@@ -168,29 +178,32 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
     throw std::invalid_argument("duplicate grid job id");
   }
   ++agent.counts.submitted;
-  // Safe to hold across the submit loop: nothing below inserts into or
+  // Safe to hold across the submit loops: nothing below inserts into or
   // erases from this partition's tracking table (grants only read it, and
   // finishes are events, never part of a submission), so nothing moves it.
   Tracked& tracked = *inserted.value;
   tracked.replicas.reserve(job.targets.size());
 
-  // Build the replica descriptors first: a replica that starts immediately
-  // during submission must already see its siblings registered, otherwise
-  // they would escape cancellation.
-  struct PendingSubmit {
-    std::size_t cluster;
-    sched::Job replica;
-  };
-  std::vector<PendingSubmit> submits;
-  submits.reserve(job.targets.size());
+  // Register every replica before delivering any: a replica that starts
+  // immediately during submission must already see its siblings
+  // registered, otherwise they would escape cancellation.
+  const std::uint64_t first = agent.minted;
+  for (const std::size_t target : job.targets) {
+    const sched::JobId id = replica_id(p, agents_.size(), agent.minted);
+    agent.replica_to_grid.insert(agent.minted++,
+                                 static_cast<std::uint32_t>(job.id));
+    tracked.replicas.push_back(
+        Tracked::Replica{static_cast<std::uint32_t>(target), id});
+  }
+  // Then derive and deliver each replica from its target. A delivery may
+  // shrink tracked.replicas (a refused replica is forgotten), so replica t
+  // takes the t-th id minted above, not tracked.replicas[t].
   for (std::size_t t = 0; t < job.targets.size(); ++t) {
     const std::size_t target = job.targets[t];
     const workload::JobSpec& spec =
         job.replica_specs.empty() ? job.spec : job.replica_specs[t];
     sched::Job replica;
-    replica.id = replica_id(p, agents_.size(), agent.minted);
-    agent.replica_to_grid.insert(agent.minted++,
-                                 static_cast<std::uint32_t>(job.id));
+    replica.id = replica_id(p, agents_.size(), first + t);
     replica.nodes = spec.nodes;
     replica.user = job.user;
     // The first replica bypasses pending limits: the user's home
@@ -208,24 +221,17 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
     // requested even when the user under-estimates.
     replica.requested_time = std::max(replica.requested_time,
                                       replica.actual_time);
-    tracked.replicas.push_back(Tracked::Replica{
-        static_cast<std::uint32_t>(target), replica.id});
-    submits.push_back(PendingSubmit{target, replica});
-  }
-  for (const PendingSubmit& s : submits) {
-    const std::size_t to = platform_.partition_of(s.cluster);
+    const std::size_t to = platform_.partition_of(target);
     if (to != p) {
-      send(p, to, des::Priority::kArrival,
-           [this, cluster = s.cluster, replica = s.replica] {
-             deliver_submit(cluster, replica, /*deferred=*/false);
-           });
+      send(p, to, des::Priority::kArrival, [this, target, replica] {
+        deliver_submit(target, replica, /*deferred=*/false);
+      });
     } else if (middleware_.empty()) {
-      deliver_submit(s.cluster, s.replica, /*deferred=*/false);
+      deliver_submit(target, replica, /*deferred=*/false);
     } else {
-      middleware_[s.cluster]->enqueue(
-          [this, cluster = s.cluster, replica = s.replica] {
-            deliver_submit(cluster, replica, /*deferred=*/true);
-          });
+      middleware_[target]->enqueue([this, target, replica] {
+        deliver_submit(target, replica, /*deferred=*/true);
+      });
     }
   }
   if (record_predictions_) {

@@ -254,15 +254,20 @@ class Gateway {
     metrics::JobRecords records;
     std::uint64_t minted = 0;  ///< replica ids minted so far
     Counts counts;
+    /// Duplicate-target check scratch: target_stamps[c] == stamp marks
+    /// cluster c as a target of the submission being validated. Sized to
+    /// the platform on the first multi-target submission.
+    std::vector<std::uint32_t> target_stamps;
+    std::uint32_t stamp = 0;
   };
 
   bool on_grant(std::size_t cluster, const sched::Job& job);
   void on_finish(std::size_t cluster, const sched::Job& job);
   void install_callbacks(std::size_t cluster);
   /// Checks `job` against the platform and this gateway's state; throws
-  /// what submit() documents.
-  void validate_submission(const GridJob& job,
-                           double remote_inflation) const;
+  /// what submit() documents. Writes only the origin agent's target
+  /// stamps.
+  void validate_submission(const GridJob& job, double remote_inflation);
   /// Runs on the origin's partition: the first start of a tracked job.
   /// Cancels every sibling outside the winner's cluster.
   void start(std::size_t origin_partition, Tracked& tracked,

@@ -47,6 +47,10 @@ class Platform {
   /// Cluster sizes by id, the shape placement policies consume.
   const std::vector<int>& cluster_sizes() const noexcept { return sizes_; }
 
+  /// The smallest cluster size: a job at most this wide fits every
+  /// cluster (grid::PlatformView::smallest_cluster).
+  int smallest_cluster() const noexcept { return smallest_; }
+
   /// The coordinator the clusters run on; null on one shared simulation.
   exec::PdesCoordinator* coordinator() const noexcept { return coord_; }
 
@@ -80,6 +84,7 @@ class Platform {
   void build(des::Simulation* shared);
 
   std::vector<int> sizes_;
+  int smallest_ = 0;
   std::vector<std::unique_ptr<sched::ClusterScheduler>> schedulers_;
   sched::Algorithm algorithm_;
   exec::PdesCoordinator* coord_ = nullptr;

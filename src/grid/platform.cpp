@@ -1,5 +1,6 @@
 #include "rrsim/grid/platform.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rrsim::grid {
@@ -23,6 +24,7 @@ void Platform::build(des::Simulation* shared) {
   if (sizes_.empty()) {
     throw std::invalid_argument("platform needs >= 1 cluster");
   }
+  smallest_ = *std::min_element(sizes_.begin(), sizes_.end());
   schedulers_.reserve(sizes_.size());
   for (std::size_t i = 0; i < sizes_.size(); ++i) {
     des::Simulation& sim =

@@ -41,13 +41,28 @@ Cli::Cli(int argc, const char* const* argv) {
 }
 
 bool Cli::has(const std::string& name) const {
-  return values_.find(name) != values_.end();
+  return raw(name).has_value();
 }
 
 std::optional<std::string> Cli::raw(const std::string& name) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
+  read_.insert(name);
   return it->second;
+}
+
+void Cli::reject_unread() const {
+  std::string unread;
+  std::size_t count = 0;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) != 0) continue;
+    unread += (count++ == 0 ? "--" : ", --") + name;
+  }
+  if (count != 0) {
+    throw std::invalid_argument(
+        std::string(count == 1 ? "unknown flag " : "unknown flags ") +
+        unread);
+  }
 }
 
 std::string Cli::get_string(const std::string& name,

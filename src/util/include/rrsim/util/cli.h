@@ -5,13 +5,16 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace rrsim::util {
 
-/// Parsed command line. Unknown flags are collected rather than rejected so
-/// harnesses can share common options and add their own.
+/// Parsed command line. Every flag is collected at parse time, so
+/// harnesses can share common options and add their own; each has() or
+/// get_*() call marks its flag read, and reject_unread() then turns any
+/// flag nobody asked for (a typo, --help) into an error.
 class Cli {
  public:
   /// Parses argv. Throws std::invalid_argument on malformed input
@@ -44,6 +47,11 @@ class Cli {
   /// Boolean: `--name` alone, or `--name=true/false/1/0/yes/no`.
   bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Throws std::invalid_argument naming every flag on the command line
+  /// that no has() or get_*() call has read so far. Call it once every
+  /// flag the program knows has been read, before any work.
+  void reject_unread() const;
+
   /// Program name (argv[0]).
   const std::string& program() const noexcept { return program_; }
 
@@ -56,6 +64,7 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> values_;  // flag -> value ("" if bare)
   std::vector<std::string> seen_;
+  mutable std::set<std::string> read_;  // flags has()/get_*() asked for
 };
 
 }  // namespace rrsim::util

@@ -100,6 +100,19 @@ TEST(WorkCounts, CbfRunPinsItsWakeUpTraffic) {
   expect_counts(r, {14163, {9362, 0, 4444, 4681, 4681, 237, 23168}, 4681});
 }
 
+TEST(WorkCounts, LeastLoadedPlacementReadsLiveQueues) {
+  // Least-loaded placement falls back to a uniform draw when it is given
+  // no queue lengths, so a run that stopped snapshotting the queues would
+  // still finish. These are the live-view counts; the uniform draw on the
+  // same shape (StreamingWindowedRun) cancels, declines and passes a
+  // different number of times.
+  ExperimentConfig c = four_clusters_r2();
+  c.placement = "least-loaded";
+  const SimResult r = run_experiment(c);
+  EXPECT_EQ(r.jobs_generated, 4681u);
+  expect_counts(r, {14163, {9362, 0, 4511, 4681, 4681, 170, 18554}, 4681});
+}
+
 TEST(WorkCounts, RejectsAreSummedOverClusters) {
   // A per-user pending limit refuses replicas; the platform total must
   // carry the schedulers' rejects like every other counter.

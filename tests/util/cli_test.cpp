@@ -123,6 +123,40 @@ TEST(Cli, RangeCheckedIntegerNamesTheFlagAndRange) {
   }
 }
 
+TEST(Cli, RejectUnreadNamesEveryFlagNobodyRead) {
+  const Cli cli = make({"--reps=4", "--bogus=1", "--help"});
+  EXPECT_EQ(cli.get_int("reps", 0), 4);
+  try {
+    cli.reject_unread();
+    ADD_FAILURE() << "unread flags accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flags --bogus, --help");
+  }
+  EXPECT_THROW(make({"--typo"}).reject_unread(), std::invalid_argument);
+}
+
+TEST(Cli, RejectUnreadAcceptsFlagsReadAnyWay) {
+  // has() is a read, and so is a get_*() that throws on the value.
+  const Cli cli = make({"--a=1", "--b", "--c=x", "--d=oops"});
+  EXPECT_TRUE(cli.has("a"));
+  EXPECT_TRUE(cli.get_bool("b", false));
+  EXPECT_EQ(cli.get_string("c", ""), "x");
+  EXPECT_THROW(cli.get_int_in("d", 0, 1, 9), std::invalid_argument);
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+TEST(Cli, RejectUnreadIgnoresFlagsAskedForButAbsent) {
+  const Cli cli = make({"--n=2"});
+  EXPECT_FALSE(cli.has("x"));
+  EXPECT_EQ(cli.get_double("u", 0.5), 0.5);
+  try {
+    cli.reject_unread();
+    ADD_FAILURE() << "--n accepted unread";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --n");
+  }
+}
+
 TEST(Cli, SeenRecordsOrder) {
   const Cli cli = make({"--a=1", "--b=2", "--a=3"});
   ASSERT_EQ(cli.seen().size(), 3u);
