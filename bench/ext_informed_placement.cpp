@@ -14,14 +14,14 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Extension - blind vs informed replica placement",
         "N=10; relative average stretch (vs NONE) per placement policy;\n"
         "least-loaded picks the shortest queues at submission time",
         reps);
-
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
 
     const std::vector<const char*> schemes{"R2", "R3", "HALF"};
     const std::vector<const char*> placements{"uniform", "biased",

@@ -15,17 +15,17 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
-    bench::banner(
-        "Extension - per-user pending limits as a redundancy mitigation",
-        "N=10, 40% of jobs use ALL; 'advantage' = n-r stretch / r stretch\n"
-        "(1.0 would be perfectly fair); limit 0 = uncapped",
-        reps);
-
     core::ExperimentConfig base = core::figure_config();
     base.scheme = core::RedundancyScheme::all();
     base.redundant_fraction = 0.4;
     base.users_per_cluster = 4;  // few users -> many jobs per user
     base = core::apply_common_flags(base, cli);
+    cli.reject_unread();
+    bench::banner(
+        "Extension - per-user pending limits as a redundancy mitigation",
+        "N=10, 40% of jobs use ALL; 'advantage' = n-r stretch / r stretch\n"
+        "(1.0 would be perfectly fair); limit 0 = uncapped",
+        reps);
 
     const std::vector<int> limits{0, 16, 8, 4, 2, 1};
     std::vector<core::ClassifiedCampaign> results(limits.size());

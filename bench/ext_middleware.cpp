@@ -14,13 +14,6 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const double rate = cli.get_double("rate", 1.0);
-    std::printf("=== Extension - middleware saturation under redundancy "
-                "===\n");
-    std::printf("N=10 shared-peak; middleware %.2f ops/s per cluster; the\n"
-                "analytic bound (paper section 4.2) predicts saturation "
-                "once each\ncluster's operation rate r/iat exceeds the "
-                "service rate\n\n", rate);
-
     core::ExperimentConfig base = core::figure_config();
     base.submit_horizon = 2.0 * 3600.0;
     base = core::apply_common_flags(base, cli);
@@ -28,6 +21,13 @@ int main(int argc, char** argv) {
     if (cli.has("mw-rate")) {
       base.middleware_ops_per_sec = cli.get_double("mw-rate", rate);
     }
+    cli.reject_unread();
+    std::printf("=== Extension - middleware saturation under redundancy "
+                "===\n");
+    std::printf("N=10 shared-peak; middleware %.2f ops/s per cluster; the\n"
+                "analytic bound (paper section 4.2) predicts saturation "
+                "once each\ncluster's operation rate r/iat exceeds the "
+                "service rate\n\n", rate);
 
     // Offered middleware load per cluster: every job lands r replicas
     // spread over N clusters plus up to r-1 cancellations.

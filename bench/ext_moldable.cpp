@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
     const int max_shapes = static_cast<int>(
         cli.get_int_in("shapes", 3, 1, std::numeric_limits<int>::max()));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+    cli.reject_unread();
     std::printf("=== Extension - moldable redundant requests (option iv) "
                 "===\n");
     std::printf("one %d-node cluster at ~95%% load, EASY; each moldable job "

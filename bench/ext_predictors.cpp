@@ -80,15 +80,15 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
     const double q = cli.get_double("quantile", 0.95);
     const double c = cli.get_double("confidence", 0.95);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     std::printf("=== Extension - statistical (BMBP) wait predictors under "
                 "redundancy ===\n");
     std::printf("N=10; per-cluster BMBP upper bound on the %.0f%%-quantile "
                 "of waits at\n%.0f%% confidence, trained online; 'coverage' "
                 "should be >= %.0f%% when\nthe predictor works\n\n",
                 q * 100.0, c * 100.0, q * 100.0);
-
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
 
     struct Scenario {
       const char* label;

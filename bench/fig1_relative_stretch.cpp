@@ -15,14 +15,14 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Figure 1 - relative average stretch vs number of clusters",
         "values < 1: redundant requests improve the average stretch; the\n"
         "paper finds >1 for N<=5 and 0.75-0.95 for N>5",
         reps);
-
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
 
     const std::vector<std::size_t> ns{2, 3, 4, 5, 10, 20};
     const std::vector<std::string> schemes{"R2", "R3", "R4", "HALF", "ALL"};

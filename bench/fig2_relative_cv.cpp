@@ -13,14 +13,14 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Figure 2 - relative CV of stretches (fairness) vs cluster count",
         "values < 1: redundant requests make the schedule fairer; columns\n"
         "'cv' = relative CV of stretches, 'max' = relative max stretch",
         reps);
-
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
 
     const std::vector<std::size_t> ns{2, 3, 4, 5, 10, 20};
     const std::vector<std::string> schemes{"R2", "R4", "HALF", "ALL"};

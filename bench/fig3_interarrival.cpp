@@ -13,14 +13,14 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Figure 3 - relative average stretch vs job inter-arrival time",
         "N=10 clusters; values < 1 mean redundancy helps at that load; the\n"
         "paper finds improvement across the whole sweep",
         reps);
-
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
 
     // The paper varies alpha in [4, 20] with beta fixed, i.e. the mean
     // inter-arrival spans [0.4, 2.0] x the base mean. We apply the same

@@ -13,15 +13,15 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Figure 4 - stretch of r jobs vs n-r jobs vs percentage using "
         "redundancy",
         "N=10; 'r' = average stretch of jobs using redundant requests,\n"
         "'n-r' = jobs not using them; paper: n-r grows with p, r << n-r",
         reps);
-
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
 
     const std::vector<double> percents{0.0, 20.0, 40.0, 60.0, 80.0, 100.0};
     const std::vector<std::string> schemes{"R2", "R4", "HALF", "ALL"};

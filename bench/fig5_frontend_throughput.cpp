@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
         static_cast<int>(cli.get_int_in("pairs", 2000, 1, kIntMax));
     const int runs = static_cast<int>(cli.get_int_in("runs", 4, 1, kIntMax));
     util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 11)));
+    cli.reject_unread();
     std::printf("=== Figure 5 - front-end submit/cancel throughput vs queue "
                 "size ===\n");
     std::printf("measured on this machine against rrsim's front-end; the\n"

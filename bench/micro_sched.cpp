@@ -90,7 +90,7 @@ class LegacyCbf final : public sched::ClusterScheduler {
   }
 
   void handle_completion(const sched::Job& job) override {
-    const bool early = job.finish_time < job.start_time + job.requested_time;
+    const bool early = job.finish_time() < job.start_time + job.requested_time;
     if (early) rebuild_profile();
     dispatch_ready();
   }

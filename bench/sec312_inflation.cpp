@@ -13,14 +13,15 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 6);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Section 3.1.2 - remote requested-time inflation ablation",
         "HALF scheme, N=10; the paper found +10%/+50% inflation changes\n"
         "nothing about the relative results",
         reps);
 
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
     base.scheme = core::RedundancyScheme::half();
 
     const std::vector<double> inflations{1.0, 1.1, 1.5};

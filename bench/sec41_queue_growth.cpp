@@ -13,8 +13,6 @@ int main(int argc, char** argv) {
   using namespace rrsim;
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
-    std::printf("=== Section 4.1 - queue growth and redundancy's effect on "
-                "queue size ===\n\n");
 
     // All three runs (peak-rate growth + the ALL/NONE steady-state pair)
     // go through one sweep pool as independent single-run units.
@@ -35,6 +33,9 @@ int main(int argc, char** argv) {
     steady = core::apply_common_flags(steady, cli);
     core::ExperimentConfig steady_all = steady;
     steady_all.scheme = core::RedundancyScheme::all();
+    cli.reject_unread();
+    std::printf("=== Section 4.1 - queue growth and redundancy's effect on "
+                "queue size ===\n\n");
 
     core::SimResult r_peak;
     core::SimResult r_none;

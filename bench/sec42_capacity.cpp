@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
     const double depth = cli.get_double("queue-depth", 10000.0);
     const double gram = cli.get_double("gram-rate", 0.5);
+    cli.reject_unread();
     std::printf("=== Section 4 - sustainable redundancy before each layer "
                 "saturates ===\n");
     std::printf("scheduler model: Fig 5 calibration evaluated at a "

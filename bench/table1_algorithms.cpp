@@ -14,15 +14,16 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base = core::figure_config();
+    base.submit_horizon = 2.0 * 3600.0;
+    base = core::apply_common_flags(base, cli);
+    cli.reject_unread();
     bench::banner(
         "Table 1 - scheduling algorithms x runtime-estimate models",
         "HALF scheme, N=10; cells are relative to the NONE baseline; the\n"
         "paper reports 0.83-0.93 everywhere",
         reps);
 
-    core::ExperimentConfig base = core::figure_config();
-    base.submit_horizon = 2.0 * 3600.0;
-    base = core::apply_common_flags(base, cli);
     base.scheme = core::RedundancyScheme::half();
 
     struct Row {

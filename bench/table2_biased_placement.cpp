@@ -13,14 +13,15 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    cli.reject_unread();
     bench::banner(
         "Table 2 - non-uniformly distributed redundant requests",
         "N=10, geometrically biased remote-cluster choice; values < 1 mean\n"
         "redundancy is beneficial despite the bias (paper: 0.86-0.95)",
         reps);
 
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
     base.placement = "biased";
 
     const std::vector<std::string> schemes{"R2", "R3", "R4", "HALF"};

@@ -16,21 +16,22 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
+    core::ExperimentConfig base =
+        core::apply_common_flags(core::figure_config(), cli);
+    // --iat-scale multiplies the paper's [2, 20] s per-cluster
+    // inter-arrival draws; the default of 2 keeps the mixed platform in
+    // the persistent-queueing regime where the relative CV lands in the
+    // paper's band.
+    const double iat_scale = cli.get_double("iat-scale", 2.0);
+    cli.reject_unread();
     bench::banner(
         "Table 3 - heterogeneous platforms (sizes 16..256, varied rates)",
         "N=10; values < 1 mean redundancy beneficial; the paper finds\n"
         "stronger gains than the homogeneous case (0.63-0.83)",
         reps);
 
-    core::ExperimentConfig base =
-        core::apply_common_flags(core::figure_config(), cli);
-
     // Platform drawn once from the experiment seed, as in the paper; the
-    // repetitions vary the job streams on this platform. --iat-scale
-    // multiplies the paper's [2, 20] s per-cluster inter-arrival draws;
-    // the default of 2 keeps the mixed platform in the persistent-
-    // queueing regime where the relative CV lands in the paper's band.
-    const double iat_scale = cli.get_double("iat-scale", 2.0);
+    // repetitions vary the job streams on this platform.
     util::Rng rng(base.seed ^ 0x7e7e7e7eULL);
     const int size_choices[] = {16, 32, 64, 128, 256};
     base.cluster_nodes.clear();

@@ -17,12 +17,6 @@ int main(int argc, char** argv) {
   return bench::run_harness([&] {
     const util::Cli cli(argc, argv);
     const int reps = bench::repetitions(cli, 3);
-    bench::banner(
-        "Table 4 - queue waiting time over-estimation statistics",
-        "N=10, CBF reservations as predictions, conservative (2.16x mean)\n"
-        "requested times; entries are predicted/actual wait ratios",
-        reps);
-
     core::ExperimentConfig base;
     base.n_clusters = 10;
     base.load_mode = core::LoadMode::kPerClusterPeak;
@@ -32,6 +26,13 @@ int main(int argc, char** argv) {
     base.record_predictions = true;
     base.seed = 77;
     base = core::apply_common_flags(base, cli);
+    cli.reject_unread();
+    bench::banner(
+        "Table 4 - queue waiting time over-estimation statistics",
+        "N=10, CBF reservations as predictions, conservative (2.16x mean)\n"
+        "requested times; entries are predicted/actual wait ratios",
+        reps);
+
     base.algorithm = sched::Algorithm::kCbf;  // Table 4 is CBF by definition
 
     core::ExperimentConfig mixed = base;

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
     const double depth = cli.get_double("queue-depth", 10000.0);
     const double gram = cli.get_double("gram-rate", 0.5);
     rrsim::util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 5)));
+    cli.reject_unread();
 
     std::printf("capacity planning: measuring the local front-end...\n");
     const auto points = rrsim::loadmodel::measure_throughput(

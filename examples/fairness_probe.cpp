@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
     config = rrsim::core::apply_common_flags(config, cli);
     const int reps = static_cast<int>(
         cli.get_int_in("reps", 3, 1, std::numeric_limits<int>::max()));
+    cli.reject_unread();
 
     std::printf(
         "fairness probe: %zu clusters, scheme %s, %.0f %% of jobs redundant\n",

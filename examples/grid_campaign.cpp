@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
     config = rrsim::core::apply_common_flags(config, cli);
     const int reps = static_cast<int>(
         cli.get_int_in("reps", 5, 1, std::numeric_limits<int>::max()));
+    cli.reject_unread();
 
     std::printf("grid campaign: %zu clusters, scheme %s, %d repetitions\n",
                 config.n_clusters, config.scheme.name().c_str(), reps);

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
         cli.get_int_in("nodes", 64, 1, std::numeric_limits<int>::max()));
     const double over = cli.get_double("overestimate", 2.16);
     if (over < 1.0) throw std::invalid_argument("--overestimate must be >= 1");
+    cli.reject_unread();
 
     rrsim::des::Simulation sim;
     rrsim::sched::CbfScheduler cbf(sim, nodes);

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
     config.seed = 42;
     config = rrsim::core::apply_common_flags(config, cli);
     config.n_clusters = 1;
+    cli.reject_unread();
 
     const rrsim::core::SimResult result = rrsim::core::run_experiment(config);
     const rrsim::metrics::ScheduleMetrics m =

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <exception>
 #include <limits>
+#include <string>
 
 #include "rrsim/des/simulation.h"
 #include "rrsim/metrics/record.h"
@@ -27,19 +28,23 @@ int main(int argc, char** argv) {
         cli.get_int_in("nodes", 128, 1, std::numeric_limits<int>::max()));
     const auto algo =
         rrsim::sched::parse_algorithm(cli.get_string("algo", "easy"));
+    const bool replay_trace = cli.has("trace");
+    const std::string trace = cli.get_string("trace", "");
+    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+    const double hours = cli.get_double("hours", 2.0);
+    cli.reject_unread();
 
     rrsim::workload::JobStream stream;
-    if (cli.has("trace")) {
-      stream = rrsim::workload::read_swf_file(cli.get_string("trace", ""));
+    if (replay_trace) {
+      stream = rrsim::workload::read_swf_file(trace);
       std::printf("swf_replay: %zu jobs from %s\n", stream.size(),
-                  cli.get_string("trace", "").c_str());
+                  trace.c_str());
     } else {
-      rrsim::util::Rng rng(
-          static_cast<std::uint64_t>(cli.get_int("seed", 3)));
+      rrsim::util::Rng rng(seed);
       auto params = rrsim::workload::calibrate_params(
           rrsim::workload::LublinParams{}, nodes, 0.9, rng);
       const rrsim::workload::LublinModel model(params, nodes);
-      stream = model.generate_stream(rng, cli.get_double("hours", 2.0) * 3600.0);
+      stream = model.generate_stream(rng, hours * 3600.0);
       rrsim::workload::write_swf_file("generated.swf", stream);
       stream = rrsim::workload::read_swf_file("generated.swf");
       std::printf("swf_replay: %zu synthetic jobs (round-tripped via "
@@ -56,7 +61,7 @@ int main(int argc, char** argv) {
       r.nodes = j.nodes;
       r.submit_time = j.submit_time;
       r.start_time = j.start_time;
-      r.finish_time = j.finish_time;
+      r.finish_time = j.finish_time();
       r.actual_time = j.actual_time;
       r.requested_time = j.requested_time;
       records.push_back(r);

@@ -37,47 +37,38 @@ void Gateway::validate_job(std::size_t origin_partition, GridJobId id) const {
   const Agent& agent = agents_[origin_partition];
   const Tracked* tracked = agent.tracked.find(id);
   RRSIM_CHECK(tracked != nullptr, "gateway: tracked job vanished");
+  const auto partitions = static_cast<std::uint32_t>(agents_.size());
   for (const auto& [cluster, rid] : tracked->replicas) {
     RRSIM_CHECK(cluster < platform_.size(),
                 "gateway: replica targets a cluster outside the platform");
-    const std::uint32_t* gid =
-        origin_of(rid) == origin_partition
-            ? agent.replica_to_grid.find(slot_of(rid))
-            : nullptr;
-    RRSIM_CHECK(gid != nullptr && *gid == id,
-                "gateway: replica index does not map a tracked replica "
-                "back to its grid job");
+    RRSIM_CHECK(rid != 0 && origin_of(rid) == origin_partition &&
+                    (rid - 1u) / partitions < agent.minted,
+                "gateway: tracked replica id was not minted by its job's "
+                "origin partition");
   }
 }
 
 void Gateway::debug_validate() const {
   for (std::size_t p = 0; p < agents_.size(); ++p) {
-    std::size_t replica_sum = 0;
-    agents_[p].tracked.for_each(
-        [this, p, &replica_sum](const GridJobId& id, const Tracked& tracked) {
-          replica_sum += tracked.replicas.size();
-          validate_job(p, id);
-        });
-    RRSIM_CHECK(replica_sum == agents_[p].replica_to_grid.size(),
-                "gateway: replica index size disagrees with the tracked "
-                "replica lists");
+    agents_[p].tracked.for_each([this, p](const GridJobId& id,
+                                          const Tracked&) {
+      validate_job(p, id);
+    });
   }
 }
 
 void Gateway::debug_corrupt_tracking() {
-  bool done = false;
-  for (Agent& agent : agents_) {
-    agent.tracked.for_each(
-        [this, &agent, &done](const GridJobId&, const Tracked& tracked) {
-          for (const auto& [cluster, rid] : tracked.replicas) {
-            (void)cluster;
-            if (done) return;
-            if (std::uint32_t* gid = agent.replica_to_grid.find(slot_of(rid))) {
-              *gid += 1;  // now points at a job that does not own this replica
-              done = true;
-            }
-          }
-        });
+  for (std::size_t p = 0; p < agents_.size(); ++p) {
+    Agent& agent = agents_[p];
+    GridJobId victim = 0;
+    agent.tracked.for_each([&victim](const GridJobId& id, const Tracked& t) {
+      if (victim == 0 && !t.replicas.empty()) victim = id;
+    });
+    if (victim == 0) continue;
+    // The next id this partition would mint: no submission produced it.
+    agent.tracked.find(victim)->replicas.front().id =
+        replica_id(p, agents_.size(), agent.minted);
+    return;
   }
 }
 #endif
@@ -105,8 +96,10 @@ void Gateway::validate_submission(const GridJob& job,
   if (job.targets.empty()) {
     throw std::invalid_argument("grid job needs >= 1 target");
   }
-  if (job.id > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument("grid job id exceeds the 32-bit id space");
+  // Replicas carry the grid id as their 32-bit owner tag, in which 0
+  // marks a job the gateway does not manage.
+  if (job.id == 0 || job.id > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("grid job id outside [1, 2^32 - 1]");
   }
   if (job.origin >= platform_.size()) {
     throw std::invalid_argument("origin cluster outside the platform");
@@ -189,11 +182,9 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
   // registered, otherwise they would escape cancellation.
   const std::uint64_t first = agent.minted;
   for (const std::size_t target : job.targets) {
-    const sched::JobId id = replica_id(p, agents_.size(), agent.minted);
-    agent.replica_to_grid.insert(agent.minted++,
-                                 static_cast<std::uint32_t>(job.id));
     tracked.replicas.push_back(
-        Tracked::Replica{static_cast<std::uint32_t>(target), id});
+        Tracked::Replica{static_cast<std::uint32_t>(target),
+                         replica_id(p, agents_.size(), agent.minted++)});
   }
   // Then derive and deliver each replica from its target. A delivery may
   // shrink tracked.replicas (a refused replica is forgotten), so replica t
@@ -204,6 +195,7 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
         job.replica_specs.empty() ? job.spec : job.replica_specs[t];
     sched::Job replica;
     replica.id = replica_id(p, agents_.size(), first + t);
+    replica.owner = static_cast<std::uint32_t>(job.id);
     replica.nodes = spec.nodes;
     replica.user = job.user;
     // The first replica bypasses pending limits: the user's home
@@ -267,7 +259,6 @@ void Gateway::reset(bool record_predictions) {
   sink_ = nullptr;
   for (Agent& agent : agents_) {
     agent.tracked.clear();
-    agent.replica_to_grid.clear();
     agent.records.clear();
     agent.minted = 0;
     agent.counts = Counts{};
@@ -308,18 +299,7 @@ void Gateway::set_record_sink(metrics::OnlineAccumulator* sink) {
   sink_ = sink;
 }
 
-Gateway::Tracked* Gateway::tracked_of(sched::JobId replica,
-                                      GridJobId* grid_id) {
-  Agent& agent = agents_[origin_of(replica)];
-  const std::uint32_t* gid = agent.replica_to_grid.find(slot_of(replica));
-  if (gid == nullptr) return nullptr;
-  if (grid_id != nullptr) *grid_id = *gid;
-  return agent.tracked.find(*gid);
-}
-
-void Gateway::forget_replica(Agent& agent, Tracked& tracked,
-                             sched::JobId replica) {
-  agent.replica_to_grid.erase(slot_of(replica));
+void Gateway::forget_replica(Tracked& tracked, sched::JobId replica) {
   std::erase_if(tracked.replicas, [replica](const Tracked::Replica& r) {
     return r.id == replica;
   });
@@ -329,8 +309,7 @@ void Gateway::deliver_submit(std::size_t cluster, const sched::Job& replica,
                              bool deferred) {
   if (deferred) {
     // Middleware runs on one partition, so the origin's state is local.
-    GridJobId grid_id = 0;
-    Tracked* tracked = tracked_of(replica.id, &grid_id);
+    Tracked* tracked = tracked_of(replica.id, replica.owner);
     if (tracked != nullptr && tracked->started) {
       // The job already started elsewhere while this submission was in
       // flight; delivering it would only create a request that is
@@ -338,9 +317,9 @@ void Gateway::deliver_submit(std::size_t cluster, const sched::Job& replica,
       // a cancellation (the canceling client simply skips it).
       const std::size_t origin = origin_of(replica.id);
       ++agents_[origin].counts.dropped;
-      forget_replica(agents_[origin], *tracked, replica.id);
+      forget_replica(*tracked, replica.id);
 #if RRSIM_VALIDATE_ENABLED
-      validate_job(origin, grid_id);
+      validate_job(origin, replica.owner);
 #endif
       return;
     }
@@ -352,25 +331,26 @@ void Gateway::deliver_submit(std::size_t cluster, const sched::Job& replica,
   const std::size_t here = platform_.partition_of(cluster);
   const std::size_t origin = origin_of(replica.id);
   if (origin == here) {
-    on_reject(replica.id);
+    on_reject(replica.id, replica.owner);
   } else {
     send(here, origin, des::Priority::kControl,
-         [this, rid = replica.id] { on_reject(rid); });
+         [this, rid = replica.id, owner = replica.owner] {
+           on_reject(rid, owner);
+         });
   }
 }
 
-void Gateway::on_reject(sched::JobId replica) {
+void Gateway::on_reject(sched::JobId replica, GridJobId owner) {
   const std::size_t origin = origin_of(replica);
   ++agents_[origin].counts.rejected;
-  GridJobId grid_id = 0;
-  Tracked* tracked = tracked_of(replica, &grid_id);
+  Tracked* tracked = tracked_of(replica, owner);
   if (tracked == nullptr) return;
   // The record's replicas_delivered excludes this request, while the
   // redundancy intent (tracked.redundant) stands: the paper's r-jobs/
   // n-r-jobs classes are about user behaviour.
-  forget_replica(agents_[origin], *tracked, replica);
+  forget_replica(*tracked, replica);
 #if RRSIM_VALIDATE_ENABLED
-  validate_job(origin, grid_id);
+  validate_job(origin, owner);
 #endif
 }
 
@@ -389,10 +369,12 @@ bool Gateway::on_grant(std::size_t cluster, const sched::Job& job) {
     // The origin's knowledge is L old: the grant stands, and a start
     // notice that arrives after another start counts as a duplicate.
     send(here, origin, des::Priority::kControl,
-         [this, cluster, rid = job.id] { on_start_notice(cluster, rid); });
+         [this, cluster, rid = job.id, owner = job.owner] {
+           on_start_notice(cluster, rid, owner);
+         });
     return true;
   }
-  Tracked* tracked = tracked_of(job.id);
+  Tracked* tracked = tracked_of(job.id, job.owner);
   if (tracked == nullptr) {
     // Not a gateway-managed job (e.g. background load) — always allow.
     return true;
@@ -409,8 +391,8 @@ bool Gateway::on_grant(std::size_t cluster, const sched::Job& job) {
 }
 
 void Gateway::on_start_notice(std::size_t winner_cluster,
-                              sched::JobId replica) {
-  Tracked* tracked = tracked_of(replica);
+                              sched::JobId replica, GridJobId owner) {
+  Tracked* tracked = tracked_of(replica, owner);
   if (tracked == nullptr) return;  // not gateway-managed
   if (tracked->started) {
     // Siblings were already cancelled at the first start.
@@ -460,8 +442,7 @@ void Gateway::on_finish(std::size_t cluster, const sched::Job& job) {
 void Gateway::record_finish(std::size_t cluster, const sched::Job& job) {
   const std::size_t origin = origin_of(job.id);
   Agent& agent = agents_[origin];
-  GridJobId grid_id = 0;
-  Tracked* found = tracked_of(job.id, &grid_id);
+  Tracked* found = tracked_of(job.id, job.owner);
   if (found == nullptr) return;  // not gateway-managed
   Tracked& tracked = *found;
   if (tracked.finished) {
@@ -479,11 +460,11 @@ void Gateway::record_finish(std::size_t cluster, const sched::Job& job) {
   metrics::JobRecord rec;
   rec.submit_time = submit_time;
   rec.start_time = job.start_time;
-  rec.finish_time = job.finish_time;
+  rec.finish_time = job.finish_time();
   rec.actual_time = job.actual_time;
   rec.requested_time = job.requested_time;
   rec.predicted_start = tracked.predicted_start;  // NaN = none
-  rec.grid_id = static_cast<std::uint32_t>(grid_id);
+  rec.grid_id = job.owner;
   rec.origin_cluster = tracked.origin;
   rec.winner_cluster = static_cast<std::uint32_t>(cluster);
   rec.nodes = job.nodes;
@@ -512,17 +493,13 @@ void Gateway::record_finish(std::size_t cluster, const sched::Job& job) {
   // can arrive up to 2L after its record is written, so every entry
   // stays for the run (O(total jobs)).
   if (agents_.size() > 1 || !middleware_.empty() ||
-      !(job.finish_time > job.start_time)) {
+      !(job.finish_time() > job.start_time)) {
     return;
   }
   for (const auto& [rcluster, rid] : tracked.replicas) {
     if (rid != job.id && rcluster == cluster) return;  // same-queue sibling
   }
-  for (const auto& [rcluster, rid] : tracked.replicas) {
-    (void)rcluster;
-    agent.replica_to_grid.erase(slot_of(rid));
-  }
-  agent.tracked.erase(grid_id);
+  agent.tracked.erase(job.owner);
 }
 
 const metrics::JobRecords& Gateway::records() const {
@@ -569,8 +546,7 @@ std::uint64_t Gateway::cross_cluster_links() const noexcept {
 std::size_t Gateway::live_state_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const Agent& agent : agents_) {
-    bytes += agent.tracked.memory_bytes() +
-             agent.replica_to_grid.memory_bytes();
+    bytes += agent.tracked.memory_bytes();
     agent.tracked.for_each([&bytes](const GridJobId&, const Tracked& t) {
       bytes += t.replicas.capacity() * sizeof(Tracked::Replica);
     });

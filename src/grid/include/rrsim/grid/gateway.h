@@ -7,9 +7,11 @@
 // One protocol over two transports. The gateway's state lives in one
 // agent per platform partition (Platform::partition_of): the origin
 // cluster's agent owns a job's tracking entry, mints its replica ids and
-// writes its record. Between two clusters of one partition a message is a
-// direct call — sibling qdels become same-instant kCancel events, or
-// middleware transactions. Between partitions it is
+// writes its record. Every replica carries its grid id as its
+// sched::Job::owner, so a grant, finish or notice finds its job's entry
+// without a replica -> job table. Between two clusters of one partition a
+// message is a direct call — sibling qdels become same-instant kCancel
+// events, or middleware transactions. Between partitions it is
 // exec::PdesCoordinator::post() one latency L later.
 //
 //   * Classic kernel (every cluster on one simulation: one partition) —
@@ -99,8 +101,8 @@ class Gateway {
   /// std::invalid_argument if targets is empty, the origin or a target is
   /// not a cluster of the platform, the origin is not among the targets, a
   /// target repeats without replica shapes, shapes are given on more than
-  /// one partition, or the grid id is taken; std::length_error if the
-  /// origin's replica ids run out.
+  /// one partition, or the grid id is 0, above 2^32 - 1 or taken;
+  /// std::length_error if the origin's replica ids run out.
   void submit(const GridJob& job, double remote_inflation = 1.0);
 
   /// Folds each finished job's record into `sink` instead of appending it
@@ -114,10 +116,10 @@ class Gateway {
   /// more than one partition.
   void set_record_sink(metrics::OnlineAccumulator* sink);
 
-  /// Bytes of job-proportional live tracking state (tracked jobs, their
-  /// replica lists, and the replica index), capacity-based so it reports
-  /// the run's high-water footprint. Retained records are *not* included
-  /// — they are output, not live state.
+  /// Bytes of job-proportional live tracking state (tracked jobs and
+  /// their replica lists), capacity-based so it reports the run's
+  /// high-water footprint. Retained records are *not* included — they are
+  /// output, not live state.
   std::size_t live_state_bytes() const noexcept;
 
   /// Records of all grid jobs that finished so far, in finish order. Only
@@ -197,14 +199,13 @@ class Gateway {
 
 #if RRSIM_VALIDATE_ENABLED
   /// Full tracking sweep over every partition: every replica of every
-  /// tracked job maps back to that job in its origin's replica index, and
-  /// each index holds exactly the tracked replicas (size-sum agreement).
-  /// O(total jobs) — tests and reset paths; per-operation checks cover the
-  /// job each op touched.
+  /// tracked job targets a cluster of the platform and carries an id its
+  /// job's origin partition has minted. O(tracked jobs) — tests and reset
+  /// paths; per-operation checks cover the job each op touched.
   void debug_validate() const;
 
-  /// Corruption hook for the oracle death tests: re-points one replica's
-  /// index entry at a nonexistent grid job.
+  /// Corruption hook for the oracle death tests: gives one tracked replica
+  /// an id its origin partition has not minted yet.
   void debug_corrupt_tracking();
 #endif
 
@@ -246,11 +247,6 @@ class Gateway {
   struct Agent {
     des::Simulation* sim = nullptr;
     util::FlatHashMap<GridJobId, Tracked> tracked;  ///< jobs originating here
-    /// Replica -> grid job for the replicas minted here, keyed by the mint
-    /// ordinal (id - 1) / partitions: ids are dense per partition, so the
-    /// index is direct-indexed, not a hash. Values are 32-bit: submit()
-    /// rejects grid ids above 2^32 - 1.
-    util::DenseIdMap<std::uint32_t> replica_to_grid;
     metrics::JobRecords records;
     std::uint64_t minted = 0;  ///< replica ids minted so far
     Counts counts;
@@ -273,12 +269,13 @@ class Gateway {
   void start(std::size_t origin_partition, Tracked& tracked,
              std::size_t winner_cluster);
   /// Runs on the origin's partition: a start notice from another one.
-  void on_start_notice(std::size_t winner_cluster, sched::JobId replica);
+  void on_start_notice(std::size_t winner_cluster, sched::JobId replica,
+                       GridJobId owner);
   /// Runs on the origin's partition: writes the record of the replica
   /// that finished on `cluster`, then reclaims the job when it can.
   void record_finish(std::size_t cluster, const sched::Job& job);
   /// Runs on the origin's partition: a scheduler refused the replica.
-  void on_reject(sched::JobId replica);
+  void on_reject(sched::JobId replica, GridJobId owner);
   /// Hands the replica to the target scheduler. `deferred` marks
   /// middleware delivery: only then may a replica whose job already
   /// started be dropped before submission (the client skips an op still
@@ -300,17 +297,14 @@ class Gateway {
                ? 0
                : (replica - 1u) % static_cast<std::uint32_t>(agents_.size());
   }
-  /// `replica`'s key in its origin's replica index: its mint ordinal.
-  std::uint64_t slot_of(sched::JobId replica) const noexcept {
-    return agents_.size() == 1
-               ? replica - 1u
-               : (replica - 1u) / static_cast<std::uint32_t>(agents_.size());
+  /// The tracking entry of the job `owner` (the replica's Job::owner) at
+  /// `replica`'s origin; null for a job the gateway does not manage (owner
+  /// 0: background load) or no longer tracks.
+  Tracked* tracked_of(sched::JobId replica, GridJobId owner) noexcept {
+    return agents_[origin_of(replica)].tracked.find(owner);
   }
-  /// The tracking entry of `replica`'s job at its origin; null for a job
-  /// the gateway does not manage (background load) or no longer tracks.
-  Tracked* tracked_of(sched::JobId replica, GridJobId* grid_id = nullptr);
   /// Removes a replica that never reached (or was refused by) a queue.
-  void forget_replica(Agent& agent, Tracked& tracked, sched::JobId replica);
+  static void forget_replica(Tracked& tracked, sched::JobId replica);
 
   std::uint64_t sum(std::uint64_t Counts::*counter) const noexcept {
     std::uint64_t n = 0;
@@ -319,9 +313,9 @@ class Gateway {
   }
 
 #if RRSIM_VALIDATE_ENABLED
-  /// Per-operation check, O(replicas of one job): the job's replica list
-  /// and its origin's replica index must agree, and each replica's target
-  /// cluster must exist on the platform.
+  /// Per-operation check, O(replicas of one job): each replica's target
+  /// cluster must exist on the platform, and its id must be one the job's
+  /// origin partition has minted.
   void validate_job(std::size_t origin_partition, GridJobId id) const;
 #endif
 

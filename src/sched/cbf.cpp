@@ -74,7 +74,7 @@ void CbfScheduler::handle_completion(const Job& job) {
     running_end_.erase(job.id);
   }
   const bool early =
-      job.finish_time < job.start_time + job.requested_time;
+      job.finish_time() < job.start_time + job.requested_time;
   if (early) {
     if (incremental_base_ok()) {
       // Release the unused tail of the conservative footprint, then pull

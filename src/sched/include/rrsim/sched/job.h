@@ -12,15 +12,15 @@ namespace rrsim::sched {
 using des::Time;
 
 /// Identifies one request within one scheduler. Replicas of the same grid
-/// job have different JobIds; the grid::Gateway keeps the mapping. 32 bits
+/// job have different JobIds and share their Job::owner. 32 bits
 /// by design: ids are allocated densely from 1, and even the grid-scale
 /// target (10^7 jobs x up to 64 replicas) stays well under 2^32 — halving
 /// every per-job table slot that keys on a JobId.
 using JobId = std::uint32_t;
 
-/// Lifecycle of a request in a batch queue. One byte: the lifecycle index
-/// holds an entry for every id ever submitted, so its slot size scales
-/// with total jobs.
+/// Lifecycle of a request in a batch queue, as the scheduler's lifecycle
+/// index records it (a Job carries no state of its own). One byte: the
+/// index holds an entry for every pending or running id.
 enum class JobState : std::uint8_t {
   kPending,    ///< waiting in the queue
   kRunning,    ///< allocated nodes, executing
@@ -36,6 +36,8 @@ using UserId = std::uint32_t;
 /// One batch request. `requested_time` is what the user asked for (the
 /// scheduler plans with it); `actual_time` is how long the job really runs
 /// (always <= requested_time — real schedulers kill jobs at the limit).
+/// 56 bytes (pinned below): the pending queues and the running set hold
+/// one per live request.
 struct Job {
   JobId id = 0;
   int nodes = 1;
@@ -43,6 +45,11 @@ struct Job {
   Time requested_time = 1.0;
   Time actual_time = 1.0;
   UserId user = 0;
+  /// Opaque owner tag: schedulers copy it and hand it back in every
+  /// callback, and never read it. The grid::Gateway stores the grid job id
+  /// here, so any replica names its user job without a lookup table; 0
+  /// means no owner (background load submitted straight to a scheduler).
+  std::uint32_t owner = 0;
   /// Exempt from per-user pending limits. The grid gateway marks the
   /// local (origin) replica exempt: a user's home submission always
   /// enters the queue eventually, only *extra* redundancy is capped —
@@ -51,12 +58,14 @@ struct Job {
   /// number of pending requests").
   bool limit_exempt = false;
 
-  JobState state = JobState::kPending;
   Time start_time = -1.0;
-  Time finish_time = -1.0;
 
   /// Queue waiting time; only meaningful once the job has started.
   Time wait_time() const noexcept { return start_time - submit_time; }
+  /// When the job ends: the instant its completion event fires. Only
+  /// meaningful once the job has started.
+  Time finish_time() const noexcept { return start_time + actual_time; }
 };
+static_assert(sizeof(Job) == 56, "sched::Job grew: every queue slot pays");
 
 }  // namespace rrsim::sched

@@ -104,7 +104,6 @@ bool ClusterScheduler::submit(Job job) {
   }
   job.actual_time = std::min(job.actual_time, job.requested_time);
   job.submit_time = sim_.now();
-  job.state = JobState::kPending;
   ++counters_.submits;
   ++pending_per_user_[job.user];
 #if RRSIM_VALIDATE_ENABLED
@@ -135,7 +134,6 @@ bool ClusterScheduler::cancel(JobId id) {
     return false;
   }
   Job job = handle_cancel(id);
-  job.state = JobState::kCancelled;
   known_ids_.erase(id);
   predictions_.erase(id);
   ++counters_.cancels;
@@ -163,16 +161,14 @@ bool ClusterScheduler::try_start(Job job) {
 #endif
     return false;
   }
-  job.state = JobState::kRunning;
   job.start_time = sim_.now();
-  job.finish_time = job.start_time + job.actual_time;
   free_nodes_ -= job.nodes;
   ++counters_.starts;
   const JobId id = job.id;
   known_ids_[id] = JobState::kRunning;
   running_.emplace(id, job);
   sim_.schedule_at(
-      job.finish_time, [this, id] { complete_job(id); },
+      job.finish_time(), [this, id] { complete_job(id); },
       des::Priority::kCompletion, event_tag_);
 #if RRSIM_VALIDATE_ENABLED
   validate_op(id, JobState::kRunning);
@@ -190,7 +186,6 @@ void ClusterScheduler::complete_job(JobId id) {
   }
   Job job = it->second;
   running_.erase(it);
-  job.state = JobState::kFinished;
   known_ids_.erase(id);
   predictions_.erase(id);
   free_nodes_ += job.nodes;

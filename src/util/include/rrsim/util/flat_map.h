@@ -1,7 +1,7 @@
 // Flat associative containers for the per-job/per-event hot paths.
 //
 // The kernel overhaul replaced every tree/hash map on the schedule →
-// dispatch path with one of three cache-friendly layouts:
+// dispatch path with one of two cache-friendly layouts:
 //
 //  * FlatHashMap    — open-addressing hash map (linear probing, backward-
 //                     shift deletion, power-of-two capacity). One flat
@@ -15,15 +15,11 @@
 //                     O(log n) find, O(n) insert/erase — intended for
 //                     small populations (the running set is bounded by
 //                     the node count).
-//  * DenseIdMap     — direct-indexed vector for keys the owner allocates
-//                     densely from 0/1 upward (the gateway's replica
-//                     ids). O(1) everything, one flag byte per id.
 //
-// All three keep their storage across clear(), so a reused scheduler or
+// Both keep their storage across clear(), so a reused scheduler or
 // gateway runs its next experiment with warm arenas.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -281,69 +277,6 @@ class FlatOrderedMap {
   }
 
   std::vector<value_type> entries_;
-};
-
-/// Direct-indexed map for ids the owner allocates densely from a small
-/// base (the gateway numbers replicas 1, 2, 3, ...). The backing vector
-/// grows to the largest id seen and is kept across clear().
-template <typename V>
-class DenseIdMap {
- public:
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  void clear() noexcept {
-    for (std::size_t i = 0; i < present_.size(); ++i) {
-      if (present_[i]) {
-        values_[i] = V{};
-        present_[i] = 0;
-      }
-    }
-    size_ = 0;
-  }
-
-  void reserve(std::uint64_t max_id) {
-    if (max_id + 1 > values_.size()) {
-      values_.resize(static_cast<std::size_t>(max_id + 1));
-      present_.resize(static_cast<std::size_t>(max_id + 1), 0);
-    }
-  }
-
-  V* find(std::uint64_t id) noexcept {
-    if (id >= present_.size() || !present_[id]) return nullptr;
-    return &values_[id];
-  }
-  const V* find(std::uint64_t id) const noexcept {
-    return const_cast<DenseIdMap*>(this)->find(id);
-  }
-
-  /// Inserts (id, value); ids are owner-allocated, so inserting an
-  /// already-present id is a logic error (asserted, then overwritten).
-  void insert(std::uint64_t id, V value) {
-    reserve(id);
-    assert(!present_[id]);
-    if (!present_[id]) ++size_;
-    present_[id] = 1;
-    values_[id] = std::move(value);
-  }
-
-  bool erase(std::uint64_t id) noexcept {
-    if (id >= present_.size() || !present_[id]) return false;
-    values_[id] = V{};
-    present_[id] = 0;
-    --size_;
-    return true;
-  }
-
-  /// Bytes of backing storage held (capacity-based high-water footprint).
-  std::size_t memory_bytes() const noexcept {
-    return values_.capacity() * sizeof(V) + present_.capacity();
-  }
-
- private:
-  std::vector<V> values_;
-  std::vector<std::uint8_t> present_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace rrsim::util

@@ -60,6 +60,8 @@ TEST(Gateway, ValidatesSubmissions) {
                std::invalid_argument);  // duplicate target
   EXPECT_THROW(f.gateway.submit(make_grid_job(4, 0, {0}, 1, 1.0), 0.5),
                std::invalid_argument);  // inflation < 1
+  EXPECT_THROW(f.gateway.submit(make_grid_job(0, 0, {0}, 1, 1.0)),
+               std::invalid_argument);  // owner 0 marks unmanaged jobs
   f.gateway.submit(make_grid_job(5, 0, {0}, 1, 1.0));
   EXPECT_THROW(f.gateway.submit(make_grid_job(5, 0, {0}, 1, 1.0)),
                std::invalid_argument);  // duplicate grid id
@@ -302,6 +304,22 @@ TEST(Gateway, ManyRedundantJobsConservation_Property) {
     measured += r.actual_time * r.nodes;
   }
   EXPECT_NEAR(measured, expected, 1e-6 * expected);
+}
+
+TEST(Gateway, LiveStateDoesNotGrowWithEndedJobs) {
+  // The same R2 job, one at a time on two idle clusters: each finishes
+  // before the next is submitted, so one job is live at a time, and the
+  // gateway's state must not depend on how many jobs came before it.
+  const auto live_state_after = [](GridJobId jobs) {
+    Fixture f(2);
+    for (GridJobId id = 1; id <= jobs; ++id) {
+      f.gateway.submit(make_grid_job(id, 0, {0, 1}, 4, 10.0));
+      f.sim.run();
+    }
+    EXPECT_EQ(f.gateway.finished(), jobs);
+    return f.gateway.live_state_bytes();
+  };
+  EXPECT_EQ(live_state_after(1000), live_state_after(16000));
 }
 
 }  // namespace

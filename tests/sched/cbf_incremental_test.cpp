@@ -58,7 +58,7 @@ class LegacyCbf final : public ClusterScheduler {
   }
 
   void handle_completion(const Job& job) override {
-    const bool early = job.finish_time < job.start_time + job.requested_time;
+    const bool early = job.finish_time() < job.start_time + job.requested_time;
     if (early) rebuild_profile();
     dispatch_ready();
   }
@@ -167,7 +167,7 @@ Trace run_workload(const WorkloadParams& wp) {
     trace.events.emplace_back('s', j.id, j.start_time);
   };
   cb.on_finish = [&](const Job& j) {
-    trace.events.emplace_back('f', j.id, j.finish_time);
+    trace.events.emplace_back('f', j.id, j.finish_time());
   };
   cb.on_cancelled = [&](const Job& j) {
     trace.events.emplace_back('c', j.id, sim.now());

@@ -306,7 +306,7 @@ struct Side {
       running.insert(j.id);
     };
     cb.on_finish = [this](const Job& j) {
-      log.push_back(Event{'f', j.id, j.finish_time, true});
+      log.push_back(Event{'f', j.id, j.finish_time(), true});
       running.erase(j.id);
       finished.push_back(j.id);
     };

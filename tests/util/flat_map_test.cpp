@@ -13,7 +13,6 @@
 
 namespace {
 
-using rrsim::util::DenseIdMap;
 using rrsim::util::FlatHashMap;
 using rrsim::util::FlatOrderedMap;
 
@@ -156,31 +155,6 @@ TEST(FlatOrderedMap, RandomizedAgainstMapOracleWithOrder) {
       }
     }
   }
-}
-
-TEST(DenseIdMap, InsertFindEraseAndClear) {
-  DenseIdMap<int> map;
-  for (std::uint64_t id = 1; id <= 64; ++id) {
-    map.insert(id, static_cast<int>(id * 7));
-  }
-  EXPECT_EQ(map.size(), 64u);
-  EXPECT_EQ(map.find(0), nullptr);
-  for (std::uint64_t id = 1; id <= 64; id += 2) EXPECT_TRUE(map.erase(id));
-  EXPECT_FALSE(map.erase(3));  // already gone
-  for (std::uint64_t id = 1; id <= 64; ++id) {
-    const int* v = map.find(id);
-    if (id % 2 == 1) {
-      EXPECT_EQ(v, nullptr);
-    } else {
-      ASSERT_NE(v, nullptr);
-      EXPECT_EQ(*v, static_cast<int>(id * 7));
-    }
-  }
-  map.clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(2), nullptr);
-  map.insert(2, 5);
-  EXPECT_EQ(*map.find(2), 5);
 }
 
 }  // namespace

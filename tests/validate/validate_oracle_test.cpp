@@ -153,14 +153,16 @@ TEST(ValidateDeath, PendingQueueValidatorTripsOnCorruptIndex) {
                "a live slot's id does not map back to it");
 }
 
-TEST(ValidateDeath, GatewayValidatorTripsOnCorruptReplicaIndex) {
+TEST(ValidateDeath, GatewayValidatorTripsOnUnmintedReplicaId) {
   des::Simulation sim;
   grid::Platform platform(sim, std::vector<int>(2, 8),
                           sched::Algorithm::kCbf);
   grid::Gateway gateway(platform);
   gateway.submit(make_grid_job(1, 0, {0, 1}, 4, 100.0));
+  gateway.debug_validate();
   gateway.debug_corrupt_tracking();
-  EXPECT_DEATH(gateway.debug_validate(), "does not map a tracked replica");
+  EXPECT_DEATH(gateway.debug_validate(),
+               "was not minted by its job's origin partition");
 }
 
 }  // namespace

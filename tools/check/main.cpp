@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "explore.h"
@@ -61,12 +62,10 @@ int run(int argc, char** argv) {
     config.trace_files.push_back(cli.get_string("trace", ""));
   }
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-  if (cli.has("gen-ties")) {
-    const int slots =
-        static_cast<int>(cli.get_int_in("gen-ties", 120, 1, kIntMax));
-    config.trace_files.push_back(rrsim::check::write_ties_trace(
-        slots, /*ties_per_slot=*/3, "rrsim_check_ties.swf"));
-  }
+  const int tie_slots =
+      cli.has("gen-ties")
+          ? static_cast<int>(cli.get_int_in("gen-ties", 120, 1, kIntMax))
+          : 0;
 
   rrsim::check::ExploreOptions opts;
   opts.exhaustive_k =
@@ -81,23 +80,31 @@ int run(int argc, char** argv) {
       cli.get_int_in("check-max-schedules", 0, 0, kIntMax));
   opts.drift_tolerance = cli.get_double("check-drift-tol", 0.0);
   opts.minimize_witnesses = !cli.get_bool("check-no-minimize", false);
+  std::optional<std::string> report_path;
+  if (cli.has("report")) report_path = cli.get_string("report", "");
+  const bool quiet = cli.get_bool("quiet", false);
+  cli.reject_unread();
 
+  if (tie_slots > 0) {
+    config.trace_files.push_back(rrsim::check::write_ties_trace(
+        tie_slots, /*ties_per_slot=*/3, "rrsim_check_ties.swf"));
+  }
   rrsim::check::ExperimentProbe probe(config);
   const rrsim::check::ExploreReport report =
       rrsim::check::explore(probe, opts);
 
-  if (cli.has("report")) {
-    const std::string path = cli.get_string("report", "");
-    std::FILE* f = std::fopen(path.c_str(), "w");
+  if (report_path) {
+    std::FILE* f = std::fopen(report_path->c_str(), "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "rrsim_check: cannot write %s\n", path.c_str());
+      std::fprintf(stderr, "rrsim_check: cannot write %s\n",
+                   report_path->c_str());
       return 2;
     }
     rrsim::check::write_report_json(report, f);
     std::fclose(f);
   }
 
-  if (!cli.get_bool("quiet", false)) {
+  if (!quiet) {
     std::printf("rrsim_check: %llu tie groups (%llu explored, %llu "
                 "skipped), %llu schedules replayed, %llu pruned "
                 "(DPOR), %llu witness replays%s\n",
