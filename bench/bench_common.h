@@ -30,9 +30,9 @@ namespace rrsim::bench {
 /// Repetition count: --reps wins; --full selects the paper's 50; otherwise
 /// `quick_default`. Rejects --reps < 1 at the flag layer so the mistake is
 /// reported as a usage error, not from deep inside a campaign. Also
-/// consumes --jobs here (harnesses parse --reps before printing the
-/// banner, so the banner reports the configured worker count even when
-/// apply_common_flags runs later).
+/// consumes --jobs here (core::apply_jobs_flag: harnesses parse --reps
+/// before printing the banner, so the banner reports the configured
+/// worker count even when apply_common_flags runs later).
 inline int repetitions(const util::Cli& cli, int quick_default) {
   // Trace-cache byte budget from the environment, so CI can cap bench
   // memory without editing every invocation. Applied before the flags, so
@@ -49,11 +49,8 @@ inline int repetitions(const util::Cli& cli, int quick_default) {
     workload::TraceCache::global().set_byte_budget(
         static_cast<std::size_t>(budget));
   }
+  core::apply_jobs_flag(cli);
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-  if (cli.has("jobs")) {
-    exec::set_default_jobs(
-        static_cast<int>(cli.get_int_in("jobs", 0, 1, kIntMax)));
-  }
   // --full is read even when --reps wins, so Cli::reject_unread() does
   // not report it.
   const bool full = cli.get_bool("full", false);

@@ -6,6 +6,7 @@
 // single busy cluster with an Amdahl speedup model.
 //
 //   ./ext_moldable [--nodes=128] [--hours=6] [--shapes=3] [--seed=42]
+//                  [--jobs=N]
 
 #include <limits>
 #include <memory>
@@ -26,6 +27,7 @@ int main(int argc, char** argv) {
     const int max_shapes = static_cast<int>(
         cli.get_int_in("shapes", 3, 1, std::numeric_limits<int>::max()));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+    core::apply_jobs_flag(cli);  // the shape-count units' pool
     cli.reject_unread();
     std::printf("=== Extension - moldable redundant requests (option iv) "
                 "===\n");

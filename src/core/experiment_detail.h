@@ -167,17 +167,23 @@ inline workload::JobStream load_swf_stream(const std::string& path,
   // result, windowed runs spool it to disk and drop it; every other
   // core/exec call site must go through this loader or a WindowSpool
   // reader.
-  const workload::JobStream whole = workload::read_swf_file(path);
-  const double t0 = whole.empty() ? 0.0 : whole.front().submit_time;
-  workload::JobStream filtered;
-  for (workload::JobSpec spec : whole) {
+  workload::JobStream stream = workload::read_swf_file(path);
+  const double t0 = stream.empty() ? 0.0 : stream.front().submit_time;
+  // Shift and filter in place: job i lands at or before slot i.
+  std::size_t kept = 0;
+  for (workload::JobSpec spec : stream) {
     spec.submit_time -= t0;
     if (spec.submit_time > horizon) break;
     if (spec.submit_time <= 0.0) spec.submit_time = 1e-6;
     if (spec.nodes > max_nodes) continue;
-    filtered.push_back(spec);
+    stream[kept++] = spec;
   }
-  return filtered;
+  if (kept < stream.size()) {
+    // Whole-stream runs hold the result: do not keep the cut jobs' room.
+    stream.resize(kept);
+    stream.shrink_to_fit();
+  }
+  return stream;
 }
 
 /// One cluster's arrival input, resolved before any event fires: a pull

@@ -59,4 +59,10 @@ std::string load_mode_name(LoadMode mode);
 ExperimentConfig apply_common_flags(ExperimentConfig config,
                                     const util::Cli& cli);
 
+/// Reads --jobs, if given, into exec::set_default_jobs: the one place the
+/// flag is parsed. apply_common_flags calls it; so does any binary whose
+/// campaign pool sizes itself by exec::default_jobs() without taking the
+/// other common flags.
+void apply_jobs_flag(const util::Cli& cli);
+
 }  // namespace rrsim::core

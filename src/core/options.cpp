@@ -134,10 +134,7 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     workload::TraceCache::global().set_byte_budget(
         static_cast<std::size_t>(budget));
   }
-  if (cli.has("jobs")) {
-    exec::set_default_jobs(
-        static_cast<int>(cli.get_int_in("jobs", 0, 1, kIntMax)));
-  }
+  apply_jobs_flag(cli);
   if (cli.has("latency")) {
     const double latency = cli.get_double("latency", 0.0);
     if (latency < 0.0) {
@@ -160,6 +157,13 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
     }
   }
   return config;
+}
+
+void apply_jobs_flag(const util::Cli& cli) {
+  if (cli.has("jobs")) {
+    exec::set_default_jobs(static_cast<int>(
+        cli.get_int_in("jobs", 0, 1, std::numeric_limits<int>::max())));
+  }
 }
 
 }  // namespace rrsim::core

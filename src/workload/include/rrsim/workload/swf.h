@@ -19,8 +19,19 @@ namespace rrsim::workload {
 /// back to run time when -1). Jobs with non-positive runtime or processor
 /// count are skipped (cancelled entries in real logs).
 ///
-/// Throws std::runtime_error, naming the line, on malformed job lines and
-/// on processor counts too large for an int.
+/// Field grammar: tokens are separated by runs of the classic-locale space
+/// characters (space, \t, \v, \f, \r). Each of a job line's first nine
+/// tokens must be consumed whole by std::from_chars as a finite double,
+/// optionally after one leading '+' (not followed by '-'); the first
+/// token that is not ends the line's fields. Tokens after the ninth are
+/// never read. So `5abc`, `1.2.3`, `0x10`, `nan`, `inf` and out-of-range
+/// values such as `1e400` or `1e-400` count as no field at all.
+///
+/// The result is in submit order; jobs tied on submit time keep their
+/// file order.
+///
+/// Throws std::runtime_error, naming the line, on job lines with fewer
+/// than nine fields and on processor counts too large for an int.
 JobStream read_swf(std::istream& in);
 
 /// Convenience overload: reads from a file path.

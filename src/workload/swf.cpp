@@ -1,13 +1,35 @@
 #include "rrsim/workload/swf.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
+#include <system_error>
 
 namespace rrsim::workload {
+
+namespace {
+
+/// The token separators: what the classic "C" locale classifies as space.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Converts the token [first, last) to a finite double. One leading '+'
+/// is accepted, but not before a second sign.
+bool parse_field(const char* first, const char* last, double& out) {
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return false;
+  }
+  const auto [end, ec] = std::from_chars(first, last, out);
+  return ec == std::errc() && end == last && std::isfinite(out);
+}
+
+}  // namespace
 
 JobStream read_swf(std::istream& in) {
   JobStream stream;
@@ -18,14 +40,21 @@ JobStream read_swf(std::istream& in) {
     // Strip leading whitespace; skip blanks and `;` comments.
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == ';') continue;
-    std::istringstream fields(line);
-    std::vector<double> f;
-    double v = 0.0;
-    while (fields >> v) f.push_back(v);
-    if (f.size() < 9) {
+    double f[9] = {};
+    std::size_t n = 0;
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    while (n < 9) {
+      while (p != end && is_space(*p)) ++p;
+      const char* const token = p;
+      while (p != end && !is_space(*p)) ++p;
+      if (token == p || !parse_field(token, p, f[n])) break;
+      ++n;
+    }
+    if (n < 9) {
       throw std::runtime_error("SWF line " + std::to_string(lineno) +
                                ": expected >= 9 fields, got " +
-                               std::to_string(f.size()));
+                               std::to_string(n));
     }
     const double submit = f[1];
     const double runtime = f[3];
@@ -44,11 +73,15 @@ JobStream read_swf(std::istream& in) {
     stream.push_back(spec);
   }
   // Stable: jobs tied on submit_time keep their SWF file order, so the
-  // parse is deterministic across standard libraries.
-  std::stable_sort(stream.begin(), stream.end(),
-                   [](const JobSpec& a, const JobSpec& b) {
-                     return a.submit_time < b.submit_time;
-                   });
+  // parse is deterministic across standard libraries. Archive logs are
+  // usually in submit order already, and then the sort would change
+  // nothing.
+  const auto by_submit = [](const JobSpec& a, const JobSpec& b) {
+    return a.submit_time < b.submit_time;
+  };
+  if (!std::is_sorted(stream.begin(), stream.end(), by_submit)) {
+    std::stable_sort(stream.begin(), stream.end(), by_submit);
+  }
   return stream;
 }
 
