@@ -389,7 +389,7 @@ RunResult replay(const Workload& w, int nodes) {
 
   result.counters = sched.counters();
   if constexpr (std::is_same_v<Scheduler, sched::CbfScheduler>) {
-    result.rebuilds = sched.rebuilds();
+    result.rebuilds = sched.counters().profile_rebuilds;
   }
   result.elapsed = seconds_since(start);
   return result;

@@ -342,6 +342,8 @@ SimResult run_experiment(const ExperimentConfig& config,
   for (std::size_t p = 0; p < partitions; ++p) {
     result.end_time = std::max(result.end_time, sim_of(p).now());
     result.events_dispatched += sim_of(p).dispatched();
+    result.events_scheduled += sim_of(p).scheduled();
+    result.events_cancelled += sim_of(p).cancelled();
   }
   for (const Pump& pump : pumps) {
     result.live_state_bytes += pump.live_state_bytes();

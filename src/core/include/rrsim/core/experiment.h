@@ -214,9 +214,14 @@ struct SimResult {
   /// > 0). The quantity the stream_window option exists to bound.
   std::size_t resident_trace_bytes = 0;
   sched::OpCounters ops;        ///< summed over all schedulers
-  /// Events the kernel dispatched (des::Simulation::dispatched()), summed
-  /// over the run's partitions: a deterministic count of the run's work.
+  /// Events the kernel dispatched, scheduled and cancelled
+  /// (des::Simulation::dispatched(), scheduled(), cancelled()), summed
+  /// over the run's partitions: deterministic counts of the run's work.
+  /// CBF's wake-up churn shows as scheduled and cancelled events that
+  /// never dispatch.
   std::uint64_t events_dispatched = 0;
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t events_cancelled = 0;
   std::uint64_t gateway_cancels = 0;  ///< replica cancellations issued
   std::uint64_t replicas_rejected = 0;  ///< refused by per-user limits
   std::uint64_t replicas_dropped = 0;  ///< skipped (job already started)

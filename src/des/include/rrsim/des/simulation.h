@@ -221,6 +221,13 @@ class Simulation {
   /// Total events dispatched so far.
   std::uint64_t dispatched() const noexcept { return dispatched_; }
 
+  /// Total events scheduled so far (each schedule_at call).
+  std::uint64_t scheduled() const noexcept { return next_seq_; }
+
+  /// Total events cancelled before they fired (EventHandle::cancel calls
+  /// that returned true).
+  std::uint64_t cancelled() const noexcept { return cancelled_; }
+
   /// Size of the event slab (live + recycled slots); observability for
   /// tests and benchmarks, not part of the simulation semantics.
   std::size_t pool_capacity() const noexcept { return slots_.size(); }
@@ -358,6 +365,7 @@ class Simulation {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -14,6 +14,7 @@ bool Simulation::EventHandle::cancel() noexcept {
   // (or dropped by the next purge); the slot itself retires at once.
   sim_->retire(slot_);  // drops the callback's captures promptly
   if (sim_->live_ > 0) --sim_->live_;
+  ++sim_->cancelled_;
   sim_ = nullptr;
   return true;
 }
@@ -278,6 +279,7 @@ std::uint64_t Simulation::debug_fingerprint() const noexcept {
   mix_time(now_);
   mix(next_seq_);
   mix(dispatched_);
+  mix(cancelled_);
   mix(live_);
   mix(heap_.size());
   mix(slots_.size() - free_slots_.size());  // slots not on the free list
@@ -299,6 +301,7 @@ void Simulation::reset() noexcept {
   now_ = 0.0;
   next_seq_ = 0;
   dispatched_ = 0;
+  cancelled_ = 0;
   live_ = 0;
   heap_.clear();
   // The policy is per-run configuration: clearing it keeps a pooled

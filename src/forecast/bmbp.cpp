@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
 namespace rrsim::forecast {
+namespace {
+
+constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
+
+}  // namespace
 
 double binomial_cdf(std::size_t k, std::size_t n, double p) {
   if (p < 0.0 || p > 1.0) {
@@ -67,18 +73,27 @@ BmbpPredictor::BmbpPredictor(double quantile, double confidence,
 }
 
 void BmbpPredictor::observe(double wait) {
-  if (wait < 0.0) throw std::invalid_argument("waits cannot be negative");
+  if (!(wait >= 0.0)) {
+    throw std::invalid_argument("waits must be >= 0 (and not NaN)");
+  }
   window_.push_back(wait);
   if (window_.size() > max_history_) window_.pop_front();
 }
 
 std::optional<double> BmbpPredictor::upper_bound() const {
-  const auto k =
-      bmbp_order_statistic(window_.size(), quantile_, confidence_);
-  if (!k) return std::nullopt;
-  std::vector<double> sorted(window_.begin(), window_.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted[*k - 1];
+  // The index depends only on (n, q, c), and the window only ever takes
+  // sizes 0..max_history_, so each size pays the binomial search once.
+  const std::size_t n = window_.size();
+  if (order_stat_.size() <= n) order_stat_.resize(n + 1, kUnknown);
+  std::size_t& k = order_stat_[n];
+  if (k == kUnknown) {
+    k = bmbp_order_statistic(n, quantile_, confidence_).value_or(0);
+  }
+  if (k == 0) return std::nullopt;
+  select_.assign(window_.begin(), window_.end());
+  const auto kth = select_.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(select_.begin(), kth, select_.end());
+  return *kth;
 }
 
 }  // namespace rrsim::forecast

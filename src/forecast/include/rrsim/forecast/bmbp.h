@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <vector>
 
 namespace rrsim::forecast {
 
@@ -39,11 +40,14 @@ class BmbpPredictor {
   BmbpPredictor(double quantile = 0.95, double confidence = 0.95,
                 std::size_t max_history = 512);
 
-  /// Adds an observed wait (>= 0) to the window.
+  /// Adds an observed wait (>= 0) to the window. Throws
+  /// std::invalid_argument on a negative or NaN wait.
   void observe(double wait);
 
   /// Current upper bound, or nullopt while the window is too small to
-  /// support the requested confidence.
+  /// support the requested confidence. The order-statistic index is
+  /// computed once per window size; the element is then selected with
+  /// std::nth_element, O(window) per call.
   std::optional<double> upper_bound() const;
 
   std::size_t history_size() const noexcept { return window_.size(); }
@@ -55,6 +59,10 @@ class BmbpPredictor {
   double confidence_;
   std::size_t max_history_;
   std::deque<double> window_;
+  /// order_stat_[n]: the 1-based index bmbp_order_statistic gives for a
+  /// window of n waits, 0 when there is no bound, kUnknown until asked.
+  mutable std::vector<std::size_t> order_stat_;
+  mutable std::vector<double> select_;  // reused copy nth_element reorders
 };
 
 }  // namespace rrsim::forecast

@@ -154,7 +154,7 @@ void CbfScheduler::compress_from(std::size_t from_pos) {
 
 void CbfScheduler::rebuild_profile() {
   count_pass();
-  ++rebuilds_;
+  count_rebuild();
   const Time now = sim_.now();
   profile_.reset();
   running_end_.clear();

@@ -57,12 +57,6 @@ class CbfScheduler final : public ClusterScheduler {
     return self_check_fallbacks_;
   }
 
-  /// Number of from-scratch profile rebuilds performed (the fallback
-  /// path). This should be a small fraction of cancels — it only runs
-  /// when incremental_base_ok() detects that a rebuild's floating-point
-  /// snapping would not be a no-op.
-  std::uint64_t rebuilds() const noexcept { return rebuilds_; }
-
   std::size_t live_state_bytes() const noexcept override {
     return ClusterScheduler::live_state_bytes() +
            queue_.capacity() * sizeof(Entry) + running_end_.memory_bytes();
@@ -75,7 +69,6 @@ class CbfScheduler final : public ClusterScheduler {
     running_end_.clear();
     wakeup_ = {};  // the underlying event died with the Simulation reset
     self_check_fallbacks_ = 0;
-    rebuilds_ = 0;
   }
 
 #if RRSIM_VALIDATE_ENABLED
@@ -128,7 +121,9 @@ class CbfScheduler final : public ClusterScheduler {
   /// From-scratch fallback: resets the profile (in place) from the
   /// running set and re-reserves every queued job in FCFS order;
   /// reservations can only move earlier. Used when incremental_base_ok()
-  /// fails and by the self-check fallback.
+  /// fails and by the self-check fallback; counted in
+  /// OpCounters::profile_rebuilds, which should stay a small fraction of
+  /// cancels.
   void rebuild_profile();
 
   /// Starts, in queue order, every queued job whose reservation time has
@@ -158,7 +153,6 @@ class CbfScheduler final : public ClusterScheduler {
 
   bool self_check_ = false;
   std::uint64_t self_check_fallbacks_ = 0;
-  std::uint64_t rebuilds_ = 0;
   Profile rebuild_scratch_;
 };
 

@@ -24,6 +24,7 @@ struct OpCounters {
   std::uint64_t finishes = 0;   ///< jobs that ran to completion
   std::uint64_t declines = 0;   ///< grants refused by the owner
   std::uint64_t sched_passes = 0;  ///< scheduling passes executed
+  std::uint64_t profile_rebuilds = 0;  ///< CBF from-scratch rebuilds
 
   /// Adds every field of `other` (platform-wide totals).
   OpCounters& operator+=(const OpCounters& other) noexcept {
@@ -34,6 +35,7 @@ struct OpCounters {
     finishes += other.finishes;
     declines += other.declines;
     sched_passes += other.sched_passes;
+    profile_rebuilds += other.profile_rebuilds;
     return *this;
   }
 };
@@ -51,7 +53,10 @@ struct OpCounters {
 /// Per-job state covers live jobs only: the moment a job is cancelled,
 /// declined or finished, its lifecycle entry and submit-time prediction
 /// are erased, so the tables stay O(live jobs) over arbitrarily long runs.
-/// An ended id then answers like an unknown one.
+/// An ended id then answers like an unknown one. Per-user state is kept
+/// only under a pending limit, and only for users with a pending job: a
+/// grid run without a limit keeps no per-user table, however many users
+/// its replicas carry.
 class ClusterScheduler {
  public:
   /// Owner hooks. All optional; a null grant accepts every start.
@@ -102,7 +107,10 @@ class ClusterScheduler {
   /// Caps the number of *pending* requests any one user may have in this
   /// queue (running jobs do not count, matching PBS-style limits).
   /// nullopt (default) disables the limit. Jobs with limit_exempt set
-  /// bypass it.
+  /// bypass it, but count toward their user's pending total. Pending
+  /// counts are kept only while a limit is set, so enabling one on a
+  /// scheduler that holds pending jobs throws std::logic_error; a negative
+  /// limit throws std::invalid_argument.
   void set_per_user_pending_limit(std::optional<int> limit);
 
   /// Cancels a *pending* request (qdel). Returns true if the job was
@@ -139,10 +147,11 @@ class ClusterScheduler {
   std::optional<Time> predicted_start_at_submit(JobId id) const;
 
   /// Bytes of job-proportional live state this scheduler holds: the flat
-  /// per-job tables (lifecycle index, predictions, running set, per-user
-  /// counts) plus the algorithm's own pending structures. Capacity-based,
-  /// so it reports the run's high-water footprint even after erasures —
-  /// the number the memory-budget benches track.
+  /// per-job tables (lifecycle index, predictions, running set), the
+  /// per-user pending counts under a limit, plus the algorithm's own
+  /// pending structures. Capacity-based, so it reports the run's
+  /// high-water footprint even after erasures — the number the
+  /// memory-budget benches track.
   virtual std::size_t live_state_bytes() const noexcept;
 
   /// Returns the scheduler to its just-constructed state — empty queue,
@@ -157,7 +166,8 @@ class ClusterScheduler {
 
 #if RRSIM_VALIDATE_ENABLED
   /// Full cross-consistency sweep: node accounting, running_ vs
-  /// known_ids_ agreement, per-user pending counts non-negative. O(n) in
+  /// known_ids_ agreement, and the per-user table (empty without a limit;
+  /// under one, positive counts that sum to the pending jobs). O(n) in
   /// the lifecycle table — tests and reset paths only; the per-operation
   /// checks cover the entities each operation touched.
   virtual void debug_validate() const;
@@ -199,11 +209,16 @@ class ClusterScheduler {
   void record_prediction(JobId id, Time predicted_start);
 
   void count_pass() noexcept { ++counters_.sched_passes; }
+  void count_rebuild() noexcept { ++counters_.profile_rebuilds; }
 
   des::Simulation& sim_;
 
  private:
   void complete_job(JobId id);
+
+  /// Takes one job of `user` off the pending counts (under a limit; a
+  /// no-op without one), erasing the user's entry when it reaches 0.
+  void leave_pending(UserId user) noexcept;
 
 #if RRSIM_VALIDATE_ENABLED
   /// Per-operation check, O(running): free_nodes_ must equal total minus
@@ -222,6 +237,8 @@ class ClusterScheduler {
   // Per-job bookkeeping lives in flat tables: these are touched on every
   // submit/cancel/start/finish, and none of them needs ordered iteration
   // (the running set, which does, gets the sorted-vector map).
+  /// Pending jobs per user, under a limit only: a user's entry exists
+  /// while it has a pending job and is erased when its count reaches 0.
   util::FlatHashMap<UserId, int> pending_per_user_;
   util::FlatOrderedMap<JobId, Job> running_;
   util::FlatHashMap<JobId, Time> predictions_;  // submit-time starts

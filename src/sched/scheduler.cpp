@@ -49,6 +49,8 @@ void ClusterScheduler::validate_op(JobId touched, JobState expected) const {
   const bool in_running = running_.find(touched) != running_.end();
   RRSIM_CHECK(in_running == (expected == JobState::kRunning),
               "running set membership disagrees with lifecycle state");
+  RRSIM_CHECK(per_user_limit_ || pending_per_user_.empty(),
+              "per-user pending table filled without a limit");
 }
 
 void ClusterScheduler::debug_validate() const {
@@ -64,14 +66,25 @@ void ClusterScheduler::debug_validate() const {
   }
   RRSIM_CHECK(free_nodes_ == total_nodes_ - allocated,
               "scheduler free-node count disagrees with the running set");
-  known_ids_.for_each([this](const JobId& id, const JobState& state) {
+  std::size_t pending = 0;
+  known_ids_.for_each([this, &pending](const JobId& id,
+                                       const JobState& state) {
     const bool in_running = running_.find(id) != running_.end();
     RRSIM_CHECK(in_running == (state == JobState::kRunning),
                 "running set membership disagrees with lifecycle state");
+    if (state == JobState::kPending) ++pending;
   });
-  pending_per_user_.for_each([](const UserId&, const int& count) {
-    RRSIM_CHECK(count >= 0, "negative per-user pending count");
+  // The per-user table holds exactly the users with a pending job, and
+  // only while a limit is set.
+  std::size_t counted = 0;
+  pending_per_user_.for_each([&counted](const UserId&, const int& count) {
+    RRSIM_CHECK(count > 0, "per-user pending table keeps a count <= 0");
+    counted += static_cast<std::size_t>(count);
   });
+  RRSIM_CHECK(per_user_limit_ || pending_per_user_.empty(),
+              "per-user pending table filled without a limit");
+  RRSIM_CHECK(!per_user_limit_ || counted == pending,
+              "per-user pending counts do not sum to the pending jobs");
 }
 #endif
 
@@ -84,7 +97,14 @@ void ClusterScheduler::set_per_user_pending_limit(std::optional<int> limit) {
   if (limit && *limit < 0) {
     throw std::invalid_argument("per-user pending limit must be >= 0");
   }
+  // The table counts only while a limit is set, so it would miss the jobs
+  // already pending when one is enabled.
+  if (limit && !per_user_limit_ && known_ids_.size() != running_.size()) {
+    throw std::logic_error(
+        "per-user pending limit enabled while jobs are pending");
+  }
   per_user_limit_ = limit;
+  if (!limit) pending_per_user_.clear();
 }
 
 bool ClusterScheduler::submit(Job job) {
@@ -94,10 +114,12 @@ bool ClusterScheduler::submit(Job job) {
   if (job.requested_time <= 0.0 || job.actual_time <= 0.0) {
     throw std::invalid_argument("job times must be > 0");
   }
-  if (per_user_limit_ && !job.limit_exempt &&
-      pending_per_user_[job.user] >= *per_user_limit_) {
-    ++counters_.rejects;
-    return false;
+  if (per_user_limit_ && !job.limit_exempt) {
+    const int* pending = pending_per_user_.find(job.user);
+    if ((pending != nullptr ? *pending : 0) >= *per_user_limit_) {
+      ++counters_.rejects;
+      return false;
+    }
   }
   if (!known_ids_.try_emplace(job.id, JobState::kPending).inserted) {
     throw std::invalid_argument("duplicate job id submitted");
@@ -105,7 +127,7 @@ bool ClusterScheduler::submit(Job job) {
   job.actual_time = std::min(job.actual_time, job.requested_time);
   job.submit_time = sim_.now();
   ++counters_.submits;
-  ++pending_per_user_[job.user];
+  if (per_user_limit_) ++pending_per_user_[job.user];
 #if RRSIM_VALIDATE_ENABLED
   const JobId submitted_id = job.id;
 #endif
@@ -137,7 +159,7 @@ bool ClusterScheduler::cancel(JobId id) {
   known_ids_.erase(id);
   predictions_.erase(id);
   ++counters_.cancels;
-  --pending_per_user_[job.user];
+  leave_pending(job.user);
 #if RRSIM_VALIDATE_ENABLED
   validate_op(id, JobState::kCancelled);
 #endif
@@ -151,7 +173,7 @@ bool ClusterScheduler::try_start(Job job) {
   }
   // The job leaves the pending population whether the grant succeeds
   // (it runs) or not (it is dropped as declined).
-  --pending_per_user_[job.user];
+  leave_pending(job.user);
   if (callbacks_.on_grant && !callbacks_.on_grant(job)) {
     ++counters_.declines;
     known_ids_.erase(job.id);
@@ -177,6 +199,14 @@ bool ClusterScheduler::try_start(Job job) {
   // cancel other jobs, and the flat running set relocates on mutation.
   if (callbacks_.on_start) callbacks_.on_start(job);
   return true;
+}
+
+void ClusterScheduler::leave_pending(UserId user) noexcept {
+  if (!per_user_limit_) return;
+  int* pending = pending_per_user_.find(user);
+  RRSIM_CHECK(pending != nullptr && *pending > 0,
+              "pending job's user missing from the per-user table");
+  if (--*pending == 0) pending_per_user_.erase(user);
 }
 
 void ClusterScheduler::complete_job(JobId id) {

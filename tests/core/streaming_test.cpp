@@ -123,6 +123,42 @@ TEST(Streaming, LiveStateIsReportedAndSmallerThanRetained) {
   EXPECT_GT(retained.records.size(), 0u);
 }
 
+TEST(Streaming, UserPopulationLeavesUnlimitedRunsUnchanged) {
+  // Without a pending limit nothing reads a job's user, so the population
+  // size changes neither the schedule nor the live state: schedulers keep
+  // per-user counts only under a limit. The shape is a toy grid_windowed
+  // run (16 clusters, R4 for half the jobs), whose remote replicas carry
+  // users from every cluster into every queue.
+  ExperimentConfig config;
+  config.n_clusters = 16;
+  config.nodes_per_cluster = 128;
+  config.load_mode = LoadMode::kCalibrated;
+  config.target_utilization = 0.7;
+  config.submit_horizon = 3600.0;
+  config.scheme = RedundancyScheme::fixed(4);
+  config.redundant_fraction = 0.5;
+  config.retain_records = false;
+  config.stream_window = 256;
+  config.users_per_cluster = 1;
+  const SimResult one = run_experiment(config);
+  config.users_per_cluster = 4096;
+  const SimResult many = run_experiment(config);
+  ASSERT_GT(one.stream.jobs(), 1000u);
+  EXPECT_EQ(many.stream.jobs(), one.stream.jobs());
+  EXPECT_EQ(many.end_time, one.end_time);
+  EXPECT_EQ(many.ops.starts, one.ops.starts);
+  EXPECT_EQ(many.ops.cancels, one.ops.cancels);
+  EXPECT_EQ(many.ops.declines, one.ops.declines);
+  EXPECT_EQ(many.ops.sched_passes, one.ops.sched_passes);
+  EXPECT_EQ(many.events_dispatched, one.events_dispatched);
+  const metrics::ClassifiedMetrics a = one.stream.classified();
+  const metrics::ClassifiedMetrics b = many.stream.classified();
+  expect_same_metrics(b.all, a.all);
+  expect_same_metrics(b.redundant, a.redundant);
+  expect_same_metrics(b.non_redundant, a.non_redundant);
+  EXPECT_EQ(many.live_state_bytes, one.live_state_bytes);
+}
+
 TEST(Streaming, RelativeCampaignMatchesRetained) {
   ExperimentConfig config = small_config();
   const RelativeMetrics retained = run_relative_campaign(config, 3, 1);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <vector>
 
 #include "rrsim/util/distributions.h"
 #include "rrsim/util/rng.h"
@@ -76,6 +81,7 @@ TEST(BmbpPredictor, Validation) {
   EXPECT_THROW(BmbpPredictor(0.95, 0.95, 0), std::invalid_argument);
   BmbpPredictor p;
   EXPECT_THROW(p.observe(-1.0), std::invalid_argument);
+  EXPECT_THROW(p.observe(std::nan("")), std::invalid_argument);
 }
 
 TEST(BmbpPredictor, NoBoundUntilEnoughHistory) {
@@ -128,6 +134,86 @@ TEST(BmbpPredictor, BoundTracksTrueQuantile) {
   const double true_q = -100.0 * std::log(0.05);
   EXPECT_GT(*bound, true_q * 0.8);
   EXPECT_LT(*bound, true_q * 2.0);
+}
+
+// The sliding-window predictor as it was before it memoized the order
+// statistic and selected with nth_element: it re-derives the index and
+// sorts a copy of the window on every query. Kept verbatim as the oracle
+// for the selection below.
+class SortingBmbp {
+ public:
+  SortingBmbp(double quantile, double confidence, std::size_t max_history)
+      : quantile_(quantile),
+        confidence_(confidence),
+        max_history_(max_history) {}
+
+  void observe(double wait) {
+    window_.push_back(wait);
+    if (window_.size() > max_history_) window_.pop_front();
+  }
+
+  std::optional<double> upper_bound() const {
+    const auto k =
+        bmbp_order_statistic(window_.size(), quantile_, confidence_);
+    if (!k) return std::nullopt;
+    std::vector<double> sorted(window_.begin(), window_.end());
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[*k - 1];
+  }
+
+ private:
+  double quantile_;
+  double confidence_;
+  std::size_t max_history_;
+  std::deque<double> window_;
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(BmbpPredictor, SelectionMatchesTheSortingPredictor) {
+  // Seeded windows, each observed from empty through three times its
+  // capacity, so every query size while the window fills and the full
+  // window after each eviction are compared. Half the waits come from a
+  // handful of integer values, so windows are full of ties.
+  struct Shape {
+    double q;
+    double c;
+    std::size_t history;
+  };
+  const Shape shapes[] = {{0.95, 0.95, 512}, {0.5, 0.5, 4},
+                          {0.9, 0.99, 97},   {0.25, 0.75, 1},
+                          {0.75, 0.9, 200},  {0.05, 0.6, 33}};
+  for (const std::uint64_t seed : {1u, 2u, 7919u}) {
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << seed << " q=" << shape.q
+                   << " c=" << shape.c << " history=" << shape.history);
+      util::Rng rng(seed);
+      BmbpPredictor subject(shape.q, shape.c, shape.history);
+      SortingBmbp oracle(shape.q, shape.c, shape.history);
+      std::size_t bounds = 0;
+      for (std::size_t i = 0; i < 3 * shape.history + 8; ++i) {
+        const double wait = rng.chance(0.5)
+                                ? static_cast<double>(rng.below(6)) * 60.0
+                                : util::sample_exponential(rng, 300.0);
+        subject.observe(wait);
+        oracle.observe(wait);
+        const auto got = subject.upper_bound();
+        const auto want = oracle.upper_bound();
+        ASSERT_EQ(got.has_value(), want.has_value()) << "observation " << i;
+        if (!want) continue;
+        ++bounds;
+        ASSERT_EQ(bits_of(*got), bits_of(*want)) << "observation " << i;
+        // A repeated query reads the memoized index.
+        ASSERT_EQ(bits_of(*subject.upper_bound()), bits_of(*want));
+      }
+      EXPECT_GT(bounds, 0u);
+    }
+  }
 }
 
 }  // namespace

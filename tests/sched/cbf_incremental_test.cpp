@@ -215,7 +215,7 @@ Trace run_workload(const WorkloadParams& wp) {
   trace.counters = sched.counters();
   if constexpr (std::is_same_v<Scheduler, CbfScheduler>) {
     trace.fallbacks = sched.self_check_fallbacks();
-    trace.rebuilds = sched.rebuilds();
+    trace.rebuilds = sched.counters().profile_rebuilds;
   }
   return trace;
 }

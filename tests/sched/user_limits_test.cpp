@@ -4,6 +4,8 @@
 // pending requests").
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "rrsim/sched/factory.h"
 
 namespace rrsim::sched {
@@ -87,6 +89,75 @@ TEST_P(UserLimits, RejectsNegativeLimit) {
   des::Simulation sim;
   auto sched = make_scheduler(GetParam(), sim, 4);
   EXPECT_THROW(sched->set_per_user_pending_limit(-1), std::invalid_argument);
+}
+
+TEST_P(UserLimits, EnablingALimitOverPendingJobsThrows) {
+  // Counts are kept only while a limit is set, so a limit enabled over
+  // pending jobs would start from a table that misses them.
+  des::Simulation sim;
+  auto sched = make_scheduler(GetParam(), sim, 4);
+  EXPECT_TRUE(sched->submit(make_job(1, 7)));  // runs: not pending
+  sched->set_per_user_pending_limit(1);        // allowed: nothing pends
+  sched->set_per_user_pending_limit(std::nullopt);
+  EXPECT_TRUE(sched->submit(make_job(2, 7)));  // pending
+  EXPECT_THROW(sched->set_per_user_pending_limit(1), std::logic_error);
+  // The refused call left the scheduler unlimited.
+  EXPECT_TRUE(sched->submit(make_job(3, 7)));
+  EXPECT_EQ(sched->counters().rejects, 0u);
+  // Once nothing pends, a limit may be enabled again; while it is set,
+  // its value may change over pending jobs.
+  sim.run();
+  sched->set_per_user_pending_limit(2);
+  EXPECT_TRUE(sched->submit(make_job(4, 7)));  // runs
+  EXPECT_TRUE(sched->submit(make_job(5, 7)));  // pending (user 7: 1)
+  sched->set_per_user_pending_limit(1);
+  EXPECT_FALSE(sched->submit(make_job(6, 7)));
+  sched->set_per_user_pending_limit(std::nullopt);  // disabling is allowed
+  EXPECT_TRUE(sched->submit(make_job(7, 7)));
+}
+
+// Live state after 10 000 one-job steps under a limit of 1, the jobs
+// attributed round-robin to `users` users. Even-numbered jobs run at once
+// for 60 s; each odd one arrives 30 s later and pends until the cluster
+// frees, and every second odd one is cancelled while it pends. Then, under
+// a limit of 0, 10 000 more submissions from the same users are refused.
+// The schedule is the same for every user count.
+std::size_t live_state_under_a_limit(Algorithm algorithm, UserId users) {
+  des::Simulation sim;
+  auto sched = make_scheduler(algorithm, sim, 4);
+  sched->set_per_user_pending_limit(1);
+  for (JobId j = 0; j < 10000; ++j) {
+    const Time step = 100.0 * static_cast<Time>(j / 2);
+    const bool odd = j % 2 == 1;
+    Job job = make_job(j + 1, static_cast<UserId>(j % users), 4,
+                       odd ? 20.0 : 60.0);
+    sim.schedule_at(odd ? step + 30.0 : step,
+                    [&sched, job] { EXPECT_TRUE(sched->submit(job)); });
+    if (j % 4 == 3) {
+      sim.schedule_at(step + 40.0, [&sched, id = job.id] {
+        EXPECT_TRUE(sched->cancel(id));
+      });
+    }
+  }
+  sim.run();
+  EXPECT_EQ(sched->counters().rejects, 0u);
+  EXPECT_EQ(sched->counters().cancels, 2500u);
+  EXPECT_EQ(sched->counters().finishes, 7500u);
+  sched->set_per_user_pending_limit(0);
+  for (JobId j = 0; j < 10000; ++j) {
+    EXPECT_FALSE(
+        sched->submit(make_job(10001 + j, static_cast<UserId>(j % users))));
+  }
+  return sched->live_state_bytes();
+}
+
+TEST_P(UserLimits, PendingTableHoldsOnlyUsersWithPendingJobs) {
+  // A user's entry goes when its last pending job starts or is
+  // cancelled, and a refused submission leaves none, so 10 000 distinct
+  // users cost no more than 10.
+  const std::size_t ten = live_state_under_a_limit(GetParam(), 10);
+  const std::size_t distinct = live_state_under_a_limit(GetParam(), 10000);
+  EXPECT_LE(distinct, ten);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, UserLimits,

@@ -68,6 +68,39 @@ TEST(ValidateClean, RedundantCampaignRunsWithValidatorsArmed) {
   }
 }
 
+TEST(ValidateClean, PerUserLimitRunKeepsItsPendingCountsExact) {
+  // Under a limit, every submit, start, decline and cancel moves the
+  // per-user table; the sweep checks it holds positive counts that sum to
+  // the pending jobs, mid-run and once everything drained.
+  for (const sched::Algorithm algo :
+       {sched::Algorithm::kCbf, sched::Algorithm::kEasy,
+        sched::Algorithm::kFcfs}) {
+    des::Simulation sim;
+    grid::Platform platform(sim, std::vector<int>(3, 8), algo);
+    for (std::size_t i = 0; i < platform.size(); ++i) {
+      platform.scheduler(i).set_per_user_pending_limit(1);
+    }
+    grid::Gateway gateway(platform);
+    for (grid::GridJobId id = 1; id <= 12; ++id) {
+      // Origin first: its replica is the exempt one.
+      const std::size_t o = id % 3;
+      grid::GridJob job = make_grid_job(id, o, {o, (o + 1) % 3, (o + 2) % 3},
+                                        4, 30.0 + static_cast<double>(id));
+      job.user = static_cast<sched::UserId>(id % 2);
+      gateway.submit(std::move(job));
+    }
+    EXPECT_GT(platform.total_counters().rejects, 0u);
+    for (std::size_t i = 0; i < platform.size(); ++i) {
+      platform.scheduler(i).debug_validate();
+    }
+    sim.run();
+    EXPECT_EQ(gateway.finished(), 12u);
+    for (std::size_t i = 0; i < platform.size(); ++i) {
+      platform.scheduler(i).debug_validate();
+    }
+  }
+}
+
 TEST(ValidateClean, ProfileSurvivesReserveReleaseChurn) {
   sched::Profile p(16);
   p.reserve(0.0, 10.0, 4);
