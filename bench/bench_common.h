@@ -1,9 +1,12 @@
-// Shared plumbing for the experiment harnesses in bench/: every binary
+// Shared plumbing for the harnesses in bench/. Every paper harness
 // regenerates one table or figure of the paper, prints the paper's rows
 // as aligned text plus a CSV block, and accepts the common flags from
 // rrsim/core/options.h plus --reps and --full (paper-scale repetitions).
+// Every micro bench times its rows with time_runs() and writes its
+// BENCH_*.json record through one JsonWriter (json_writer.h).
 #pragma once
 
+#include <chrono>
 #include <cinttypes>
 #include <cstddef>
 #include <cstdio>
@@ -12,10 +15,15 @@
 #include <exception>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "json_writer.h"
 #include "rrsim/core/campaign.h"
 #include "rrsim/core/options.h"
 #include "rrsim/core/paper.h"
@@ -109,82 +117,116 @@ inline std::size_t peak_rss_bytes() {
   return kib * 1024;
 }
 
-/// Writes the execution-environment fields every BENCH_*.json record
-/// carries (trailing comma included): the machine's hardware concurrency,
-/// the worker count actually used, the process's peak RSS at write time,
-/// the trace-cache counters (how much stream/checkpoint/draw/calibration
-/// recomputation the memoization absorbed, and what it holds resident),
-/// and a UTC timestamp.
-/// PR 1's record was taken on a 1-core box with no way to tell from the
-/// JSON — these fields make perf records comparable across machines and
-/// time.
-///
-/// Pass include_trace_cache = false when this process's global cache saw
-/// no traffic (e.g. micro_scale, whose measured runs happen in child
-/// processes with their own caches): the block is then replaced by a note
-/// pointing at the per-point stats, instead of an all-zero block that
-/// reads as "the cache never hit".
-inline void write_json_env_fields(std::FILE* f, int jobs_used,
-                                  bool include_trace_cache = true) {
+/// Timed calls per measured row, after one untimed warm-up. One run's
+/// time does not repeat on a shared 4-thread host: back-to-back records
+/// of one binary read 0.0736 and 0.0245 s for the same 4-cluster retained
+/// run, so a row is the median of five with the min and max beside it.
+constexpr int kTimedRuns = 5;
+
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The timing protocol of the micro benches: calls `body()` once untimed
+/// (trace cache, calibration, page faults and allocator pools warm up
+/// there), then kTimedRuns times on a steady clock, and summarizes the
+/// timed calls. No timed call is therefore colder than the others; a body
+/// that must stay cold by design clears its own caches.
+template <typename Body>
+Timing time_runs(Body&& body) {
+  body();
+  std::vector<double> seconds;
+  seconds.reserve(kTimedRuns);
+  for (int i = 0; i < kTimedRuns; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    seconds.push_back(seconds_since(start));
+  }
+  return summarize(std::move(seconds));
+}
+
+/// time_runs() over a deterministic `run`: every call must return what
+/// the warm-up call returned (operator==), since a call that differs is a
+/// bug, not noise; throws naming `what` if one does. Returns the timing
+/// and that result.
+template <typename Run>
+auto time_repeatable(const std::string& what, Run&& run) {
+  std::optional<std::invoke_result_t<Run&>> first;
+  const Timing t = time_runs([&] {
+    auto result = run();
+    if (!first) {
+      first.emplace(std::move(result));
+    } else if (!(result == *first)) {
+      throw std::runtime_error("determinism violation: " + what +
+                               " differs between runs");
+    }
+  });
+  return std::pair{t, std::move(*first)};
+}
+
+/// Starts a BENCH_*.json record: opens the top-level object and writes
+/// the schema version, the benchmark's name and the execution
+/// environment — the machine's hardware concurrency, the worker count
+/// used, this process's peak RSS so far, the trace-cache counters (how
+/// much stream, checkpoint, draw, calibration and spool work memoization
+/// absorbed, and what it holds resident) and a UTC timestamp. An early
+/// record was taken on a 1-core box with no way to tell from the JSON;
+/// these fields make records comparable across machines and time. Call
+/// it after the measurements, so peak RSS and the cache describe them.
+/// A process whose cache saw no lookup (micro_scale's parent, whose runs
+/// execute in child processes; the kernel and scheduler benches) gets a
+/// note instead of an all-zero block that reads as "the cache never hit".
+inline JsonWriter begin_record(const char* benchmark, int jobs_used) {
   char stamp[32] = "unknown";
   const std::time_t now = std::time(nullptr);
   std::tm utc{};
   if (gmtime_r(&now, &utc) != nullptr) {
     std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &utc);
   }
-  std::fprintf(f,
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"jobs_used\": %d,\n"
-               "  \"peak_rss_bytes\": %zu,\n",
-               std::thread::hardware_concurrency(), jobs_used,
-               peak_rss_bytes());
-  if (include_trace_cache) {
-    const workload::TraceCache& cache = workload::TraceCache::global();
-    std::fprintf(f,
-                 "  \"trace_cache\": {\n"
-                 "    \"hits\": %" PRIu64 ",\n"
-                 "    \"misses\": %" PRIu64 ",\n"
-                 "    \"checkpoint_hits\": %" PRIu64 ",\n"
-                 "    \"checkpoint_misses\": %" PRIu64 ",\n"
-                 "    \"draw_hits\": %" PRIu64 ",\n"
-                 "    \"draw_misses\": %" PRIu64 ",\n"
-                 "    \"calibration_hits\": %" PRIu64 ",\n"
-                 "    \"calibration_misses\": %" PRIu64 ",\n"
-                 "    \"spool_hits\": %" PRIu64 ",\n"
-                 "    \"spool_misses\": %" PRIu64 ",\n"
-                 "    \"entries\": %zu,\n"
-                 "    \"resident_bytes\": %zu\n"
-                 "  },\n",
-                 cache.hits(), cache.misses(), cache.checkpoint_hits(),
-                 cache.checkpoint_misses(), cache.draw_hits(),
-                 cache.draw_misses(), cache.calibration_hits(),
-                 cache.calibration_misses(), cache.spool_hits(),
-                 cache.spool_misses(), cache.entries(),
-                 cache.resident_bytes());
+  JsonWriter w;
+  w.begin_object();
+  w.field("schema", 2).field("benchmark", benchmark);
+  w.field("hardware_concurrency", std::thread::hardware_concurrency());
+  w.field("jobs_used", jobs_used).field("peak_rss_bytes", peak_rss_bytes());
+  const workload::TraceCache& c = workload::TraceCache::global();
+  const std::uint64_t lookups =
+      c.hits() + c.misses() + c.checkpoint_hits() + c.checkpoint_misses() +
+      c.draw_hits() + c.draw_misses() + c.calibration_hits() +
+      c.calibration_misses() + c.spool_hits() + c.spool_misses();
+  if (lookups > 0) {
+    w.key("trace_cache").begin_object();
+    w.field("hits", c.hits()).field("misses", c.misses());
+    w.field("checkpoint_hits", c.checkpoint_hits());
+    w.field("checkpoint_misses", c.checkpoint_misses());
+    w.field("draw_hits", c.draw_hits()).field("draw_misses", c.draw_misses());
+    w.field("calibration_hits", c.calibration_hits());
+    w.field("calibration_misses", c.calibration_misses());
+    w.field("spool_hits", c.spool_hits());
+    w.field("spool_misses", c.spool_misses());
+    w.field("entries", c.entries());
+    w.field("resident_bytes", c.resident_bytes()).end_object();
   } else {
-    std::fprintf(f,
-                 "  \"trace_cache_note\": \"runs execute in isolated child "
-                 "processes; see the per-point trace_cache stats\",\n");
+    w.field("trace_cache_note", "no trace-cache lookup in this process");
   }
-  std::fprintf(f, "  \"timestamp_utc\": \"%s\",\n", stamp);
+  w.field("timestamp_utc", stamp);
+  return w;
 }
 
-/// Writes one parallel-speedup JSON field (trailing comma included). On a
-/// single-hardware-thread machine a "speedup" of worker threads over one
-/// thread measures only scheduling overhead — the 0.83 artifact an early
-/// BENCH_sweep.json captured on a 1-core box — so the field is emitted as
-/// null plus a <key>_note explaining why, instead of a misleading number.
-inline void write_json_speedup_field(std::FILE* f, const char* key,
-                                     double speedup) {
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::fprintf(f,
-                 "  \"%s\": null,\n"
-                 "  \"%s_note\": \"single hardware thread: parallel speedup "
-                 "is not measurable on this machine\",\n",
-                 key, key);
-  } else {
-    std::fprintf(f, "  \"%s\": %.4f,\n", key, speedup);
-  }
+/// A 64-bit checksum as 16 hex digits: record readers that parse JSON
+/// numbers as doubles would round it above 2^53.
+inline std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Writes `w`'s finished record to `path` and says so.
+inline void finish_record(const JsonWriter& w, const std::string& path) {
+  w.write_file(path);
+  std::printf("\nperf record written to %s\n", path.c_str());
 }
 
 /// Runs `fn()` with top-level exception reporting; returns the process

@@ -16,14 +16,14 @@
 //      shape CI's `check` job gates on.
 //
 // Schedules/sec counts full experiment replays (census + explored
-// schedules + witness replays) per second of exploration wall time; the
-// pruning ratio is the fraction of candidate schedules DPOR proved
-// equivalent without replaying.
+// schedules + witness replays) per second of exploration wall time (the
+// median of bench::time_repeatable, so the explorer must reach the same
+// verdict and counts on every run); the pruning ratio is the fraction of
+// candidate schedules DPOR proved equivalent without replaying.
 //
 //   ./micro_check [--cohorts=120] [--ties=3] [--k=3] [--samples=2]
 //                 [--max-groups=24] [--hours=1] [--out=BENCH_check.json]
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -38,78 +38,84 @@
 namespace {
 
 using namespace rrsim;
-using Clock = std::chrono::steady_clock;
 
-struct ScenarioResult {
-  check::ExploreReport report;
-  double elapsed = 0.0;
+/// The explorer's verdict and counts: the same on every run.
+struct Verdict {
+  std::uint64_t groups_total = 0;
+  std::uint64_t groups_explored = 0;
+  std::uint64_t schedules_explored = 0;
+  std::uint64_t schedules_pruned = 0;
+  std::uint64_t witness_replays = 0;
+  std::uint64_t divergence_count = 0;
+  std::uint64_t replay_mismatches = 0;
+  double max_drift = 0.0;
+  bool identical = true;
+  bool oracles_armed = false;
+  bool operator==(const Verdict&) const = default;
 
   std::uint64_t replays() const {
-    return 1 + report.schedules_explored + report.witness_replays;  // +census
-  }
-  double replays_per_sec() const {
-    return elapsed > 0.0 ? static_cast<double>(replays()) / elapsed : 0.0;
+    return 1 + schedules_explored + witness_replays;  // +census
   }
   double pruning_ratio() const {
-    const double candidates = static_cast<double>(report.schedules_explored +
-                                                  report.schedules_pruned);
+    const double candidates =
+        static_cast<double>(schedules_explored + schedules_pruned);
     return candidates > 0.0
-               ? static_cast<double>(report.schedules_pruned) / candidates
+               ? static_cast<double>(schedules_pruned) / candidates
                : 0.0;
   }
 };
 
-ScenarioResult run_scenario(const char* name, core::ExperimentConfig config,
+struct ScenarioResult {
+  bench::Timing t;
+  Verdict v;
+  double replays_per_sec() const {
+    return static_cast<double>(v.replays()) / t.median;
+  }
+};
+
+ScenarioResult run_scenario(const char* name,
+                            const core::ExperimentConfig& config,
                             const check::ExploreOptions& opts) {
-  check::ExperimentProbe probe(std::move(config));
-  const auto start = Clock::now();
-  ScenarioResult r;
-  r.report = check::explore(probe, opts);
-  r.elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  std::printf("  %-10s %7.3f s  %5llu cohorts (%llu explored)  %6llu "
-              "replayed  %6llu pruned (%.0f%%)  %8.1f replays/s  %s\n",
-              name, r.elapsed,
-              static_cast<unsigned long long>(r.report.groups_total),
-              static_cast<unsigned long long>(r.report.groups_explored),
-              static_cast<unsigned long long>(r.report.schedules_explored),
-              static_cast<unsigned long long>(r.report.schedules_pruned),
-              100.0 * r.pruning_ratio(), r.replays_per_sec(),
-              r.report.identical ? "IDENTICAL" : "TIE-SENSITIVE");
+  const auto [t, v] = bench::time_repeatable(name, [&] {
+    check::ExperimentProbe probe(config);
+    const check::ExploreReport r = check::explore(probe, opts);
+    return Verdict{r.groups_total,      r.groups_explored,
+                   r.schedules_explored, r.schedules_pruned,
+                   r.witness_replays,   r.divergence_count,
+                   r.replay_mismatches, r.max_drift,
+                   r.identical,         r.oracles_armed};
+  });
+  const ScenarioResult r{t, v};
+  std::printf("  %-10s %7.4f s  [%.4f, %.4f]  %5llu cohorts (%llu "
+              "explored)  %6llu replayed  %6llu pruned (%.0f%%)  %8.1f "
+              "replays/s  %s\n",
+              name, t.median, t.min, t.max,
+              static_cast<unsigned long long>(v.groups_total),
+              static_cast<unsigned long long>(v.groups_explored),
+              static_cast<unsigned long long>(v.schedules_explored),
+              static_cast<unsigned long long>(v.schedules_pruned),
+              100.0 * v.pruning_ratio(), r.replays_per_sec(),
+              v.identical ? "IDENTICAL" : "TIE-SENSITIVE");
   return r;
 }
 
-void write_scenario_json(std::FILE* f, const char* name,
-                         const ScenarioResult& r, bool trailing_comma) {
-  std::fprintf(
-      f,
-      "  \"%s\": {\n"
-      "    \"seconds\": %.4f,\n"
-      "    \"groups_total\": %llu,\n"
-      "    \"groups_explored\": %llu,\n"
-      "    \"schedules_explored\": %llu,\n"
-      "    \"schedules_pruned\": %llu,\n"
-      "    \"pruning_ratio\": %.4f,\n"
-      "    \"witness_replays\": %llu,\n"
-      "    \"replays_per_sec\": %.2f,\n"
-      "    \"divergence_count\": %llu,\n"
-      "    \"max_drift\": %.6g,\n"
-      "    \"replay_mismatches\": %llu,\n"
-      "    \"verdict\": \"%s\",\n"
-      "    \"oracles_armed\": %s\n"
-      "  }%s\n",
-      name, r.elapsed,
-      static_cast<unsigned long long>(r.report.groups_total),
-      static_cast<unsigned long long>(r.report.groups_explored),
-      static_cast<unsigned long long>(r.report.schedules_explored),
-      static_cast<unsigned long long>(r.report.schedules_pruned),
-      r.pruning_ratio(),
-      static_cast<unsigned long long>(r.report.witness_replays),
-      r.replays_per_sec(),
-      static_cast<unsigned long long>(r.report.divergence_count),
-      r.report.max_drift,
-      static_cast<unsigned long long>(r.report.replay_mismatches),
-      r.report.identical ? "identical" : "tie-sensitive",
-      r.report.oracles_armed ? "true" : "false", trailing_comma ? "," : "");
+void write_scenario(bench::JsonWriter& w, const char* name,
+                    const ScenarioResult& r) {
+  const Verdict& v = r.v;
+  w.key(name).begin_object();
+  w.field("seconds", r.t);
+  w.field("groups_total", v.groups_total);
+  w.field("groups_explored", v.groups_explored);
+  w.field("schedules_explored", v.schedules_explored);
+  w.field("schedules_pruned", v.schedules_pruned);
+  w.field("pruning_ratio", v.pruning_ratio());
+  w.field("witness_replays", v.witness_replays);
+  w.field("replays_per_sec", r.replays_per_sec(), 2);
+  w.field("divergence_count", v.divergence_count);
+  w.field("max_drift", v.max_drift, 6);
+  w.field("replay_mismatches", v.replay_mismatches);
+  w.field("verdict", v.identical ? "identical" : "tie-sensitive");
+  w.field("oracles_armed", v.oracles_armed).end_object();
 }
 
 }  // namespace
@@ -167,27 +173,13 @@ int main(int argc, char** argv) {
     const ScenarioResult lublin_result =
         run_scenario("lublin_r4", lublin, opts);
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      throw std::runtime_error("cannot write " + out_path);
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"micro_check\",\n");
-    bench::write_json_env_fields(f, 1);
-    std::fprintf(f,
-                 "  \"cohorts\": %d,\n"
-                 "  \"ties_per_cohort\": %d,\n"
-                 "  \"exhaustive_k\": %zu,\n"
-                 "  \"samples_above_k\": %zu,\n"
-                 "  \"max_groups\": %zu,\n"
-                 "  \"lublin_hours\": %.2f,\n",
-                 cohorts, ties, k, samples, max_groups, hours);
-    write_scenario_json(f, "ties_swf", ties_result, /*trailing_comma=*/true);
-    write_scenario_json(f, "lublin_r4", lublin_result,
-                        /*trailing_comma=*/false);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nperf record written to %s\n", out_path.c_str());
+    bench::JsonWriter w = bench::begin_record("micro_check", 1);
+    w.field("cohorts", cohorts).field("ties_per_cohort", ties);
+    w.field("exhaustive_k", k).field("samples_above_k", samples);
+    w.field("max_groups", max_groups).field("lublin_hours", hours, 2);
+    write_scenario(w, "ties_swf", ties_result);
+    write_scenario(w, "lublin_r4", lublin_result);
+    w.end_object();
+    bench::finish_record(w, out_path);
   });
 }

@@ -23,7 +23,10 @@
 // cache state. Instead a baseline pass first runs every point with the
 // cache cleared before it (all cold), and the record compares each
 // follower's warm time in the affine sweep against the same point's
-// cold-baseline time. Timing ratios are recorded, not asserted — the
+// cold-baseline time. Every point runs once per pass (a repeat would no
+// longer be cold, and a pass takes minutes at full scale), and each time
+// is recorded through the same bench::summarize as the other benches'
+// rows, with "runs": 1. Timing ratios are recorded, not asserted — the
 // ctest smoke runs at toy scale where they are pure noise.
 //
 //   ./micro_gridsweep [--clusters=1000] [--hours=11] [--window=256]
@@ -47,7 +50,6 @@
 namespace {
 
 using namespace rrsim;
-using Clock = std::chrono::steady_clock;
 
 struct SweepPoint {
   int degree;
@@ -120,11 +122,11 @@ std::uint64_t results_checksum(const std::vector<PointRun>& points) {
 }
 
 PointRun run_point(const core::ExperimentConfig& config) {
-  const auto start = Clock::now();
+  const auto start = std::chrono::steady_clock::now();
   const core::SimResult r =
       core::run_experiment(config, core::thread_workspace());
   PointRun p;
-  p.elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+  p.elapsed = bench::seconds_since(start);
   p.jobs = r.jobs_generated;
   const metrics::ScheduleMetrics m = r.stream.metrics();
   p.avg_stretch = m.avg_stretch;
@@ -169,10 +171,9 @@ SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
         [config](int) { return run_point(config); },
         [&out, i](int, PointRun p) { out.points[i] = p; });
   }
-  const auto start = Clock::now();
+  const auto start = std::chrono::steady_clock::now();
   sweep.run();
-  out.total_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  out.total_seconds = bench::seconds_since(start);
   out.cache = sweep.last_cache_stats();
   out.checksum = results_checksum(out.points);
 
@@ -270,6 +271,8 @@ int main(int argc, char** argv) {
                 serial.front().elapsed);
     std::printf("jobs per point: %" PRIu64 "\n", serial.front().jobs);
 
+    bench::JsonWriter w = bench::begin_record(
+        "micro_gridsweep", static_cast<int>(kJobs.back()));
     const std::size_t rss = rrsim::bench::peak_rss_bytes();
     if (budget_mb > 0 &&
         rss > static_cast<std::size_t>(budget_mb) * 1048576) {
@@ -279,60 +282,46 @@ int main(int argc, char** argv) {
           " budget");
     }
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) throw std::runtime_error("cannot write " + out_path);
-    std::fprintf(f, "{\n  \"benchmark\": \"micro_gridsweep\",\n");
-    rrsim::bench::write_json_env_fields(
-        f, static_cast<int>(kJobs.back()));
-    std::fprintf(f,
-                 "  \"clusters\": %zu,\n"
-                 "  \"nodes_per_cluster\": 128,\n"
-                 "  \"utilization\": 0.7,\n"
-                 "  \"hours\": %.4f,\n"
-                 "  \"stream_window\": %zu,\n"
-                 "  \"points\": \"{R2,R4} x fraction {0.25,0.5,0.75,1.0}\","
-                 "\n"
-                 "  \"jobs_per_point\": %" PRIu64 ",\n"
-                 "  \"equivalence_checked\": true,\n"
-                 "  \"cold_baseline_point_seconds\": [",
-                 clusters, hours, window, serial.front().jobs);
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-      std::fprintf(f, "%s%.4f", i == 0 ? "" : ", ", cold[i].elapsed);
+    // Every time below is one run: the summary of a single sample.
+    const auto once = [](double seconds) {
+      return bench::summarize({seconds});
+    };
+    const auto point_seconds = [&](const std::vector<PointRun>& points) {
+      w.begin_array();
+      for (const PointRun& p : points) w.value(once(p.elapsed));
+      w.end_array();
+    };
+    w.field("clusters", clusters).field("nodes_per_cluster", 128);
+    w.field("utilization", 0.7, 1).field("hours", hours);
+    w.field("stream_window", window);
+    w.field("points", "{R2,R4} x fraction {0.25,0.5,0.75,1.0}");
+    w.field("jobs_per_point", serial.front().jobs);
+    w.field("equivalence_checked", true);
+    w.key("cold_baseline_point_seconds");
+    point_seconds(cold);
+    w.field("cold_follower_mean_seconds", cold_mean);
+    w.field("warm_follower_mean_seconds", warm_mean);
+    w.field("cold_over_warm_matched", cold_mean / warm_mean);
+    w.key("sweeps").begin_array();
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+      const SweepRun& run = sweeps[i];
+      const core::SweepCacheStats& c = run.cache;
+      w.begin_object();
+      w.field("jobs", kJobs[i]).field("total_seconds", once(run.total_seconds));
+      w.field("results_checksum", bench::hex64(run.checksum));
+      w.key("trace_cache").begin_object(true);
+      w.field("checkpoint_hits", c.checkpoint_hits);
+      w.field("checkpoint_misses", c.checkpoint_misses);
+      w.field("draw_hits", c.draw_hits).field("draw_misses", c.draw_misses);
+      w.field("calibration_hits", c.calibration_hits);
+      w.field("calibration_misses", c.calibration_misses);
+      w.field("spool_hits", c.spool_hits).field("spool_misses", c.spool_misses);
+      w.end_object();
+      w.key("point_seconds");
+      point_seconds(run.points);
+      w.end_object();
     }
-    std::fprintf(f,
-                 "],\n"
-                 "  \"cold_follower_mean_seconds\": %.4f,\n"
-                 "  \"warm_follower_mean_seconds\": %.4f,\n"
-                 "  \"cold_over_warm_matched\": %.4f,\n"
-                 "  \"sweeps\": [\n",
-                 cold_mean, warm_mean, cold_mean / warm_mean);
-    for (std::size_t s = 0; s < sweeps.size(); ++s) {
-      const SweepRun& run = sweeps[s];
-      std::fprintf(f,
-                   "    {\"jobs\": %d, \"total_seconds\": %.4f,\n"
-                   "     \"results_checksum\": \"%016llx\",\n"
-                   "     \"trace_cache\": {\"checkpoint_hits\": %" PRIu64
-                   ", \"checkpoint_misses\": %" PRIu64
-                   ", \"draw_hits\": %" PRIu64 ", \"draw_misses\": %" PRIu64
-                   ", \"calibration_hits\": %" PRIu64
-                   ", \"calibration_misses\": %" PRIu64
-                   ", \"spool_hits\": %" PRIu64 ", \"spool_misses\": %" PRIu64
-                   "},\n"
-                   "     \"point_seconds\": [",
-                   kJobs[s], run.total_seconds,
-                   static_cast<unsigned long long>(run.checksum),
-                   run.cache.checkpoint_hits, run.cache.checkpoint_misses,
-                   run.cache.draw_hits, run.cache.draw_misses,
-                   run.cache.calibration_hits, run.cache.calibration_misses,
-                   run.cache.spool_hits, run.cache.spool_misses);
-      for (std::size_t i = 0; i < run.points.size(); ++i) {
-        std::fprintf(f, "%s%.4f", i == 0 ? "" : ", ",
-                     run.points[i].elapsed);
-      }
-      std::fprintf(f, "]}%s\n", s + 1 < sweeps.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nperf record written to %s\n", out_path.c_str());
+    w.end_array().end_object();
+    bench::finish_record(w, out_path);
   });
 }

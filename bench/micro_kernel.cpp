@@ -1,39 +1,36 @@
 // DES kernel hot-path benchmark and perf record.
 //
-// Drives one schedule–cancel–dispatch churn workload — batched arrivals
-// spread over a wide horizon, a quarter of them cancelled before firing,
-// callbacks injecting same-pass follow-ups, the event mix of a
-// redundant-request campaign that schedules its arrivals far ahead
-// (about 4 000 pending; with rrsim's arrival pump the perfbench
-// workloads peak at 70 to 1 809) — through the production kernel
-// (one binary heap of 24-byte entries over a pooled slab, inline
-// callbacks, cancelled entries purged once they outnumber live events)
-// and through an in-file replica of the seed tree's kernel (one binary
-// heap of 40-byte entries, std::function callbacks, lazy-skip cancels).
-// Verifies both kernels dispatch the identical event sequence in the
-// same run that measures the speedup, benchmarks the flat job-table maps
-// against the std containers they replaced, and writes everything to
-// BENCH_kernel.json so future PRs have a perf trajectory.
+// Times the production kernel (one binary heap of 24-byte entries over a
+// pooled slab, inline callbacks, cancelled entries purged once they
+// outnumber live events) under two event mixes, and the flat job-table
+// maps under the scheduler/gateway access mix:
+//
+//   1. schedule–cancel–dispatch churn: batched arrivals spread over a
+//      wide horizon, a quarter of them cancelled before firing, callbacks
+//      injecting same-pass follow-ups — the event mix of a
+//      redundant-request campaign that schedules its arrivals far ahead
+//      (about 4 000 pending; with rrsim's arrival pump the perfbench
+//      workloads peak at 70 to 1 809);
+//   2. live-event churn: 1 024 live events, each dispatch scheduling its
+//      replacement, so every slot is recycled;
+//   3. flat hash and flat ordered map churn.
+//
+// Every row is timed by bench::time_repeatable: the churns are
+// deterministic, so every run must dispatch the same events in the same
+// order (a folded trace checksum), and a run that differs aborts the
+// bench. That the kernel keeps its contract order is checked by
+// CalendarQueue.* in des_tests, and the maps against std containers by
+// the RandomizedAgainstMapOracle* tests in util_tests.
 //
 //   ./micro_kernel [--batches=60] [--events=4000] [--map-ops=2000000]
-//                  [--mode=both|new|legacy] [--out=BENCH_kernel.json]
-//
-// An equivalence violation (kernel trace or map-content divergence) is a
-// hard failure: the process exits non-zero, and the perf_smoke ctest
-// entry runs a small configuration on every test run.
+//                  [--out=BENCH_kernel.json]
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -44,150 +41,6 @@
 namespace {
 
 using namespace rrsim;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// ---------------------------------------------------------------------------
-// Legacy kernel replica: the seed tree's event queue. One binary heap
-// ordered by (time, priority, sequence) over the *entire* pending set,
-// slots holding std::function callbacks (heap-allocating for any capture
-// beyond the SBO), cancels retiring the slot and leaving the heap entry
-// to be skipped lazily at pop. Kept in-file as the trace-equivalence
-// reference for the production kernel and as its speed baseline.
-class LegacyKernel {
- public:
-  class EventHandle {
-   public:
-    EventHandle() = default;
-    bool cancel() noexcept {
-      if (kernel_ == nullptr) return false;
-      LegacyKernel* k = kernel_;
-      kernel_ = nullptr;
-      return k->cancel(slot_, gen_);
-    }
-
-   private:
-    friend class LegacyKernel;
-    EventHandle(LegacyKernel* k, std::uint32_t slot, std::uint64_t gen)
-        : kernel_(k), slot_(slot), gen_(gen) {}
-    LegacyKernel* kernel_ = nullptr;
-    std::uint32_t slot_ = 0;
-    std::uint64_t gen_ = 0;
-  };
-
-  des::Time now() const noexcept { return now_; }
-  std::uint64_t dispatched() const noexcept { return dispatched_; }
-
-  EventHandle schedule_at(des::Time t, std::function<void()> cb,
-                          des::Priority prio) {
-    if (!(t >= now_)) {
-      throw std::invalid_argument("legacy schedule_at: time in the past");
-    }
-    std::uint32_t idx;
-    if (free_.empty()) {
-      idx = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      idx = free_.back();
-      free_.pop_back();
-    }
-    Slot& slot = slots_[idx];
-    slot.callback = std::move(cb);
-    slot.live = true;
-    heap_.push_back(Entry{t, static_cast<int>(prio), next_seq_++, idx,
-                          slot.generation});
-    std::push_heap(heap_.begin(), heap_.end(), Compare{});
-    return EventHandle(this, idx, slot.generation);
-  }
-
-  bool step() {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), Compare{});
-      const Entry e = heap_.back();
-      heap_.pop_back();
-      Slot& slot = slots_[e.slot];
-      if (!slot.live || slot.generation != e.gen) continue;  // stale
-      now_ = e.time;
-      std::function<void()> cb = std::move(slot.callback);
-      retire(e.slot);
-      ++dispatched_;
-      cb();
-      return true;
-    }
-    return false;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  void run_until(des::Time t) {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), Compare{});
-      const Entry e = heap_.back();
-      if (e.time > t) {  // put it back, we are done
-        std::push_heap(heap_.begin(), heap_.end(), Compare{});
-        break;
-      }
-      heap_.pop_back();
-      Slot& slot = slots_[e.slot];
-      if (!slot.live || slot.generation != e.gen) continue;
-      now_ = e.time;
-      std::function<void()> cb = std::move(slot.callback);
-      retire(e.slot);
-      ++dispatched_;
-      cb();
-    }
-    if (t > now_) now_ = t;
-  }
-
- private:
-  struct Slot {
-    std::function<void()> callback;
-    std::uint64_t generation = 0;
-    bool live = false;
-  };
-  struct Entry {
-    des::Time time;
-    int priority;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint64_t gen;
-  };
-  struct Compare {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool cancel(std::uint32_t idx, std::uint64_t gen) noexcept {
-    Slot& slot = slots_[idx];
-    if (!slot.live || slot.generation != gen) return false;
-    slot.callback = nullptr;
-    retire(idx);  // heap entry stays behind, skipped lazily
-    return true;
-  }
-
-  void retire(std::uint32_t idx) noexcept {
-    Slot& slot = slots_[idx];
-    slot.live = false;
-    ++slot.generation;
-    free_.push_back(idx);
-  }
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
-  std::vector<Entry> heap_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t dispatched_ = 0;
-  des::Time now_ = 0.0;
-};
 
 // ---------------------------------------------------------------------------
 // Kernel churn workload. Each batch schedules a spread of events over a
@@ -197,17 +50,14 @@ class LegacyKernel {
 // dispatched events schedule a short-fuse follow-up from inside their
 // callback, exercising schedule-during-dispatch. The dispatch trace is
 // folded into a checksum keyed by event id and the bit pattern of the
-// dispatch timestamp, so the legacy/new comparison is bit-exact.
+// dispatch timestamp.
 
 struct ChurnStats {
-  double elapsed = 0.0;
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t dispatched = 0;
   std::uint64_t checksum = 0;
-  double ops_per_sec() const {
-    return static_cast<double>(scheduled + cancelled + dispatched) / elapsed;
-  }
+  bool operator==(const ChurnStats&) const = default;
 };
 
 void fold(ChurnStats& s, std::uint64_t id, double when) {
@@ -216,15 +66,13 @@ void fold(ChurnStats& s, std::uint64_t id, double when) {
   s.checksum = (s.checksum * 6364136223846793005ULL) ^ (id + bits);
 }
 
-template <typename Kernel>
 ChurnStats run_churn(int batches, int events_per_batch, std::uint64_t seed) {
   constexpr double kHorizon = 5.0e4;
-  const auto start = Clock::now();
-  Kernel k;
+  des::Simulation k;
   util::Rng rng(seed);
   ChurnStats s;
   std::uint64_t next_id = 1;
-  std::vector<typename Kernel::EventHandle> handles;
+  std::vector<des::Simulation::EventHandle> handles;
   handles.reserve(static_cast<std::size_t>(events_per_batch));
 
   for (int b = 0; b < batches; ++b) {
@@ -260,67 +108,86 @@ ChurnStats run_churn(int batches, int events_per_batch, std::uint64_t seed) {
   }
   k.run();
   s.dispatched = k.dispatched();
-  s.elapsed = seconds_since(start);
   return s;
+}
+
+// ---------------------------------------------------------------------------
+// Live-event churn: a bounded set of live events where every dispatch
+// schedules a replacement, the simulator's steady state, recycling pool
+// slots. The `[this]` capture fits the kernel's inline callback storage.
+constexpr std::size_t kLiveEvents = 1024;
+constexpr std::uint64_t kLiveChurnEvents = 2000000;
+
+// Cheap deterministic jitter so the heap sees varied orderings.
+struct Jitter {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  double next() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(state >> 40) * 0x1.0p-24 + 1e-3;
+  }
+};
+
+struct LiveChurn {
+  des::Simulation sim;
+  Jitter jitter;
+  std::uint64_t remaining = kLiveChurnEvents;
+  void tick() {
+    if (remaining == 0) return;
+    --remaining;
+    sim.schedule_in(jitter.next(), [this] { tick(); });
+  }
+};
+
+/// Runs the live churn and returns the events it dispatched.
+std::uint64_t run_live_churn() {
+  LiveChurn churn;
+  for (std::size_t i = 0; i < kLiveEvents; ++i) churn.tick();
+  churn.sim.run();
+  return churn.sim.dispatched();
 }
 
 // ---------------------------------------------------------------------------
 // Job-table map churn: the access mix of the scheduler/gateway hot path
 // (insert on submit, point lookups on grant/finish, erase on cancel) over
-// a bounded id universe, run through each flat map and the std container
-// it replaced. The op script is a pure function of the loop index, so
-// every container sees the identical sequence; the observable aggregate
-// (hits, value sum, final size) must match across the pair. The universe
-// is sized to the table being modelled: the hash pair stands in for the
-// pending/tracking tables (tens of thousands of ids touched across a
-// campaign-length cancel storm), the ordered pair for the running-jobs
-// table, whose population is bounded by cluster node count (order of a
-// hundred) but which the scheduler *walks in key order* on every profile
-// rebuild and dispatch pass — so the ordered churn interleaves a full
-// iteration every IterateEvery ops.
+// a bounded id universe. The op script is a pure function of the loop
+// index. The universe is sized to the table being modelled: the hash map
+// stands in for the pending/tracking tables (tens of thousands of ids
+// touched across a campaign-length cancel storm), the ordered map for the
+// running-jobs table, whose population is bounded by cluster node count
+// (order of a hundred) but which the scheduler *walks in key order* on
+// every profile rebuild and dispatch pass — so the ordered churn
+// interleaves a full iteration every IterateEvery ops.
 
 struct MapStats {
-  double elapsed = 0.0;
-  std::int64_t ops = 0;
   std::uint64_t hits = 0;
   double value_sum = 0.0;
   std::size_t final_size = 0;
-  double ops_per_sec() const { return static_cast<double>(ops) / elapsed; }
-  bool agrees_with(const MapStats& o) const {
-    return hits == o.hits && value_sum == o.value_sum &&
-           final_size == o.final_size;
-  }
+  bool operator==(const MapStats&) const = default;
 };
 
-bool map_insert(util::FlatHashMap<std::uint64_t, double>& m, std::uint64_t k,
+void map_insert(util::FlatHashMap<std::uint64_t, double>& m, std::uint64_t k,
                 double v) {
-  return m.try_emplace(k, v).inserted;
+  m.try_emplace(k, v);
 }
-bool map_insert(util::FlatOrderedMap<std::uint64_t, double>& m,
+void map_insert(util::FlatOrderedMap<std::uint64_t, double>& m,
                 std::uint64_t k, double v) {
-  return m.emplace(k, v).second;
-}
-template <typename StdMap>
-bool map_insert(StdMap& m, std::uint64_t k, double v) {
-  return m.try_emplace(k, v).second;
+  m.emplace(k, v);
 }
 
 const double* map_find(const util::FlatHashMap<std::uint64_t, double>& m,
                        std::uint64_t k) {
   return m.find(k);
 }
-template <typename MapWithIterators>
-const double* map_find(const MapWithIterators& m, std::uint64_t k) {
+const double* map_find(const util::FlatOrderedMap<std::uint64_t, double>& m,
+                       std::uint64_t k) {
   const auto it = m.find(k);
   return it == m.end() ? nullptr : &it->second;
 }
 
 template <typename Map, int IterateEvery = 0>
 MapStats run_map_churn(std::int64_t ops, std::uint64_t universe) {
-  const auto start = Clock::now();
   Map m;
   MapStats s;
-  s.ops = ops;
   std::uint64_t x = 0x243f6a8885a308d3ULL;  // splitmix-style op script
   for (std::int64_t i = 0; i < ops; ++i) {
     x += 0x9e3779b97f4a7c15ULL;
@@ -349,21 +216,13 @@ MapStats run_map_churn(std::int64_t ops, std::uint64_t universe) {
     }
   }
   s.final_size = m.size();
-  s.elapsed = seconds_since(start);
   return s;
 }
 
-void print_kernel_row(const char* name, const ChurnStats& s) {
-  std::printf("  %-14s %8.3f s  %9llu dispatched  %7llu cancelled  %12.0f "
-              "events/s\n",
-              name, s.elapsed, static_cast<unsigned long long>(s.dispatched),
-              static_cast<unsigned long long>(s.cancelled), s.ops_per_sec());
-}
-
-void print_map_row(const char* name, const MapStats& s) {
-  std::printf("  %-14s %8.3f s  %12.0f ops/s  (%llu hits, %zu resident)\n",
-              name, s.elapsed, s.ops_per_sec(),
-              static_cast<unsigned long long>(s.hits), s.final_size);
+void print_row(const char* name, const bench::Timing& t, double ops,
+               const char* unit) {
+  std::printf("  %-12s %8.4f s  [%.4f, %.4f]  %12.0f %s\n", name, t.median,
+              t.min, t.max, ops / t.median, unit);
 }
 
 }  // namespace
@@ -378,127 +237,76 @@ int main(int argc, char** argv) {
         static_cast<int>(cli.get_int_in("events", 4000, 1, kIntMax));
     const std::int64_t map_ops = cli.get_int_in(
         "map-ops", 2000000, 1, std::numeric_limits<std::int64_t>::max());
-    const std::string mode = cli.get_string("mode", "both");
     const std::string out_path = cli.get_string("out", "BENCH_kernel.json");
     cli.reject_unread();
-    if (mode != "both" && mode != "new" && mode != "legacy") {
-      throw std::invalid_argument("--mode must be both, new or legacy");
-    }
 
     std::printf("=== micro_kernel - DES kernel hot-path throughput ===\n");
     std::printf(
         "schedule-cancel-dispatch churn (%d batches x %d events, 25%%\n"
-        "cancelled, 20%% follow-up insertions) through the pooled-heap\n"
-        "kernel and the binary-heap + std::function design it replaced;\n"
-        "dispatch traces must be bit-identical. Then job-table map churn\n"
-        "(%lld ops) through the flat maps and their std counterparts.\n\n",
-        batches, events, static_cast<long long>(map_ops));
+        "cancelled, 20%% follow-up insertions) and %zu-live-event churn\n"
+        "(%llu events) through the pooled-heap kernel, then job-table map\n"
+        "churn (%lld ops) through the flat maps; seconds are the median of\n"
+        "%d timed runs after a warm-up, [min, max] beside them\n\n",
+        batches, events, kLiveEvents,
+        static_cast<unsigned long long>(kLiveChurnEvents),
+        static_cast<long long>(map_ops), bench::kTimedRuns);
 
     constexpr std::uint64_t kSeed = 20260807;
-    ChurnStats fresh, legacy;
-    if (mode != "legacy") {
-      fresh = run_churn<des::Simulation>(batches, events, kSeed);
-      print_kernel_row("pooled", fresh);
-    }
-    if (mode != "new") {
-      legacy = run_churn<LegacyKernel>(batches, events, kSeed);
-      print_kernel_row("binary-heap", legacy);
-    }
-    const bool both = mode == "both";
-    if (both) {
-      // Behaviour-preservation contract, enforced in the measuring run:
-      // same events dispatched, same order, same timestamps to the bit.
-      if (fresh.checksum != legacy.checksum ||
-          fresh.dispatched != legacy.dispatched ||
-          fresh.cancelled != legacy.cancelled ||
-          fresh.scheduled != legacy.scheduled) {
-        throw std::runtime_error(
-            "equivalence violation: pooled-heap kernel diverged from "
-            "the binary-heap baseline");
-      }
-      std::printf("\npooled vs binary-heap: %.2fx  (traces "
-                  "bit-identical)\n\n",
-                  legacy.elapsed / fresh.elapsed);
-    } else {
-      std::printf("\n(single-kernel mode: equivalence not checked)\n\n");
-    }
+    const auto [churn_t, churn] = bench::time_repeatable(
+        "kernel churn", [&] { return run_churn(batches, events, kSeed); });
+    const auto churn_events = static_cast<double>(
+        churn.scheduled + churn.cancelled + churn.dispatched);
+    print_row("churn", churn_t, churn_events, "events/s");
+    const auto [live_t, live_dispatched] =
+        bench::time_repeatable("live-event churn", run_live_churn);
+    print_row("live-events", live_t, static_cast<double>(live_dispatched),
+              "events/s");
 
     constexpr std::uint64_t kPendingUniverse = 65536;  // cancel-storm depth
     constexpr std::uint64_t kRunningUniverse = 256;    // ~cluster node count
     constexpr int kWalkEvery = 64;  // ops between running-table walks
-    const auto flat_hash = run_map_churn<
-        util::FlatHashMap<std::uint64_t, double>>(map_ops, kPendingUniverse);
-    print_map_row("flat-hash", flat_hash);
-    // rrsim-lint-allow(unordered-container): the legacy baseline this
-    // benchmark compares the flat tables against; results are timings.
-    using LegacyMap = std::unordered_map<std::uint64_t, double>;
-    const auto std_unordered =
-        run_map_churn<LegacyMap>(map_ops, kPendingUniverse);
-    print_map_row("unordered_map", std_unordered);
-    const auto flat_ordered =
-        run_map_churn<util::FlatOrderedMap<std::uint64_t, double>, kWalkEvery>(
-            map_ops, kRunningUniverse);
-    print_map_row("flat-ordered", flat_ordered);
-    const auto std_ordered =
-        run_map_churn<std::map<std::uint64_t, double>, kWalkEvery>(
-            map_ops, kRunningUniverse);
-    print_map_row("std::map", std_ordered);
-    if (!flat_hash.agrees_with(std_unordered) ||
-        !flat_ordered.agrees_with(std_ordered)) {
-      throw std::runtime_error(
-          "equivalence violation: flat map diverged from its std "
-          "counterpart under the same op script");
-    }
+    const auto [hash_t, hash] =
+        bench::time_repeatable("flat hash churn", [&] {
+          return run_map_churn<util::FlatHashMap<std::uint64_t, double>>(
+              map_ops, kPendingUniverse);
+        });
+    print_row("flat-hash", hash_t, static_cast<double>(map_ops), "ops/s");
+    const auto [ordered_t, ordered] =
+        bench::time_repeatable("flat ordered churn", [&] {
+          return run_map_churn<util::FlatOrderedMap<std::uint64_t, double>,
+                               kWalkEvery>(map_ops, kRunningUniverse);
+        });
+    print_row("flat-ordered", ordered_t, static_cast<double>(map_ops),
+              "ops/s");
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      throw std::runtime_error("cannot write " + out_path);
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"micro_kernel\",\n");
-    bench::write_json_env_fields(f, 1);
-    std::fprintf(f,
-                 "  \"batches\": %d,\n"
-                 "  \"events_per_batch\": %d,\n"
-                 "  \"mode\": \"%s\",\n",
-                 batches, events, mode.c_str());
-    if (mode != "legacy") {
-      std::fprintf(f,
-                   "  \"kernel_pooled_seconds\": %.4f,\n"
-                   "  \"kernel_pooled_events_per_sec\": %.0f,\n"
-                   "  \"kernel_pooled_dispatched\": %llu,\n",
-                   fresh.elapsed, fresh.ops_per_sec(),
-                   static_cast<unsigned long long>(fresh.dispatched));
-    }
-    if (mode != "new") {
-      std::fprintf(f,
-                   "  \"kernel_binary_heap_seconds\": %.4f,\n"
-                   "  \"kernel_binary_heap_events_per_sec\": %.0f,\n",
-                   legacy.elapsed, legacy.ops_per_sec());
-    }
-    if (both) {
-      std::fprintf(f,
-                   "  \"kernel_speedup_vs_binary_heap\": %.4f,\n"
-                   "  \"kernel_traces_bit_identical\": true,\n",
-                   legacy.elapsed / fresh.elapsed);
-    }
-    std::fprintf(f,
-                 "  \"map_ops\": %lld,\n"
-                 "  \"flat_hash_ops_per_sec\": %.0f,\n"
-                 "  \"unordered_map_ops_per_sec\": %.0f,\n"
-                 "  \"flat_hash_speedup\": %.4f,\n"
-                 "  \"flat_ordered_ops_per_sec\": %.0f,\n"
-                 "  \"std_map_ops_per_sec\": %.0f,\n"
-                 "  \"flat_ordered_speedup\": %.4f,\n"
-                 "  \"maps_equivalent\": true\n"
-                 "}\n",
-                 static_cast<long long>(map_ops), flat_hash.ops_per_sec(),
-                 std_unordered.ops_per_sec(),
-                 std_unordered.elapsed / flat_hash.elapsed,
-                 flat_ordered.ops_per_sec(), std_ordered.ops_per_sec(),
-                 std_ordered.elapsed / flat_ordered.elapsed);
-    std::fclose(f);
-    std::printf("\nperf record written to %s\n", out_path.c_str());
+    bench::JsonWriter w = bench::begin_record("micro_kernel", 1);
+    w.key("churn").begin_object();
+    w.field("batches", batches).field("events_per_batch", events);
+    w.field("seconds", churn_t);
+    w.field("events_per_sec", churn_events / churn_t.median, 0);
+    w.field("scheduled", churn.scheduled).field("cancelled", churn.cancelled);
+    w.field("dispatched", churn.dispatched);
+    w.field("trace_checksum", bench::hex64(churn.checksum)).end_object();
+    w.key("live_event_churn").begin_object();
+    w.field("live_events", kLiveEvents).field("seconds", live_t);
+    w.field("dispatched", live_dispatched);
+    w.field("events_per_sec",
+            static_cast<double>(live_dispatched) / live_t.median, 0);
+    w.end_object();
+    w.key("flat_hash").begin_object();
+    w.field("ops", map_ops).field("universe", kPendingUniverse);
+    w.field("seconds", hash_t);
+    w.field("ops_per_sec", static_cast<double>(map_ops) / hash_t.median, 0);
+    w.field("hits", hash.hits).field("final_size", hash.final_size);
+    w.end_object();
+    w.key("flat_ordered").begin_object();
+    w.field("ops", map_ops).field("universe", kRunningUniverse);
+    w.field("walk_every", kWalkEvery).field("seconds", ordered_t);
+    w.field("ops_per_sec", static_cast<double>(map_ops) / ordered_t.median,
+            0);
+    w.field("hits", ordered.hits).field("final_size", ordered.final_size);
+    w.end_object();
+    w.field("deterministic_across_runs", true).end_object();
+    bench::finish_record(w, out_path);
   });
 }

@@ -23,9 +23,12 @@
 // regime is exactly what whole-stream resolution cannot reach cheaply,
 // and the committed record documents it.
 //
-// Each mode of the smaller points runs kTimedRuns times, in that many
-// child processes; the record gives the median time with the min and max.
-// The 10^7-job point runs once, and its record says so ("runs": 1).
+// Each mode of the smaller points runs bench::kTimedRuns times, in that
+// many child processes (each child measures its own peak RSS, so the runs
+// cannot share one process as bench::time_runs would have them); the
+// record gives the median time with the min and max through the same
+// bench::summarize. The 10^7-job point runs once, and its record says so
+// ("runs": 1).
 //
 //   ./micro_scale [--points=4] [--hours-scale=1.0] [--window=256]
 //                 [--out=BENCH_scale.json] plus common flags.
@@ -33,6 +36,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <unistd.h>
 
@@ -50,19 +54,8 @@
 namespace {
 
 using namespace rrsim;
-using Clock = std::chrono::steady_clock;
 
 constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
-
-/// Child runs per mode at the points that run every mode. One run's time
-/// does not repeat on a shared 4-thread host: back-to-back records of one
-/// binary read 0.0736 and 0.0245 s for the same 4-cluster retained run.
-/// The 10^7-job point runs once (most of a minute per run).
-constexpr int kTimedRuns = 5;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// One campaign point: calibrated steady-state load (drains fast, so the
 /// run is submission-bound, not backlog-bound), fixed-degree redundancy on
@@ -118,9 +111,9 @@ int run_child(const util::Cli& cli) {
   const core::ExperimentConfig config =
       scale_config(clusters, hours, mode, window);
 
-  const auto start = Clock::now();
+  const auto start = std::chrono::steady_clock::now();
   const core::SimResult result = core::run_experiment(config);
-  const double elapsed = seconds_since(start);
+  const double elapsed = rrsim::bench::seconds_since(start);
   // Optional second run at the same point: the common-random-number
   // pairing every sweep uses. Its trace lookups hit the checkpoint table
   // the first run published, so the reported counters demonstrate the
@@ -218,13 +211,10 @@ ChildResult run_point(std::size_t clusters, double hours,
 }
 
 /// One mode of one point over `runs` child processes: the first run's
-/// result with `elapsed_s` replaced by the median time and `peak_rss` by
-/// the highest one.
+/// result, the highest peak RSS of any run, and the runs' times.
 struct Timed {
   ChildResult r;
-  double min_s = 0.0;
-  double max_s = 0.0;
-  int runs = 0;
+  bench::Timing t;
 };
 
 /// Runs one measurement `runs` times. The simulation is deterministic, so
@@ -233,7 +223,6 @@ struct Timed {
 Timed run_timed(std::size_t clusters, double hours, const std::string& mode,
                 std::size_t window, bool ck_rerun, int runs) {
   Timed t;
-  t.runs = runs;
   std::vector<double> seconds;
   for (int i = 0; i < runs; ++i) {
     const ChildResult r = run_point(clusters, hours, mode, window, ck_rerun);
@@ -249,10 +238,7 @@ Timed run_timed(std::size_t clusters, double hours, const std::string& mode,
     t.r.peak_rss = std::max(t.r.peak_rss, r.peak_rss);
     seconds.push_back(r.elapsed_s);
   }
-  std::sort(seconds.begin(), seconds.end());
-  t.r.elapsed_s = seconds[seconds.size() / 2];
-  t.min_s = seconds.front();
-  t.max_s = seconds.back();
+  t.t = bench::summarize(std::move(seconds));
   return t;
 }
 
@@ -296,7 +282,7 @@ int main(int argc, char** argv) {
     std::printf("retained vs streaming vs windowed (W=%zu) modes, one child "
                 "process per run; times are medians of %d runs (the last "
                 "point: one run)\n\n",
-                window, kTimedRuns);
+                window, bench::kTimedRuns);
     std::printf("%9s %9s | %8s %8s | %8s %8s | %8s %8s %9s | %7s\n",
                 "clusters", "jobs", "ret s", "ret rss", "str s", "str rss",
                 "win s", "win rss", "win trace", "trace x");
@@ -310,7 +296,7 @@ int main(int argc, char** argv) {
     std::vector<Row> rows;
     for (std::size_t i = 0; i < n_points; ++i) {
       const Point p = all_points[i];
-      const int runs = p.all_modes ? kTimedRuns : 1;
+      const int runs = p.all_modes ? bench::kTimedRuns : 1;
       Row row{p, {}, {}, {}};
       if (p.all_modes) {
         row.retained = run_timed(p.clusters, p.hours, "retained", window,
@@ -346,102 +332,83 @@ int main(int argc, char** argv) {
         std::printf(
             "%9zu %9zu | %8.2f %7.1fM | %8.2f %7.1fM | %8.2f %7.1fM "
             "%8.2fM | %6.1fx\n",
-            p.clusters, win.jobs, row.retained.r.elapsed_s,
+            p.clusters, win.jobs, row.retained.t.median,
             static_cast<double>(row.retained.r.peak_rss) / 1048576.0,
-            row.streaming.r.elapsed_s,
+            row.streaming.t.median,
             static_cast<double>(row.streaming.r.peak_rss) / 1048576.0,
-            win.elapsed_s, static_cast<double>(win.peak_rss) / 1048576.0,
+            row.windowed.t.median,
+            static_cast<double>(win.peak_rss) / 1048576.0,
             static_cast<double>(win.trace_bytes) / 1048576.0, trace_ratio);
       } else {
         std::printf(
             "%9zu %9zu | %8s %8s | %8s %8s | %8.2f %7.1fM %8.2fM | "
             "%6.1fx\n",
-            p.clusters, win.jobs, "-", "-", "-", "-", win.elapsed_s,
+            p.clusters, win.jobs, "-", "-", "-", "-", row.windowed.t.median,
             static_cast<double>(win.peak_rss) / 1048576.0,
             static_cast<double>(win.trace_bytes) / 1048576.0, trace_ratio);
       }
       rows.push_back(row);
     }
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) throw std::runtime_error("cannot write " + out_path);
-    std::fprintf(f, "{\n  \"benchmark\": \"micro_scale\",\n");
-    // Parent process: the measured runs happen in children, so the
-    // parent's own trace cache would report all zeros — suppress it.
-    rrsim::bench::write_json_env_fields(f, 1, false);
-    std::fprintf(f,
-                 "  \"utilization\": 0.7,\n"
-                 "  \"scheme\": \"fixed3 p=0.5\",\n"
-                 "  \"stream_window\": %zu,\n"
-                 "  \"equivalence_checked\": true,\n"
-                 "  \"timing_note\": \"each mode runs `runs` times, one "
-                 "child process each: seconds is the median run, between "
-                 "seconds_min and seconds_max, and peak_rss_bytes the "
-                 "highest; the 10^7-job point runs once\",\n"
-                 "  \"points\": [\n",
-                 window);
-    // "seconds" is the median run.
-    const auto timing = [f](const Timed& t) {
-      std::fprintf(f,
-                   "\"seconds\": %.4f, \"seconds_min\": %.4f, "
-                   "\"seconds_max\": %.4f, \"runs\": %d",
-                   t.r.elapsed_s, t.min_s, t.max_s, t.runs);
+    // Parent process: the measured runs happen in children, so its own
+    // trace cache saw no lookup, and the record says so.
+    bench::JsonWriter w = bench::begin_record("micro_scale", 1);
+    w.field("utilization", 0.7, 1).field("scheme", "fixed3 p=0.5");
+    w.field("stream_window", window).field("equivalence_checked", true);
+    w.field("timing_note",
+            "each mode runs `runs` times, one child process each, and "
+            "peak_rss_bytes is the highest; the 10^7-job point runs once");
+    const auto common = [&w](const Timed& t) {
+      w.field("seconds", t.t);
+      w.field("live_state_bytes", t.r.live_state_bytes);
     };
-    const auto full_stream_mode = [f, &timing](const char* name,
-                                               const Timed& t) {
-      std::fprintf(f, "     \"%s\": {", name);
-      timing(t);
-      std::fprintf(f,
-                   ", \"live_state_bytes\": %zu, \"trace_bytes\": %zu, "
-                   "\"peak_rss_bytes\": %zu, \"ops\": %" PRIu64 "},\n",
-                   t.r.live_state_bytes, t.r.trace_bytes, t.r.peak_rss,
-                   t.r.ops);
-    };
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
+    w.key("points").begin_array();
+    for (const Row& row : rows) {
       const ChildResult& win = row.windowed.r;
-      std::fprintf(f,
-                   "    {\"clusters\": %zu, \"hours\": %.4f, \"jobs\": %zu,\n",
-                   row.p.clusters, row.p.hours, win.jobs);
+      w.begin_object();
+      w.field("clusters", row.p.clusters).field("hours", row.p.hours);
+      // The same in every mode (asserted above) and every run.
+      w.field("jobs", win.jobs).field("avg_stretch", win.avg_stretch, 12);
       if (row.p.all_modes) {
-        full_stream_mode("retained", row.retained);
-        full_stream_mode("streaming", row.streaming);
+        for (const auto& [name, t] :
+             {std::pair<const char*, const Timed&>{"retained", row.retained},
+              {"streaming", row.streaming}}) {
+          w.key(name).begin_object();
+          common(t);
+          w.field("trace_bytes", t.r.trace_bytes);
+          w.field("peak_rss_bytes", t.r.peak_rss).field("ops", t.r.ops);
+          w.end_object();
+        }
       }
       const double materialized =
           static_cast<double>(win.jobs) * sizeof(workload::JobSpec);
-      std::fprintf(f, "     \"windowed\": {");
-      timing(row.windowed);
-      std::fprintf(
-          f,
-          ", \"live_state_bytes\": "
-          "%zu, \"resident_trace_bytes\": %zu, \"materialized_trace_bytes\": "
-          "%.0f, \"trace_ratio\": %.2f, \"peak_rss_bytes\": %zu, \"ops\": "
-          "%" PRIu64 ", \"trace_cache\": {\"hits\": %" PRIu64
-          ", \"misses\": %" PRIu64 ", \"checkpoint_hits\": %" PRIu64
-          ", \"checkpoint_misses\": %" PRIu64 ", \"draw_hits\": %" PRIu64
-          ", \"draw_misses\": %" PRIu64 "}}",
-          win.live_state_bytes, win.trace_bytes, materialized,
-          materialized / static_cast<double>(win.trace_bytes), win.peak_rss,
-          win.ops, win.st_hits, win.st_misses, win.ck_hits, win.ck_misses,
-          win.dr_hits, win.dr_misses);
+      w.key("windowed").begin_object();
+      common(row.windowed);
+      w.field("resident_trace_bytes", win.trace_bytes);
+      w.field("materialized_trace_bytes", materialized, 0);
+      w.field("trace_ratio",
+              materialized / static_cast<double>(win.trace_bytes), 2);
+      w.field("peak_rss_bytes", win.peak_rss).field("ops", win.ops);
+      w.key("trace_cache").begin_object(true);
+      w.field("hits", win.st_hits).field("misses", win.st_misses);
+      w.field("checkpoint_hits", win.ck_hits);
+      w.field("checkpoint_misses", win.ck_misses);
+      w.field("draw_hits", win.dr_hits).field("draw_misses", win.dr_misses);
+      w.end_object().end_object();
       if (row.p.all_modes) {
-        std::fprintf(
-            f,
-            ",\n     \"rss_ratio\": %.4f, \"throughput_delta\": %.4f}%s\n",
-            static_cast<double>(row.retained.r.peak_rss) /
-                static_cast<double>(row.streaming.r.peak_rss),
-            (static_cast<double>(row.streaming.r.ops) /
-             row.streaming.r.elapsed_s) /
-                    (static_cast<double>(row.retained.r.ops) /
-                     row.retained.r.elapsed_s) -
-                1.0,
-            i + 1 < rows.size() ? "," : "");
-      } else {
-        std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
+        const ChildResult& ret = row.retained.r;
+        const ChildResult& str = row.streaming.r;
+        w.field("rss_ratio", static_cast<double>(ret.peak_rss) /
+                                 static_cast<double>(str.peak_rss));
+        w.field("throughput_delta",
+                (static_cast<double>(str.ops) / row.streaming.t.median) /
+                        (static_cast<double>(ret.ops) /
+                         row.retained.t.median) -
+                    1.0);
       }
+      w.end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nperf record written to %s\n", out_path.c_str());
+    w.end_array().end_object();
+    bench::finish_record(w, out_path);
   });
 }

@@ -9,6 +9,9 @@
 //   2. serial, trace cache enabled   — isolates the memoization win;
 //   3. parallel (--jobs), cache on   — adds the flat work-unit pool.
 //
+// Every mode is timed by bench::time_repeatable and clears the trace
+// cache at the start of each run, so every timed run stays cache-cold by
+// design and the cache win is what one sweep gains from its own sharing.
 // All three must produce bit-identical metrics (enforced), so the record
 // measures pure execution-strategy wins. Each must also execute exactly
 // one simulation per distinct effective run and replication — the NONE
@@ -24,10 +27,12 @@
 //                 [--out=BENCH_sweep.json] plus common flags.
 
 #include <algorithm>
-#include <chrono>
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -35,16 +40,16 @@
 namespace {
 
 using namespace rrsim;
-using Clock = std::chrono::steady_clock;
 
 const std::vector<const char*> kSchemes{"R2", "R3", "R4", "HALF", "ALL"};
 
-struct SweepRun {
-  double elapsed = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  core::SweepRunStats simulations;
-  std::vector<core::RelativeMetrics> results;
+/// What one sweep produced: its points' metrics, and how many simulations
+/// served how many requests. Compared across runs and modes.
+struct SweepOutcome {
+  std::vector<double> metrics;  // per point: avg, cv, win rate
+  std::uint64_t requested = 0;
+  std::uint64_t executed = 0;
+  bool operator==(const SweepOutcome&) const = default;
 };
 
 // Distinct runs per replication the sweep must execute: the NONE
@@ -62,57 +67,56 @@ std::uint64_t distinct_runs_per_rep(std::size_t n_clusters) {
   return runs.size();
 }
 
-SweepRun run_sweep(const core::ExperimentConfig& base, int reps, int jobs,
-                   bool cache_on) {
+/// One sweep from a cleared trace cache, with the cache on or off.
+SweepOutcome run_sweep(const core::ExperimentConfig& base, int reps,
+                       int jobs, bool cache_on) {
   workload::TraceCache& cache = workload::TraceCache::global();
   cache.set_enabled(cache_on);
-  cache.clear();  // every mode starts cold: no cross-mode carry-over
+  cache.clear();  // every run starts cold: no carry-over between runs
 
-  SweepRun run;
-  run.results.resize(kSchemes.size());
-  const auto start = Clock::now();
+  std::vector<core::RelativeMetrics> results(kSchemes.size());
   core::CampaignSweep sweep(reps, jobs);
   for (std::size_t i = 0; i < kSchemes.size(); ++i) {
     core::ExperimentConfig c = base;
     c.scheme = core::RedundancyScheme::parse(kSchemes[i]);
-    sweep.add_relative(c, [&run, i](const core::RelativeMetrics& m) {
-      run.results[i] = m;
+    sweep.add_relative(c, [&results, i](const core::RelativeMetrics& m) {
+      results[i] = m;
     });
   }
   sweep.run();
-  run.elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  run.cache_hits = cache.hits();
-  run.cache_misses = cache.misses();
-  run.simulations = sweep.last_run_stats();
-  return run;
+  SweepOutcome out;
+  for (const core::RelativeMetrics& m : results) {
+    out.metrics.insert(out.metrics.end(),
+                       {m.rel_avg_stretch, m.rel_cv_stretch, m.win_rate});
+  }
+  out.requested = sweep.last_run_stats().requested;
+  out.executed = sweep.last_run_stats().executed;
+  return out;
 }
 
-void check_shared(const SweepRun& run, const core::ExperimentConfig& base,
+void check_shared(const SweepOutcome& run, const core::ExperimentConfig& base,
                   int reps, const char* label) {
   const auto r = static_cast<std::uint64_t>(reps);
   const std::uint64_t requested = 2 * kSchemes.size() * r;
   const std::uint64_t executed = distinct_runs_per_rep(base.n_clusters) * r;
-  if (run.simulations.requested != requested ||
-      run.simulations.executed != executed) {
+  if (run.requested != requested || run.executed != executed) {
     throw std::runtime_error(
         std::string("sharing violation: ") + label + " executed " +
-        std::to_string(run.simulations.executed) + " of " +
-        std::to_string(run.simulations.requested) +
-        " simulations, expected " + std::to_string(executed) + " of " +
-        std::to_string(requested));
+        std::to_string(run.executed) + " of " +
+        std::to_string(run.requested) + " simulations, expected " +
+        std::to_string(executed) + " of " + std::to_string(requested));
   }
 }
 
-void check_identical(const SweepRun& a, const SweepRun& b,
-                     const char* label) {
-  for (std::size_t i = 0; i < kSchemes.size(); ++i) {
-    if (a.results[i].rel_avg_stretch != b.results[i].rel_avg_stretch ||
-        a.results[i].rel_cv_stretch != b.results[i].rel_cv_stretch ||
-        a.results[i].win_rate != b.results[i].win_rate) {
-      throw std::runtime_error(std::string("determinism violation: ") +
-                               label + " diverged at point " + kSchemes[i]);
-    }
-  }
+/// Times one mode; every run must produce the same outcome.
+std::pair<bench::Timing, SweepOutcome> time_mode(
+    const char* label, const core::ExperimentConfig& base, int reps,
+    int jobs, bool cache_on) {
+  auto timed = bench::time_repeatable(label, [&] {
+    return run_sweep(base, reps, jobs, cache_on);
+  });
+  check_shared(timed.second, base, reps, label);
+  return timed;
 }
 
 }  // namespace
@@ -136,75 +140,58 @@ int main(int argc, char** argv) {
         "must agree bit-exactly\n\n",
         kSchemes.size(), reps);
 
-    const SweepRun baseline = run_sweep(base, reps, 1, false);
-    std::printf("  serial, cache off : %8.2f s  (%" PRIu64
-                " stream generations)\n",
-                baseline.elapsed, baseline.cache_misses);
-    const SweepRun cached = run_sweep(base, reps, 1, true);
-    std::printf("  serial, cache on  : %8.2f s  (%" PRIu64 " hits / %" PRIu64
-                " misses)\n",
-                cached.elapsed, cached.cache_hits, cached.cache_misses);
-    const SweepRun parallel = run_sweep(base, reps, jobs, true);
-    std::printf("  --jobs %-2d, cache on: %7.2f s  (%" PRIu64 " hits / %" PRIu64
-                " misses)\n",
-                jobs, parallel.elapsed, parallel.cache_hits,
-                parallel.cache_misses);
-
-    check_identical(baseline, cached, "cache on vs off");
-    check_identical(baseline, parallel, "--jobs 1 vs --jobs N");
-    check_shared(baseline, base, reps, "serial, cache off");
-    check_shared(cached, base, reps, "serial, cache on");
-    check_shared(parallel, base, reps, "--jobs N");
+    const auto [nocache, baseline] =
+        time_mode("serial, cache off", base, reps, 1, false);
+    std::printf("  serial, cache off  : %8.4f s  [%.4f, %.4f]\n",
+                nocache.median, nocache.min, nocache.max);
+    const auto [cached, cached_outcome] =
+        time_mode("serial, cache on", base, reps, 1, true);
+    // The cache holds the last cached serial run's counters.
+    const workload::TraceCache& cache = workload::TraceCache::global();
+    const std::uint64_t hits = cache.hits();
+    const std::uint64_t misses = cache.misses();
+    std::printf("  serial, cache on   : %8.4f s  [%.4f, %.4f]  (%" PRIu64
+                " hits / %" PRIu64 " misses)\n",
+                cached.median, cached.min, cached.max, hits, misses);
+    const auto [parallel, parallel_outcome] =
+        time_mode("--jobs N, cache on", base, reps, jobs, true);
+    std::printf("  --jobs %-2d, cache on: %8.4f s  [%.4f, %.4f]\n", jobs,
+                parallel.median, parallel.min, parallel.max);
+    if (!(cached_outcome == baseline)) {
+      throw std::runtime_error(
+          "determinism violation: cache on vs off diverged");
+    }
+    if (!(parallel_outcome == baseline)) {
+      throw std::runtime_error(
+          "determinism violation: --jobs 1 vs --jobs N diverged");
+    }
     std::printf("simulations: %" PRIu64 " executed of %" PRIu64
                 " requested per sweep\n",
-                cached.simulations.executed, cached.simulations.requested);
-
-    const double cache_speedup = baseline.elapsed / cached.elapsed;
-    const double parallel_speedup = cached.elapsed / parallel.elapsed;
-    const double total_speedup = baseline.elapsed / parallel.elapsed;
+                baseline.executed, baseline.requested);
     const double hit_rate =
-        cached.cache_hits + cached.cache_misses > 0
-            ? static_cast<double>(cached.cache_hits) /
-                  static_cast<double>(cached.cache_hits +
-                                      cached.cache_misses)
-            : 0.0;
+        hits + misses > 0 ? static_cast<double>(hits) /
+                                static_cast<double>(hits + misses)
+                          : 0.0;
     std::printf(
         "\nspeedup vs serial-uncached: cache alone %.2fx, + %d workers "
         "%.2fx total\ncache hit rate %.0f%% (results bit-identical across "
         "all modes)\n",
-        cache_speedup, jobs, total_speedup, hit_rate * 100.0);
+        nocache.median / cached.median, jobs,
+        nocache.median / parallel.median, hit_rate * 100.0);
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      throw std::runtime_error("cannot write " + out_path);
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"micro_sweep\",\n");
-    bench::write_json_env_fields(f, jobs);
-    std::fprintf(f,
-                 "  \"sweep_points\": %zu,\n"
-                 "  \"reps_per_point\": %d,\n"
-                 "  \"simulations_requested\": %" PRIu64 ",\n"
-                 "  \"simulations_executed\": %" PRIu64 ",\n"
-                 "  \"serial_nocache_seconds\": %.4f,\n"
-                 "  \"serial_cached_seconds\": %.4f,\n"
-                 "  \"parallel_seconds\": %.4f,\n"
-                 "  \"cache_hits\": %" PRIu64 ",\n"
-                 "  \"cache_misses\": %" PRIu64 ",\n"
-                 "  \"cache_hit_rate\": %.4f,\n"
-                 "  \"cache_speedup\": %.4f,\n",
-                 kSchemes.size(), reps, cached.simulations.requested,
-                 cached.simulations.executed, baseline.elapsed, cached.elapsed,
-                 parallel.elapsed, cached.cache_hits, cached.cache_misses,
-                 hit_rate, cache_speedup);
-    bench::write_json_speedup_field(f, "parallel_speedup", parallel_speedup);
-    std::fprintf(f,
-                 "  \"total_speedup_vs_serial\": %.4f,\n"
-                 "  \"deterministic_across_modes\": true\n"
-                 "}\n",
-                 total_speedup);
-    std::fclose(f);
-    std::printf("\nperf record written to %s\n", out_path.c_str());
+    bench::JsonWriter w = bench::begin_record("micro_sweep", jobs);
+    w.field("sweep_points", kSchemes.size()).field("reps_per_point", reps);
+    w.field("simulations_requested", baseline.requested);
+    w.field("simulations_executed", baseline.executed);
+    w.field("serial_nocache_seconds", nocache);
+    w.field("serial_cached_seconds", cached);
+    w.field("parallel_seconds", parallel);
+    w.field("cache_hits", hits).field("cache_misses", misses);
+    w.field("cache_hit_rate", hit_rate);
+    w.speedup("cache_speedup", nocache, cached);
+    w.parallel_speedup("parallel_speedup", cached, parallel);
+    w.speedup("total_speedup_vs_serial", nocache, parallel);
+    w.field("deterministic_across_modes", true).end_object();
+    bench::finish_record(w, out_path);
   });
 }

@@ -186,6 +186,13 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
         Tracked::Replica{static_cast<std::uint32_t>(target),
                          replica_id(p, agents_.size(), agent.minted++)});
   }
+  // The origin's replica bypasses pending limits wherever it sits in
+  // targets: the user's home submission always eventually enters the
+  // queue, only the *extra* redundancy is subject to caps. Only the first
+  // one is exempt when same-queue (moldable) siblings repeat the origin.
+  const auto home = static_cast<std::size_t>(
+      std::find(job.targets.begin(), job.targets.end(), job.origin) -
+      job.targets.begin());
   // Then derive and deliver each replica from its target. A delivery may
   // shrink tracked.replicas (a refused replica is forgotten), so replica t
   // takes the t-th id minted above, not tracked.replicas[t].
@@ -198,10 +205,7 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
     replica.owner = static_cast<std::uint32_t>(job.id);
     replica.nodes = spec.nodes;
     replica.user = job.user;
-    // The first replica bypasses pending limits: the user's home
-    // submission always eventually enters the queue, only the *extra*
-    // redundancy is subject to caps.
-    replica.limit_exempt = t == 0 && target == job.origin;
+    replica.limit_exempt = t == home;
     replica.actual_time = spec.runtime;
     // Shaped (moldable) replicas carry explicit requested times; uniform
     // replicas inflate the remote ones per Section 3.1.2.

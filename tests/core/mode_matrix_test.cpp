@@ -1,11 +1,11 @@
 // The mode matrix: every input source (whole stream in memory, windowed
 // at W = 1 and W = 64) and record sink (JobRecords, OnlineAccumulator) on
-// the classic kernel, plus both input sources on the PDES kernel, must
-// reproduce the same kernel's retained whole-stream replay — record by
-// record where records are kept, headline metrics bit for bit where they
-// are folded online. Run under EASY and CBF, on the Lublin model and on
-// an SWF trace whose integer submit times tie within and across clusters
-// at every arrival.
+// the classic kernel, plus every input source on the PDES kernel at 1, 2
+// and 4 workers, must reproduce the same kernel's retained whole-stream
+// replay (PDES: on one worker) — record by record where records are
+// kept, headline metrics bit for bit where they are folded online. Run
+// under EASY and CBF, on the Lublin model and on an SWF trace whose
+// integer submit times tie within and across clusters at every arrival.
 // Across schemes instead of modes: schemes of one effective degree run
 // identically on every kernel, the exactness CampaignSweep's run sharing
 // rests on (RedundancyScheme::effective).
@@ -62,9 +62,11 @@ struct Cell {
   bool pdes;
   std::size_t window;  // 0 = whole stream in memory
   bool retain;
+  int workers = 2;  // PDES worker threads
   std::string name() const {
     return std::string(pdes ? "pdes" : "classic") + " W=" +
-           std::to_string(window) + (retain ? " records" : " accumulator");
+           std::to_string(window) + (retain ? " records" : " accumulator") +
+           (pdes ? " workers=" + std::to_string(workers) : "");
   }
 };
 
@@ -74,7 +76,7 @@ ExperimentConfig with_cell(ExperimentConfig c, const Cell& cell) {
   if (cell.pdes) {
     c.pdes = true;
     c.cross_cluster_latency = 60.0;
-    c.pdes_jobs = 2;
+    c.pdes_jobs = cell.workers;
   }
   return c;
 }
@@ -132,12 +134,19 @@ void expect_same_cell(const SimResult& got, const SimResult& want) {
 
 TEST(ModeMatrix, EveryCellMatchesRetainedInMemoryReplay) {
   const std::string path = write_ties_trace();
-  // {pdes, window, retain}; PDES rejects the accumulator sink.
-  const std::vector<Cell> cells = {
+  // {pdes, window, retain}; PDES rejects the accumulator sink, and runs
+  // every window at every worker count.
+  std::vector<Cell> cells = {
       {false, 0, true}, {false, 0, false}, {false, 1, true},
       {false, 1, false}, {false, 64, true}, {false, 64, false},
-      {true, 1, true},  {true, 64, true},
   };
+  for (const int workers : {1, 2, 4}) {
+    for (const std::size_t window : {0u, 1u, 64u}) {
+      if (workers > 1 || window > 0) {  // not the reference itself
+        cells.push_back({true, window, true, workers});
+      }
+    }
+  }
   for (const sched::Algorithm algo :
        {sched::Algorithm::kEasy, sched::Algorithm::kCbf}) {
     for (ExperimentConfig input : {lublin_input(), swf_ties_input(path)}) {
@@ -147,7 +156,8 @@ TEST(ModeMatrix, EveryCellMatchesRetainedInMemoryReplay) {
       // Each cell against the same algorithm's replay on its kernel.
       const SimResult classic =
           run_experiment(with_cell(input, {false, 0, true}));
-      const SimResult pdes = run_experiment(with_cell(input, {true, 0, true}));
+      const SimResult pdes =
+          run_experiment(with_cell(input, {true, 0, true, 1}));
       ASSERT_GT(classic.jobs_generated, 100u);
       ASSERT_EQ(classic.records.size(), classic.jobs_generated);
       ASSERT_GT(pdes.pdes_windows, 0u);

@@ -37,12 +37,17 @@ struct Churn {
 // Schedules `kBatches` waves of events with clustered + quantized times
 // (quantization forces exact timestamp ties so priority/seq ordering is
 // exercised), cancels a random subset between waves, and advances the
-// clock partway so later waves interleave with earlier ones.
+// clock partway so later waves interleave with earlier ones. A fifth of
+// the events schedule a follow-up from inside their callback, a quarter
+// second ahead, which fires within the same run_until window when it
+// fits (micro_kernel's churn). Records are indexed by id, and ids count
+// insertions, so a follow-up's id is its kernel insertion sequence.
 Churn run_churn(Simulation& sim, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<Time> offset(0.0, 5000.0);
   Churn churn;
   std::vector<Simulation::EventHandle> handles;
+  std::vector<int> handle_ids;  // the record each handle schedules
   int next_id = 0;
   constexpr int kBatches = 12;
   constexpr int kPerBatch = 300;
@@ -52,18 +57,31 @@ Churn run_churn(Simulation& sim, std::uint32_t seed) {
       Time t = base + offset(rng);
       if (rng() % 3u == 0) t = base + static_cast<Time>(rng() % 50u);  // ties
       const int prio = static_cast<int>(rng() % 4u);
+      const bool follow_up = rng() % 5u == 0;
       const int id = next_id++;
       churn.records.push_back(Record{t, prio, id, false});
       handles.push_back(sim.schedule_at(
           t,
-          [&churn, t, id] { churn.fired.emplace_back(t, id); },
+          [&sim, &churn, &next_id, t, id, follow_up] {
+            churn.fired.emplace_back(t, id);
+            if (!follow_up) return;
+            const Time at = sim.now() + 0.25;
+            const int next = next_id++;
+            churn.records.push_back(Record{at, id % 4, next, false});
+            sim.schedule_at(
+                at, [&churn, at, next] { churn.fired.emplace_back(at, next); },
+                static_cast<Priority>(id % 4));
+          },
           static_cast<Priority>(prio)));
+      handle_ids.push_back(id);
     }
-    // Cancel ~20% of everything still pending (including earlier waves).
-    for (int i = 0; i < kPerBatch / 5; ++i) {
+    // Cancel ~25% of a wave's worth among everything still pending
+    // (including earlier waves).
+    for (int i = 0; i < kPerBatch / 4; ++i) {
       const std::size_t k = rng() % handles.size();
       if (handles[k].cancel()) {
-        churn.records[k].cancelled = true;
+        churn.records[static_cast<std::size_t>(handle_ids[k])].cancelled =
+            true;
       }
     }
     sim.run_until(sim.now() + 1500.0);
@@ -92,7 +110,9 @@ void expect_contract_order(const Churn& churn) {
 TEST(CalendarQueue, RandomChurnDispatchesInContractOrder) {
   Simulation sim;
   for (std::uint32_t seed : {1u, 77u, 4242u}) {
-    expect_contract_order(run_churn(sim, seed));
+    const Churn churn = run_churn(sim, seed);
+    EXPECT_GT(churn.records.size(), 12u * 300u);  // follow-ups scheduled
+    expect_contract_order(churn);
     EXPECT_EQ(sim.pending_events(), 0u);
     sim.reset();  // next seed reuses the slab and heap arrays
   }

@@ -4,6 +4,7 @@
 
 #include "rrsim/grid/gateway.h"
 #include "rrsim/grid/platform.h"
+#include "rrsim/sched/factory.h"
 #include "rrsim/util/rng.h"
 
 namespace rrsim::grid {
@@ -14,9 +15,9 @@ struct Fixture {
   Platform platform;
   Gateway gateway;
 
-  explicit Fixture(std::size_t n, int limit)
-      : platform(sim, std::vector<int>(n, 8), sched::Algorithm::kEasy),
-        gateway(platform) {
+  explicit Fixture(std::size_t n, int limit,
+                   sched::Algorithm algo = sched::Algorithm::kEasy)
+      : platform(sim, std::vector<int>(n, 8), algo), gateway(platform) {
     for (std::size_t i = 0; i < n; ++i) {
       platform.scheduler(i).set_per_user_pending_limit(limit);
     }
@@ -109,6 +110,29 @@ TEST(GatewayLimits, ConservationUnderTightCaps) {
   f.sim.run();
   EXPECT_EQ(f.gateway.records().size(), 120u);  // every job ran once
   EXPECT_GT(f.gateway.replicas_rejected(), 0u);  // and the cap did bind
+}
+
+TEST(GatewayLimits, OriginReplicaIsExemptWhereverItSits) {
+  // Every job lists the clusters in the same order, so two of every three
+  // origins sit behind targets[0]. Exempting only targets[0] left jobs
+  // whose every replica the cap refused: never started, never finished,
+  // their tracking entries kept forever.
+  for (const sched::Algorithm algo :
+       {sched::Algorithm::kEasy, sched::Algorithm::kCbf,
+        sched::Algorithm::kFcfs}) {
+    SCOPED_TRACE(sched::algorithm_name(algo));
+    Fixture f(3, /*limit=*/1, algo);
+    for (GridJobId id = 1; id <= 12; ++id) {
+      GridJob job = make_grid_job(id, id % 3, {0, 1, 2},
+                                  static_cast<sched::UserId>(id % 2));
+      job.spec.nodes = 4;
+      f.gateway.submit(job);
+    }
+    f.sim.run();
+    EXPECT_EQ(f.gateway.finished(), 12u);
+    EXPECT_EQ(f.gateway.records().size(), 12u);
+    EXPECT_GT(f.gateway.replicas_rejected(), 0u);
+  }
 }
 
 }  // namespace

@@ -126,6 +126,7 @@ struct Trace {
   std::uint64_t fallbacks = 0;
   std::uint64_t rebuilds = 0;
   std::uint64_t cancels_issued = 0;
+  std::size_t peak_queue = 0;
 };
 
 struct WorkloadParams {
@@ -138,6 +139,11 @@ struct WorkloadParams {
   /// cancel times: same-instant arrivals, simultaneous completions, and
   /// due jobs that wait for a same-timestamp completion's nodes.
   bool ties = false;
+  /// micro_sched's cancel storm instead: a submission every 0.5-3 s of
+  /// 1-8 nodes running exactly its 300-3600 s request, cancel_fraction of
+  /// them cancelled 2-90 s after submit, so cancels hit the tail of a
+  /// queue hundreds deep.
+  bool storm = false;
   bool self_check = false;  ///< CbfScheduler only
 };
 
@@ -184,26 +190,39 @@ Trace run_workload(const WorkloadParams& wp) {
                    : rng.uniform(lo, hi);
   };
   for (JobId id = 1; id <= static_cast<JobId>(wp.jobs); ++id) {
-    t += wp.ties ? draw(0.0, 3.0) : rng.uniform(0.05, 12.0);
     Job job;
     job.id = id;
-    job.nodes = static_cast<int>(rng.between(1, wp.nodes));
-    job.requested_time = draw(5.0, 250.0);
-    // Frequent early completions exercise the compression path.
-    job.actual_time =
-        rng.chance(0.3)
-            ? job.requested_time
-            : (wp.ties ? draw(1.0, job.requested_time - 1.0)
-                       : job.requested_time * rng.uniform(0.15, 0.95));
+    double cancel_after = -1.0;  // < 0: never cancelled
+    if (wp.storm) {
+      t += rng.uniform(0.5, 3.0);
+      job.nodes = static_cast<int>(rng.between(1, std::min(wp.nodes, 8)));
+      job.requested_time = rng.uniform(300.0, 3600.0);
+      job.actual_time = job.requested_time;
+      if (rng.chance(wp.cancel_fraction)) {
+        cancel_after = rng.uniform(2.0, 90.0);
+      }
+    } else {
+      t += wp.ties ? draw(0.0, 3.0) : rng.uniform(0.05, 12.0);
+      job.nodes = static_cast<int>(rng.between(1, wp.nodes));
+      job.requested_time = draw(5.0, 250.0);
+      // Frequent early completions exercise the compression path.
+      job.actual_time =
+          rng.chance(0.3)
+              ? job.requested_time
+              : (wp.ties ? draw(1.0, job.requested_time - 1.0)
+                         : job.requested_time * rng.uniform(0.15, 0.95));
+      if (rng.chance(wp.cancel_fraction)) cancel_after = draw(0.0, 120.0);
+    }
     sim.schedule_at(t,
-                    [&s = sched, &note_prediction, job] {
+                    [&s = sched, &note_prediction, &trace, job] {
                       s.submit(job);
                       note_prediction(job.id);
+                      trace.peak_queue =
+                          std::max(trace.peak_queue, s.queue_length());
                     },
                     des::Priority::kArrival);
-    if (rng.chance(wp.cancel_fraction)) {
-      const double cancel_at = t + draw(0.0, 120.0);
-      sim.schedule_at(cancel_at,
+    if (cancel_after >= 0.0) {
+      sim.schedule_at(t + cancel_after,
                       [&s = sched, &trace, id] {
                         if (s.cancel(id)) ++trace.cancels_issued;
                       },
@@ -260,6 +279,25 @@ TEST(CbfIncremental, MatchesLegacyWithoutDeclines) {
   // This workload takes the from-scratch rebuild fallback, so the replica
   // checks that path too.
   EXPECT_GT(incremental.rebuilds, 0u);
+}
+
+TEST(CbfIncremental, CancelStormMatchesLegacy) {
+  // micro_sched's workload, seed and size: 2 500 submissions on 64 nodes,
+  // 75% of them cancelled near the tail of a queue over 600 deep, with
+  // every fallback from the incremental guard (self-check off).
+  WorkloadParams wp;
+  wp.seed = 20260807;
+  wp.nodes = 64;
+  wp.jobs = 2500;
+  wp.cancel_fraction = 0.75;
+  wp.declines = false;
+  wp.storm = true;
+  const Trace legacy = run_workload<LegacyCbf>(wp);
+  const Trace incremental = run_workload<CbfScheduler>(wp);
+  expect_traces_equal(legacy, incremental, wp.seed);
+  EXPECT_EQ(incremental.peak_queue, 642u);
+  EXPECT_EQ(incremental.cancels_issued, 1832u);
+  EXPECT_EQ(incremental.rebuilds, 515u);
 }
 
 TEST(CbfIncremental, TieHeavyTraceMatchesLegacy) {
