@@ -10,7 +10,6 @@
 #include <cinttypes>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <exception>
 #include <iostream>
@@ -42,21 +41,6 @@ namespace rrsim::bench {
 /// before printing the banner, so the banner reports the configured
 /// worker count even when apply_common_flags runs later).
 inline int repetitions(const util::Cli& cli, int quick_default) {
-  // Trace-cache byte budget from the environment, so CI can cap bench
-  // memory without editing every invocation. Applied before the flags, so
-  // an explicit --trace-cache-budget (apply_common_flags, which harnesses
-  // call later) wins over the env var.
-  if (const char* env = std::getenv("RRSIM_TRACE_CACHE_BUDGET")) {
-    char* end = nullptr;
-    const long long budget = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || budget < 0) {
-      throw std::invalid_argument(
-          "RRSIM_TRACE_CACHE_BUDGET must be a non-negative byte count (got "
-          "\"" + std::string(env) + "\")");
-    }
-    workload::TraceCache::global().set_byte_budget(
-        static_cast<std::size_t>(budget));
-  }
   core::apply_jobs_flag(cli);
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   // --full is read even when --reps wins, so Cli::reject_unread() does

@@ -1,33 +1,35 @@
-// Grid-scale sweep benchmark and perf record: cache-affine point
-// scheduling over a real multi-point figure at 10^3 clusters.
+// Grid-scale sweep benchmark and perf record: a real multi-point figure
+// at 10^3 clusters sharing one memoized workload.
 //
 // One CampaignSweep carries 8 sweep points — {R2, R4} x redundant
 // fraction {0.25, 0.5, 0.75, 1.0} — over the same calibrated windowed
 // workload (10^3 clusters x 128 nodes, ~10^6 jobs per point), all in ONE
-// process. Every point shares one core::trace_affinity, so the runner
-// executes the first-queued point as the cold leader (it generates the
-// shared load calibrations, checkpoint tables and draw segments) and the
-// remaining seven warm, straight out of the TraceCache.
+// process. Only treatment knobs differ between the points, so they share
+// every TraceCache entry: the first lookup of each load calibration,
+// checkpoint table and draw segment computes it, and every other lookup
+// (a later point, or a concurrent one waiting on that computation) hits.
 //
 // Guards asserted in-harness (a violation aborts, it is not a number in
 // a JSON):
 //   - the per-point result checksum is identical across --jobs 1/2/8
-//     AND the cold baseline (cache-affine scheduling is scheduling
-//     only, and the cache is bit-transparent);
+//     AND the cold baseline (the cache is bit-transparent);
 //   - every sweep reports nonzero calibration, checkpoint AND
-//     draw-segment hits (the sharing actually happened).
+//     draw-segment hits (the sharing actually happened), and the three
+//     sweeps report identical cache counts (each key is computed once,
+//     whatever the worker count).
 //
 // Cold vs warm is a MATCHED comparison: simulation cost grows ~2x with
-// the redundant fraction across these points, so comparing the leader's
-// elapsed against other points' would confound treatment cost with
-// cache state. Instead a baseline pass first runs every point with the
-// cache cleared before it (all cold), and the record compares each
-// follower's warm time in the affine sweep against the same point's
-// cold-baseline time. Every point runs once per pass (a repeat would no
-// longer be cold, and a pass takes minutes at full scale), and each time
-// is recorded through the same bench::summarize as the other benches'
-// rows, with "runs": 1. Timing ratios are recorded, not asserted — the
-// ctest smoke runs at toy scale where they are pure noise.
+// the redundant fraction across these points, so comparing the first
+// point's elapsed against other points' would confound treatment cost
+// with cache state. Instead a baseline pass first runs every point with
+// the cache cleared before it (all cold), and the record compares each
+// later point's warm time in the serial sweep (the first point computed
+// the shared inputs) against the same point's cold-baseline time. Every
+// point runs once per pass (a repeat would no longer be cold, and a pass
+// takes minutes at full scale), and each time is recorded through the
+// same bench::summarize as the other benches' rows, with "runs": 1.
+// Timing ratios are recorded, not asserted — the ctest smoke runs at toy
+// scale where they are pure noise.
 //
 //   ./micro_gridsweep [--clusters=1000] [--hours=11] [--window=256]
 //                     [--assert-rss-mb=0] [--out=BENCH_gridsweep.json]
@@ -62,8 +64,8 @@ constexpr std::array<SweepPoint, 8> kPoints{
     SweepPoint{4, 0.75}, SweepPoint{4, 1.0}};
 
 /// One figure point: calibrated windowed streaming workload, identical
-/// trace inputs for every point (only the treatment knobs vary, which
-/// trace_affinity ignores — that is the sharing under test).
+/// trace inputs for every point (only the treatment knobs vary, and no
+/// cache key reads them — that is the sharing under test).
 core::ExperimentConfig point_config(std::size_t clusters, double hours,
                                     std::size_t window,
                                     const SweepPoint& p) {
@@ -139,10 +141,9 @@ PointRun run_point(const core::ExperimentConfig& config) {
 
 /// The matched cold reference: every point pays full trace generation
 /// (load calibration + checkpoint scan + draw-segment fast-forward)
-/// because the cache is
-/// cleared before each one. Same configs, same serial order, no sweep
-/// machinery in the timing path beyond what the affine sweep's map
-/// lambda runs.
+/// because the cache is cleared before each one. Same configs, same
+/// serial order, no sweep machinery in the timing path beyond what the
+/// sweep's map lambda runs.
 std::vector<PointRun> run_cold_baseline(std::size_t clusters, double hours,
                                         std::size_t window) {
   std::vector<PointRun> points;
@@ -157,7 +158,7 @@ std::vector<PointRun> run_cold_baseline(std::size_t clusters, double hours,
 SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
                    int jobs) {
   // Each sweep starts against an empty cache so its counters (and the
-  // jobs=1 sweep's cold-leader timing) describe this sweep alone, not
+  // jobs=1 sweep's cold first point) describe this sweep alone, not
   // leftovers from the previous --jobs value.
   workload::TraceCache::global().clear();
   core::CampaignSweep sweep(1, jobs);
@@ -166,9 +167,8 @@ SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
   for (std::size_t i = 0; i < kPoints.size(); ++i) {
     const core::ExperimentConfig config =
         point_config(clusters, hours, window, kPoints[i]);
-    sweep.runner().add_affine(
-        1, core::trace_affinity(config),
-        [config](int) { return run_point(config); },
+    sweep.runner().add(
+        1, [config](int) { return run_point(config); },
         [&out, i](int, PointRun p) { out.points[i] = p; });
   }
   const auto start = std::chrono::steady_clock::now();
@@ -182,7 +182,7 @@ SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
   if (out.cache.checkpoint_hits == 0 || out.cache.draw_hits == 0 ||
       out.cache.calibration_hits == 0) {
     throw std::runtime_error(
-        "cache-affinity violation: sweep at --jobs=" + std::to_string(jobs) +
+        "cache-sharing violation: sweep at --jobs=" + std::to_string(jobs) +
         " saw no checkpoint, draw-segment or calibration hits "
         "(checkpoint_hits=" + std::to_string(out.cache.checkpoint_hits) +
         " draw_hits=" + std::to_string(out.cache.draw_hits) +
@@ -197,7 +197,6 @@ SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
 int main(int argc, char** argv) {
   return rrsim::bench::run_harness([&] {
     const util::Cli cli(argc, argv);
-    (void)rrsim::bench::repetitions(cli, 1);  // consumes --jobs/env budget
     const auto clusters = static_cast<std::size_t>(
         cli.get_int_in("clusters", 1000, 1, std::int64_t{1} << 20));
     const double hours = cli.get_double("hours", 11.0);
@@ -211,8 +210,8 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("--hours must be > 0");
     }
 
-    std::printf("=== micro_gridsweep - cache-affine grid-scale sweeps "
-                "===\n");
+    std::printf("=== micro_gridsweep - grid-scale sweeps over one shared "
+                "workload ===\n");
     std::printf(
         "%zu points ({R2,R4} x fraction {.25,.5,.75,1}) x %zu clusters, "
         "windowed (W=%zu), one process;\nper-point results must be "
@@ -246,27 +245,33 @@ int main(int argc, char** argv) {
             std::to_string(jobs) +
             " diverged from the cold-baseline reference");
       }
+      if (!sweeps.empty() && run.cache != sweeps.front().cache) {
+        throw std::runtime_error(
+            "cache-count violation: the sweep at --jobs=" +
+            std::to_string(jobs) + " counted other trace-cache hits or "
+            "misses than the sweep at --jobs=" + std::to_string(kJobs[0]));
+      }
       sweeps.push_back(std::move(run));
     }
 
     // Matched cold vs warm from the serial sweep (clean per-point
-    // timing: no concurrent neighbors). The first-queued point is the
-    // affinity group's leader and pays the generation in the sweep too;
-    // every follower is compared against ITS OWN cold-baseline time.
+    // timing: no concurrent neighbors). Its first point computes the
+    // shared inputs, cold in both passes; every later point is compared
+    // against ITS OWN cold-baseline time.
     const std::vector<PointRun>& serial = sweeps.front().points;
     double warm_sum = 0.0;
-    double cold_follower_sum = 0.0;
+    double cold_later_sum = 0.0;
     for (std::size_t i = 1; i < serial.size(); ++i) {
       warm_sum += serial[i].elapsed;
-      cold_follower_sum += cold[i].elapsed;
+      cold_later_sum += cold[i].elapsed;
     }
-    const double n_followers = static_cast<double>(serial.size() - 1);
-    const double warm_mean = warm_sum / n_followers;
-    const double cold_mean = cold_follower_sum / n_followers;
-    std::printf("\nfollower points, matched: cold-baseline mean %.2fs vs "
-                "warm (affine sweep) mean %.2fs — %.2fx\n",
+    const double n_later = static_cast<double>(serial.size() - 1);
+    const double warm_mean = warm_sum / n_later;
+    const double cold_mean = cold_later_sum / n_later;
+    std::printf("\nlater points, matched: cold-baseline mean %.2fs vs "
+                "warm (serial sweep) mean %.2fs — %.2fx\n",
                 cold_mean, warm_mean, cold_mean / warm_mean);
-    std::printf("leader point (cold in both passes): baseline %.2fs, "
+    std::printf("first point (cold in both passes): baseline %.2fs, "
                 "sweep %.2fs\n", cold.front().elapsed,
                 serial.front().elapsed);
     std::printf("jobs per point: %" PRIu64 "\n", serial.front().jobs);
@@ -299,8 +304,8 @@ int main(int argc, char** argv) {
     w.field("equivalence_checked", true);
     w.key("cold_baseline_point_seconds");
     point_seconds(cold);
-    w.field("cold_follower_mean_seconds", cold_mean);
-    w.field("warm_follower_mean_seconds", warm_mean);
+    w.field("cold_later_points_mean_seconds", cold_mean);
+    w.field("warm_later_points_mean_seconds", warm_mean);
     w.field("cold_over_warm_matched", cold_mean / warm_mean);
     w.key("sweeps").begin_array();
     for (std::size_t i = 0; i < sweeps.size(); ++i) {

@@ -25,10 +25,6 @@
 //   --window=W        windowed trace generation: pull W jobs at a time
 //                     instead of materializing whole streams (any record
 //                     mode, either kernel; results are identical; 0 = off)
-//   --trace-cache-budget=B  byte budget for the process-global trace
-//                     cache (LRU eviction above B; 0 = unlimited, the
-//                     default). Benches also honor the
-//                     RRSIM_TRACE_CACHE_BUDGET env var; the flag wins.
 //   --jobs=N          campaign worker threads (also env RRSIM_JOBS;
 //                     default: hardware concurrency). Campaign results
 //                     are bit-identical for any N.

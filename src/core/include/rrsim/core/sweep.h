@@ -54,6 +54,9 @@ struct SweepCacheStats {
   std::uint64_t calibration_misses = 0;
   std::uint64_t spool_hits = 0;
   std::uint64_t spool_misses = 0;
+
+  friend bool operator==(const SweepCacheStats&,
+                         const SweepCacheStats&) = default;
 };
 
 /// Simulations of one CampaignSweep::run(), one per work unit: how many
@@ -65,18 +68,6 @@ struct SweepRunStats {
   std::uint64_t requested = 0;
   std::uint64_t executed = 0;
 };
-
-/// Cache-affinity key of a sweep point: an FNV-1a digest of exactly the
-/// config fields that determine the point's memoized inputs — trace
-/// streams, checkpoint tables, draw segments, load calibrations and spools
-/// (seed, platform shape, load, horizon, estimator, users, window, trace
-/// files) — and none of the swept treatment knobs (scheme, fraction,
-/// placement, scheduler), so every point of a fraction or scheme sweep
-/// over one workload maps to one affinity group and exec::SweepRunner can
-/// schedule the group's units temporally adjacent (see add_affine). Never
-/// 0 (the runner's opt-out value). Collisions are harmless: affinity is a
-/// scheduling hint, results are unaffected.
-std::uint64_t trace_affinity(const ExperimentConfig& config);
 
 /// Deterministic multi-campaign sweep. Not thread-safe; build and run it
 /// from one thread.

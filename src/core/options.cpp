@@ -8,7 +8,6 @@
 #include <string>
 
 #include "rrsim/exec/jobs.h"
-#include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {
 
@@ -123,16 +122,6 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
                                   "windowed generation)");
     }
     config.stream_window = static_cast<std::size_t>(window);
-  }
-  if (cli.has("trace-cache-budget")) {
-    const std::int64_t budget = cli.get_int("trace-cache-budget", 0);
-    if (budget < 0) {
-      throw std::invalid_argument(
-          "--trace-cache-budget must be >= 0 bytes (got " +
-          std::to_string(budget) + "; 0 means unlimited)");
-    }
-    workload::TraceCache::global().set_byte_budget(
-        static_cast<std::size_t>(budget));
   }
   apply_jobs_flag(cli);
   if (cli.has("latency")) {

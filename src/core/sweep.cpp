@@ -1,9 +1,7 @@
 #include "rrsim/core/sweep.h"
 
-#include <bit>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "rrsim/metrics/summary.h"
@@ -11,59 +9,6 @@
 #include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {
-
-namespace {
-
-// FNV-1a, byte-at-a-time. Doubles are mixed on their exact bit patterns —
-// the same "identical bits" contract as workload::TraceKey.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void byte(unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte((v >> (8 * i)) & 0xff);
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-    u64(s.size());  // length-delimited: "ab","c" != "a","bc"
-  }
-};
-
-}  // namespace
-
-std::uint64_t trace_affinity(const ExperimentConfig& config) {
-  // Exactly the fields that reach the memoized inputs — CalibrationKey
-  // (seed, cluster shape, load mode and target), TraceKey (the per-cluster
-  // workload parameters), DrawSegmentKey, and SpoolKey. Treatment knobs
-  // the cache deliberately ignores (scheme, fraction, placement,
-  // scheduler, protocol) are deliberately absent here too: points
-  // differing only in them share every cached entry, which is the sharing
-  // this affinity exists to exploit.
-  Fnv f;
-  f.u64(config.seed);
-  f.u64(config.n_clusters);
-  f.u64(static_cast<std::uint64_t>(config.nodes_per_cluster));
-  for (const int n : config.cluster_nodes) {
-    f.u64(static_cast<std::uint64_t>(n));
-  }
-  f.u64(config.cluster_nodes.size());
-  f.u64(static_cast<std::uint64_t>(config.load_mode));
-  f.f64(config.target_utilization);
-  f.f64(config.base_workload.mean_interarrival());
-  for (const double iat : config.cluster_mean_iat) f.f64(iat);
-  f.u64(config.cluster_mean_iat.size());
-  f.f64(config.submit_horizon);
-  f.str(config.estimator);
-  f.u64(static_cast<std::uint64_t>(config.users_per_cluster));
-  f.u64(config.stream_window);
-  for (const std::string& path : config.trace_files) f.str(path);
-  f.u64(config.trace_files.size());
-  // 0 is SweepRunner's "no affinity" opt-out; never collide with it.
-  return f.h == 0 ? 1 : f.h;
-}
 
 namespace {
 
@@ -134,8 +79,8 @@ std::shared_ptr<const CampaignSweep::RunMetrics> CampaignSweep::shared_run(
     }
   }
   auto slot = std::make_shared<RunMetrics>(static_cast<std::size_t>(reps_));
-  runner_.add_affine(
-      reps_, trace_affinity(config),
+  runner_.add(
+      reps_,
       [config](int r) {
         ExperimentConfig c = config;
         c.seed = config.seed + static_cast<std::uint64_t>(r);
@@ -211,8 +156,8 @@ void CampaignSweep::add_classified(
     std::size_t non_jobs = 0;
   };
   auto acc = std::make_shared<Acc>();
-  runner_.add_affine(
-      reps_, trace_affinity(config),
+  runner_.add(
+      reps_,
       [config](int r) {
         ExperimentConfig c = config;
         c.seed = config.seed + static_cast<std::uint64_t>(r);
@@ -249,8 +194,8 @@ void CampaignSweep::add_prediction(
     bool streamed = false;
   };
   auto pooled = std::make_shared<Pool>();
-  runner_.add_affine(
-      reps_, trace_affinity(config),
+  runner_.add(
+      reps_,
       [config](int r) {
         ExperimentConfig c = config;
         c.seed = config.seed + static_cast<std::uint64_t>(r);

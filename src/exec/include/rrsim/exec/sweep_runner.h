@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -58,24 +57,6 @@ class SweepRunner {
   /// this call); map must be const-invocable from multiple threads.
   template <typename Map, typename Reduce>
   void add(int n, Map map, Reduce reduce) {
-    add_affine(n, 0, std::move(map), std::move(reduce));
-  }
-
-  /// add() with a cache-affinity hint. Tasks sharing a nonzero `affinity`
-  /// declare that same-index units derive identical expensive state (for
-  /// campaign sweeps: unit r of every point at one trace_affinity replays
-  /// the same memoized trace — see core::trace_affinity), so run() orders
-  /// execution to make the sharing pay: of each (affinity, unit) group,
-  /// the first-queued member runs in a leader phase (cold, generating the
-  /// shared state in parallel across groups), and the remaining members
-  /// run after a barrier (warm, all hits). affinity == 0 opts out — every
-  /// unit is its own group and execution order is exactly add() order.
-  /// Scheduling only: results, reduction order, and therefore output are
-  /// bit-identical to add() for any worker count, because each unit still
-  /// writes its own result slot and reductions run task-by-task in add()
-  /// order either way.
-  template <typename Map, typename Reduce>
-  void add_affine(int n, std::uint64_t affinity, Map map, Reduce reduce) {
     using R = std::invoke_result_t<Map&, int>;
     static_assert(!std::is_void_v<R>, "map must return the per-unit result");
     if (n <= 0) return;
@@ -83,7 +64,6 @@ class SweepRunner {
         static_cast<std::size_t>(n));
     Task task;
     task.units = n;
-    task.affinity = affinity;
     task.run_unit = [results, map = std::move(map)](int u) {
       (*results)[static_cast<std::size_t>(u)].emplace(map(u));
     };
@@ -106,18 +86,20 @@ class SweepRunner {
     tasks_.push_back(std::move(task));
   }
 
-  /// Executes every queued unit (one flat pool, one ThreadPool when
-  /// jobs > 1), then reduces task by task in add() order, and clears the
-  /// queue. The first exception to surface propagates and discards the
-  /// whole batch (a partially-executed batch is not replayable); the
-  /// runner itself stays usable for newly queued tasks. Calling run()
-  /// with nothing queued is a no-op.
+  /// Executes every queued unit in add() order (serially, or through one
+  /// parallel_for_each on one ThreadPool when jobs > 1), then reduces task
+  /// by task in add() order, and clears the queue. Units that share
+  /// expensive state (a memoized trace) need no ordering: the TraceCache
+  /// computes each key once and concurrent lookups wait for it. The first
+  /// exception to surface propagates and discards the whole batch (a
+  /// partially-executed batch is not replayable); the runner itself stays
+  /// usable for newly queued tasks. Calling run() with nothing queued is
+  /// a no-op.
   void run();
 
  private:
   struct Task {
     int units = 0;
-    std::uint64_t affinity = 0;  ///< 0 = no sharing declared
     // rrsim-lint-allow(std-function-member): assigned once per sweep
     // point (cold path); run_unit's signature takes the unit index, which
     // InlineFunction (void() only) cannot express.

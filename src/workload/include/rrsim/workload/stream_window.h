@@ -67,7 +67,7 @@ struct CheckpointedTrace {
   std::uint64_t total_jobs = 0;   ///< exact stream length
   std::vector<StreamCheckpoint> checkpoints;  ///< one per window, in order
 
-  /// Approximate resident payload bytes (for cache budgeting).
+  /// Approximate resident payload bytes (TraceCache::resident_bytes).
   std::size_t payload_bytes() const noexcept {
     return checkpoints.capacity() * sizeof(StreamCheckpoint);
   }
@@ -102,8 +102,8 @@ class WindowSource {
 
 /// A whole stream already in memory (a TraceCache snapshot or a loaded
 /// SWF replay) behind the pull interface. Shares ownership of the stream,
-/// so cache eviction cannot invalidate a run in flight; pull() hands out
-/// windows without copying.
+/// so TraceCache::clear() cannot invalidate a run in flight; pull() hands
+/// out windows without copying.
 class MemorySource : public WindowSource {
  public:
   explicit MemorySource(std::shared_ptr<const JobStream> stream);

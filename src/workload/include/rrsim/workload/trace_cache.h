@@ -12,7 +12,7 @@
 // snapshots, so each distinct trace is generated once per process no
 // matter how many sweep points or worker threads consume it.
 //
-// Five entry kinds share one LRU-evicted store:
+// Five entry kinds share one store:
 //   - whole streams (runs with stream_window == 0; ~32 bytes/job),
 //   - generator checkpoint tables (windowed drivers; ~48 bytes/window —
 //     see stream_window.h), which let a sweep point seek to window k and
@@ -30,7 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -163,14 +163,13 @@ struct SpoolKey {
 /// Values are shared immutable snapshots: consumers must treat them as
 /// read-only and copy before mutating (experiment drivers copy anyway,
 /// because submission-time bookkeeping annotates specs per run). Lookups
-/// that miss run the supplied generator *outside* the cache lock; when two
-/// threads race on the same key, both may generate, and the first to
-/// publish wins (generation is deterministic, so the discarded duplicate
-/// is bit-identical — no blocking, no torn results).
-///
-/// Eviction is genuinely LRU: every hit moves the entry to the back of the
-/// recency list, and the byte budget evicts from the front (least recently
-/// used), so a sweep's hot streams survive a parade of one-shot entries.
+/// are single-flight: the first lookup of a key publishes an in-flight
+/// entry and runs the supplied generator *outside* the cache lock, and
+/// concurrent lookups of that key wait for its result and count as hits,
+/// so misses equal computations for any number of threads. A generator
+/// that throws removes its entry (the next lookup computes afresh), and
+/// the lookups waiting on it rethrow its exception. Entries live until
+/// clear().
 class TraceCache {
  public:
   using StreamPtr = std::shared_ptr<const JobStream>;
@@ -216,8 +215,8 @@ class TraceCache {
   /// O(window) for repeated windowed sweep points: without it every run
   /// would fast-forward the user/redundancy substreams one draw per job
   /// (O(total jobs)) even when the checkpoint table itself is a cache hit.
-  /// Entries are ~32 bytes and share the LRU-evicted store. When the cache
-  /// is disabled, always calls `advance` and publishes nothing.
+  /// Entries are ~32 bytes. When the cache is disabled, always calls
+  /// `advance` and publishes nothing.
   DrawSegment get_or_advance_draws(const DrawSegmentKey& key,
                                    const DrawAdvancer& advance);
 
@@ -226,17 +225,17 @@ class TraceCache {
   /// Monte-Carlo work estimate per cluster on every call: repeated sweep
   /// points, replications sharing a seed, and cluster-count sweeps over a
   /// common prefix seek straight to each cluster's result. Entries are
-  /// ~24 bytes and share the LRU-evicted store. When the cache is
-  /// disabled, always calls `calibrate` and publishes nothing.
+  /// ~24 bytes. When the cache is disabled, always calls `calibrate` and
+  /// publishes nothing.
   Calibration get_or_calibrate(const CalibrationKey& key,
                                const Calibrator& calibrate);
 
   /// Returns the cached window spool for `key`, building (and publishing)
-  /// it via `build` on a miss. The entry's budget charge is the spool's
-  /// resident index bytes (payload_bytes), not its on-disk record bytes;
-  /// eviction drops the index and closes the unlinked backing file once
-  /// the last consumer's shared_ptr releases. When the cache is disabled,
-  /// always calls `build` and publishes nothing. Throws
+  /// it via `build` on a miss. The entry counts the spool's resident
+  /// index bytes (payload_bytes) toward resident_bytes(), not its on-disk
+  /// record bytes; clear() drops the index and closes the unlinked backing
+  /// file once the last consumer's shared_ptr releases. When the cache is
+  /// disabled, always calls `build` and publishes nothing. Throws
   /// std::invalid_argument on key.window == 0.
   SpoolPtr get_or_build_spool(const SpoolKey& key, const SpoolBuilder& build);
 
@@ -246,18 +245,9 @@ class TraceCache {
   void set_enabled(bool on);
   bool enabled() const;
 
-  /// Caps the resident bytes of cached payloads (approximate: payload
-  /// bytes, not map overhead). Insertion evicts least-recently-used
-  /// entries until under budget; in-flight shared_ptrs keep evicted
-  /// payloads alive. 0 means unlimited (default). A sweep's working set
-  /// is typically a handful of streams, far below any sane budget.
-  void set_byte_budget(std::size_t bytes);
-
-  /// The current byte budget (0 = unlimited). The flag/env plumbing in
-  /// core/options and bench_common reads this back for validation tests.
-  std::size_t byte_budget() const;
-
-  /// Drops all entries and zeroes the hit/miss counters.
+  /// Drops all entries and zeroes the hit/miss counters. Snapshots that
+  /// consumers hold stay valid; a computation in flight still returns its
+  /// result to the lookups waiting on it but publishes nothing.
   void clear();
 
   // --- Statistics (cumulative since last clear()) ------------------------
@@ -272,6 +262,7 @@ class TraceCache {
   std::uint64_t spool_hits() const;
   std::uint64_t spool_misses() const;
   std::size_t entries() const;
+  /// Payload bytes of the completed entries (not map overhead).
   std::size_t resident_bytes() const;
 
   /// The process-wide instance every experiment driver consults.
@@ -282,14 +273,6 @@ class TraceCache {
   using Payload = std::variant<StreamPtr, CheckpointPtr, DrawSegment,
                                Calibration, SpoolPtr>;
 
-  /// `lru` is this entry's node in the recency list, so a hit can splice
-  /// it to the back in O(1).
-  struct Entry {
-    Payload payload;
-    std::size_t bytes = 0;
-    std::list<const std::string*>::iterator lru;
-  };
-
   /// Lookups of one entry kind since the last clear().
   struct Tally {
     std::uint64_t hits = 0;
@@ -297,31 +280,27 @@ class TraceCache {
   };
 
   // rrsim-lint-allow(unordered-container): lookup/insert/erase only —
-  // never iterated (eviction walks lru_), so the unspecified bucket order
-  // cannot reach any output.
-  using Map = std::unordered_map<std::string, Entry>;
+  // never iterated, so the unspecified bucket order cannot reach any
+  // output. Each entry is ready once its first lookup's computation
+  // completes; until then, lookups of the key wait on it.
+  using Map = std::unordered_map<std::string, std::shared_future<Payload>>;
 
   /// The lookup every get_or_* shares: returns the payload cached under
-  /// `key` (a hit), or runs `make` outside the lock and publishes its
-  /// result unless the cache is disabled (a miss), counting the lookup in
+  /// `key` (a hit, waiting if it is still being computed), or publishes an
+  /// in-flight entry and runs `make` outside the lock (a miss; a disabled
+  /// cache runs `make` and publishes nothing), counting the lookup in
   /// `tally` either way. Defined, and only instantiated, in the .cpp.
   template <typename Value, typename Make>
   Value memoize(std::string key, Tally& tally, const Make& make);
 
-  /// Inserts (or adopts a racing thread's) entry, updates recency and the
-  /// byte budget, and returns a copy of the published entry's payload.
-  /// Returns a *value*, never an iterator: eviction inside can erase the
-  /// just-inserted node when the budget is smaller than this one payload,
-  /// so no reference into the map survives this call.
-  Entry publish_locked(std::string key, Entry entry);
-  void touch_locked(Map::iterator it);
-  void evict_to_budget_locked();
   /// Reads one statistics counter under the lock.
   std::uint64_t read_counter(const std::uint64_t& counter) const;
 
   mutable std::mutex mu_;
   bool enabled_ = true;
-  std::size_t byte_budget_ = 0;  // 0 = unlimited
+  /// Bumped by clear(), so a computation that started before it neither
+  /// counts its bytes nor erases an entry a later lookup published.
+  std::uint64_t generation_ = 0;
   std::size_t resident_bytes_ = 0;
   Tally streams_;
   Tally checkpoints_;
@@ -329,10 +308,6 @@ class TraceCache {
   Tally calibrations_;
   Tally spools_;
   Map map_;
-  /// Recency order, least recently used first. Nodes point at the map's
-  /// own key strings (stable under rehash — unordered_map never moves
-  /// elements), so no key is stored twice.
-  std::list<const std::string*> lru_;
 };
 
 }  // namespace rrsim::workload

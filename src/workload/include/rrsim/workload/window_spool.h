@@ -30,8 +30,8 @@
 // (positioned reads, no shared file offset), so any number of Readers on
 // any threads may consume one spool concurrently — which is what lets a
 // process-wide TraceCache share one spool across sweep points and PDES
-// partitions. A Reader holds shared ownership of its spool, so cache
-// eviction cannot invalidate an in-flight run.
+// partitions. A Reader holds shared ownership of its spool, so
+// TraceCache::clear() cannot invalidate an in-flight run.
 #pragma once
 
 #include <cstddef>
@@ -81,8 +81,8 @@ class WindowSpool {
   std::size_t window() const noexcept { return window_; }
   std::uint64_t total_jobs() const noexcept { return total_jobs_; }
 
-  /// Resident (in-memory) bytes: the checkpoint index. This is what a
-  /// cache budget should charge — the record bytes live on disk.
+  /// Resident (in-memory) bytes: the checkpoint index. This is what the
+  /// TraceCache counts as resident — the record bytes live on disk.
   std::size_t payload_bytes() const noexcept {
     return index_.capacity() * sizeof(WindowIndex);
   }

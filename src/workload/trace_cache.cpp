@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <exception>
+#include <future>
 #include <stdexcept>
 #include <variant>
 
@@ -47,8 +49,8 @@ void append_params(std::string& out, const LublinParams& params) {
   append_double(out, params.max_runtime);
 }
 
-// Budget charge of each payload kind: resident payload bytes, not map
-// overhead.
+// What each payload kind adds to resident_bytes(): resident payload
+// bytes, not map overhead.
 std::size_t payload_bytes(const TraceCache::StreamPtr& stream) {
   return stream->size() * sizeof(JobSpec);
 }
@@ -115,33 +117,45 @@ std::string SpoolKey::bytes() const {
 
 template <typename Value, typename Make>
 Value TraceCache::memoize(std::string key, Tally& tally, const Make& make) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      // Count the lookup as a miss so disabled-mode stats still show how
-      // much recomputation the cache would have absorbed.
-      ++tally.misses;
-    } else if (const auto it = map_.find(key); it != map_.end()) {
-      ++tally.hits;
-      touch_locked(it);
-      return std::get<Value>(it->second.payload);
-    } else {
-      ++tally.misses;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!enabled_) {
+    // Count the lookup as a miss so disabled-mode stats still show how
+    // much recomputation the cache would have absorbed.
+    ++tally.misses;
+    lock.unlock();
+    return make();
   }
-  // Compute outside the lock: a miss costs milliseconds or more, and other
-  // threads should neither wait on us nor serialize their own misses.
-  // Threads racing on one key both compute; computation is deterministic,
-  // so publish_locked adopts the first result and the duplicate is
-  // bit-identical.
-  Value value = make();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return value;
-  Entry entry;
-  entry.bytes = payload_bytes(value);
-  entry.payload = std::move(value);
-  return std::get<Value>(
-      publish_locked(std::move(key), std::move(entry)).payload);
+  if (const auto it = map_.find(key); it != map_.end()) {
+    ++tally.hits;
+    const std::shared_future<Payload> entry = it->second;
+    lock.unlock();
+    // Waits while the key's first lookup is still computing, and rethrows
+    // if that computation failed.
+    return std::get<Value>(entry.get());
+  }
+  ++tally.misses;
+  std::promise<Payload> promise;
+  // The map's own key stays put across rehashes, and the entry stays in
+  // the map unless clear() bumps the generation.
+  const std::string& published =
+      map_.emplace(std::move(key), promise.get_future().share()).first->first;
+  const std::uint64_t generation = generation_;
+  lock.unlock();
+  // Compute outside the lock: a miss costs milliseconds or more, and
+  // lookups of other keys should neither wait on it nor queue behind it.
+  try {
+    Value value = make();
+    promise.set_value(value);
+    lock.lock();
+    if (generation == generation_) resident_bytes_ += payload_bytes(value);
+    return value;
+  } catch (...) {
+    lock.lock();
+    if (generation == generation_) map_.erase(map_.find(published));
+    lock.unlock();
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 TraceCache::StreamPtr TraceCache::get_or_generate(const TraceKey& key,
@@ -175,50 +189,9 @@ Calibration TraceCache::get_or_calibrate(const CalibrationKey& key,
 TraceCache::SpoolPtr TraceCache::get_or_build_spool(const SpoolKey& key,
                                                     const SpoolBuilder& build) {
   if (key.window == 0) throw std::invalid_argument("window must be > 0");
-  // Racing duplicates each spool into their own unlinked temp file; the
-  // loser's storage is reclaimed when its shared_ptr dies.
   return memoize<SpoolPtr>(kSpoolTag + key.bytes(), spools_, [&] {
     return std::make_shared<const WindowSpool>(build());
   });
-}
-
-TraceCache::Entry TraceCache::publish_locked(std::string key, Entry entry) {
-  const auto [it, inserted] = map_.emplace(std::move(key), std::move(entry));
-  if (!inserted) {
-    // A racing thread published first. Generation is deterministic, so
-    // the two payloads are bit-identical; adopt the published one so all
-    // consumers share a single buffer. Treat the reuse as a touch.
-    touch_locked(it);
-    return it->second;
-  }
-  lru_.push_back(&it->first);
-  it->second.lru = std::prev(lru_.end());
-  resident_bytes_ += it->second.bytes;
-  // Copy the payload out BEFORE evicting: the fresh entry sits at the
-  // recency back, so colder entries go first, but a budget smaller than
-  // this one payload evicts the entry itself — eviction may invalidate
-  // `it`, and the returned shared_ptrs (not the map node) are what keep
-  // the payload alive for the caller.
-  Entry published = it->second;
-  evict_to_budget_locked();
-  return published;
-}
-
-void TraceCache::touch_locked(Map::iterator it) {
-  lru_.splice(lru_.end(), lru_, it->second.lru);
-}
-
-void TraceCache::evict_to_budget_locked() {
-  if (byte_budget_ == 0) return;
-  while (resident_bytes_ > byte_budget_ && !lru_.empty()) {
-    const auto it = map_.find(*lru_.front());
-    lru_.pop_front();
-    // Every lru_ node should name a live map entry; if the invariant ever
-    // drifts, skip the stale node rather than dereference end().
-    if (it == map_.end()) continue;
-    resident_bytes_ -= it->second.bytes;
-    map_.erase(it);
-  }
 }
 
 void TraceCache::set_enabled(bool on) {
@@ -231,21 +204,10 @@ bool TraceCache::enabled() const {
   return enabled_;
 }
 
-void TraceCache::set_byte_budget(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  byte_budget_ = bytes;
-  evict_to_budget_locked();
-}
-
-std::size_t TraceCache::byte_budget() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return byte_budget_;
-}
-
 void TraceCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
-  lru_.clear();
+  ++generation_;
   resident_bytes_ = 0;
   streams_ = checkpoints_ = draws_ = calibrations_ = spools_ = Tally{};
 }

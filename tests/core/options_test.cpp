@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "rrsim/exec/jobs.h"
-#include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {
 namespace {
@@ -121,20 +122,18 @@ TEST(CommonFlags, WindowFlag) {
 }
 
 TEST(CommonFlags, TraceCacheBudgetFlag) {
-  workload::TraceCache& cache = workload::TraceCache::global();
-  const std::size_t before = cache.byte_budget();
-  EXPECT_EQ(before, 0u);  // default: unlimited, and no flag leaves it so
-  parse({});
-  EXPECT_EQ(cache.byte_budget(), 0u);
-
-  parse({"--trace-cache-budget=1048576"});
-  EXPECT_EQ(cache.byte_budget(), 1048576u);
-  parse({"--trace-cache-budget=0"});  // explicit unlimited
-  EXPECT_EQ(cache.byte_budget(), 0u);
-
-  EXPECT_THROW(parse({"--trace-cache-budget=-1"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--trace-cache-budget=lots"}), std::invalid_argument);
-  cache.set_byte_budget(0);  // process-wide; don't leak into other tests
+  // The trace cache has no byte budget: entries live until clear(). The
+  // flag is not a common flag, so apply_common_flags leaves it unread and
+  // every binary's reject_unread() reports it as unknown.
+  const std::vector<const char*> argv{"prog", "--trace-cache-budget=1"};
+  const util::Cli cli(static_cast<int>(argv.size()), argv.data());
+  (void)apply_common_flags(ExperimentConfig{}, cli);
+  try {
+    cli.reject_unread();
+    ADD_FAILURE() << "--trace-cache-budget was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --trace-cache-budget");
+  }
 }
 
 TEST(CommonFlags, UsersFlagIsRangeCheckedBeforeTheIntConversion) {

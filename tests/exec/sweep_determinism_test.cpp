@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -261,17 +260,12 @@ TEST(SweepDeterminism, CallbacksFireInAddOrder) {
 
 TEST(SweepDeterminism, LastCacheStatsSeesCrossPointSharing) {
   // Two points differing only in a treatment knob (redundant fraction)
-  // share one trace_affinity and one set of cached trace inputs: the
-  // sweep-level delta counters must show the sharing.
-  EXPECT_EQ(trace_affinity(tiny_config()), trace_affinity(tiny_config()));
+  // share one set of cached trace inputs: the sweep-level delta counters
+  // must show the sharing.
   ExperimentConfig a = tiny_config();
   a.scheme = RedundancyScheme::fixed(2);
   ExperimentConfig b = a;
   b.redundant_fraction = 0.25;
-  EXPECT_EQ(trace_affinity(a), trace_affinity(b));
-  ExperimentConfig other_seed = a;
-  other_seed.seed += 1;
-  EXPECT_NE(trace_affinity(a), trace_affinity(other_seed));
 
   CampaignSweep sweep(1, 1);
   int fired = 0;
@@ -286,7 +280,7 @@ TEST(SweepDeterminism, LastCacheStatsSeesCrossPointSharing) {
 
 TEST(SweepDeterminism, CalibratedPointsShareEachClusterCalibration) {
   // Fraction-sweep points over one calibrated workload share every
-  // cluster's memoized calibration: the affine leader of each replication
+  // cluster's memoized calibration: the first lookup of each replication
   // misses once per cluster and every other lookup hits, for any worker
   // count, with identical results.
   ExperimentConfig base = tiny_config();
@@ -322,6 +316,55 @@ TEST(SweepDeterminism, CalibratedPointsShareEachClusterCalibration) {
   }
 }
 
+TEST(SweepDeterminism, SharedTraceUnitsCountEachKeyOnceForAnyJobCount) {
+  // Custom units queued through runner(), with no cache-aware ordering,
+  // that all replay one calibrated workload: each cache key is computed
+  // once whatever the worker count, so every count is exact — one miss
+  // per distinct key (per cluster: a calibration, a stream and a draw
+  // segment) and a hit for every other lookup.
+  ExperimentConfig base = tiny_config();
+  base.load_mode = LoadMode::kCalibrated;
+  base.target_utilization = 0.8;
+  base.retain_records = false;
+  constexpr int kUnits = 8;
+  std::vector<SweepCacheStats> by_jobs;
+  std::vector<std::vector<double>> results;
+  for (const int jobs : {1, 2, 4}) {
+    workload::TraceCache::global().clear();
+    CampaignSweep sweep(1, jobs);
+    std::vector<double> stretch(kUnits);
+    for (int i = 0; i < kUnits; ++i) {
+      ExperimentConfig c = base;
+      c.scheme = RedundancyScheme::fixed(2 + i % 3);
+      c.redundant_fraction = 0.25 * static_cast<double>(1 + i % 4);
+      sweep.runner().add(
+          1,
+          [c](int) {
+            return run_experiment(c, thread_workspace()).stream.metrics();
+          },
+          [&stretch, i](int, const metrics::ScheduleMetrics& m) {
+            stretch[static_cast<std::size_t>(i)] = m.avg_stretch;
+          });
+    }
+    sweep.run();
+    by_jobs.push_back(sweep.last_cache_stats());
+    results.push_back(stretch);
+  }
+  const SweepCacheStats& cs = by_jobs.front();
+  const std::uint64_t keys = base.n_clusters;
+  const std::uint64_t lookups = kUnits * keys;
+  EXPECT_EQ(cs.calibration_misses, keys);
+  EXPECT_EQ(cs.calibration_hits, lookups - keys);
+  EXPECT_EQ(cs.stream_misses, keys);
+  EXPECT_EQ(cs.stream_hits, lookups - keys);
+  EXPECT_EQ(cs.draw_misses, keys);
+  EXPECT_EQ(cs.draw_hits, lookups - keys);
+  for (std::size_t j = 1; j < by_jobs.size(); ++j) {
+    EXPECT_TRUE(by_jobs[j] == cs) << "jobs index " << j;
+    EXPECT_EQ(results[j], results.front()) << "jobs index " << j;
+  }
+}
+
 TEST(SweepDeterminism, ValidatesArguments) {
   EXPECT_THROW(CampaignSweep(0), std::invalid_argument);
   CampaignSweep sweep(2);
@@ -347,36 +390,10 @@ TEST(SweepRunner, CustomUnitsReduceInOrderForAnyJobCount) {
   }
 }
 
-TEST(SweepRunner, AffinityGroupingKeepsResultsBitIdentical) {
-  // Affinity only reorders execution; reduction order — and therefore
-  // every observable output — must match plain add() for any job count.
-  for (int jobs : {1, 2, 8}) {
-    exec::SweepRunner runner(jobs);
-    std::vector<int> a;
-    std::vector<int> b;
-    std::vector<int> c;
-    runner.add_affine(
-        3, 42, [](int u) { return 10 + u; },
-        [&a](int, int v) { a.push_back(v); });
-    runner.add_affine(
-        3, 42, [](int u) { return 20 + u; },
-        [&b](int, int v) { b.push_back(v); });
-    runner.add_affine(
-        2, 7, [](int u) { return 30 + u; },
-        [&c](int, int v) { c.push_back(v); });
-    runner.run();
-    EXPECT_EQ(a, (std::vector<int>{10, 11, 12})) << "jobs=" << jobs;
-    EXPECT_EQ(b, (std::vector<int>{20, 21, 22})) << "jobs=" << jobs;
-    EXPECT_EQ(c, (std::vector<int>{30, 31})) << "jobs=" << jobs;
-  }
-}
-
-TEST(SweepRunner, SerialAffinityRunsLeadersImmediatelyBeforeFollowers) {
-  // jobs=1: each (affinity, unit) group's leader runs, then its followers,
-  // before the next group — the tightest locality for an LRU-budgeted
-  // cache. Tasks: X and Y share affinity 5; Z opts out (affinity 0).
-  // Execution order is observed on the map side (single-threaded here),
-  // since results carry no execution-order information by design.
+TEST(SweepRunner, SerialRunExecutesUnitsInAddOrder) {
+  // jobs=1 runs every unit on the calling thread in flat add() order:
+  // tasks as queued, units ascending. Execution order is observed on the
+  // map side, since results carry no execution-order information.
   std::vector<std::string> trace;
   const auto log = [&trace](const char* tag) {
     return [&trace, tag](int u) {
@@ -385,44 +402,12 @@ TEST(SweepRunner, SerialAffinityRunsLeadersImmediatelyBeforeFollowers) {
     };
   };
   exec::SweepRunner runner(1);
-  runner.add_affine(2, 5, log("X"), [](int, int) {});
-  runner.add_affine(2, 5, log("Y"), [](int, int) {});
-  runner.add_affine(1, 0, log("Z"), [](int, int) {});
+  runner.add(2, log("X"), [](int, int) {});
+  runner.add(2, log("Y"), [](int, int) {});
+  runner.add(1, log("Z"), [](int, int) {});
   runner.run();
-  // Flat order X0 X1 Y0 Y1 Z0. Groups: (5,0)={X0 leader, Y0 follower},
-  // (5,1)={X1 leader, Y1 follower}, Z0 its own leader. Serial execution
-  // merges each leader with its followers in leader order.
   EXPECT_EQ(trace,
-            (std::vector<std::string>{"X0", "Y0", "X1", "Y1", "Z0"}));
-}
-
-TEST(SweepRunner, ParallelAffinityRunsAllLeadersBeforeAnyFollower) {
-  // jobs>1: leaders fan out first, then a barrier, then followers. Record
-  // the phase boundary via a counter snapshot.
-  exec::SweepRunner runner(4);
-  std::atomic<int> executed{0};
-  std::atomic<int> followers_seen_before_leaders_done{0};
-  constexpr int kLeaders = 3;  // units 0..2 of the first-queued task
-  runner.add_affine(
-      3, 9,
-      [&executed](int u) {
-        ++executed;
-        return u;
-      },
-      [](int, int) {});
-  runner.add_affine(
-      3, 9,
-      [&executed, &followers_seen_before_leaders_done](int u) {
-        if (executed.load() < kLeaders) {
-          ++followers_seen_before_leaders_done;
-        }
-        ++executed;
-        return u;
-      },
-      [](int, int) {});
-  runner.run();
-  EXPECT_EQ(followers_seen_before_leaders_done.load(), 0);
-  EXPECT_EQ(executed.load(), 6);
+            (std::vector<std::string>{"X0", "X1", "Y0", "Y1", "Z0"}));
 }
 
 TEST(SweepRunner, MapExceptionPropagatesAndClearsTheBatch) {

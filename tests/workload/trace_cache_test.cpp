@@ -1,15 +1,20 @@
 // TraceCache contract: one generation per distinct key, shared snapshots
 // on hits, generate-every-time when disabled, bitwise key sensitivity,
 // checkpoint-table, draw-segment and calibration entries alongside
-// streams, and least-recently-used eviction under a byte budget (hits
-// refresh recency).
+// streams, and single-flight lookups: concurrent lookups of a key wait
+// for its one computation, and a computation that throws publishes
+// nothing.
 #include "rrsim/workload/trace_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -117,46 +122,6 @@ TEST(TraceCache, ClearDropsEntriesAndZeroesCounters) {
   EXPECT_EQ(generations, 1);  // the cleared entry is really gone
 }
 
-TEST(TraceCache, ByteBudgetEvictsOldestFirst) {
-  TraceCache cache;
-  cache.set_byte_budget(2 * sizeof(JobSpec));
-  int generations = 0;
-  const auto gen = [&generations] {
-    ++generations;
-    return make_stream(1);
-  };
-  cache.get_or_generate(key_with(1), gen);
-  cache.get_or_generate(key_with(2), gen);
-  EXPECT_EQ(cache.entries(), 2u);
-  cache.get_or_generate(key_with(3), gen);  // evicts key 1 (oldest)
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.resident_bytes(), 2 * sizeof(JobSpec));
-  cache.get_or_generate(key_with(3), gen);  // newest still resident
-  cache.get_or_generate(key_with(2), gen);
-  EXPECT_EQ(generations, 3);
-  cache.get_or_generate(key_with(1), gen);  // evicted: regenerates
-  EXPECT_EQ(generations, 4);
-}
-
-TEST(TraceCache, HitsRefreshRecencySoEvictionIsGenuinelyLru) {
-  TraceCache cache;
-  cache.set_byte_budget(2 * sizeof(JobSpec));
-  int generations = 0;
-  const auto gen = [&generations] {
-    ++generations;
-    return make_stream(1);
-  };
-  cache.get_or_generate(key_with(1), gen);
-  cache.get_or_generate(key_with(2), gen);
-  cache.get_or_generate(key_with(1), gen);  // hit: key 1 is now the newest
-  cache.get_or_generate(key_with(3), gen);  // evicts key 2, not key 1
-  EXPECT_EQ(generations, 3);
-  cache.get_or_generate(key_with(1), gen);  // still resident
-  EXPECT_EQ(generations, 3);
-  cache.get_or_generate(key_with(2), gen);  // the real victim: regenerates
-  EXPECT_EQ(generations, 4);
-}
-
 TEST(TraceCache, CheckpointTablesAreCachedPerKeyAndWindow) {
   TraceCache cache;
   int builds = 0;
@@ -207,36 +172,6 @@ TEST(TraceCache, DisabledModeCountsCheckpointMissesWithoutPublishing) {
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.checkpoint_misses(), 2u);
   EXPECT_EQ(cache.checkpoint_hits(), 0u);
-}
-
-TEST(TraceCache, ByteBudgetEvictsAcrossEntryKinds) {
-  TraceCache cache;
-  // Room for one 2-job stream plus a little; a checkpoint table then
-  // pushes the older stream out.
-  cache.set_byte_budget(2 * sizeof(JobSpec) +
-                        2 * sizeof(StreamCheckpoint));
-  int generations = 0;
-  const auto gen = [&generations] {
-    ++generations;
-    return make_stream(2);
-  };
-  cache.get_or_generate(key_with(1), gen);
-  const auto build = [] {
-    CheckpointedTrace t;
-    t.window = 4;
-    t.checkpoints.resize(2);
-    t.checkpoints.shrink_to_fit();
-    return t;
-  };
-  cache.get_or_build_checkpoints(key_with(2), 4, build);
-  cache.get_or_generate(key_with(3), gen);  // evicts until under budget
-  EXPECT_LE(cache.resident_bytes(),
-            2 * sizeof(JobSpec) + 2 * sizeof(StreamCheckpoint));
-  // The oldest entry (stream 1) is gone; the newest (stream 3) survived.
-  cache.get_or_generate(key_with(3), gen);
-  EXPECT_EQ(generations, 2);
-  cache.get_or_generate(key_with(1), gen);
-  EXPECT_EQ(generations, 3);
 }
 
 TEST(TraceCache, ClearZeroesCheckpointCounters) {
@@ -426,66 +361,135 @@ TEST(TraceCache, DisabledModeCalibratesEveryTimeWithoutPublishing) {
   EXPECT_EQ(cache.calibration_hits(), 0u);
 }
 
-TEST(TraceCache, ByteBudgetEvictsTheLeastRecentCalibration) {
-  TraceCache cache;
-  cache.set_byte_budget(2 * sizeof(Calibration));
-  int runs = 0;
-  const auto calibrate = [&runs] {
-    ++runs;
-    return Calibration{};
-  };
-  const auto key = [](std::uint64_t start) {
-    CalibrationKey k = calibration_key();
-    k.rng_start.first = start;
-    return k;
-  };
-  cache.get_or_calibrate(key(1), calibrate);
-  cache.get_or_calibrate(key(2), calibrate);
-  cache.get_or_calibrate(key(1), calibrate);  // hit: key 1 is the newest
-  cache.get_or_calibrate(key(3), calibrate);  // evicts key 2
-  EXPECT_EQ(runs, 3);
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.resident_bytes(), 2 * sizeof(Calibration));
-  cache.get_or_calibrate(key(1), calibrate);
-  cache.get_or_calibrate(key(3), calibrate);
-  EXPECT_EQ(runs, 3);
-  cache.get_or_calibrate(key(2), calibrate);  // the victim: recalibrates
-  EXPECT_EQ(runs, 4);
-}
-
-TEST(TraceCache, FreshEntryLargerThanBudgetIsEvictedYetStillReturned) {
-  // Regression: with a budget smaller than a single payload, insertion
-  // evicts the just-inserted entry itself. The returned snapshot must be
-  // the caller-held payload, not a reference into the erased map node
-  // (which was a use-after-free).
-  TraceCache cache;
-  cache.set_byte_budget(1);
-  const auto held =
-      cache.get_or_generate(key_with(1), [] { return make_stream(4); });
-  ASSERT_NE(held, nullptr);
-  EXPECT_EQ(held->size(), 4u);
-  EXPECT_EQ(cache.entries(), 0u);  // the fresh entry itself was evicted
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-  const auto table = cache.get_or_build_checkpoints(key_with(2), 8, [] {
-    CheckpointedTrace t;
-    t.window = 8;
-    t.total_jobs = 20;
-    t.checkpoints.resize(3);
-    return t;
-  });
-  ASSERT_NE(table, nullptr);
-  EXPECT_EQ(table->total_jobs, 20u);
-  EXPECT_EQ(cache.entries(), 0u);
-}
-
 TEST(TraceCache, LiveConsumersSurviveEviction) {
+  // clear() drops every entry; a snapshot a consumer still holds stays
+  // valid.
   TraceCache cache;
-  cache.set_byte_budget(sizeof(JobSpec));
   const auto held =
       cache.get_or_generate(key_with(1), [] { return make_stream(1); });
-  cache.get_or_generate(key_with(2), [] { return make_stream(1); });
-  EXPECT_EQ(cache.entries(), 1u);  // key 1 evicted...
-  EXPECT_EQ(held->size(), 1u);     // ...but the held snapshot stays valid
+  cache.clear();
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(held->size(), 1u);
+}
+
+// Polls `done` until it holds or ten seconds pass: long enough for every
+// thread to reach its lookup, short enough that a broken cache fails the
+// test instead of hanging it.
+template <typename Done>
+void wait_until(const Done& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+constexpr int kLookups = 6;
+
+TEST(TraceCache, ConcurrentLookupsOfOneKeyComputeOnce) {
+  // The first lookup's generation is held open until every thread has
+  // looked the key up: the others must wait for it and count as hits,
+  // not generate a duplicate.
+  TraceCache cache;
+  std::atomic<int> generations{0};
+  const auto gen = [&cache, &generations] {
+    ++generations;
+    wait_until([&cache] {
+      return cache.hits() + cache.misses() == std::uint64_t{kLookups};
+    });
+    return make_stream(3);
+  };
+  std::vector<TraceCache::StreamPtr> got(kLookups);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kLookups; ++t) {
+    threads.emplace_back([&cache, &gen, &got, t] {
+      got[static_cast<std::size_t>(t)] =
+          cache.get_or_generate(key_with(1), gen);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(generations.load(), 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), std::uint64_t{kLookups - 1});
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), 3 * sizeof(JobSpec));
+  for (const TraceCache::StreamPtr& stream : got) {
+    ASSERT_NE(stream, nullptr);
+    EXPECT_EQ(stream.get(), got.front().get());  // one shared snapshot
+  }
+}
+
+TEST(TraceCache, AFailedComputationPublishesNothingAndReachesItsWaiters) {
+  // The first lookup's calibration throws once every thread has looked
+  // the key up: each waiting lookup rethrows the same error, the entry is
+  // gone, and the next lookup computes afresh.
+  TraceCache cache;
+  std::atomic<int> runs{0};
+  const auto failing = [&cache, &runs]() -> Calibration {
+    ++runs;
+    wait_until([&cache] {
+      return cache.calibration_hits() + cache.calibration_misses() ==
+             std::uint64_t{kLookups};
+    });
+    throw std::runtime_error("calibration failed");
+  };
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kLookups; ++t) {
+    threads.emplace_back([&cache, &failing, &failures] {
+      try {
+        cache.get_or_calibrate(calibration_key(), failing);
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "calibration failed") ++failures;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(failures.load(), kLookups);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+
+  const Calibration c = cache.get_or_calibrate(calibration_key(), [] {
+    Calibration ok;
+    ok.mean_interarrival = 7.0;
+    return ok;
+  });
+  EXPECT_EQ(c.mean_interarrival, 7.0);
+  EXPECT_EQ(cache.calibration_misses(), 2u);
+  EXPECT_EQ(cache.entries(), 1u);
+}
+
+TEST(TraceCache, ClearDuringAComputationPublishesNothing) {
+  // A generation still running when clear() drops the entries returns its
+  // result to its caller but neither re-publishes the entry nor counts
+  // its bytes.
+  TraceCache cache;
+  std::atomic<bool> started{false};
+  std::atomic<bool> cleared{false};
+  TraceCache::StreamPtr got;
+  std::thread generator([&] {
+    got = cache.get_or_generate(key_with(1), [&started, &cleared] {
+      started = true;
+      wait_until([&cleared] { return cleared.load(); });
+      return make_stream(2);
+    });
+  });
+  wait_until([&started] { return started.load(); });
+  cache.clear();
+  cleared = true;
+  generator.join();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->size(), 2u);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  int generations = 0;
+  cache.get_or_generate(key_with(1), [&generations] {
+    ++generations;
+    return make_stream(2);
+  });
+  EXPECT_EQ(generations, 1);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 }  // namespace

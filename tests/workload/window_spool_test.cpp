@@ -176,7 +176,7 @@ TEST(WindowSpool, TempDirStaysEmptyForTheSpoolsWholeLifetime) {
 TEST(WindowSpool, ReaderKeepsSpoolAliveAfterOwnerDropsIt) {
   auto spool = build_spool(8, 40);
   WindowSpool::Reader reader(spool);
-  spool.reset();  // simulate cache eviction mid-run
+  spool.reset();  // simulate TraceCache::clear() mid-run
   JobStream out;
   std::size_t seen = 0;
   while (reader.next(8, out) > 0) {
