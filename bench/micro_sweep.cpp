@@ -2,26 +2,22 @@
 //
 // Runs one multi-point relative sweep (the shape of every figure/table
 // harness: K redundancy schemes x reps replications, each replication a
-// scheme-vs-NONE experiment pair) three times:
+// scheme-vs-NONE experiment pair) twice: serially, then on --jobs
+// workers (the flat work-unit pool).
 //
-//   1. serial, trace cache disabled  — the pre-sweep-engine baseline:
-//      every experiment regenerates its Lublin streams from scratch;
-//   2. serial, trace cache enabled   — isolates the memoization win;
-//   3. parallel (--jobs), cache on   — adds the flat work-unit pool.
-//
-// Every mode is timed by bench::time_repeatable and clears the trace
+// Both modes are timed by bench::time_repeatable and clear the trace
 // cache at the start of each run, so every timed run stays cache-cold by
-// design and the cache win is what one sweep gains from its own sharing.
-// All three must produce bit-identical metrics (enforced), so the record
-// measures pure execution-strategy wins. Each must also execute exactly
+// design and the cache serves only what one sweep shares with itself.
+// Both must produce bit-identical metrics (enforced), so the record
+// measures the pool's win alone. Each must also execute exactly
 // one simulation per distinct effective run and replication — the NONE
 // baseline plus each distinct RedundancyScheme::effective() of the five
 // schemes, 6 x reps at the default N = 10 — out of the 10 x reps its
 // points request (enforced: the smoke test fails if the sweep stops
 // sharing runs or shares too many). Results land in BENCH_sweep.json
 // with the execution environment, so numbers from a 1-core container and
-// a 16-core workstation are distinguishable: on a single hardware thread
-// only the cache win shows up; the parallel win needs real cores.
+// a 16-core workstation are distinguishable: the parallel win needs real
+// cores.
 //
 //   ./micro_sweep [--reps=4] [--hours=1] [--jobs=N]
 //                 [--out=BENCH_sweep.json] plus common flags.
@@ -67,12 +63,11 @@ std::uint64_t distinct_runs_per_rep(std::size_t n_clusters) {
   return runs.size();
 }
 
-/// One sweep from a cleared trace cache, with the cache on or off.
+/// One sweep from a cleared trace cache.
 SweepOutcome run_sweep(const core::ExperimentConfig& base, int reps,
-                       int jobs, bool cache_on) {
-  workload::TraceCache& cache = workload::TraceCache::global();
-  cache.set_enabled(cache_on);
-  cache.clear();  // every run starts cold: no carry-over between runs
+                       int jobs) {
+  // Every run starts cold: no carry-over between runs.
+  workload::TraceCache::global().clear();
 
   std::vector<core::RelativeMetrics> results(kSchemes.size());
   core::CampaignSweep sweep(reps, jobs);
@@ -111,10 +106,9 @@ void check_shared(const SweepOutcome& run, const core::ExperimentConfig& base,
 /// Times one mode; every run must produce the same outcome.
 std::pair<bench::Timing, SweepOutcome> time_mode(
     const char* label, const core::ExperimentConfig& base, int reps,
-    int jobs, bool cache_on) {
-  auto timed = bench::time_repeatable(label, [&] {
-    return run_sweep(base, reps, jobs, cache_on);
-  });
+    int jobs) {
+  auto timed = bench::time_repeatable(
+      label, [&] { return run_sweep(base, reps, jobs); });
   check_shared(timed.second, base, reps, label);
   return timed;
 }
@@ -136,31 +130,22 @@ int main(int argc, char** argv) {
     std::printf("=== micro_sweep - sweep engine throughput ===\n");
     std::printf(
         "one %zu-point x %d-rep relative sweep (each rep is a scheme +\n"
-        "NONE experiment pair) under three execution strategies; all three\n"
-        "must agree bit-exactly\n\n",
+        "NONE experiment pair), serial and parallel; both must agree\n"
+        "bit-exactly\n\n",
         kSchemes.size(), reps);
 
-    const auto [nocache, baseline] =
-        time_mode("serial, cache off", base, reps, 1, false);
-    std::printf("  serial, cache off  : %8.4f s  [%.4f, %.4f]\n",
-                nocache.median, nocache.min, nocache.max);
-    const auto [cached, cached_outcome] =
-        time_mode("serial, cache on", base, reps, 1, true);
-    // The cache holds the last cached serial run's counters.
+    const auto [serial, baseline] = time_mode("serial", base, reps, 1);
+    // The cache holds the last serial run's counters.
     const workload::TraceCache& cache = workload::TraceCache::global();
     const std::uint64_t hits = cache.hits();
     const std::uint64_t misses = cache.misses();
-    std::printf("  serial, cache on   : %8.4f s  [%.4f, %.4f]  (%" PRIu64
+    std::printf("  serial    : %8.4f s  [%.4f, %.4f]  (%" PRIu64
                 " hits / %" PRIu64 " misses)\n",
-                cached.median, cached.min, cached.max, hits, misses);
+                serial.median, serial.min, serial.max, hits, misses);
     const auto [parallel, parallel_outcome] =
-        time_mode("--jobs N, cache on", base, reps, jobs, true);
-    std::printf("  --jobs %-2d, cache on: %8.4f s  [%.4f, %.4f]\n", jobs,
+        time_mode("--jobs N", base, reps, jobs);
+    std::printf("  --jobs %-2d : %8.4f s  [%.4f, %.4f]\n", jobs,
                 parallel.median, parallel.min, parallel.max);
-    if (!(cached_outcome == baseline)) {
-      throw std::runtime_error(
-          "determinism violation: cache on vs off diverged");
-    }
     if (!(parallel_outcome == baseline)) {
       throw std::runtime_error(
           "determinism violation: --jobs 1 vs --jobs N diverged");
@@ -173,24 +158,19 @@ int main(int argc, char** argv) {
                                 static_cast<double>(hits + misses)
                           : 0.0;
     std::printf(
-        "\nspeedup vs serial-uncached: cache alone %.2fx, + %d workers "
-        "%.2fx total\ncache hit rate %.0f%% (results bit-identical across "
-        "all modes)\n",
-        nocache.median / cached.median, jobs,
-        nocache.median / parallel.median, hit_rate * 100.0);
+        "\nspeedup of %d workers over serial: %.2fx\ncache hit rate %.0f%% "
+        "(results bit-identical across modes)\n",
+        jobs, serial.median / parallel.median, hit_rate * 100.0);
 
     bench::JsonWriter w = bench::begin_record("micro_sweep", jobs);
     w.field("sweep_points", kSchemes.size()).field("reps_per_point", reps);
     w.field("simulations_requested", baseline.requested);
     w.field("simulations_executed", baseline.executed);
-    w.field("serial_nocache_seconds", nocache);
-    w.field("serial_cached_seconds", cached);
+    w.field("serial_cached_seconds", serial);
     w.field("parallel_seconds", parallel);
     w.field("cache_hits", hits).field("cache_misses", misses);
     w.field("cache_hit_rate", hit_rate);
-    w.speedup("cache_speedup", nocache, cached);
-    w.parallel_speedup("parallel_speedup", cached, parallel);
-    w.speedup("total_speedup_vs_serial", nocache, parallel);
+    w.parallel_speedup("parallel_speedup", serial, parallel);
     w.field("deterministic_across_modes", true).end_object();
     bench::finish_record(w, out_path);
   });

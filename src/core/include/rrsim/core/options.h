@@ -6,13 +6,13 @@
 // be finite (util::Cli::get_double):
 //   --clusters=N      number of sites, 1..2^20
 //   --nodes=K         nodes per cluster, 1..2^31-1
-//   --hours=H         hours of job submissions (>= 0)
+//   --hours=H         hours of job submissions (>= 0, finite in seconds)
 //   --algo=easy|cbf|fcfs
 //   --estimator=exact|phi|uniform216
 //   --scheme=NONE|R2|R3|R4|HALF|ALL
 //   --percent=P       percentage of jobs using redundant requests, in
 //                     [0, 100]
-//   --placement=uniform|biased
+//   --placement=uniform|biased|least-loaded
 //   --load=shared|peak|util  arrival-rate mode (see LoadMode)
 //   --util=U          per-cluster offered load for --load=util (finite,
 //                     > 0)

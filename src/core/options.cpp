@@ -8,6 +8,8 @@
 #include <string>
 
 #include "rrsim/exec/jobs.h"
+#include "rrsim/grid/placement.h"
+#include "rrsim/workload/estimators.h"
 
 namespace rrsim::core {
 
@@ -46,8 +48,10 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
   }
   if (cli.has("hours")) {
     const double hours = cli.get_double("hours", 0.0);
-    if (hours < 0.0) {
-      throw std::invalid_argument("--hours must be >= 0 (got " +
+    // Finite hours can still overflow to an infinite horizon in seconds.
+    if (hours < 0.0 || !std::isfinite(hours * 3600.0)) {
+      throw std::invalid_argument("--hours must be >= 0 and finite in "
+                                  "seconds (got " +
                                   cli.get_string("hours", "") + ")");
     }
     config.submit_horizon = hours * 3600.0;
@@ -55,8 +59,11 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
   if (cli.has("algo")) {
     config.algorithm = sched::parse_algorithm(cli.get_string("algo", ""));
   }
+  // Names are checked by the factories run_experiment calls, so a bad one
+  // fails here, before any set-up, and the name lists stay in one place.
   if (cli.has("estimator")) {
     config.estimator = cli.get_string("estimator", "exact");
+    (void)workload::make_estimator(config.estimator);
   }
   if (cli.has("scheme")) {
     config.scheme = RedundancyScheme::parse(cli.get_string("scheme", ""));
@@ -71,6 +78,7 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
   }
   if (cli.has("placement")) {
     config.placement = cli.get_string("placement", "uniform");
+    (void)grid::make_placement(config.placement);
   }
   if (cli.has("load")) {
     config.load_mode = parse_load_mode(cli.get_string("load", "shared"));

@@ -197,14 +197,12 @@ class TraceCache {
   TraceCache& operator=(const TraceCache&) = delete;
 
   /// Returns the cached stream for `key`, generating (and publishing) it
-  /// via `generate` on a miss. When the cache is disabled, always calls
-  /// `generate` and publishes nothing.
+  /// via `generate` on a miss.
   StreamPtr get_or_generate(const TraceKey& key, const Generator& generate);
 
   /// Returns the cached checkpoint table for (`key`, `window`), building
   /// (and publishing) it via `build` on a miss. Tables for different
-  /// windows of the same trace are distinct entries. When the cache is
-  /// disabled, always calls `build` and publishes nothing. Throws
+  /// windows of the same trace are distinct entries. Throws
   /// std::invalid_argument on window == 0.
   CheckpointPtr get_or_build_checkpoints(const TraceKey& key,
                                          std::size_t window,
@@ -215,8 +213,7 @@ class TraceCache {
   /// O(window) for repeated windowed sweep points: without it every run
   /// would fast-forward the user/redundancy substreams one draw per job
   /// (O(total jobs)) even when the checkpoint table itself is a cache hit.
-  /// Entries are ~32 bytes. When the cache is disabled, always calls
-  /// `advance` and publishes nothing.
+  /// Entries are ~32 bytes.
   DrawSegment get_or_advance_draws(const DrawSegmentKey& key,
                                    const DrawAdvancer& advance);
 
@@ -225,8 +222,7 @@ class TraceCache {
   /// Monte-Carlo work estimate per cluster on every call: repeated sweep
   /// points, replications sharing a seed, and cluster-count sweeps over a
   /// common prefix seek straight to each cluster's result. Entries are
-  /// ~24 bytes. When the cache is disabled, always calls `calibrate` and
-  /// publishes nothing.
+  /// ~24 bytes.
   Calibration get_or_calibrate(const CalibrationKey& key,
                                const Calibrator& calibrate);
 
@@ -234,16 +230,9 @@ class TraceCache {
   /// it via `build` on a miss. The entry counts the spool's resident
   /// index bytes (payload_bytes) toward resident_bytes(), not its on-disk
   /// record bytes; clear() drops the index and closes the unlinked backing
-  /// file once the last consumer's shared_ptr releases. When the cache is
-  /// disabled, always calls `build` and publishes nothing. Throws
+  /// file once the last consumer's shared_ptr releases. Throws
   /// std::invalid_argument on key.window == 0.
   SpoolPtr get_or_build_spool(const SpoolKey& key, const SpoolBuilder& build);
-
-  /// Turns memoization on/off. Disabling does not drop existing entries
-  /// (use clear()); it makes every lookup generate afresh — the serial-
-  /// baseline mode of bench/micro_sweep.
-  void set_enabled(bool on);
-  bool enabled() const;
 
   /// Drops all entries and zeroes the hit/miss counters. Snapshots that
   /// consumers hold stay valid; a computation in flight still returns its
@@ -287,9 +276,9 @@ class TraceCache {
 
   /// The lookup every get_or_* shares: returns the payload cached under
   /// `key` (a hit, waiting if it is still being computed), or publishes an
-  /// in-flight entry and runs `make` outside the lock (a miss; a disabled
-  /// cache runs `make` and publishes nothing), counting the lookup in
-  /// `tally` either way. Defined, and only instantiated, in the .cpp.
+  /// in-flight entry and runs `make` outside the lock (a miss), counting
+  /// the lookup in `tally` either way. Defined, and only instantiated, in
+  /// the .cpp.
   template <typename Value, typename Make>
   Value memoize(std::string key, Tally& tally, const Make& make);
 
@@ -297,7 +286,6 @@ class TraceCache {
   std::uint64_t read_counter(const std::uint64_t& counter) const;
 
   mutable std::mutex mu_;
-  bool enabled_ = true;
   /// Bumped by clear(), so a computation that started before it neither
   /// counts its bytes nor erases an entry a later lookup published.
   std::uint64_t generation_ = 0;

@@ -118,13 +118,6 @@ std::string SpoolKey::bytes() const {
 template <typename Value, typename Make>
 Value TraceCache::memoize(std::string key, Tally& tally, const Make& make) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_) {
-    // Count the lookup as a miss so disabled-mode stats still show how
-    // much recomputation the cache would have absorbed.
-    ++tally.misses;
-    lock.unlock();
-    return make();
-  }
   if (const auto it = map_.find(key); it != map_.end()) {
     ++tally.hits;
     const std::shared_future<Payload> entry = it->second;
@@ -192,16 +185,6 @@ TraceCache::SpoolPtr TraceCache::get_or_build_spool(const SpoolKey& key,
   return memoize<SpoolPtr>(kSpoolTag + key.bytes(), spools_, [&] {
     return std::make_shared<const WindowSpool>(build());
   });
-}
-
-void TraceCache::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = on;
-}
-
-bool TraceCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
 }
 
 void TraceCache::clear() {

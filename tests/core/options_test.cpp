@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "rrsim/exec/jobs.h"
+#include "rrsim/util/rng.h"
 
 namespace rrsim::core {
 namespace {
@@ -203,11 +207,12 @@ TEST(CommonFlags, DoubleFlagsAreRangeChecked) {
   // Unchecked, NaN runs no jobs (--hours), turns redundancy off
   // (--percent), picks the zero-delay kernel (--latency) or turns
   // middleware off (--mw-rate), each silently; --hours=inf generates jobs
-  // until allocation fails.
+  // until allocation fails, and so did --hours=1e306, whose horizon in
+  // seconds overflowed to infinity.
   for (const char* flag :
-       {"--hours=-1", "--hours=nan", "--hours=inf", "--percent=-5",
-        "--percent=101", "--percent=nan", "--mw-rate=-3", "--mw-rate=nan",
-        "--mw-rate=inf", "--latency=nan", "--latency=inf"}) {
+       {"--hours=-1", "--hours=nan", "--hours=inf", "--hours=1e306",
+        "--percent=-5", "--percent=101", "--percent=nan", "--mw-rate=-3",
+        "--mw-rate=nan", "--mw-rate=inf", "--latency=nan", "--latency=inf"}) {
     EXPECT_THROW(parse({flag}), std::invalid_argument) << flag;
   }
 }
@@ -216,6 +221,106 @@ TEST(CommonFlags, BadValuesThrow) {
   EXPECT_THROW(parse({"--algo=unknown"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scheme=R0"}), std::invalid_argument);
   EXPECT_THROW(parse({"--load=none"}), std::invalid_argument);
+  // Checked at the flag layer, before any set-up runs.
+  EXPECT_THROW(parse({"--placement=bogus"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--estimator=bogus"}), std::invalid_argument);
+}
+
+TEST(CommonFlags, SeededCommandLinesThrowOrStayInRange) {
+  // Each command line of 1-6 common flags either throws
+  // std::invalid_argument or yields a config whose fields are in range;
+  // any other exception fails the test.
+  struct Flag {
+    const char* name;
+    std::vector<std::string> values;
+  };
+  // Every flag apply_common_flags reads, with values at and around its
+  // bounds; for name-valued flags, every known name and unknown ones.
+  const std::vector<Flag> flags{
+      {"clusters", {"1", "2", "0", "-1", "1048576", "1048577"}},
+      {"nodes", {"1", "64", "0", "-1", "2147483647", "2147483648"}},
+      {"hours", {"0", "0.5", "-1", "-0.001", "1e300", "1e306"}},
+      {"algo", {"easy", "cbf", "fcfs", "bogus", "EASY"}},
+      {"estimator", {"exact", "phi", "uniform216", "bogus", "Exact"}},
+      {"scheme", {"NONE", "R2", "R4", "HALF", "ALL", "R0", "R-1", "bogus"}},
+      {"percent", {"0", "50", "100", "-1", "100.5", "101"}},
+      {"placement", {"uniform", "biased", "least-loaded", "bogus", "Uniform"}},
+      {"load", {"shared", "peak", "util", "bogus"}},
+      {"util", {"0.8", "1.5", "0", "-1", "1e-300"}},
+      {"protocol", {"drain", "truncate", "bogus"}},
+      {"mw-rate", {"0", "2.5", "-1", "-1e-300"}},
+      {"user-limit", {"0", "2", "-1", "2147483647", "2147483648"}},
+      {"users", {"1", "16", "4096", "0", "4097"}},
+      {"seed", {"1", "99", "-1", "9223372036854775807"}},
+      {"window", {"0", "256", "-1"}},
+      {"jobs", {"1", "2", "0", "-1", "2147483647", "2147483648"}},
+      {"latency", {"0", "60", "-1", "-1e-300"}},
+      {"pdes", {"true", "false", "1", "0", "maybe"}},
+  };
+  // Spellings no flag should misread: -0, one past either end of int64,
+  // 1e400 (past double), non-finite values, trailing junk, hex and the
+  // empty value.
+  const std::vector<std::string> hostile{
+      "-0", "9223372036854775808", "-9223372036854775809", "1e400", "nan",
+      "inf", "-inf", "5abc", "0x10", ""};
+  const std::set<std::string> placements{"uniform", "biased", "least-loaded"};
+  const std::set<std::string> estimators{"exact", "phi", "uniform216"};
+  util::Rng rng(2026);
+  int accepted = 0;
+  int rejected = 0;
+  for (int line = 0; line < 4000; ++line) {
+    std::vector<std::string> args{"prog"};
+    const auto count = 1 + rng.below(6);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const Flag& flag = flags[rng.below(flags.size())];
+      const std::string& value =
+          rng.chance(0.7) ? flag.values[rng.below(flag.values.size())]
+                          : hostile[rng.below(hostile.size())];
+      args.push_back(std::string("--") + flag.name + "=" + value);
+    }
+    std::string shown;
+    std::vector<const char*> argv;
+    for (const std::string& arg : args) {
+      argv.push_back(arg.c_str());
+      shown += " " + arg;
+    }
+    try {
+      const util::Cli cli(static_cast<int>(argv.size()), argv.data());
+      const ExperimentConfig c = apply_common_flags(ExperimentConfig{}, cli);
+      ++accepted;
+      EXPECT_GE(c.n_clusters, 1u) << shown;
+      EXPECT_LE(c.n_clusters, std::size_t{1} << 20) << shown;
+      EXPECT_GE(c.nodes_per_cluster, 1) << shown;
+      EXPECT_GE(c.users_per_cluster, 1) << shown;
+      EXPECT_LE(c.users_per_cluster, 4096) << shown;
+      EXPECT_GE(c.per_user_pending_limit, 0) << shown;
+      EXPECT_TRUE(std::isfinite(c.submit_horizon) && c.submit_horizon >= 0.0)
+          << shown;
+      EXPECT_TRUE(c.redundant_fraction >= 0.0 && c.redundant_fraction <= 1.0)
+          << shown;
+      EXPECT_TRUE(std::isfinite(c.target_utilization) &&
+                  c.target_utilization > 0.0)
+          << shown;
+      EXPECT_TRUE(std::isfinite(c.middleware_ops_per_sec) &&
+                  c.middleware_ops_per_sec >= 0.0)
+          << shown;
+      EXPECT_TRUE(std::isfinite(c.cross_cluster_latency) &&
+                  c.cross_cluster_latency >= 0.0)
+          << shown;
+      EXPECT_EQ(placements.count(c.placement), 1u) << shown;
+      EXPECT_EQ(estimators.count(c.estimator), 1u) << shown;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << shown << ": " << e.what();
+    }
+    exec::set_default_jobs(0);  // --jobs is process-wide; don't leak it
+    if (HasFailure()) return;
+  }
+  // Both outcomes occur in at least a tenth of the lines, so neither side
+  // of the contract goes untested.
+  EXPECT_GT(accepted, 400);
+  EXPECT_GT(rejected, 400);
 }
 
 }  // namespace

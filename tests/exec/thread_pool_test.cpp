@@ -1,6 +1,4 @@
-// Pool and worker-count semantics only — no simulator dependency, so this file
-// can also be compiled standalone under ThreadSanitizer (see
-// tests/CMakeLists.txt, RRSIM_TSAN).
+// Pool and worker-count semantics only — no simulator dependency.
 #include "rrsim/exec/thread_pool.h"
 
 #include <gtest/gtest.h>

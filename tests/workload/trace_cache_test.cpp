@@ -60,29 +60,6 @@ TEST(TraceCache, GeneratesOncePerKeyAndSharesTheSnapshot) {
   EXPECT_EQ(cache.resident_bytes(), 3 * sizeof(JobSpec));
 }
 
-TEST(TraceCache, DisabledModeGeneratesEveryTimeAndPublishesNothing) {
-  TraceCache cache;
-  cache.set_enabled(false);
-  EXPECT_FALSE(cache.enabled());
-  int generations = 0;
-  const auto gen = [&generations] {
-    ++generations;
-    return make_stream(1);
-  };
-  const auto a = cache.get_or_generate(key_with(1), gen);
-  const auto b = cache.get_or_generate(key_with(1), gen);
-  EXPECT_EQ(generations, 2);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);  // counts what memoization would absorb
-
-  cache.set_enabled(true);
-  cache.get_or_generate(key_with(1), gen);
-  EXPECT_EQ(generations, 3);  // nothing was published while disabled
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
 TEST(TraceCache, KeysAreBitwiseSensitive) {
   TraceCache cache;
   int generations = 0;
@@ -158,22 +135,6 @@ TEST(TraceCache, CheckpointTablesAreCachedPerKeyAndWindow) {
                std::invalid_argument);
 }
 
-TEST(TraceCache, DisabledModeCountsCheckpointMissesWithoutPublishing) {
-  TraceCache cache;
-  cache.set_enabled(false);
-  int builds = 0;
-  const auto build = [&builds] {
-    ++builds;
-    return CheckpointedTrace{};
-  };
-  cache.get_or_build_checkpoints(key_with(1), 8, build);
-  cache.get_or_build_checkpoints(key_with(1), 8, build);
-  EXPECT_EQ(builds, 2);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.checkpoint_misses(), 2u);
-  EXPECT_EQ(cache.checkpoint_hits(), 0u);
-}
-
 TEST(TraceCache, ClearZeroesCheckpointCounters) {
   TraceCache cache;
   cache.get_or_build_checkpoints(key_with(1), 8,
@@ -234,22 +195,6 @@ TEST(TraceCache, DrawSegmentsAreMemoizedPerKey) {
   cache.clear();
   EXPECT_EQ(cache.draw_hits(), 0u);
   EXPECT_EQ(cache.draw_misses(), 0u);
-}
-
-TEST(TraceCache, DisabledModeAdvancesDrawsEveryTimeWithoutPublishing) {
-  TraceCache cache;
-  cache.set_enabled(false);
-  int advances = 0;
-  const auto advance = [&advances] {
-    ++advances;
-    return DrawSegment{};
-  };
-  cache.get_or_advance_draws(draw_key_with(1), advance);
-  cache.get_or_advance_draws(draw_key_with(1), advance);
-  EXPECT_EQ(advances, 2);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.draw_misses(), 2u);
-  EXPECT_EQ(cache.draw_hits(), 0u);
 }
 
 CalibrationKey calibration_key() {
@@ -343,22 +288,6 @@ TEST(TraceCache, EveryCalibrationKeyBitIsSignificant) {
   // And the original still hits.
   cache.get_or_calibrate(calibration_key(), calibrate);
   EXPECT_EQ(cache.calibration_hits(), 1u);
-}
-
-TEST(TraceCache, DisabledModeCalibratesEveryTimeWithoutPublishing) {
-  TraceCache cache;
-  cache.set_enabled(false);
-  int runs = 0;
-  const auto calibrate = [&runs] {
-    ++runs;
-    return Calibration{};
-  };
-  cache.get_or_calibrate(calibration_key(), calibrate);
-  cache.get_or_calibrate(calibration_key(), calibrate);
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.calibration_misses(), 2u);
-  EXPECT_EQ(cache.calibration_hits(), 0u);
 }
 
 TEST(TraceCache, LiveConsumersSurviveEviction) {
