@@ -11,7 +11,7 @@
 //
 // Guards asserted in-harness (a violation aborts, it is not a number in
 // a JSON):
-//   - the per-point result checksum is identical across --jobs 1/2/8
+//   - the per-point result checksum is identical across --jobs 1/2/4/8
 //     AND the cold baseline (the cache is bit-transparent);
 //   - every sweep reports nonzero calibration, checkpoint AND
 //     draw-segment hits (the sharing actually happened), and the three
@@ -29,7 +29,9 @@
 // takes minutes at full scale), and each time is recorded through the
 // same bench::summarize as the other benches' rows, with "runs": 1.
 // Timing ratios are recorded, not asserted — the ctest smoke runs at toy
-// scale where they are pure noise.
+// scale where they are pure noise. Each row's --jobs value is capped at
+// the hardware threads like a user's (exec::cap_to_hardware), and the
+// row records the count it ran with as "jobs_used".
 //
 //   ./micro_gridsweep [--clusters=1000] [--hours=11] [--window=256]
 //                     [--assert-rss-mb=0] [--out=BENCH_gridsweep.json]
@@ -47,6 +49,7 @@
 #include "bench_common.h"
 #include "rrsim/core/experiment.h"
 #include "rrsim/core/sweep.h"
+#include "rrsim/exec/jobs.h"
 #include "rrsim/metrics/summary.h"
 
 namespace {
@@ -156,12 +159,12 @@ std::vector<PointRun> run_cold_baseline(std::size_t clusters, double hours,
 }
 
 SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
-                   int jobs) {
+                   int jobs_used) {
   // Each sweep starts against an empty cache so its counters (and the
   // jobs=1 sweep's cold first point) describe this sweep alone, not
   // leftovers from the previous --jobs value.
   workload::TraceCache::global().clear();
-  core::CampaignSweep sweep(1, jobs);
+  core::CampaignSweep sweep(1, jobs_used);
   SweepRun out;
   out.points.resize(kPoints.size());
   for (std::size_t i = 0; i < kPoints.size(); ++i) {
@@ -182,8 +185,8 @@ SweepRun run_sweep(std::size_t clusters, double hours, std::size_t window,
   if (out.cache.checkpoint_hits == 0 || out.cache.draw_hits == 0 ||
       out.cache.calibration_hits == 0) {
     throw std::runtime_error(
-        "cache-sharing violation: sweep at --jobs=" + std::to_string(jobs) +
-        " saw no checkpoint, draw-segment or calibration hits "
+        "cache-sharing violation: sweep on " + std::to_string(jobs_used) +
+        " workers saw no checkpoint, draw-segment or calibration hits "
         "(checkpoint_hits=" + std::to_string(out.cache.checkpoint_hits) +
         " draw_hits=" + std::to_string(out.cache.draw_hits) +
         " calibration_hits=" + std::to_string(out.cache.calibration_hits) +
@@ -215,7 +218,7 @@ int main(int argc, char** argv) {
     std::printf(
         "%zu points ({R2,R4} x fraction {.25,.5,.75,1}) x %zu clusters, "
         "windowed (W=%zu), one process;\nper-point results must be "
-        "bit-identical across --jobs 1/2/8 (checksum-enforced)\n\n",
+        "bit-identical across --jobs 1/2/4/8 (checksum-enforced)\n\n",
         kPoints.size(), clusters, window);
 
     std::printf("cold baseline (cache cleared before every point):\n");
@@ -227,14 +230,15 @@ int main(int argc, char** argv) {
     std::printf("  %7.2fs total | checksum %016llx\n\n", cold_total,
                 static_cast<unsigned long long>(cold_checksum));
 
-    constexpr std::array<int, 3> kJobs{1, 2, 8};
+    constexpr std::array<int, 4> kJobs{1, 2, 4, 8};
     std::vector<SweepRun> sweeps;
     for (const int jobs : kJobs) {
-      SweepRun run = run_sweep(clusters, hours, window, jobs);
-      std::printf("jobs=%d: %7.2fs total | ckpt %" PRIu64 "h/%" PRIu64
-                  "m draw %" PRIu64 "h/%" PRIu64 "m calib %" PRIu64
+      const int used = exec::cap_to_hardware(jobs);
+      SweepRun run = run_sweep(clusters, hours, window, used);
+      std::printf("jobs=%d (%d used): %7.2fs total | ckpt %" PRIu64
+                  "h/%" PRIu64 "m draw %" PRIu64 "h/%" PRIu64 "m calib %" PRIu64
                   "h/%" PRIu64 "m | checksum %016llx\n",
-                  jobs, run.total_seconds, run.cache.checkpoint_hits,
+                  jobs, used, run.total_seconds, run.cache.checkpoint_hits,
                   run.cache.checkpoint_misses, run.cache.draw_hits,
                   run.cache.draw_misses, run.cache.calibration_hits,
                   run.cache.calibration_misses,
@@ -277,7 +281,7 @@ int main(int argc, char** argv) {
     std::printf("jobs per point: %" PRIu64 "\n", serial.front().jobs);
 
     bench::JsonWriter w = bench::begin_record(
-        "micro_gridsweep", static_cast<int>(kJobs.back()));
+        "micro_gridsweep", exec::cap_to_hardware(kJobs.back()));
     const std::size_t rss = rrsim::bench::peak_rss_bytes();
     if (budget_mb > 0 &&
         rss > static_cast<std::size_t>(budget_mb) * 1048576) {
@@ -312,7 +316,9 @@ int main(int argc, char** argv) {
       const SweepRun& run = sweeps[i];
       const core::SweepCacheStats& c = run.cache;
       w.begin_object();
-      w.field("jobs", kJobs[i]).field("total_seconds", once(run.total_seconds));
+      w.field("jobs", kJobs[i]);
+      w.field("jobs_used", exec::cap_to_hardware(kJobs[i]));
+      w.field("total_seconds", once(run.total_seconds));
       w.field("results_checksum", bench::hex64(run.checksum));
       w.key("trace_cache").begin_object(true);
       w.field("checkpoint_hits", c.checkpoint_hits);

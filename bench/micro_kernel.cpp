@@ -2,7 +2,7 @@
 //
 // Times the production kernel (one binary heap of 24-byte entries over a
 // pooled slab, inline callbacks, cancelled entries purged once they
-// outnumber live events) under two event mixes, and the flat job-table
+// outnumber live events) under three event mixes, and the flat job-table
 // maps under the scheduler/gateway access mix:
 //
 //   1. schedule–cancel–dispatch churn: batched arrivals spread over a
@@ -13,7 +13,10 @@
 //      workloads peak at 70 to 1 809);
 //   2. live-event churn: 1 024 live events, each dispatch scheduling its
 //      replacement, so every slot is recycled;
-//   3. flat hash and flat ordered map churn.
+//   3. wake-up churn, CBF's pattern: about 100 live events, and on every
+//      dispatch one wake-up moved with EventHandle::reschedule, mostly to
+//      the time it already has (the row records its heap pushes);
+//   4. flat hash and flat ordered map churn.
 //
 // Every row is timed by bench::time_repeatable: the churns are
 // deterministic, so every run must dispatch the same events in the same
@@ -56,6 +59,7 @@ struct ChurnStats {
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t dispatched = 0;
+  std::uint64_t heap_pushes = 0;
   std::uint64_t checksum = 0;
   bool operator==(const ChurnStats&) const = default;
 };
@@ -108,6 +112,7 @@ ChurnStats run_churn(int batches, int events_per_batch, std::uint64_t seed) {
   }
   k.run();
   s.dispatched = k.dispatched();
+  s.heap_pushes = k.heap_pushes();
   return s;
 }
 
@@ -144,6 +149,57 @@ std::uint64_t run_live_churn() {
   for (std::size_t i = 0; i < kLiveEvents; ++i) churn.tick();
   churn.sim.run();
   return churn.sim.dispatched();
+}
+
+// ---------------------------------------------------------------------------
+// Wake-up churn: CBF's dispatch_ready pattern. A hundred live events each
+// schedule their replacement, and every dispatch moves one wake-up event
+// with EventHandle::reschedule: seven passes in eight to the time it
+// already has, every eighth a short hop from now (earlier or later). A
+// wake-up that fires is scheduled afresh on the next pass. The dispatch
+// trace is folded into a checksum.
+constexpr std::size_t kWakeupLiveEvents = 100;
+constexpr std::uint64_t kWakeupChurnEvents = 1000000;
+
+struct WakeupChurn {
+  des::Simulation sim;
+  Jitter jitter;
+  std::uint64_t remaining = kWakeupChurnEvents;
+  std::uint64_t passes = 0;
+  des::Simulation::EventHandle wakeup;
+  des::Time wakeup_at = 0.0;
+  ChurnStats stats;
+
+  void tick(std::uint64_t id) {
+    fold(stats, id, sim.now());
+    move_wakeup();
+    if (remaining == 0) return;
+    --remaining;
+    sim.schedule_in(jitter.next(), [this, id] { tick(id); });
+  }
+
+  void move_wakeup() {
+    if (++passes % 8 == 0 || !wakeup.pending()) {
+      wakeup_at = sim.now() + 2.0 * jitter.next();
+    }
+    if (!wakeup.reschedule(wakeup_at)) {
+      wakeup = sim.schedule_at(
+          wakeup_at, [this] { fold(stats, 0, sim.now()); },
+          des::Priority::kControl);
+    }
+  }
+};
+
+ChurnStats run_wakeup_churn() {
+  WakeupChurn churn;
+  for (std::uint64_t id = 1; id <= kWakeupLiveEvents; ++id) churn.tick(id);
+  churn.sim.run();
+  ChurnStats s = churn.stats;
+  s.scheduled = churn.sim.scheduled();
+  s.cancelled = churn.sim.cancelled();
+  s.dispatched = churn.sim.dispatched();
+  s.heap_pushes = churn.sim.heap_pushes();
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -243,12 +299,15 @@ int main(int argc, char** argv) {
     std::printf("=== micro_kernel - DES kernel hot-path throughput ===\n");
     std::printf(
         "schedule-cancel-dispatch churn (%d batches x %d events, 25%%\n"
-        "cancelled, 20%% follow-up insertions) and %zu-live-event churn\n"
-        "(%llu events) through the pooled-heap kernel, then job-table map\n"
-        "churn (%lld ops) through the flat maps; seconds are the median of\n"
-        "%d timed runs after a warm-up, [min, max] beside them\n\n",
+        "cancelled, 20%% follow-up insertions), %zu-live-event churn\n"
+        "(%llu events) and a wake-up moved on each of %llu dispatches\n"
+        "among %zu live events through the pooled-heap kernel, then\n"
+        "job-table map churn (%lld ops) through the flat maps; seconds are\n"
+        "the median of %d timed runs after a warm-up, [min, max] beside\n"
+        "them\n\n",
         batches, events, kLiveEvents,
         static_cast<unsigned long long>(kLiveChurnEvents),
+        static_cast<unsigned long long>(kWakeupChurnEvents), kWakeupLiveEvents,
         static_cast<long long>(map_ops), bench::kTimedRuns);
 
     constexpr std::uint64_t kSeed = 20260807;
@@ -260,6 +319,10 @@ int main(int argc, char** argv) {
     const auto [live_t, live_dispatched] =
         bench::time_repeatable("live-event churn", run_live_churn);
     print_row("live-events", live_t, static_cast<double>(live_dispatched),
+              "events/s");
+    const auto [wakeup_t, wakeup] =
+        bench::time_repeatable("wake-up churn", run_wakeup_churn);
+    print_row("wake-up", wakeup_t, static_cast<double>(wakeup.dispatched),
               "events/s");
 
     constexpr std::uint64_t kPendingUniverse = 65536;  // cancel-storm depth
@@ -286,6 +349,7 @@ int main(int argc, char** argv) {
     w.field("events_per_sec", churn_events / churn_t.median, 0);
     w.field("scheduled", churn.scheduled).field("cancelled", churn.cancelled);
     w.field("dispatched", churn.dispatched);
+    w.field("heap_pushes", churn.heap_pushes);
     w.field("trace_checksum", bench::hex64(churn.checksum)).end_object();
     w.key("live_event_churn").begin_object();
     w.field("live_events", kLiveEvents).field("seconds", live_t);
@@ -293,6 +357,14 @@ int main(int argc, char** argv) {
     w.field("events_per_sec",
             static_cast<double>(live_dispatched) / live_t.median, 0);
     w.end_object();
+    w.key("wakeup_churn").begin_object();
+    w.field("live_events", kWakeupLiveEvents).field("seconds", wakeup_t);
+    w.field("events_per_sec",
+            static_cast<double>(wakeup.dispatched) / wakeup_t.median, 0);
+    w.field("scheduled", wakeup.scheduled).field("cancelled", wakeup.cancelled);
+    w.field("dispatched", wakeup.dispatched);
+    w.field("heap_pushes", wakeup.heap_pushes);
+    w.field("trace_checksum", bench::hex64(wakeup.checksum)).end_object();
     w.key("flat_hash").begin_object();
     w.field("ops", map_ops).field("universe", kPendingUniverse);
     w.field("seconds", hash_t);

@@ -344,6 +344,7 @@ SimResult run_experiment(const ExperimentConfig& config,
     result.events_dispatched += sim_of(p).dispatched();
     result.events_scheduled += sim_of(p).scheduled();
     result.events_cancelled += sim_of(p).cancelled();
+    result.heap_pushes += sim_of(p).heap_pushes();
   }
   for (const Pump& pump : pumps) {
     result.live_state_bytes += pump.live_state_bytes();

@@ -222,6 +222,10 @@ struct SimResult {
   std::uint64_t events_dispatched = 0;
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;
+  /// Event-heap entries pushed (des::Simulation::heap_pushes()), summed
+  /// over the partitions: events_scheduled less CBF's wake-up moves that
+  /// did not move earlier.
+  std::uint64_t heap_pushes = 0;
   std::uint64_t gateway_cancels = 0;  ///< replica cancellations issued
   std::uint64_t replicas_rejected = 0;  ///< refused by per-user limits
   std::uint64_t replicas_dropped = 0;  ///< skipped (job already started)

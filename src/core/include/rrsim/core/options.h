@@ -25,9 +25,10 @@
 //   --window=W        windowed trace generation: pull W jobs at a time
 //                     instead of materializing whole streams (any record
 //                     mode, either kernel; results are identical; 0 = off)
-//   --jobs=N          campaign worker threads (also env RRSIM_JOBS;
-//                     default: hardware concurrency). Campaign results
-//                     are bit-identical for any N.
+//   --jobs=N          campaign worker threads, 1..4096, capped at the
+//                     hardware thread count (also env RRSIM_JOBS, same
+//                     rule; default: hardware concurrency). Campaign
+//                     results are bit-identical for any N.
 //   --pdes            run on the conservative parallel kernel (one DES
 //                     partition per cluster; requires --latency > 0 to
 //                     take effect, worker count from --jobs/RRSIM_JOBS;
@@ -55,8 +56,9 @@ std::string load_mode_name(LoadMode mode);
 ExperimentConfig apply_common_flags(ExperimentConfig config,
                                     const util::Cli& cli);
 
-/// Reads --jobs, if given, into exec::set_default_jobs: the one place the
-/// flag is parsed. apply_common_flags calls it; so does any binary whose
+/// Reads --jobs, if given, through exec::user_jobs (the rule RRSIM_JOBS
+/// follows too) into exec::set_default_jobs: the one place the flag is
+/// parsed. apply_common_flags calls it; so does any binary whose
 /// campaign pool sizes itself by exec::default_jobs() without taking the
 /// other common flags.
 void apply_jobs_flag(const util::Cli& cli);

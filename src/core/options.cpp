@@ -158,8 +158,8 @@ ExperimentConfig apply_common_flags(ExperimentConfig config,
 
 void apply_jobs_flag(const util::Cli& cli) {
   if (cli.has("jobs")) {
-    exec::set_default_jobs(static_cast<int>(
-        cli.get_int_in("jobs", 0, 1, std::numeric_limits<int>::max())));
+    exec::set_default_jobs(
+        exec::user_jobs(cli.get_string("jobs", ""), "--jobs"));
   }
 }
 

@@ -21,9 +21,19 @@
 // entry is live iff its slot still carries the entry's seq: cancelling or
 // firing an event retires the slot at once and leaves the entry behind,
 // to be skipped when it reaches the top. When cancelled entries outnumber
-// the live events (the heap exceeds 2 x live + 64), schedule_at drops them
-// all in one pass and re-heapifies, so the heap stays O(live events) under
-// any amount of cancel-and-reschedule churn.
+// the live events (the heap exceeds 2 x live + 64), the next push drops
+// them all in one pass and re-heapifies, so the heap stays O(live events)
+// under any amount of cancel-and-reschedule churn.
+//
+// EventHandle::reschedule moves an event in place. It is exactly cancel()
+// then schedule_at() (fresh seq, same slot, same counts), but the heap
+// work is deferred: the slot records the event's true (time, key), and an
+// entry only has to sort no later than its event. A move to a later time
+// or to the same time leaves the standing entry where it is, and the
+// heap top re-keys it with one sift-down when it gets there; a move to an
+// earlier time pushes a fresh entry, and the old one dies by the seq rule
+// above. CBF's wake-up, moved on almost every scheduling pass and almost
+// always to the time it already had, thus costs no heap push.
 #pragma once
 
 #include <cstdint>
@@ -144,6 +154,16 @@ class Simulation {
     /// True if the event is still queued (not fired, not cancelled).
     bool pending() const noexcept;
 
+    /// Moves the event to time `t`. Defined as cancel() then
+    /// schedule_at(t) with the same callback, priority and tag: the event
+    /// takes a fresh insertion sequence, counts as one cancelled and one
+    /// scheduled event and keeps its slot, and this handle follows it
+    /// (other copies become inert). Returns false, changing nothing, if
+    /// the event already fired or was cancelled. Throws
+    /// std::invalid_argument, changing nothing, if `t` is in the past or
+    /// not finite.
+    bool reschedule(Time t);
+
    private:
     friend class Simulation;
     EventHandle(Simulation* sim, std::uint32_t slot, std::uint64_t gen)
@@ -221,12 +241,18 @@ class Simulation {
   /// Total events dispatched so far.
   std::uint64_t dispatched() const noexcept { return dispatched_; }
 
-  /// Total events scheduled so far (each schedule_at call).
+  /// Total events scheduled so far (each schedule_at call and each
+  /// reschedule).
   std::uint64_t scheduled() const noexcept { return next_seq_; }
 
   /// Total events cancelled before they fired (EventHandle::cancel calls
-  /// that returned true).
+  /// that returned true, and each reschedule).
   std::uint64_t cancelled() const noexcept { return cancelled_; }
+
+  /// Total heap entries pushed: one per schedule_at call, plus one per
+  /// reschedule to an earlier time. Equals scheduled() when nothing
+  /// reschedules.
+  std::uint64_t heap_pushes() const noexcept { return heap_pushes_; }
 
   /// Size of the event slab (live + recycled slots); observability for
   /// tests and benchmarks, not part of the simulation semantics.
@@ -283,16 +309,21 @@ class Simulation {
 
   // One pooled event. `generation` counts retirements of the slot: a
   // handle created with generation g is live iff the slot still holds
-  // generation g. `seq` is the queued event's insertion sequence (kNoSeq
+  // generation g. `time` and `key` are the queued event's true order;
+  // `entry_seq` is the seq of the one heap entry standing for it (kNoSeq
   // while the slot is free), so a heap entry is live iff its slot still
-  // carries the entry's seq. Cancelling or firing retires the slot at
-  // once (bumps the generation, clears the seq, returns the index to the
-  // free list), so the slot is reusable immediately — the pooled-slab
-  // recycling tests pin this.
+  // carries the entry's seq. A live entry sorts no later than (time, key)
+  // and equals it unless the event was rescheduled since the entry was
+  // pushed. Cancelling or firing retires the slot at once (bumps the
+  // generation, clears entry_seq, returns the index to the free list), so
+  // the slot is reusable immediately — the pooled-slab recycling tests
+  // pin this.
   struct Slot {
     Callback callback;
     std::uint64_t generation = 0;
-    std::uint64_t seq = kNoSeq;
+    Time time = 0.0;
+    std::uint64_t key = 0;
+    std::uint64_t entry_seq = kNoSeq;
     std::uint32_t tag = kNoEventTag;
 #if RRSIM_VALIDATE_ENABLED
     /// Dispatch count at schedule time. The order oracle compares the
@@ -332,19 +363,30 @@ class Simulation {
 
   /// True if a heap entry's event is still queued (not fired, cancelled).
   bool is_live(const Entry& e) const noexcept {
-    return slots_[e.slot].seq == seq_of(e);
+    return slots_[e.slot].entry_seq == seq_of(e);
   }
+
+  /// Throws std::invalid_argument unless `t` is finite and >= now().
+  void check_time(Time t, const char* what) const;
 
   /// Retires a live slot: destroys its callback (callers that dispatch
   /// move it out first), bumps the generation, recycles the index.
   void retire(std::uint32_t slot) noexcept;
 
-  /// Heap helpers over heap_ (min-first per Compare).
+  /// Body of EventHandle::reschedule for the live event in `slot`.
+  /// Returns the slot's new generation.
+  std::uint64_t reschedule(std::uint32_t slot, Time t);
+
+  /// Heap helpers over heap_ (min-first per Compare). heap_push purges
+  /// cancelled entries first once they outnumber the live events.
   void heap_push(const Entry& e);
   void heap_pop() noexcept;
+  void sift_down_top() noexcept;
 
-  /// Pops cancelled entries off the heap top. Returns the live top (the
-  /// earliest queued event), or nullptr when nothing is queued.
+  /// Pops cancelled entries off the heap top and re-keys a top entry
+  /// whose event was rescheduled later. Returns the live top, whose
+  /// (time, key) is then its event's own (the earliest queued event), or
+  /// nullptr when nothing is queued.
   const Entry* live_top() noexcept;
 
   /// Drops every cancelled entry and re-heapifies.
@@ -366,6 +408,7 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t heap_pushes_ = 0;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

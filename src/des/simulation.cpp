@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace rrsim::des {
@@ -23,17 +24,64 @@ bool Simulation::EventHandle::pending() const noexcept {
   return sim_ != nullptr && sim_->is_live(slot_, gen_);
 }
 
+bool Simulation::EventHandle::reschedule(Time t) {
+  if (sim_ == nullptr || !sim_->is_live(slot_, gen_)) return false;
+  gen_ = sim_->reschedule(slot_, t);
+  return true;
+}
+
+void Simulation::check_time(Time t, const char* what) const {
+  if (!(t >= now_) || !std::isfinite(t)) {
+    throw std::invalid_argument(std::string(what) +
+                                ": time must be finite and >= now");
+  }
+}
+
 void Simulation::retire(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.callback = nullptr;  // drop captured resources; cheap if already moved
   ++s.generation;
-  s.seq = kNoSeq;
+  s.entry_seq = kNoSeq;
   free_slots_.push_back(slot);
 }
 
+std::uint64_t Simulation::reschedule(std::uint32_t index, Time t) {
+  check_time(t, "reschedule");
+  // cancel() then schedule_at() would retire the slot, take it straight
+  // back off the free list (LIFO) and give the event the next seq and a
+  // bumped generation; the counters and the slot match that pair exactly.
+  Slot& slot = slots_[index];
+  ++cancelled_;
+  ++slot.generation;
+  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t key = (slot.key & ~kSeqMask) | seq;
+#if RRSIM_VALIDATE_ENABLED
+  slot.epoch = dispatched_;
+#endif
+  // The standing entry sorts no later than the old (time, key), and the
+  // fresh seq sorts after every queued one, so it still sorts no later
+  // than the new order unless the time moves earlier. Only then does the
+  // event need a fresh entry; the old one dies with its seq.
+  const bool earlier = t < slot.time;
+  slot.time = t;
+  slot.key = key;
+  if (earlier) {
+    slot.entry_seq = seq;
+    heap_push(Entry{t, key, index});
+  }
+  return slot.generation;
+}
+
 void Simulation::heap_push(const Entry& e) {
+  // Cancelled entries linger until they reach the top, so a caller that
+  // keeps cancelling and rescheduling one event would grow the heap
+  // without bound; drop them all once they outnumber the live events. A
+  // purge removes more entries than it keeps, so it costs O(1) amortized
+  // per cancelled entry.
+  if (heap_.size() > 2 * live_ + kPurgeSlack) purge_cancelled();
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Compare{});
+  ++heap_pushes_;
 }
 
 void Simulation::heap_pop() noexcept {
@@ -41,10 +89,35 @@ void Simulation::heap_pop() noexcept {
   heap_.pop_back();
 }
 
+void Simulation::sift_down_top() noexcept {
+  const std::size_t n = heap_.size();
+  const Entry e = heap_.front();
+  std::size_t i = 0;
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    // Compare(a, b) is "a sorts after b": follow the earlier child.
+    if (c + 1 < n && Compare{}(heap_[c], heap_[c + 1])) ++c;
+    if (!Compare{}(e, heap_[c])) break;
+    heap_[i] = heap_[c];
+    i = c;
+  }
+  heap_[i] = e;
+}
+
 const Simulation::Entry* Simulation::live_top() noexcept {
   while (!heap_.empty()) {
-    if (is_live(heap_.front())) return &heap_.front();
-    heap_pop();
+    Entry& top = heap_.front();
+    if (!is_live(top)) {
+      heap_pop();
+      continue;
+    }
+    Slot& s = slots_[top.slot];
+    if (top.key == s.key) return &top;
+    // The event was rescheduled to a later (time, key) since this entry
+    // was pushed: give the entry the event's order and let it sink.
+    top.time = s.time;
+    top.key = s.key;
+    s.entry_seq = seq_of(top);
+    sift_down_top();
   }
   return nullptr;
 }
@@ -57,9 +130,7 @@ void Simulation::purge_cancelled() {
 Simulation::EventHandle Simulation::schedule_at(Time t, Callback cb,
                                                 Priority prio,
                                                 std::uint32_t tag) {
-  if (!(t >= now_) || !std::isfinite(t)) {
-    throw std::invalid_argument("schedule_at: time must be finite and >= now");
-  }
+  check_time(t, "schedule_at");
   if (!cb) throw std::invalid_argument("schedule_at: empty callback");
   std::uint32_t index;
   if (!free_slots_.empty()) {
@@ -74,21 +145,16 @@ Simulation::EventHandle Simulation::schedule_at(Time t, Callback cb,
   }
   Slot& slot = slots_[index];
   slot.callback = std::move(cb);
-  slot.seq = next_seq_++;
+  slot.entry_seq = next_seq_++;
+  slot.time = t;
+  slot.key =
+      (std::uint64_t{static_cast<std::uint8_t>(prio)} << kPriorityShift) |
+      slot.entry_seq;
   slot.tag = tag;
 #if RRSIM_VALIDATE_ENABLED
   slot.epoch = dispatched_;
 #endif
-  // Cancelled entries linger until they reach the top, so a caller that
-  // keeps cancelling and rescheduling one event (CBF's wake-up) would grow
-  // the heap without bound; drop them all once they outnumber the live
-  // events. A purge removes more entries than it keeps, so it costs O(1)
-  // amortized per cancelled entry.
-  if (heap_.size() > 2 * live_ + kPurgeSlack) purge_cancelled();
-  const std::uint64_t key =
-      (std::uint64_t{static_cast<std::uint8_t>(prio)} << kPriorityShift) |
-      slot.seq;
-  heap_push(Entry{t, key, index});
+  heap_push(Entry{t, slot.key, index});
   ++live_;
   return EventHandle(this, index, slot.generation);
 }
@@ -122,13 +188,17 @@ void Simulation::fire(std::uint32_t slot, Time t) {
 void Simulation::gather_cohort(std::size_t i) {
   // A heap parent never sorts after its child, so every entry sharing the
   // root's (time, priority) has only such entries above it: the cohort,
-  // cancelled entries included, is a subtree at the root.
+  // cancelled entries included, is a subtree at the root. An entry sorts
+  // no later than its event and the root is exact, so a live member's
+  // entry is in that subtree too; it is listed by its event's own seq,
+  // and a live entry whose event was rescheduled later is skipped.
   if (i >= heap_.size()) return;
   const Entry& e = heap_[i];
   if (e.time != group_time_ || priority_of(e) != group_prio_) return;
-  if (is_live(e)) {
+  const Slot& s = slots_[e.slot];
+  if (is_live(e) && s.time == group_time_) {
     group_members_.push_back(
-        GroupMember{seq_of(e), e.slot, slots_[e.slot].tag});
+        GroupMember{s.key & kSeqMask, e.slot, s.tag});
   }
   gather_cohort(2 * i + 1);
   gather_cohort(2 * i + 2);
@@ -280,12 +350,13 @@ std::uint64_t Simulation::debug_fingerprint() const noexcept {
   mix(next_seq_);
   mix(dispatched_);
   mix(cancelled_);
+  mix(heap_pushes_);
   mix(live_);
   mix(heap_.size());
   mix(slots_.size() - free_slots_.size());  // slots not on the free list
   std::uint64_t busy = 0;
   for (const Slot& s : slots_) {
-    if (s.seq != kNoSeq) ++busy;
+    if (s.entry_seq != kNoSeq) ++busy;
   }
   mix(busy);
   mix(policy_ == nullptr ? 0 : 1);
@@ -302,6 +373,7 @@ void Simulation::reset() noexcept {
   next_seq_ = 0;
   dispatched_ = 0;
   cancelled_ = 0;
+  heap_pushes_ = 0;
   live_ = 0;
   heap_.clear();
   // The policy is per-run configuration: clearing it keeps a pooled
@@ -325,7 +397,7 @@ void Simulation::reset() noexcept {
     Slot& s = slots_[i];
     s.callback = nullptr;
     ++s.generation;
-    s.seq = kNoSeq;
+    s.entry_seq = kNoSeq;
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
 #if RRSIM_VALIDATE_ENABLED

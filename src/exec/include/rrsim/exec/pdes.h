@@ -17,8 +17,8 @@
 //           (time, priority, source partition, per-source seq), into
 //           their destination partitions.
 //   4. Advance every partition with run_before(H) — in parallel on a
-//           ThreadPool when jobs > 1, in partition order otherwise.
-//   5. Collect the messages the window staged, and repeat.
+//           ThreadPool when jobs > 1, in partition order otherwise —
+//           and repeat with the messages the window posted.
 //
 // Determinism for any worker count is by construction, not by luck:
 //   * each partition's event order is the kernel's own (time, priority,
@@ -94,14 +94,14 @@ class PdesCoordinator {
   std::uint64_t messages_delivered() const noexcept { return delivered_; }
 
   /// Cross-partition messages posted but not yet scheduled into their
-  /// destination partition (staged mailboxes plus the collected pending
-  /// list). While this is 0, same-timestamp events in different
-  /// partitions cannot be causally coupled through the coordinator — the
-  /// PDES independence criterion tie-break explorers use for DPOR-style
-  /// pruning. Coordinator-thread only (jobs == 1 for explorer runs).
+  /// destination partition (every mailbox's contents). While this is 0,
+  /// same-timestamp events in different partitions cannot be causally
+  /// coupled through the coordinator — the PDES independence criterion
+  /// tie-break explorers use for DPOR-style pruning. Coordinator-thread
+  /// only (jobs == 1 for explorer runs).
   std::uint64_t in_flight_messages() const noexcept {
-    std::uint64_t n = pending_.size();
-    for (const std::vector<Message>& box : staging_) n += box.size();
+    std::uint64_t n = 0;
+    for (const std::vector<Message>& box : mailboxes_) n += box.size();
     return n;
   }
 
@@ -122,14 +122,21 @@ class PdesCoordinator {
     des::Simulation::Callback fn;
   };
 
-  /// Moves every staged mailbox into pending_, in source order. Runs on
-  /// the coordinator thread only; the parallel_for_each barrier provides
-  /// the happens-before edge from the workers' writes.
-  void collect_staged();
+  /// Sort key of one due message: its delivery order and its place in
+  /// its source's mailbox. 32 bytes, so sorting moves no callback.
+  struct DueKey {
+    des::Time time;
+    int priority;
+    std::uint32_t source;
+    std::uint64_t seq;
+    std::uint32_t index;  ///< position in mailboxes_[source]
+  };
 
-  /// Sorts pending_ by (time, priority, source, seq) and schedules every
-  /// message with time < bound (or <= bound when `inclusive`) into its
-  /// destination partition.
+  /// Schedules every message with time < bound (or <= bound when
+  /// `inclusive`) into its destination partition, in (time, priority,
+  /// source, seq) order, and drops it from its mailbox. Runs on the
+  /// coordinator thread only; the parallel_for_each barrier provides the
+  /// happens-before edge from the workers' posts.
   void deliver_messages(des::Time bound, bool inclusive);
 
   /// run_before(horizon) on every partition — pooled when jobs_ > 1.
@@ -138,9 +145,10 @@ class PdesCoordinator {
   double lookahead_;
   int jobs_ = 1;
   std::vector<std::unique_ptr<des::Simulation>> sims_;
-  std::vector<std::vector<Message>> staging_;  ///< one mailbox per source
-  std::vector<std::uint64_t> seq_;             ///< per-source post counter
-  std::vector<Message> pending_;  ///< collected, awaiting delivery
+  /// One mailbox per source: its undelivered messages in post order.
+  std::vector<std::vector<Message>> mailboxes_;
+  std::vector<std::uint64_t> seq_;  ///< per-source post counter
+  std::vector<DueKey> due_;         ///< deliver_messages scratch
   std::unique_ptr<ThreadPool> pool_;
   std::uint64_t windows_ = 0;
   std::uint64_t delivered_ = 0;

@@ -1,6 +1,8 @@
 #include "rrsim/exec/jobs.h"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -15,21 +17,32 @@ namespace {
 std::atomic<int> g_default_jobs{0};
 
 /// RRSIM_JOBS as a worker count; 0 when unset or empty. Anything else
-/// that is not an integer in [1, 4096] throws: a typo must not silently
-/// run on every hardware thread.
+/// that breaks the user_jobs() rule throws: a typo must not silently run
+/// on every hardware thread.
 int env_jobs() {
   const char* env = std::getenv("RRSIM_JOBS");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 4096) {
-    throw std::invalid_argument(
-        "RRSIM_JOBS must be an integer in [1, 4096] (got \"" +
-        std::string(env) + "\")");
-  }
-  return static_cast<int>(v);
+  return user_jobs(env, "RRSIM_JOBS");
 }
 }  // namespace
+
+int user_jobs(std::string_view text, std::string_view source) {
+  int jobs = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, jobs);
+  if (ec != std::errc() || ptr != end || jobs < 1 || jobs > kMaxJobs) {
+    throw std::invalid_argument(
+        std::string(source) + " must be an integer in [1, " +
+        std::to_string(kMaxJobs) + "] (got \"" + std::string(text) + "\")");
+  }
+  return cap_to_hardware(jobs);
+}
+
+int cap_to_hardware(int jobs) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 1 && static_cast<unsigned>(jobs) > hw ? static_cast<int>(hw)
+                                                      : jobs;
+}
 
 void set_default_jobs(int jobs) {
   g_default_jobs.store(jobs < 0 ? 0 : jobs, std::memory_order_relaxed);
@@ -42,7 +55,7 @@ int resolve_jobs(int requested) {
   const int from_env = env_jobs();
   if (from_env >= 1) return from_env;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
+  return hw >= 1 ? static_cast<int>(std::min(hw, unsigned{kMaxJobs})) : 1;
 }
 
 }  // namespace rrsim::exec

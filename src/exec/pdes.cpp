@@ -41,7 +41,7 @@ PdesCoordinator::PdesCoordinator(std::size_t partitions, double lookahead,
   for (std::size_t i = 0; i < partitions; ++i) {
     sims_.push_back(std::make_unique<des::Simulation>());
   }
-  staging_.resize(partitions);
+  mailboxes_.resize(partitions);
   seq_.assign(partitions, 0);
   jobs_ = resolve_jobs(jobs);
   if (jobs_ > static_cast<int>(partitions)) {
@@ -65,25 +65,32 @@ void PdesCoordinator::post(std::size_t source, std::size_t dest, des::Time t,
   if (!(t >= sims_[source]->now() + lookahead_)) {
     throw std::logic_error("pdes: message posted inside the lookahead horizon");
   }
-  staging_[source].push_back(Message{t, static_cast<int>(prio),
-                                     static_cast<std::uint32_t>(source),
-                                     static_cast<std::uint32_t>(dest),
-                                     seq_[source]++, std::move(fn)});
-}
-
-void PdesCoordinator::collect_staged() {
-  for (std::vector<Message>& box : staging_) {
-    for (Message& m : box) pending_.push_back(std::move(m));
-    box.clear();
-  }
+  mailboxes_[source].push_back(Message{t, static_cast<int>(prio),
+                                       static_cast<std::uint32_t>(source),
+                                       static_cast<std::uint32_t>(dest),
+                                       seq_[source]++, std::move(fn)});
 }
 
 void PdesCoordinator::deliver_messages(des::Time bound, bool inclusive) {
-  std::sort(pending_.begin(), pending_.end(), MessageOrder{});
-  std::size_t i = 0;
-  for (; i < pending_.size(); ++i) {
-    Message& m = pending_[i];
-    if (inclusive ? m.time > bound : !(m.time < bound)) break;
+  const auto due = [bound, inclusive](const Message& m) {
+    return inclusive ? m.time <= bound : m.time < bound;
+  };
+  // Sort keys of the due messages only: the messages stay in their
+  // mailboxes, and the due set is the prefix a sort of every pending
+  // message would deliver, in the same order.
+  due_.clear();
+  for (const std::vector<Message>& box : mailboxes_) {
+    for (std::size_t i = 0; i < box.size(); ++i) {
+      const Message& m = box[i];
+      if (!due(m)) continue;
+      due_.push_back(DueKey{m.time, m.priority, m.source, m.seq,
+                            static_cast<std::uint32_t>(i)});
+    }
+  }
+  if (due_.empty()) return;
+  std::sort(due_.begin(), due_.end(), MessageOrder{});
+  for (const DueKey& k : due_) {
+    Message& m = mailboxes_[k.source][k.index];
 #if RRSIM_VALIDATE_ENABLED
     if (vd_corrupt_delivery_) {
       vd_corrupt_delivery_ = false;
@@ -97,8 +104,7 @@ void PdesCoordinator::deliver_messages(des::Time bound, bool inclusive) {
                     static_cast<des::Priority>(m.priority), m.dest);
     ++delivered_;
   }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(i));
+  for (std::vector<Message>& box : mailboxes_) std::erase_if(box, due);
 }
 
 void PdesCoordinator::advance_all(des::Time horizon) {
@@ -119,12 +125,13 @@ void PdesCoordinator::run(des::Time limit) {
     throw std::invalid_argument("pdes: run limit must be >= 0");
   }
   for (;;) {
-    collect_staged();
     des::Time t = des::kTimeInfinity;
     for (const std::unique_ptr<des::Simulation>& sim : sims_) {
       t = std::min(t, sim->next_event_time());
     }
-    for (const Message& m : pending_) t = std::min(t, m.time);
+    for (const std::vector<Message>& box : mailboxes_) {
+      for (const Message& m : box) t = std::min(t, m.time);
+    }
     if (t >= limit || t >= des::kTimeInfinity) break;
     des::Time horizon = t + lookahead_;
     if (horizon > limit) horizon = limit;

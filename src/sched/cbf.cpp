@@ -197,11 +197,16 @@ void CbfScheduler::dispatch_ready() {
       }
     }
     if (k == queue_.size()) {
-      wakeup_.cancel();
+      // Moving a pending wake-up is cancel + schedule_at to the kernel,
+      // without the heap work when the time does not move earlier.
       if (next < des::kTimeInfinity) {
-        wakeup_ = sim_.schedule_at(
-            next, [this] { dispatch_ready(); }, des::Priority::kControl,
-            event_tag());
+        if (!wakeup_.reschedule(next)) {
+          wakeup_ = sim_.schedule_at(
+              next, [this] { dispatch_ready(); }, des::Priority::kControl,
+              event_tag());
+        }
+      } else {
+        wakeup_.cancel();
       }
       return;
     }

@@ -14,6 +14,12 @@
 // completion always releases the unused tail of its footprint and pulls
 // every reservation as early as it can go (the published algorithm's
 // "compression" step).
+//
+// One wake-up event stands for the earliest future reservation. Almost
+// every scheduling pass moves it, nearly always to the time it already
+// had, so dispatch_ready moves it with EventHandle::reschedule: the same
+// seqs and counts as cancel + schedule_at, but the kernel pushes a heap
+// entry only when the wake-up moves earlier.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +133,9 @@ class CbfScheduler final : public ClusterScheduler {
   void rebuild_profile();
 
   /// Starts, in queue order, every queued job whose reservation time has
-  /// arrived and whose nodes are free, then schedules a wake-up at the
-  /// next future reservation.
+  /// arrived and whose nodes are free, then moves the wake-up to the next
+  /// future reservation (EventHandle::reschedule, or a fresh event when
+  /// none is pending) or cancels it when no reservation lies ahead.
   void dispatch_ready();
 
   /// Self-check oracle body: compares incremental state against a

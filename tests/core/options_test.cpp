@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rrsim/exec/jobs.h"
@@ -196,6 +198,71 @@ TEST(CommonFlags, JobsFlagIsRangeCheckedBeforeTheIntConversion) {
   EXPECT_THROW(parse({"--jobs=4294967298"}), std::invalid_argument);
   EXPECT_THROW(parse({"--jobs=0"}), std::invalid_argument);
   exec::set_default_jobs(0);  // --jobs is process-wide; don't leak it
+}
+
+TEST(CommonFlags, JobsFlagAndEnvironmentFollowOneRule) {
+  // --jobs and RRSIM_JOBS go through exec::user_jobs: both reject the
+  // same spellings, and an accepted count is capped at the hardware
+  // threads. Only resolved counts are read; no pool is started.
+  exec::set_default_jobs(0);
+  const char* outer = std::getenv("RRSIM_JOBS");
+  const std::string saved = outer != nullptr ? outer : "";
+  ASSERT_EQ(unsetenv("RRSIM_JOBS"), 0);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const auto capped = [hw](int jobs) {
+    return hw >= 1 && static_cast<unsigned>(jobs) > hw ? static_cast<int>(hw)
+                                                        : jobs;
+  };
+  struct Case {
+    const char* text;
+    int jobs;  // 0: rejected
+  };
+  for (const Case& c : std::vector<Case>{{"1", 1},
+                                         {"2", 2},
+                                         {"4", 4},
+                                         {"64", 64},
+                                         {"4096", 4096},
+                                         {"0", 0},
+                                         {"-1", 0},
+                                         {"4097", 0},
+                                         {"2147483647", 0},
+                                         {"4294967298", 0},
+                                         {"+4", 0},
+                                         {" 4", 0},
+                                         {"4 ", 0},
+                                         {"4.0", 0},
+                                         {"0x10", 0},
+                                         {"1e3", 0},
+                                         {"abc", 0}}) {
+    SCOPED_TRACE(c.text);
+    const std::string flag = std::string("--jobs=") + c.text;
+    int from_flag = 0;
+    try {
+      parse({flag.c_str()});
+      from_flag = exec::default_jobs();
+    } catch (const std::invalid_argument&) {
+    }
+    exec::set_default_jobs(0);
+    ASSERT_EQ(setenv("RRSIM_JOBS", c.text, 1), 0);
+    int from_env = 0;
+    try {
+      from_env = exec::resolve_jobs(0);
+    } catch (const std::invalid_argument&) {
+    }
+    ASSERT_EQ(unsetenv("RRSIM_JOBS"), 0);
+    const int want = c.jobs == 0 ? 0 : capped(c.jobs);
+    EXPECT_EQ(from_flag, want);
+    EXPECT_EQ(from_env, want);
+    EXPECT_LE(want, exec::kMaxJobs);
+  }
+  // The hardware default obeys the same bound; an explicit count, as
+  // tests and perfbench pass to CampaignSweep or PdesCoordinator, is used
+  // as given.
+  EXPECT_EQ(exec::default_jobs(), hw >= 1 ? capped(exec::kMaxJobs) : 1);
+  EXPECT_EQ(exec::resolve_jobs(8), 8);
+  if (outer != nullptr) {
+    ASSERT_EQ(setenv("RRSIM_JOBS", saved.c_str(), 1), 0);
+  }
 }
 
 TEST(CommonFlags, DoubleFlagsAreRangeChecked) {

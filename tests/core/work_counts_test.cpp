@@ -1,5 +1,5 @@
 // Deterministic work counts: events dispatched, scheduled and cancelled,
-// every scheduler operation counter (CBF profile rebuilds included) and
+// event-heap pushes, every scheduler operation counter (CBF profile rebuilds included) and
 // the gateway's cancellations, pinned exactly for a few representative
 // runs. Wall-clock gates are noisy; these counts are not,
 // so an algorithmic change that makes a run do more (or less) work fails
@@ -20,6 +20,7 @@ struct WorkCounts {
   std::uint64_t events_dispatched;
   std::uint64_t events_scheduled;
   std::uint64_t events_cancelled;
+  std::uint64_t heap_pushes;
   sched::OpCounters ops;
   std::uint64_t gateway_cancels;
 };
@@ -28,6 +29,7 @@ void expect_counts(const SimResult& r, const WorkCounts& want) {
   EXPECT_EQ(r.events_dispatched, want.events_dispatched);
   EXPECT_EQ(r.events_scheduled, want.events_scheduled);
   EXPECT_EQ(r.events_cancelled, want.events_cancelled);
+  EXPECT_EQ(r.heap_pushes, want.heap_pushes);
   EXPECT_EQ(r.ops.submits, want.ops.submits);
   EXPECT_EQ(r.ops.rejects, want.ops.rejects);
   EXPECT_EQ(r.ops.cancels, want.ops.cancels);
@@ -56,7 +58,7 @@ ExperimentConfig four_clusters_r2() {
 TEST(WorkCounts, Fig1QuickAllOnTwoClusters) {
   const SimResult r = run_experiment(fig1_quick_all(2));
   EXPECT_EQ(r.jobs_generated, 4677u);
-  expect_counts(r, {14151, 14151, 0,
+  expect_counts(r, {14151, 14151, 0, 14151,
                     {9354, 0, 4612, 4677, 4677, 65, 18643, 0},
                     4677});
 }
@@ -64,7 +66,7 @@ TEST(WorkCounts, Fig1QuickAllOnTwoClusters) {
 TEST(WorkCounts, Fig1QuickAllOnTenClusters) {
   const SimResult r = run_experiment(fig1_quick_all(10));
   EXPECT_EQ(r.jobs_generated, 4675u);
-  expect_counts(r, {51545, 51545, 0,
+  expect_counts(r, {51545, 51545, 0, 51545,
                     {46750, 0, 36678, 4675, 4675, 5397, 88103, 0},
                     42075});
 }
@@ -75,7 +77,7 @@ TEST(WorkCounts, StreamingWindowedRun) {
   c.stream_window = 64;
   const SimResult r = run_experiment(c);
   EXPECT_EQ(r.jobs_generated, 4681u);
-  expect_counts(r, {14163, 14163, 0,
+  expect_counts(r, {14163, 14163, 0, 14163,
                     {9362, 0, 4433, 4681, 4681, 248, 18476, 0},
                     4681});
 }
@@ -94,24 +96,27 @@ TEST(WorkCounts, PdesRunIsTheSameWorkOnAnyWorkerCount) {
     EXPECT_EQ(r.jobs_generated, 4681u);
     EXPECT_EQ(r.pdes_windows, 485u);
     EXPECT_EQ(r.duplicate_starts, 447u);
-    expect_counts(r, {24539, 24539, 0,
+    expect_counts(r, {24539, 24539, 0, 24539,
                       {9362, 0, 4234, 5128, 5128, 0, 18724, 0},
                       4234});
   }
 }
 
 TEST(WorkCounts, CbfRunPinsItsWakeUpTraffic) {
-  // CBF cancels and reschedules its wake-up event on every scheduling
-  // pass: about half of the events a CBF workload schedules. On this
-  // shape every wake-up is cancelled before it fires: 18 139 of the
-  // 32 302 scheduled events are cancelled, and the run dispatches
-  // exactly as many events as the EASY run of StreamingWindowedRun. The
+  // CBF moves its wake-up event on every scheduling pass, and the kernel
+  // counts each move as a cancel plus a schedule: about half of the
+  // events a CBF workload schedules. On this shape every wake-up is
+  // cancelled before it fires: 18 139 of the 32 302 scheduled events are
+  // cancelled, and the run dispatches exactly as many events as the EASY
+  // run of StreamingWindowedRun. A move that is not earlier pushes no
+  // heap entry, so the heap sees 14 236 pushes, under half the scheduled
+  // events (every other case pushes one entry per scheduled event). The
   // 102 profile rebuilds are the incremental path's rounding fallback.
   ExperimentConfig c = four_clusters_r2();
   c.algorithm = sched::Algorithm::kCbf;
   const SimResult r = run_experiment(c);
   EXPECT_EQ(r.jobs_generated, 4681u);
-  expect_counts(r, {14163, 32302, 18139,
+  expect_counts(r, {14163, 32302, 18139, 14236,
                     {9362, 0, 4444, 4681, 4681, 237, 23168, 102},
                     4681});
 }
@@ -126,7 +131,7 @@ TEST(WorkCounts, LeastLoadedPlacementReadsLiveQueues) {
   c.placement = "least-loaded";
   const SimResult r = run_experiment(c);
   EXPECT_EQ(r.jobs_generated, 4681u);
-  expect_counts(r, {14163, 14163, 0,
+  expect_counts(r, {14163, 14163, 0, 14163,
                     {9362, 0, 4511, 4681, 4681, 170, 18554, 0},
                     4681});
 }
@@ -142,7 +147,7 @@ TEST(WorkCounts, RejectsAreSummedOverClusters) {
   EXPECT_EQ(r.jobs_generated, 4681u);
   EXPECT_GT(r.replicas_rejected, 0u);
   EXPECT_EQ(r.ops.rejects, r.replicas_rejected);
-  expect_counts(r, {12560, 12560, 0,
+  expect_counts(r, {12560, 12560, 0, 12560,
                     {7471, 11253, 2046, 4681, 4681, 744, 14198, 0},
                     2790});
 }
@@ -169,7 +174,7 @@ TEST(WorkCounts, GridWindowedToyShape) {
   const SimResult r = run_experiment(c);
   EXPECT_EQ(r.jobs_generated, 1615u);
   EXPECT_EQ(r.duplicate_starts, 0u);
-  expect_counts(r, {5744, 5744, 0,
+  expect_counts(r, {5744, 5744, 0, 5744,
                     {4069, 0, 651, 1615, 1615, 1803, 6335, 0},
                     2454});
 }
@@ -185,7 +190,7 @@ TEST(WorkCounts, PdesLatencyToyShapeOnOneAndTwoWorkers) {
     EXPECT_EQ(r.jobs_generated, 4033u);
     EXPECT_EQ(r.pdes_windows, 349u);
     EXPECT_EQ(r.duplicate_starts, 3902u);
-    expect_counts(r, {36132, 36132, 0,
+    expect_counts(r, {36132, 36132, 0, 36132,
                       {10237, 0, 2302, 7935, 7935, 0, 20474, 0},
                       2302});
   }

@@ -4,12 +4,17 @@
 // timestamps, mid-run insertions, purges of cancelled entries and heap
 // re-use after reset. Under a tie-break policy, every group the kernel
 // offers lists exactly the live events at the minimal (time, priority).
+// EventHandle::reschedule is checked against the cancel() + schedule_at()
+// pair it is defined as, on a twin simulation that runs the same script.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "rrsim/des/simulation.h"
@@ -296,6 +301,248 @@ TEST(CalendarQueue, PolicyTieGroupsMatchBruteForceCohorts) {
     EXPECT_EQ(sim.pending_events(), 0u);
     EXPECT_GT(churn.groups(), 200u);  // multi-member groups offered
     sim.reset();  // uninstalls the policy; the next seed reuses the heap
+  }
+}
+
+TEST(CalendarQueue, RescheduleIsCancelThenScheduleInTheSameSlot) {
+  Simulation sim;
+  std::vector<int> fired;
+  sim.schedule_at(4.0, [&fired] { fired.push_back(1); });
+  Simulation::EventHandle h =
+      sim.schedule_at(2.0, [&fired] { fired.push_back(2); });
+  const Simulation::EventHandle copy = h;
+  sim.schedule_at(6.0, [&fired] { fired.push_back(3); });
+  const std::size_t slots = sim.pool_capacity();
+
+  ASSERT_TRUE(h.reschedule(5.0));  // later: after 1, before 3
+  EXPECT_TRUE(h.pending());
+  EXPECT_FALSE(copy.pending());  // as if the event had been cancelled
+  ASSERT_TRUE(h.reschedule(5.0));  // the same time again
+  EXPECT_EQ(sim.scheduled(), 5u);
+  EXPECT_EQ(sim.cancelled(), 2u);
+  EXPECT_EQ(sim.heap_pushes(), 3u);  // neither move was earlier
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.pool_capacity(), slots);
+
+  sim.run_until(4.5);  // the entry left at 2.0 sinks to 5.0; 1 fires
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  // A time in the past throws and changes nothing.
+  EXPECT_THROW(h.reschedule(4.0), std::invalid_argument);
+  EXPECT_THROW(h.reschedule(std::numeric_limits<Time>::infinity()),
+               std::invalid_argument);
+  EXPECT_TRUE(h.pending());
+  EXPECT_EQ(sim.scheduled(), 5u);
+  EXPECT_EQ(sim.cancelled(), 2u);
+
+  ASSERT_TRUE(h.reschedule(4.75));  // earlier: a fresh heap entry
+  EXPECT_EQ(sim.heap_pushes(), 4u);
+  EXPECT_EQ(sim.next_event_time(), 4.75);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.dispatched(), 3u);
+  // Fired, cancelled and inert handles do not move.
+  EXPECT_FALSE(h.reschedule(10.0));
+  EXPECT_FALSE(Simulation::EventHandle().reschedule(10.0));
+  Simulation::EventHandle gone = sim.schedule_at(20.0, [] {});
+  ASSERT_TRUE(gone.cancel());
+  EXPECT_FALSE(gone.reschedule(30.0));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// Records every group the kernel offers and picks a seeded member, so two
+// simulations offered the same groups make the same picks.
+class RecordingPolicy final : public TieBreakPolicy {
+ public:
+  struct Group {
+    Time time;
+    int priority;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> members;  // seq, tag
+    bool operator==(const Group&) const = default;
+  };
+
+  explicit RecordingPolicy(std::uint32_t seed) : rng_(seed) {}
+
+  std::size_t pick(const TieGroup& group) override {
+    Group g{group.time, group.priority, {}};
+    for (std::size_t i = 0; i < group.size; ++i) {
+      g.members.emplace_back(group.members[i].seq, group.members[i].tag);
+    }
+    groups_.push_back(std::move(g));
+    return rng_() % group.size;
+  }
+
+  const std::vector<Group>& groups() const { return groups_; }
+
+ private:
+  std::mt19937 rng_;
+  std::vector<Group> groups_;
+};
+
+// One seeded script of schedules, cancels and moves over quantized (tied)
+// timestamps, with moves earlier, later, to the same time and onto the
+// tie grid, between run_until windows and from inside callbacks. A move
+// is EventHandle::reschedule, or, on the twin, the cancel() + schedule_at()
+// pair with the same callback, priority and tag. Both twins draw the same
+// numbers as long as the kernel treats the two spellings alike; the
+// first divergence shows in the dispatch trace.
+class MoveScript {
+ public:
+  MoveScript(Simulation& sim, std::uint32_t seed, bool reschedule)
+      : sim_(sim), rng_(seed), reschedule_(reschedule) {}
+
+  void run() {
+    for (int batch = 0; batch < 10; ++batch) {
+      const Time base = sim_.now();
+      for (int i = 0; i < 200; ++i) {
+        schedule(quantized(base), static_cast<Priority>(rng_() % 4u));
+      }
+      for (int i = 0; i < 40; ++i) cancel(rng_() % events_.size());
+      // A wake-up moved on every pass at one instant, mostly to the time
+      // it already has, as CBF's dispatch_ready does.
+      const std::size_t wakeup = events_.size() - 1;
+      for (int i = 0; i < 100; ++i) {
+        move(wakeup, rng_() % 4u == 0 ? quantized(base) : time_of(wakeup));
+      }
+      for (int i = 0; i < 150; ++i) move_random();
+      sim_.run_until(base + 8.0);
+    }
+    sim_.run();
+  }
+
+  const std::vector<std::pair<Time, int>>& fired() const { return fired_; }
+
+ private:
+  struct Event {
+    Time time;
+    Priority prio;
+    std::uint32_t tag;
+    Simulation::EventHandle handle;
+  };
+
+  Time quantized(Time base) {
+    return base + 0.5 * static_cast<Time>(rng_() % 40u);
+  }
+
+  Time time_of(std::size_t k) const { return events_[k].time; }
+
+  Simulation::Callback callback_for(int id) {
+    return [this, id] { fire(id); };
+  }
+
+  void schedule(Time t, Priority prio) {
+    const int id = static_cast<int>(events_.size());
+    const auto tag = static_cast<std::uint32_t>(rng_() % 5u);
+    events_.push_back(Event{t, prio, tag, {}});
+    events_.back().handle = sim_.schedule_at(t, callback_for(id), prio, tag);
+  }
+
+  void cancel(std::size_t k) { events_[k].handle.cancel(); }
+
+  void move(std::size_t k, Time t) {
+    Event& e = events_[k];
+    if (!e.handle.pending()) return;
+    e.time = t;
+    if (reschedule_) {
+      EXPECT_TRUE(e.handle.reschedule(t));
+    } else {
+      e.handle.cancel();
+      e.handle =
+          sim_.schedule_at(t, callback_for(static_cast<int>(k)), e.prio, e.tag);
+    }
+  }
+
+  // Earlier (down to now), later, the same time, or onto the tie grid.
+  void move_random() {
+    const std::size_t k = rng_() % events_.size();
+    const Time now = sim_.now();
+    const Time old = events_[k].time;
+    switch (rng_() % 4u) {
+      case 0:
+        move(k, now + (old - now) * static_cast<Time>(rng_() % 4u) / 4.0);
+        break;
+      case 1:
+        move(k, old + 0.5 * static_cast<Time>(1 + rng_() % 20u));
+        break;
+      case 2:
+        move(k, old);
+        break;
+      default:
+        move(k, quantized(now));
+        break;
+    }
+  }
+
+  void fire(int id) {
+    fired_.emplace_back(sim_.now(), id);
+    EXPECT_EQ(sim_.now(), events_[static_cast<std::size_t>(id)].time);
+    const auto r = rng_() % 10u;
+    if (r < 3) {
+      move_random();  // from inside a callback
+    } else if (r < 4) {
+      schedule(sim_.now(), static_cast<Priority>(rng_() % 4u));
+    } else if (r < 5) {
+      cancel(rng_() % events_.size());
+    }
+  }
+
+  Simulation& sim_;
+  std::mt19937 rng_;
+  bool reschedule_;
+  std::vector<Event> events_;
+  std::vector<std::pair<Time, int>> fired_;
+};
+
+void expect_twins_match(const Simulation& moved, const Simulation& twin) {
+  EXPECT_EQ(moved.scheduled(), twin.scheduled());
+  EXPECT_EQ(moved.cancelled(), twin.cancelled());
+  EXPECT_EQ(moved.dispatched(), twin.dispatched());
+  EXPECT_EQ(moved.pending_events(), 0u);
+  EXPECT_EQ(twin.pending_events(), 0u);
+  // The twin pushes one entry per scheduled event; reschedule fewer.
+  EXPECT_EQ(twin.heap_pushes(), twin.scheduled());
+  EXPECT_LT(moved.heap_pushes(), twin.heap_pushes());
+}
+
+TEST(CalendarQueue, RescheduleMatchesCancelThenScheduleTwin) {
+  Simulation moved;
+  Simulation twin;
+  for (std::uint32_t seed : {3u, 58u, 9001u}) {
+    SCOPED_TRACE(seed);
+    MoveScript a(moved, seed, true);
+    MoveScript b(twin, seed, false);
+    a.run();
+    b.run();
+    EXPECT_GT(a.fired().size(), 1500u);
+    ASSERT_EQ(a.fired(), b.fired());
+    expect_twins_match(moved, twin);
+    moved.reset();
+    twin.reset();
+  }
+}
+
+TEST(CalendarQueue, RescheduleOffersTheTwinsTieGroups) {
+  Simulation moved;
+  Simulation twin;
+  for (std::uint32_t seed : {12u, 404u}) {
+    SCOPED_TRACE(seed);
+    RecordingPolicy pa(seed);
+    RecordingPolicy pb(seed);
+    moved.set_tie_break_policy(&pa);
+    twin.set_tie_break_policy(&pb);
+    MoveScript a(moved, seed, true);
+    MoveScript b(twin, seed, false);
+    a.run();
+    b.run();
+    ASSERT_EQ(a.fired(), b.fired());
+    EXPECT_GT(pa.groups().size(), 200u);
+    ASSERT_EQ(pa.groups().size(), pb.groups().size());
+    for (std::size_t i = 0; i < pa.groups().size(); ++i) {
+      ASSERT_EQ(pa.groups()[i], pb.groups()[i]) << "group " << i;
+    }
+    EXPECT_EQ(moved.tie_groups(), twin.tie_groups());
+    expect_twins_match(moved, twin);
+    moved.reset();
+    twin.reset();
   }
 }
 

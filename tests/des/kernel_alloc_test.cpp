@@ -1,6 +1,7 @@
 // Pins the kernel's zero-allocation guarantee: once the event slab, free
 // list and heap are warm, the schedule → dispatch path (including cancels,
-// cancel-and-reschedule churn and run_until) performs no heap allocation.
+// cancel-and-reschedule churn, in-place reschedules and run_until)
+// performs no heap allocation.
 // Global operator new is replaced with a counting shim for this binary,
 // so any allocation anywhere in the measured window fails the test.
 #include <gtest/gtest.h>
@@ -109,6 +110,34 @@ TEST(KernelAllocation, CancelRescheduleChurnDoesNotGrowTheQueue) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "cancel/reschedule churn grew the event queue";
+  EXPECT_EQ(sim.pending_events(), 51u);
+  sim.run();
+  EXPECT_EQ(sink, 51u);
+}
+
+TEST(KernelAllocation, SameTimeReschedulesPushNoHeapEntry) {
+  // CBF's wake-up, moved with EventHandle::reschedule on every pass and
+  // nearly always to the time it already has: each move counts as a
+  // cancel plus a schedule, yet it allocates nothing and leaves the heap
+  // untouched.
+  Simulation sim;
+  std::uint64_t sink = 0;
+  for (int i = 0; i < 50; ++i) {
+    sim.schedule_at(1000.0 + i, [&sink] { ++sink; });
+  }
+  Simulation::EventHandle wakeup = sim.schedule_at(5.0, [&sink] { ++sink; });
+  sim.run_until(1.0);
+  const std::uint64_t pushes = sim.heap_pushes();
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  bool moved = true;
+  for (int i = 0; i < 100000; ++i) moved = wakeup.reschedule(5.0) && moved;
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(moved);
+  EXPECT_EQ(after - before, 0u) << "same-time reschedules allocated";
+  EXPECT_EQ(sim.heap_pushes(), pushes);
+  EXPECT_EQ(sim.scheduled(), 51u + 100000u);
+  EXPECT_EQ(sim.cancelled(), 100000u);
   EXPECT_EQ(sim.pending_events(), 51u);
   sim.run();
   EXPECT_EQ(sink, 51u);
