@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
             .add(r_peak.queue_growth_per_hour[i], 0);
         avg += r_peak.queue_growth_per_hour[i];
       }
-      table.print(std::cout, false);
-      std::printf("average growth: %.0f jobs/hour (paper: ~700 at the 5 s "
+      table.print(std::cout);
+      std::printf("\naverage growth: %.0f jobs/hour (paper: ~700 at the 5 s "
                   "peak rate)\n\n",
                   avg / static_cast<double>(peak.n_clusters));
     }
@@ -85,12 +85,12 @@ int main(int argc, char** argv) {
           .add(r_all.avg_max_queue, 1)
           .add(static_cast<long long>(r_all.ops.submits))
           .add(static_cast<long long>(r_all.gateway_cancels));
-      table.print(std::cout, false);
+      table.print(std::cout);
       const double rel =
           r_none.avg_max_queue > 0.0
               ? (r_all.avg_max_queue / r_none.avg_max_queue - 1.0) * 100.0
               : 0.0;
-      std::printf("ALL vs NONE max queue: %+.0f%% (paper: < +2%% in steady "
+      std::printf("\nALL vs NONE max queue: %+.0f%% (paper: < +2%% in steady "
                   "state; despite %.0fx more submissions, cancellations keep "
                   "the standing queue small)\n",
                   rel,

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "rrsim/des/simulation.h"
 #include "rrsim/sched/cbf.h"
@@ -25,6 +27,18 @@ int main(int argc, char** argv) {
 
     rrsim::des::Simulation sim;
     rrsim::sched::CbfScheduler cbf(sim, nodes);
+    // CBF reports each job's submit-time reservation through the
+    // on_prediction hook; install it before the probe is submitted.
+    std::optional<double> predicted;
+    double actual_start = -1.0;
+    rrsim::sched::ClusterScheduler::Callbacks cb;
+    cb.on_prediction = [&](const rrsim::sched::Job& j, double start) {
+      if (j.id == 99) predicted = start;
+    };
+    cb.on_start = [&](const rrsim::sched::Job& j) {
+      if (j.id == 99) actual_start = j.start_time;
+    };
+    cbf.set_callbacks(std::move(cb));
 
     // A wall of work: four jobs that each occupy the whole cluster for a
     // *requested* hour but actually run only 1/overestimate of it.
@@ -46,14 +60,6 @@ int main(int argc, char** argv) {
     probe.requested_time = 600.0;
     probe.actual_time = 600.0;
     cbf.submit(probe);
-
-    const auto predicted = cbf.predicted_start_at_submit(99);
-    double actual_start = -1.0;
-    rrsim::sched::ClusterScheduler::Callbacks cb;
-    cb.on_start = [&](const rrsim::sched::Job& j) {
-      if (j.id == 99) actual_start = j.start_time;
-    };
-    cbf.set_callbacks(std::move(cb));
 
     sim.run();
 

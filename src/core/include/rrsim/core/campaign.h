@@ -64,6 +64,8 @@ struct PredictionCampaign {
 
 /// Runs `reps` repetitions with prediction recording forced on and
 /// aggregates the over-estimation ratios across all repetitions' jobs.
+/// The records are pooled, so config.retain_records must be true (throws
+/// std::invalid_argument otherwise).
 PredictionCampaign run_prediction_campaign(const ExperimentConfig& config,
                                            int reps, int jobs = 0);
 

@@ -96,7 +96,9 @@ class CampaignSweep {
   void add_classified(const ExperimentConfig& config,
                       std::function<void(const ClassifiedCampaign&)> done);
 
-  /// Queues a prediction-accuracy campaign (record_predictions forced on).
+  /// Queues a prediction-accuracy campaign (record_predictions forced on)
+  /// over the pooled records of every replication. Throws
+  /// std::invalid_argument immediately if config.retain_records is false.
   void add_prediction(const ExperimentConfig& config,
                       std::function<void(const PredictionCampaign&)> done);
 

@@ -188,47 +188,33 @@ void CampaignSweep::add_classified(
 void CampaignSweep::add_prediction(
     const ExperimentConfig& config,
     std::function<void(const PredictionCampaign&)> done) {
-  struct Pool {
-    metrics::JobRecords records;        // retained: records of every rep
-    metrics::OnlineAccumulator stream;  // streaming: Welford-merged reps
-    bool streamed = false;
-  };
-  auto pooled = std::make_shared<Pool>();
+  // The ratios pool every repetition's jobs, so the records must be kept.
+  if (!config.retain_records) {
+    throw std::invalid_argument(
+        "prediction campaign needs retain_records (it pools the records "
+        "of every repetition)");
+  }
+  auto pooled = std::make_shared<metrics::JobRecords>();
   runner_.add(
       reps_,
       [config](int r) {
         ExperimentConfig c = config;
         c.seed = config.seed + static_cast<std::uint64_t>(r);
         c.record_predictions = true;
-        return run_experiment(c, thread_workspace());
+        return run_experiment(c, thread_workspace()).records;
       },
-      [pooled, done = std::move(done), reps = reps_](int r, SimResult result) {
-        if (result.streamed) {
-          // The reduce stage runs in rep order, so the parallel Welford
-          // merge pools deterministically: counts are exact, the pooled
-          // mean/CV agree with the retained concatenation to rounding.
-          pooled->streamed = true;
-          pooled->stream.merge(result.stream);
-        } else {
-          pooled->records.insert(
-              pooled->records.end(),
-              std::make_move_iterator(result.records.begin()),
-              std::make_move_iterator(result.records.end()));
-        }
+      [pooled, done = std::move(done), reps = reps_](
+          int r, metrics::JobRecords records) {
+        pooled->insert(pooled->end(),
+                       std::make_move_iterator(records.begin()),
+                       std::make_move_iterator(records.end()));
         if (r != reps - 1) return;
         PredictionCampaign out;
         out.reps = static_cast<std::size_t>(reps);
-        if (pooled->streamed) {
-          out.all = pooled->stream.prediction();
-          out.redundant = pooled->stream.prediction(true);
-          out.non_redundant = pooled->stream.prediction(false);
-        } else {
-          out.all = metrics::compute_prediction_accuracy(pooled->records);
-          out.redundant =
-              metrics::compute_prediction_accuracy(pooled->records, true);
-          out.non_redundant =
-              metrics::compute_prediction_accuracy(pooled->records, false);
-        }
+        out.all = metrics::compute_prediction_accuracy(*pooled);
+        out.redundant = metrics::compute_prediction_accuracy(*pooled, true);
+        out.non_redundant =
+            metrics::compute_prediction_accuracy(*pooled, false);
         done(out);
       });
 }

@@ -1,6 +1,7 @@
 #include "rrsim/grid/gateway.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -81,6 +82,16 @@ void Gateway::install_callbacks(std::size_t cluster) {
   cb.on_finish = [this, cluster](const sched::Job& job) {
     on_finish(cluster, job);
   };
+  if (record_predictions_) {
+    // Min over replicas of the schedulers' submit-time predictions: how a
+    // redundancy-using user would forecast their wait (Section 5). One
+    // partition only, so the job's tracking entry is local.
+    cb.on_prediction = [this](const sched::Job& job, double start) {
+      if (Tracked* tracked = tracked_of(job.id, job.owner)) {
+        tracked->predicted_start = std::fmin(tracked->predicted_start, start);
+      }
+    };
+  }
   sched::ClusterScheduler& sched = platform_.scheduler(cluster);
   sched.set_callbacks(std::move(cb));
   // Attribute the scheduler's own events (completions, wake-ups) to its
@@ -230,22 +241,9 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
       });
     }
   }
-  if (record_predictions_) {
-    // Min over replicas of each scheduler's submit-time prediction — how a
-    // redundancy-using user would forecast their wait (Section 5). Only
-    // replicas still pending have predictions in flight; if one already
-    // started, the best prediction is "now".
-    std::optional<double> best;
-    if (tracked.started) {
-      best = agent.sim->now();
-    } else {
-      for (const auto& [cluster, rid] : tracked.replicas) {
-        const auto p_start =
-            platform_.scheduler(cluster).predicted_start_at_submit(rid);
-        if (p_start && (!best || *p_start < *best)) best = *p_start;
-      }
-    }
-    if (best) tracked.predicted_start = *best;
+  // A job that started during its own submission is predicted to start now.
+  if (record_predictions_ && tracked.started) {
+    tracked.predicted_start = agent.sim->now();
   }
 #if RRSIM_VALIDATE_ENABLED
   validate_job(p, job.id);

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "rrsim/des/simulation.h"
@@ -74,10 +73,11 @@ struct GridJob {
 class Gateway {
  public:
   /// Becomes the grant/finish owner of every scheduler on `platform`.
-  /// `record_predictions`: if true, every submission queries the target
-  /// schedulers' submit-time start predictions and stores the minimum over
-  /// replicas in the job record (Section 5 methodology); throws
-  /// std::invalid_argument on more than one partition.
+  /// `record_predictions`: if true, the gateway takes every scheduler's
+  /// submit-time start predictions (its on_prediction hook) and stores the
+  /// minimum over a job's replicas in the job record (Section 5
+  /// methodology); throws std::invalid_argument on more than one
+  /// partition.
   explicit Gateway(Platform& platform, bool record_predictions = false);
 
   Gateway(const Gateway&) = delete;

@@ -42,12 +42,6 @@ class P2Quantile {
   std::size_t count() const noexcept { return n_; }
   double quantile() const noexcept { return q_; }
 
-  /// Approximate merge: replays the other sketch's marker heights (its
-  /// five-point distribution summary) as observations. Exact while the
-  /// other side has fewer than five observations (the markers then *are*
-  /// the raw sample); a coarse but order-preserving summary afterwards.
-  void merge_from(const P2Quantile& other) noexcept;
-
  private:
   double q_;
   std::size_t n_ = 0;
@@ -61,10 +55,8 @@ class P2Quantile {
 /// compute_prediction_accuracy over a retained record vector. Feed every
 /// finished job once, in finish order; results for mean/CV/max are then
 /// bit-identical to the batch functions over the records that would have
-/// been retained. merge() combines per-repetition accumulators (parallel
-/// Welford merge — exact counts/max, means within rounding of the pooled
-/// sequential result; sketches are combined approximately by replaying
-/// the other side's five marker heights).
+/// been retained. One accumulator covers one run: campaigns that pool
+/// several runs' jobs (prediction campaigns) retain the records instead.
 class OnlineAccumulator {
  public:
   /// `min_wait`: the prediction-ratio wait threshold, matching
@@ -72,8 +64,6 @@ class OnlineAccumulator {
   explicit OnlineAccumulator(double min_wait = 1.0);
 
   void add(const JobRecord& r) noexcept;
-
-  void merge(const OnlineAccumulator& other) noexcept;
 
   /// Back to the just-constructed state (min_wait kept).
   void reset() noexcept;

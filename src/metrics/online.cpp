@@ -64,11 +64,6 @@ void P2Quantile::add(double x) noexcept {
   }
 }
 
-void P2Quantile::merge_from(const P2Quantile& other) noexcept {
-  const std::size_t markers = std::min<std::size_t>(other.n_, 5);
-  for (std::size_t i = 0; i < markers; ++i) add(other.heights_[i]);
-}
-
 double P2Quantile::value() const noexcept {
   if (n_ == 0) return 0.0;
   if (n_ >= 5) return heights_[2];
@@ -110,24 +105,6 @@ void OnlineAccumulator::add(const JobRecord& r) noexcept {
   p50_.add(stretch);
   p90_.add(stretch);
   p99_.add(stretch);
-}
-
-void OnlineAccumulator::merge(const OnlineAccumulator& other) noexcept {
-  all_.stretch.merge(other.all_.stretch);
-  all_.turnaround.merge(other.all_.turnaround);
-  all_.wait.merge(other.all_.wait);
-  redundant_.stretch.merge(other.redundant_.stretch);
-  redundant_.turnaround.merge(other.redundant_.turnaround);
-  redundant_.wait.merge(other.redundant_.wait);
-  non_redundant_.stretch.merge(other.non_redundant_.stretch);
-  non_redundant_.turnaround.merge(other.non_redundant_.turnaround);
-  non_redundant_.wait.merge(other.non_redundant_.wait);
-  ratio_all_.merge(other.ratio_all_);
-  ratio_redundant_.merge(other.ratio_redundant_);
-  ratio_non_redundant_.merge(other.ratio_non_redundant_);
-  p50_.merge_from(other.p50_);
-  p90_.merge_from(other.p90_);
-  p99_.merge_from(other.p99_);
 }
 
 void OnlineAccumulator::reset() noexcept {

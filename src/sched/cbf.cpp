@@ -1,7 +1,6 @@
 #include "rrsim/sched/cbf.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace rrsim::sched {
@@ -34,7 +33,7 @@ void CbfScheduler::handle_submit(Job job) {
   const Time s =
       profile_.earliest_start(now, job.nodes, job.requested_time);
   profile_.reserve(s, job.requested_time, job.nodes);
-  record_prediction(job.id, s);  // the Section 5 predictor
+  report_prediction(job, s);  // the Section 5 predictor
   queue_.push_back(Entry{std::move(job), s});
   dispatch_ready();
 #if RRSIM_VALIDATE_ENABLED
@@ -42,11 +41,9 @@ void CbfScheduler::handle_submit(Job job) {
 #endif
 }
 
-Job CbfScheduler::handle_cancel(JobId id) {
+std::optional<Job> CbfScheduler::handle_cancel(JobId id) {
   const std::size_t k = position_of(id);
-  if (k == queue_.size()) {
-    throw std::logic_error("cbf: cancel of non-pending job");
-  }
+  if (k == queue_.size()) return std::nullopt;
   Job job = std::move(queue_[k].job);
   const Time r = queue_[k].reserved_start;
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(k));

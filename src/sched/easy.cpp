@@ -10,8 +10,10 @@ void EasyScheduler::handle_submit(Job job) {
   schedule_pass();
 }
 
-Job EasyScheduler::handle_cancel(JobId id) {
-  Job job = queue_.take(queue_.slot_of(id));
+std::optional<Job> EasyScheduler::handle_cancel(JobId id) {
+  const PendingQueue::Slot s = queue_.slot_of(id);
+  if (s == queue_.end()) return std::nullopt;
+  Job job = queue_.take(s);
   schedule_pass();  // cancellation opens backfill opportunities
   return job;
 }

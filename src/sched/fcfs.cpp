@@ -7,8 +7,10 @@ void FcfsScheduler::handle_submit(Job job) {
   schedule_pass();
 }
 
-Job FcfsScheduler::handle_cancel(JobId id) {
-  Job job = queue_.take(queue_.slot_of(id));
+std::optional<Job> FcfsScheduler::handle_cancel(JobId id) {
+  const PendingQueue::Slot s = queue_.slot_of(id);
+  if (s == queue_.end()) return std::nullopt;
+  Job job = queue_.take(s);
   schedule_pass();  // removing the head may unblock successors
   return job;
 }

@@ -3,7 +3,12 @@
 // availability profile that delays no earlier reservation. Jobs may leap-
 // frog in start order but never push anyone's reservation back. The
 // reservation made at submit time doubles as the scheduler's queue-wait
-// prediction, which Section 5 of the paper studies.
+// prediction, which Section 5 of the paper studies; it goes to the
+// owner's on_prediction hook, and the scheduler keeps no copy.
+//
+// The FCFS-ordered queue_ is the only record of which jobs are pending:
+// a cancel, and the duplicate-id check at submit, scan it. Both are
+// O(queue), like the dispatch scan every submission already runs.
 //
 // The implementation is incremental: cancels, declines and early
 // completions release their reservation in place (Profile::release) and
@@ -44,8 +49,8 @@ class CbfScheduler final : public ClusterScheduler {
   std::size_t queue_length() const override { return queue_.size(); }
 
   /// Current (possibly compressed) reservation for a pending job, or
-  /// nullopt if the job is not pending. The *submit-time* value is
-  /// available via predicted_start_at_submit(). O(queue).
+  /// nullopt if the job is not pending. The *submit-time* value goes to
+  /// the owner's on_prediction hook. O(queue).
   std::optional<Time> current_reservation(JobId id) const;
 
   /// Enables the incremental-vs-rebuild oracle: after every profile
@@ -69,12 +74,12 @@ class CbfScheduler final : public ClusterScheduler {
   }
 
   void reset() override {
-    ClusterScheduler::reset();
     queue_.clear();
     profile_.reset();
     running_end_.clear();
     wakeup_ = {};  // the underlying event died with the Simulation reset
     self_check_fallbacks_ = 0;
+    ClusterScheduler::reset();
   }
 
 #if RRSIM_VALIDATE_ENABLED
@@ -90,8 +95,11 @@ class CbfScheduler final : public ClusterScheduler {
 
  protected:
   void handle_submit(Job job) override;
-  Job handle_cancel(JobId id) override;
+  std::optional<Job> handle_cancel(JobId id) override;
   void handle_completion(const Job& job) override;
+  bool queued(JobId id) const override {
+    return position_of(id) != queue_.size();
+  }
 
  private:
   struct Entry {
@@ -100,7 +108,7 @@ class CbfScheduler final : public ClusterScheduler {
   };
 
   /// Queue position of pending job `id`, or queue_.size() if it is not
-  /// queued. O(queue).
+  /// queued. O(queue): the answer to queued() and to every cancel.
   std::size_t position_of(JobId id) const;
 
   /// Releases reservation [r, r+req) from the profile, clipped to the

@@ -35,8 +35,11 @@ class FcfsScheduler final : public ClusterScheduler {
 
  protected:
   void handle_submit(Job job) override;
-  Job handle_cancel(JobId id) override;
+  std::optional<Job> handle_cancel(JobId id) override;
   void handle_completion(const Job& job) override;
+  bool queued(JobId id) const override {
+    return queue_.slot_of(id) != queue_.end();
+  }
 
  private:
   /// Starts queued jobs from the head while they fit.

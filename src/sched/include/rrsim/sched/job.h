@@ -18,17 +18,6 @@ using des::Time;
 /// every per-job table slot that keys on a JobId.
 using JobId = std::uint32_t;
 
-/// Lifecycle of a request in a batch queue, as the scheduler's lifecycle
-/// index records it (a Job carries no state of its own). One byte: the
-/// index holds an entry for every pending or running id.
-enum class JobState : std::uint8_t {
-  kPending,    ///< waiting in the queue
-  kRunning,    ///< allocated nodes, executing
-  kFinished,   ///< ran to completion
-  kCancelled,  ///< removed from the queue before starting (qdel)
-  kDeclined,   ///< grant refused by the owner (a sibling replica won)
-};
-
 /// Identifies the human (or account) behind a request, for per-user
 /// policies such as pending-request limits.
 using UserId = std::uint32_t;
@@ -36,8 +25,10 @@ using UserId = std::uint32_t;
 /// One batch request. `requested_time` is what the user asked for (the
 /// scheduler plans with it); `actual_time` is how long the job really runs
 /// (always <= requested_time — real schedulers kill jobs at the limit).
-/// 56 bytes (pinned below): the pending queues and the running set hold
-/// one per live request.
+/// A Job carries no lifecycle state: it is pending while it sits in its
+/// scheduler's queue, running while it sits in the running set, and
+/// ended once it is in neither. 56 bytes (pinned below): the pending
+/// queues and the running set hold one per live request.
 struct Job {
   JobId id = 0;
   int nodes = 1;

@@ -20,7 +20,6 @@
 
 #include <climits>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -62,14 +61,10 @@ class PendingQueue {
     return from;
   }
 
-  /// The slot holding pending job `id`. Throws std::logic_error if the id
-  /// is not queued.
-  Slot slot_of(JobId id) const {
+  /// The slot holding pending job `id`, or end() if the id is not queued.
+  Slot slot_of(JobId id) const noexcept {
     const Slot* s = index_.find(id);
-    if (s == nullptr) {
-      throw std::logic_error("pending queue: id is not queued");
-    }
-    return *s;
+    return s != nullptr ? *s : end();
   }
 
   /// Appends `job` at the tail. An empty queue first drops back to zero

@@ -50,13 +50,13 @@ struct OpCounters {
 /// with zero network delay). Completions are scheduled on the simulation
 /// at start + actual_time.
 ///
-/// Per-job state covers live jobs only: the moment a job is cancelled,
-/// declined or finished, its lifecycle entry and submit-time prediction
-/// are erased, so the tables stay O(live jobs) over arbitrarily long runs.
-/// An ended id then answers like an unknown one. Per-user state is kept
-/// only under a pending limit, and only for users with a pending job: a
-/// grid run without a limit keeps no per-user table, however many users
-/// its replicas carry.
+/// A job lives in exactly one place: the algorithm's pending queue while
+/// it waits, the running set while it runs. Its state is where it sits,
+/// so no per-job table mirrors it, and a job that is cancelled, declined
+/// or finished is in neither: an ended id answers like an unknown one.
+/// Per-user state is kept only under a pending limit, and only for users
+/// with a pending job: a grid run without a limit keeps no per-user
+/// table, however many users its replicas carry.
 class ClusterScheduler {
  public:
   /// Owner hooks. All optional; a null grant accepts every start.
@@ -82,6 +82,12 @@ class ClusterScheduler {
     // rrsim-lint-allow(std-function-member): installed once per run; the
     // void(const Job&) signature is inexpressible as InlineFunction.
     std::function<void(const Job&)> on_cancelled;
+    /// The start time predicted for `job` as it is submitted, reported
+    /// once, before the job can start. Only CBF predicts: the job's
+    /// reservation (the paper's Section 5 predictor).
+    // rrsim-lint-allow(std-function-member): installed once per run; the
+    // void(const Job&, Time) signature is inexpressible as InlineFunction.
+    std::function<void(const Job&, Time)> on_prediction;
   };
 
   /// Binds the scheduler to a simulation and a cluster of `total_nodes`
@@ -115,7 +121,8 @@ class ClusterScheduler {
 
   /// Cancels a *pending* request (qdel). Returns true if the job was
   /// pending and has been removed; false if unknown, running, or ended.
-  /// The membership check is an O(1) hash lookup on the lifecycle index
+  /// The algorithm's queue answers membership: EASY and FCFS in O(1)
+  /// through their pending queue's index, CBF by scanning its queue
   /// (redundant-request workloads are cancel-heavy: every grid job with
   /// redundancy degree N issues up to N-1 cancels).
   bool cancel(JobId id);
@@ -139,18 +146,10 @@ class ClusterScheduler {
   const OpCounters& counters() const noexcept { return counters_; }
   des::Simulation& simulation() noexcept { return sim_; }
 
-  /// The queue-wait prediction made *at submission time* for a pending or
-  /// running job, in seconds of predicted start time (absolute); nullopt
-  /// once the job has ended. Only CBF records one: its reservation at
-  /// submit (the paper's Section 5 predictor). FCFS and EASY record none
-  /// and return nullopt.
-  std::optional<Time> predicted_start_at_submit(JobId id) const;
-
-  /// Bytes of job-proportional live state this scheduler holds: the flat
-  /// per-job tables (lifecycle index, predictions, running set), the
-  /// per-user pending counts under a limit, plus the algorithm's own
-  /// pending structures. Capacity-based, so it reports the run's
-  /// high-water footprint even after erasures — the number the
+  /// Bytes of job-proportional live state this scheduler holds: the
+  /// running set, the per-user pending counts under a limit, plus the
+  /// algorithm's own pending structures. Capacity-based, so it reports the
+  /// run's high-water footprint even after erasures — the number the
   /// memory-budget benches track.
   virtual std::size_t live_state_bytes() const noexcept;
 
@@ -165,11 +164,11 @@ class ClusterScheduler {
   virtual void reset();
 
 #if RRSIM_VALIDATE_ENABLED
-  /// Full cross-consistency sweep: node accounting, running_ vs
-  /// known_ids_ agreement, and the per-user table (empty without a limit;
-  /// under one, positive counts that sum to the pending jobs). O(n) in
-  /// the lifecycle table — tests and reset paths only; the per-operation
-  /// checks cover the entities each operation touched.
+  /// Full cross-consistency sweep: node accounting, no running id still
+  /// queued, and the per-user table (empty without a limit; under one,
+  /// positive counts that sum to queue_length()). O(running x membership
+  /// lookup) — tests and reset paths only; the per-operation checks cover
+  /// the job each operation touched.
   virtual void debug_validate() const;
 
   /// Corruption hook for the oracle death tests: leaks one node from the
@@ -182,8 +181,8 @@ class ClusterScheduler {
 
   /// Attempts to start `job` now: consults the grant callback; on success
   /// allocates nodes, schedules completion, fires on_start, and returns
-  /// true. On decline records the job as Declined and returns false. The
-  /// caller must have removed the job from its pending structures first.
+  /// true. On decline drops the job and returns false. The caller must
+  /// have removed the job from its pending structures first.
   bool try_start(Job job);
 
   /// The authoritative running set, keyed by id (iteration order is id
@@ -197,16 +196,22 @@ class ClusterScheduler {
   /// Called after submit() has validated and counted the job.
   virtual void handle_submit(Job job) = 0;
 
-  /// Called when `id` (validated pending) must be removed. Implementations
-  /// remove it from their structures and return the Job by value.
-  virtual Job handle_cancel(JobId id) = 0;
+  /// Called to cancel `id`. If it is queued, implementations remove it
+  /// from their structures, run their pass and return the Job by value;
+  /// otherwise they change nothing and return nullopt.
+  virtual std::optional<Job> handle_cancel(JobId id) = 0;
 
   /// Called after a running job finished and freed its nodes.
   virtual void handle_completion(const Job& job) = 0;
 
-  /// Records the submit-time prediction for `id` that
-  /// predicted_start_at_submit() answers (CBF: the job's reservation).
-  void record_prediction(JobId id, Time predicted_start);
+  /// True if `id` is in the algorithm's pending structures.
+  virtual bool queued(JobId id) const = 0;
+
+  /// Hands the start time predicted for `job` at its submission to the
+  /// owner's on_prediction hook (CBF: the job's reservation).
+  void report_prediction(const Job& job, Time start) const {
+    if (callbacks_.on_prediction) callbacks_.on_prediction(job, start);
+  }
 
   void count_pass() noexcept { ++counters_.sched_passes; }
   void count_rebuild() noexcept { ++counters_.profile_rebuilds; }
@@ -221,11 +226,22 @@ class ClusterScheduler {
   void leave_pending(UserId user) noexcept;
 
 #if RRSIM_VALIDATE_ENABLED
-  /// Per-operation check, O(running): free_nodes_ must equal total minus
-  /// the running set's footprint, and the job the operation touched must
-  /// be in the lifecycle state the operation left it in — absent from the
-  /// lifecycle index and predictions once it has ended.
-  void validate_op(JobId touched, JobState expected) const;
+  /// Where an operation left the job it touched.
+  enum class Place : std::uint8_t { kQueue, kRunning, kGone };
+
+  /// Per-operation check, O(running + membership lookup): free_nodes_
+  /// must equal total minus the running set's footprint, the touched job
+  /// must be in the queue, the running set or neither as `expected` says,
+  /// and (outside a cancel's pass) the per-user counts must hold.
+  void validate_op(JobId touched, Place expected) const;
+
+  /// Under a limit, the per-user counts are positive and sum to
+  /// queue_length(); without one, the table is empty.
+  void validate_pending_counts() const;
+
+  /// Set while handle_cancel runs: the job it took out of the queue still
+  /// counts for its user until cancel() takes it off after the pass.
+  bool cancel_in_pass_ = false;
 #endif
 
   int total_nodes_;
@@ -234,18 +250,11 @@ class ClusterScheduler {
   Callbacks callbacks_;
   OpCounters counters_;
   std::optional<int> per_user_limit_;
-  // Per-job bookkeeping lives in flat tables: these are touched on every
-  // submit/cancel/start/finish, and none of them needs ordered iteration
-  // (the running set, which does, gets the sorted-vector map).
   /// Pending jobs per user, under a limit only: a user's entry exists
   /// while it has a pending job and is erased when its count reaches 0.
   util::FlatHashMap<UserId, int> pending_per_user_;
+  /// The running jobs, in id order (see running_jobs()).
   util::FlatOrderedMap<JobId, Job> running_;
-  util::FlatHashMap<JobId, Time> predictions_;  // submit-time starts
-  /// Lifecycle of every pending or running id: duplicate-id guard and the
-  /// O(1) pending membership check behind cancel(). An id leaves it (and
-  /// predictions_) when its job is cancelled, declined or finished.
-  util::FlatHashMap<JobId, JobState> known_ids_;
 };
 
 }  // namespace rrsim::sched

@@ -8,7 +8,7 @@
 //                     array of slots, no per-node allocation, no
 //                     tombstones. Iteration order is unspecified; use it
 //                     only where iteration order cannot reach results
-//                     (lifecycle indexes, id -> position maps).
+//                     (id -> slot indexes, tracking tables).
 //  * FlatOrderedMap — sorted vector keyed by K. Iteration is key order,
 //                     which the profile-rebuild paths depend on for
 //                     bit-identical floating-point reservation order.

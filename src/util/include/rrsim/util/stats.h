@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace rrsim::util {
 
@@ -39,9 +38,6 @@ class OnlineStats {
   /// Sum of all observations.
   double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const OnlineStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -67,13 +63,5 @@ Summary summarize(std::span<const double> xs) noexcept;
 /// Linear-interpolated quantile (q in [0, 1]) of `xs`; `xs` is copied and
 /// sorted internally. Returns 0 for an empty span.
 double quantile(std::span<const double> xs, double q);
-
-/// Arithmetic mean of `xs`; 0 for an empty span.
-double mean_of(std::span<const double> xs) noexcept;
-
-/// Element-wise ratio a[i] / b[i]. Requires equal sizes; entries where
-/// b[i] == 0 are skipped.
-std::vector<double> elementwise_ratio(std::span<const double> a,
-                                      std::span<const double> b);
 
 }  // namespace rrsim::util

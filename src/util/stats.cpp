@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace rrsim::util {
 
@@ -25,24 +26,6 @@ double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 double OnlineStats::cv_percent() const noexcept {
   const double m = mean();
   return m != 0.0 ? stddev() / m * 100.0 : 0.0;
-}
-
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  max_ = std::max(max_, other.max_);
-  min_ = std::min(min_, other.min_);
 }
 
 Summary summarize(std::span<const double> xs) noexcept {
@@ -69,26 +52,6 @@ double quantile(std::span<const double> xs, double q) {
   const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return v[lo] + frac * (v[hi] - v[lo]);
-}
-
-double mean_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (const double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-std::vector<double> elementwise_ratio(std::span<const double> a,
-                                      std::span<const double> b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("elementwise_ratio requires equal sizes");
-  }
-  std::vector<double> out;
-  out.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (b[i] != 0.0) out.push_back(a[i] / b[i]);
-  }
-  return out;
 }
 
 }  // namespace rrsim::util

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "rrsim/core/campaign.h"
+#include "rrsim/core/sweep.h"
 #include "rrsim/metrics/summary.h"
 
 namespace rrsim::core {
@@ -171,24 +174,19 @@ TEST(Streaming, RelativeCampaignMatchesRetained) {
   EXPECT_EQ(streamed.win_rate, retained.win_rate);
 }
 
-TEST(Streaming, PredictionCampaignMatchesRetainedWithinRounding) {
+TEST(Streaming, PredictionCampaignRejectsStreamedRuns) {
+  // A prediction campaign pools the records of every repetition, and a
+  // streamed run keeps none: the sweep refuses it as it is queued, before
+  // anything runs. (A single streamed run still predicts: see
+  // PredictionAccuracyMatchesBatch.)
   ExperimentConfig config = small_config();
   config.algorithm = sched::Algorithm::kCbf;  // the only predictor
-  config.estimator = "uniform216";
-  const PredictionCampaign retained = run_prediction_campaign(config, 3, 1);
   config.retain_records = false;
-  const PredictionCampaign streamed = run_prediction_campaign(config, 3, 1);
-  EXPECT_GT(retained.redundant.jobs, 0u);
-  EXPECT_GT(retained.non_redundant.jobs, 0u);
-  EXPECT_EQ(streamed.all.jobs, retained.all.jobs);
-  EXPECT_EQ(streamed.redundant.jobs, retained.redundant.jobs);
-  // Pooling across reps is a Welford merge in the streaming path vs. one
-  // sequential pass over the concatenation in the retained path — equal
-  // only to rounding.
-  EXPECT_NEAR(streamed.all.avg_ratio, retained.all.avg_ratio,
-              1e-9 * (retained.all.avg_ratio + 1.0));
-  EXPECT_NEAR(streamed.all.cv_ratio_percent, retained.all.cv_ratio_percent,
-              1e-9 * (retained.all.cv_ratio_percent + 1.0));
+  CampaignSweep sweep(3, 1);
+  EXPECT_THROW(sweep.add_prediction(config, [](const PredictionCampaign&) {}),
+               std::invalid_argument);
+  EXPECT_EQ(sweep.runner().pending_units(), 0u);
+  EXPECT_THROW(run_prediction_campaign(config, 3, 1), std::invalid_argument);
 }
 
 }  // namespace

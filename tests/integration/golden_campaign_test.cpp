@@ -118,6 +118,68 @@ TEST_F(GoldenTable1, FcfsExactEstimates) {
                               0x1.5555555555555p-1, 0x1.1b61b720ec80fp+0});
 }
 
+// Table 4's shape (bench/table4_predictability at its defaults): CBF's
+// submit-time reservations, the minimum over each job's replicas, folded
+// into predicted/actual wait ratios. Pins every PredictionAccuracy field
+// for all, r and n-r jobs, so any change to how schedulers report
+// predictions or how the gateway keeps them shows here.
+struct GoldenPrediction {
+  std::size_t jobs;
+  double avg_ratio;
+  double cv_ratio_percent;
+};
+
+void expect_bit_identical(const metrics::PredictionAccuracy& a,
+                          const GoldenPrediction& g) {
+  EXPECT_EQ(a.jobs, g.jobs);
+  EXPECT_EQ(a.avg_ratio, g.avg_ratio);
+  EXPECT_EQ(a.cv_ratio_percent, g.cv_ratio_percent);
+}
+
+class GoldenTable4 : public ::testing::Test {
+ protected:
+  static core::PredictionCampaign run(bool forty_percent_all) {
+    core::ExperimentConfig c;
+    c.n_clusters = 10;
+    c.load_mode = core::LoadMode::kPerClusterPeak;
+    c.submit_horizon = 1200.0;
+    c.algorithm = sched::Algorithm::kCbf;
+    c.estimator = "uniform216";
+    c.seed = 77;
+    if (forty_percent_all) {
+      c.scheme = core::RedundancyScheme::all();
+      c.redundant_fraction = 0.4;
+    }
+    return core::run_prediction_campaign(c, 3, 1);
+  }
+};
+
+TEST_F(GoldenTable4, Baseline) {
+  const core::PredictionCampaign p = run(false);
+  EXPECT_EQ(p.reps, 3u);
+  expect_bit_identical(
+      p.all, GoldenPrediction{4840, 0x1.45f055e05ed3bp+2,
+                              0x1.c4a6e6e996584p+7});
+  expect_bit_identical(p.redundant, GoldenPrediction{0, 0.0, 0.0});
+  expect_bit_identical(
+      p.non_redundant, GoldenPrediction{4840, 0x1.45f055e05ed3bp+2,
+                                        0x1.c4a6e6e996584p+7});
+}
+
+TEST_F(GoldenTable4, FortyPercentAll) {
+  const core::PredictionCampaign p = run(true);
+  EXPECT_EQ(p.reps, 3u);
+  expect_bit_identical(
+      p.all, GoldenPrediction{4855, 0x1.4f6be29c71ca1p+3,
+                              0x1.296656568cc54p+7});
+  expect_bit_identical(
+      p.redundant, GoldenPrediction{1500, 0x1.7d0d7677d2dbdp+3,
+                                    0x1.e437345d453a2p+6});
+  expect_bit_identical(
+      p.non_redundant, GoldenPrediction{3355, 0x1.3b051f8d26b73p+3,
+                                        0x1.45f3a3df384cbp+7});
+}
+
 TEST_F(GoldenTable1, FcfsIgnoresEstimatorQuality) {
   // FCFS never reads requested-time estimates, so the uniform216 point
   // must reproduce the exact-estimates point bit for bit.

@@ -120,35 +120,6 @@ TEST(OnlineAccumulator, ResetRestoresFreshState) {
   EXPECT_EQ(acc.metrics().avg_stretch, compute_metrics(rs).avg_stretch);
 }
 
-// Welford merge over per-rep accumulators vs one sequential pass over the
-// concatenation: counts and max are exact, means/CVs agree to rounding.
-TEST(OnlineAccumulator, MergeMatchesPooledSequentialWithinRounding) {
-  std::vector<JobRecord> all;
-  OnlineAccumulator merged;
-  for (std::uint64_t rep = 0; rep < 4; ++rep) {
-    const std::vector<JobRecord> rs = random_records(1000 + 100 * rep, rep);
-    OnlineAccumulator acc;
-    for (const JobRecord& r : rs) acc.add(r);
-    merged.merge(acc);
-    all.insert(all.end(), rs.begin(), rs.end());
-  }
-  OnlineAccumulator sequential;
-  for (const JobRecord& r : all) sequential.add(r);
-
-  const ScheduleMetrics m = merged.metrics();
-  const ScheduleMetrics s = sequential.metrics();
-  EXPECT_EQ(m.jobs, s.jobs);
-  EXPECT_EQ(m.max_stretch, s.max_stretch);
-  EXPECT_NEAR(m.avg_stretch, s.avg_stretch, 1e-9 * s.avg_stretch);
-  EXPECT_NEAR(m.cv_stretch_percent, s.cv_stretch_percent,
-              1e-9 * s.cv_stretch_percent);
-  EXPECT_NEAR(m.avg_wait, s.avg_wait, 1e-9 * s.avg_wait);
-  const PredictionAccuracy pm = merged.prediction();
-  const PredictionAccuracy pseq = sequential.prediction();
-  EXPECT_EQ(pm.jobs, pseq.jobs);
-  EXPECT_NEAR(pm.avg_ratio, pseq.avg_ratio, 1e-9 * pseq.avg_ratio);
-}
-
 // --- P2 quantile sketch ----------------------------------------------------
 
 TEST(P2Quantile, ExactForFewerThanFiveObservations) {
@@ -160,17 +131,6 @@ TEST(P2Quantile, ExactForFewerThanFiveObservations) {
   EXPECT_EQ(q.value(), 2.0);  // median of {1, 3}
   q.add(2.0);
   EXPECT_EQ(q.value(), 2.0);  // median of {1, 2, 3}
-}
-
-TEST(P2Quantile, MergeOfSmallSketchIsExactReplay) {
-  P2Quantile a(0.5);
-  a.add(1.0);
-  a.add(5.0);
-  P2Quantile b(0.5);
-  b.add(3.0);
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.value(), 3.0);  // median of {1, 3, 5}
 }
 
 /// Randomized error bound: the P^2 estimate's *rank* in the sample must be

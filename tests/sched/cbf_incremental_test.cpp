@@ -38,18 +38,14 @@ class LegacyCbf final : public ClusterScheduler {
     const Time now = sim_.now();
     const Time s = profile_.earliest_start(now, job.nodes, job.requested_time);
     profile_.reserve(s, job.requested_time, job.nodes);
-    record_prediction(job.id, s);
+    report_prediction(job, s);
     queue_.push_back(Entry{std::move(job), s});
     dispatch_ready();
   }
 
-  Job handle_cancel(JobId id) override {
-    const auto it =
-        std::find_if(queue_.begin(), queue_.end(),
-                     [id](const Entry& e) { return e.job.id == id; });
-    if (it == queue_.end()) {
-      throw std::logic_error("legacy cbf: cancel of non-pending job");
-    }
+  std::optional<Job> handle_cancel(JobId id) override {
+    const auto it = find(id);
+    if (it == queue_.end()) return std::nullopt;
     Job job = it->job;
     queue_.erase(it);
     rebuild_profile();
@@ -63,11 +59,18 @@ class LegacyCbf final : public ClusterScheduler {
     dispatch_ready();
   }
 
+  bool queued(JobId id) const override { return find(id) != queue_.end(); }
+
  private:
   struct Entry {
     Job job;
     Time reserved_start = 0.0;
   };
+
+  std::vector<Entry>::const_iterator find(JobId id) const {
+    return std::find_if(queue_.begin(), queue_.end(),
+                        [id](const Entry& e) { return e.job.id == id; });
+  }
 
   void rebuild_profile() {
     count_pass();
@@ -155,19 +158,14 @@ Trace run_workload(const WorkloadParams& wp) {
     sched.set_self_check(wp.self_check);
   }
   Trace trace;
-  // A scheduler forgets a job's submit-time prediction when the job ends,
-  // so read it while the job is known: as its submission returns, and at
-  // its grant (a job declined inside submit() has ended by the return).
-  const auto note_prediction = [&trace, &sched](JobId id) {
-    if (const auto p = sched.predicted_start_at_submit(id)) {
-      trace.predictions.emplace(id, *p);
-    }
-  };
 
   ClusterScheduler::Callbacks cb;
   cb.on_grant = [&](const Job& j) {
-    note_prediction(j.id);
     return !(wp.declines && j.id % 11 == 3);  // deterministic declines
+  };
+  cb.on_prediction = [&trace](const Job& j, Time start) {
+    EXPECT_TRUE(trace.predictions.emplace(j.id, start).second)
+        << "job " << j.id << " predicted twice";
   };
   cb.on_start = [&](const Job& j) {
     trace.events.emplace_back('s', j.id, j.start_time);
@@ -214,9 +212,8 @@ Trace run_workload(const WorkloadParams& wp) {
       if (rng.chance(wp.cancel_fraction)) cancel_after = draw(0.0, 120.0);
     }
     sim.schedule_at(t,
-                    [&s = sched, &note_prediction, &trace, job] {
+                    [&s = sched, &trace, job] {
                       s.submit(job);
-                      note_prediction(job.id);
                       trace.peak_queue =
                           std::max(trace.peak_queue, s.queue_length());
                     },
@@ -263,7 +260,7 @@ TEST(CbfIncremental, MatchesLegacyRebuildTraceBitExactly) {
     const Trace incremental = run_workload<CbfScheduler>(wp);
     expect_traces_equal(legacy, incremental, seed);
     ASSERT_GT(incremental.cancels_issued, 20u) << "workload too tame";
-    // Every submitted job's prediction was read before the job ended.
+    // Every submitted job's prediction was reported, once.
     EXPECT_EQ(incremental.predictions.size(),
               static_cast<std::size_t>(wp.jobs));
   }

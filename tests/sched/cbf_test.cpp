@@ -19,10 +19,12 @@ Job make_job(JobId id, int nodes, Time requested, Time actual = -1.0) {
 
 struct Recorder {
   std::map<JobId, Time> start_times;
+  std::map<JobId, Time> predicted;  ///< submit-time reservations
 
   ClusterScheduler::Callbacks callbacks(des::Simulation& sim) {
     ClusterScheduler::Callbacks cb;
     cb.on_start = [this, &sim](const Job& j) { start_times[j.id] = sim.now(); };
+    cb.on_prediction = [this](const Job& j, Time s) { predicted[j.id] = s; };
     return cb;
   }
 };
@@ -40,12 +42,14 @@ TEST(Cbf, ImmediateStartWhenFree) {
 TEST(Cbf, EveryJobGetsReservationAtSubmit) {
   des::Simulation sim;
   CbfScheduler sched(sim, 8);
+  Recorder rec;
+  sched.set_callbacks(rec.callbacks(sim));
   sched.submit(make_job(1, 8, 100.0));
   sched.submit(make_job(2, 8, 50.0));
   sched.submit(make_job(3, 8, 25.0));
-  EXPECT_EQ(sched.predicted_start_at_submit(1), 0.0);
-  EXPECT_EQ(sched.predicted_start_at_submit(2), 100.0);
-  EXPECT_EQ(sched.predicted_start_at_submit(3), 150.0);
+  EXPECT_EQ(rec.predicted.at(1), 0.0);
+  EXPECT_EQ(rec.predicted.at(2), 100.0);
+  EXPECT_EQ(rec.predicted.at(3), 150.0);
   EXPECT_EQ(sched.current_reservation(2), 100.0);
   EXPECT_FALSE(sched.current_reservation(1).has_value());  // running
 }
@@ -65,7 +69,8 @@ TEST(Cbf, BackfillsIntoProfileHoles) {
   EXPECT_EQ(*sched.current_reservation(3), 150.0);
   EXPECT_EQ(rec.start_times[4], 0.0);
   // Job 3's reservation must not delay job 2.
-  EXPECT_EQ(*sched.predicted_start_at_submit(2), 100.0);
+  EXPECT_EQ(rec.predicted.at(2), 100.0);
+  EXPECT_EQ(*sched.current_reservation(2), 100.0);
   sim.run();
   EXPECT_EQ(rec.start_times[2], 100.0);
 }
@@ -73,13 +78,15 @@ TEST(Cbf, BackfillsIntoProfileHoles) {
 TEST(Cbf, ReservationsNeverDelayedByLaterSubmissions_Property) {
   des::Simulation sim;
   CbfScheduler sched(sim, 16);
-  std::map<JobId, Time> reserved;
+  Recorder rec;
+  sched.set_callbacks(rec.callbacks(sim));
+  const std::map<JobId, Time>& reserved = rec.predicted;
   JobId id = 1;
   for (int i = 0; i < 40; ++i) {
     const int nodes = (static_cast<int>(id) * 5 % 16) + 1;
     const double req = 10.0 + static_cast<double>(id % 30);
     sched.submit(make_job(id, nodes, req));
-    reserved[id] = sched.predicted_start_at_submit(id).value();
+    ASSERT_EQ(reserved.count(id), 1u) << "job " << id << " not predicted";
     // Invariant: every earlier job's current reservation is still at or
     // before the value promised at its submission.
     for (const auto& [jid, promise] : reserved) {
@@ -113,7 +120,7 @@ TEST(Cbf, CompressionAfterEarlyCompletion) {
   sched.set_callbacks(rec.callbacks(sim));
   sched.submit(make_job(1, 8, 100.0, 20.0));  // claims 100, runs 20
   sched.submit(make_job(2, 8, 50.0));         // reserved at 100
-  EXPECT_EQ(*sched.predicted_start_at_submit(2), 100.0);
+  EXPECT_EQ(rec.predicted.at(2), 100.0);
   sim.run();
   EXPECT_EQ(rec.start_times[2], 20.0);  // compression pulled it forward
 }
@@ -160,12 +167,14 @@ TEST(Cbf, FifoAmongEqualJobs) {
   // submission order.
   des::Simulation sim;
   CbfScheduler sched(sim, 4);
+  Recorder rec;
+  sched.set_callbacks(rec.callbacks(sim));
   for (JobId id = 1; id <= 6; ++id) {
     sched.submit(make_job(id, 4, 10.0));
   }
   Time prev = -1.0;
   for (JobId id = 2; id <= 6; ++id) {
-    const Time r = sched.predicted_start_at_submit(id).value();
+    const Time r = rec.predicted.at(id);
     EXPECT_GT(r, prev);
     prev = r;
   }
@@ -180,13 +189,15 @@ TEST(Cbf, PredictionExactWithExactEstimatesAndNoChurn_Property) {
   std::map<JobId, Time> actual;
   ClusterScheduler::Callbacks cb;
   cb.on_start = [&actual, &sim](const Job& j) { actual[j.id] = sim.now(); };
+  cb.on_prediction = [&predicted](const Job& j, Time s) {
+    predicted[j.id] = s;
+  };
   sched.set_callbacks(std::move(cb));
   JobId id = 1;
   for (int i = 0; i < 50; ++i) {
     const int nodes = (static_cast<int>(id) * 3 % 16) + 1;
     const double req = 5.0 + static_cast<double>((id * 11) % 50);
     sched.submit(make_job(id, nodes, req));
-    predicted[id] = sched.predicted_start_at_submit(id).value();
     ++id;
   }
   sim.run();
@@ -206,7 +217,7 @@ TEST(Cbf, OverestimatedRuntimesMakePredictionsConservative) {
   for (JobId id = 1; id <= 4; ++id) {
     sched.submit(make_job(id, 8, 100.0, 25.0));
   }
-  const Time predicted4 = sched.predicted_start_at_submit(4).value();
+  const Time predicted4 = rec.predicted.at(4);
   sim.run();
   EXPECT_EQ(predicted4, 300.0);
   EXPECT_EQ(rec.start_times[4], 75.0);

@@ -1,8 +1,8 @@
-// Schedulers erase a job's lifecycle entry the moment it ends (cancelled,
-// declined or finished), so their per-job tables stay O(live jobs). The
-// documented behavioural edges: cancel() on an ended id says false like
-// any unknown id, its submit-time prediction is gone, and reusing the id
-// is no longer caught as a duplicate.
+// A job lives only in its scheduler's queue or running set, so the moment
+// it ends (cancelled, declined or finished) no scheduler structure holds
+// it, and per-job state stays O(live jobs). The documented behavioural
+// edges: cancel() on an ended id says false like any unknown id, and
+// reusing the id is no longer caught as a duplicate.
 #include <gtest/gtest.h>
 
 #include "rrsim/sched/factory.h"
@@ -29,8 +29,6 @@ TEST(ForgetTerminalIds, ForgottenIdsAnswerLikeTerminalOnes) {
   // Finished and forgotten: cancel answers false through the unknown-id
   // path.
   EXPECT_FALSE(sched->cancel(1));
-  // The prediction recorded at submit is dropped with the lifecycle entry.
-  EXPECT_FALSE(sched->predicted_start_at_submit(1).has_value());
   // The documented trade: a reused ended id is accepted again instead of
   // throwing. The gateway never reuses replica ids.
   EXPECT_NO_THROW(sched->submit(make_job(1, 8, 10.0)));

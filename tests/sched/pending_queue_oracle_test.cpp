@@ -51,7 +51,7 @@ class DequeEasy final : public ClusterScheduler {
     schedule_pass();
   }
 
-  Job handle_cancel(JobId id) override {
+  std::optional<Job> handle_cancel(JobId id) override {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (it->id == id) {
         Job job = *it;
@@ -60,7 +60,12 @@ class DequeEasy final : public ClusterScheduler {
         return job;
       }
     }
-    throw std::logic_error("easy: cancel of non-pending job");
+    return std::nullopt;
+  }
+
+  bool queued(JobId id) const override {
+    return std::any_of(queue_.begin(), queue_.end(),
+                       [id](const Job& j) { return j.id == id; });
   }
 
   void handle_completion(const Job& job) override {
@@ -160,7 +165,7 @@ class DequeFcfs final : public ClusterScheduler {
     schedule_pass();
   }
 
-  Job handle_cancel(JobId id) override {
+  std::optional<Job> handle_cancel(JobId id) override {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (it->id == id) {
         Job job = *it;
@@ -169,7 +174,12 @@ class DequeFcfs final : public ClusterScheduler {
         return job;
       }
     }
-    throw std::logic_error("fcfs: cancel of non-pending job");
+    return std::nullopt;
+  }
+
+  bool queued(JobId id) const override {
+    return std::any_of(queue_.begin(), queue_.end(),
+                       [id](const Job& j) { return j.id == id; });
   }
 
   void handle_completion(const Job&) override { schedule_pass(); }
@@ -594,7 +604,7 @@ TEST(PendingQueue, MatchesAVectorModelThroughCompactions) {
     }
   }
   EXPECT_GT(compactions, 100u);
-  EXPECT_THROW(q.slot_of(next_id), std::logic_error);
+  EXPECT_EQ(q.slot_of(next_id), q.end());
 }
 
 TEST(PendingQueue, SlotsStayValidUntilTheNextPush) {

@@ -71,7 +71,7 @@ RunOutcome run_random_workload(Algorithm algo, std::uint64_t seed,
     }
   }
   sim.run();
-  // An ended id has left the lifecycle index: a late qdel is a no-op.
+  // An ended id is in no scheduler structure: a late qdel is a no-op.
   for (const auto& [id, job] : outcome.finished) {
     outcome.finished_ids_cancelled += sched->cancel(id) ? 1 : 0;
   }
@@ -122,15 +122,26 @@ TEST_P(SchedulerInvariants, DeterministicAcrossRuns) {
 
 TEST_P(SchedulerInvariants, HypotheticalPredictionIsValidStart) {
   // Only CBF predicts at submit: the prediction is the reservation the job
-  // got, no earlier than its submit time. FCFS and EASY predict nothing.
+  // got, no earlier than its submit time, reported once and before the
+  // job can start. FCFS and EASY predict nothing.
   const auto [algo, seed] = GetParam();
   des::Simulation sim;
   auto sched = make_scheduler(algo, sim, 16);
   const auto* cbf = dynamic_cast<const CbfScheduler*>(sched.get());
   ASSERT_EQ(cbf != nullptr, algo == Algorithm::kCbf);
   std::map<JobId, Time> started;
+  std::map<JobId, Time> predicted;
   ClusterScheduler::Callbacks cb;
-  cb.on_start = [&started](const Job& j) { started[j.id] = j.start_time; };
+  cb.on_start = [&started, &predicted, cbf](const Job& j) {
+    started[j.id] = j.start_time;
+    if (cbf != nullptr) {
+      EXPECT_EQ(predicted.count(j.id), 1u) << "job " << j.id;
+    }
+  };
+  cb.on_prediction = [&predicted](const Job& j, Time s) {
+    EXPECT_TRUE(predicted.emplace(j.id, s).second)
+        << "job " << j.id << " predicted twice";
+  };
   sched->set_callbacks(std::move(cb));
   util::Rng rng(seed);
   int checked = 0;
@@ -144,18 +155,18 @@ TEST_P(SchedulerInvariants, HypotheticalPredictionIsValidStart) {
     // reservation; a job that started inside submit() started at it.
     sim.schedule_at(rng.uniform(0.0, 60.0), [&, job] {
       ASSERT_TRUE(sched->submit(job));
-      const std::optional<Time> p = sched->predicted_start_at_submit(job.id);
+      const auto p = predicted.find(job.id);
       ++checked;
       if (cbf == nullptr) {
-        EXPECT_FALSE(p.has_value()) << "job " << job.id;
+        EXPECT_EQ(p, predicted.end()) << "job " << job.id;
         return;
       }
-      ASSERT_TRUE(p.has_value()) << "job " << job.id;
-      EXPECT_GE(*p, sim.now()) << "job " << job.id;
+      ASSERT_NE(p, predicted.end()) << "job " << job.id;
+      EXPECT_GE(p->second, sim.now()) << "job " << job.id;
       const auto it = started.find(job.id);
       const std::optional<Time> reserved =
           it != started.end() ? it->second : cbf->current_reservation(job.id);
-      EXPECT_EQ(reserved, p) << "job " << job.id;
+      EXPECT_EQ(reserved, p->second) << "job " << job.id;
     });
   }
   sim.run();
@@ -170,6 +181,84 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Param>& param_info) {
       return algorithm_name(std::get<0>(param_info.param)) + "_seed" +
              std::to_string(std::get<1>(param_info.param));
+    });
+
+// Id rules every algorithm shares: the id of a pending or running job is
+// refused before any state changes, and cancel() removes pending jobs
+// only.
+class SchedulerIds : public ::testing::TestWithParam<Algorithm> {};
+
+Job short_job(JobId id, int nodes, Time runtime) {
+  Job job;
+  job.id = id;
+  job.nodes = nodes;
+  job.requested_time = runtime;
+  job.actual_time = runtime;
+  return job;
+}
+
+void expect_same_counters(const OpCounters& a, const OpCounters& b) {
+  EXPECT_EQ(a.submits, b.submits);
+  EXPECT_EQ(a.rejects, b.rejects);
+  EXPECT_EQ(a.cancels, b.cancels);
+  EXPECT_EQ(a.starts, b.starts);
+  EXPECT_EQ(a.finishes, b.finishes);
+  EXPECT_EQ(a.declines, b.declines);
+  EXPECT_EQ(a.sched_passes, b.sched_passes);
+  EXPECT_EQ(a.profile_rebuilds, b.profile_rebuilds);
+}
+
+TEST_P(SchedulerIds, PendingOrRunningIdThrowsAndChangesNothing) {
+  des::Simulation sim;
+  auto sched = make_scheduler(GetParam(), sim, 8);
+  ASSERT_TRUE(sched->submit(short_job(1, 4, 10.0)));  // runs
+  ASSERT_TRUE(sched->submit(short_job(2, 8, 10.0)));  // waits for job 1
+  ASSERT_EQ(sched->running_count(), 1u);
+  ASSERT_EQ(sched->queue_length(), 1u);
+  const OpCounters before = sched->counters();
+  // A 1-node, 1 s job would start at once beside job 1 under EASY and
+  // CBF if the id check came after any state change.
+  for (const JobId id : {JobId{1}, JobId{2}}) {
+    EXPECT_THROW(sched->submit(short_job(id, 1, 1.0)), std::invalid_argument)
+        << "id " << id;
+    expect_same_counters(sched->counters(), before);
+    EXPECT_EQ(sched->queue_length(), 1u);
+    EXPECT_EQ(sched->running_count(), 1u);
+  }
+  sim.run();
+  EXPECT_EQ(sched->counters().finishes, 2u);
+}
+
+TEST_P(SchedulerIds, CancelOfARunningEndedOrUnknownIdCountsNothing) {
+  des::Simulation sim;
+  auto sched = make_scheduler(GetParam(), sim, 8);
+  int cancelled = 0;
+  ClusterScheduler::Callbacks cb;
+  cb.on_cancelled = [&cancelled](const Job&) { ++cancelled; };
+  sched->set_callbacks(std::move(cb));
+  ASSERT_TRUE(sched->submit(short_job(1, 8, 10.0)));  // runs
+  ASSERT_TRUE(sched->submit(short_job(2, 8, 10.0)));  // pending
+  OpCounters before = sched->counters();
+  EXPECT_FALSE(sched->cancel(1));   // running
+  EXPECT_FALSE(sched->cancel(99));  // never seen
+  expect_same_counters(sched->counters(), before);
+  EXPECT_EQ(sched->queue_length(), 1u);
+  EXPECT_EQ(sched->running_count(), 1u);
+  sim.run();
+  before = sched->counters();
+  EXPECT_EQ(before.finishes, 2u);
+  EXPECT_FALSE(sched->cancel(1));  // ended
+  EXPECT_FALSE(sched->cancel(2));
+  expect_same_counters(sched->counters(), before);
+  EXPECT_EQ(before.cancels, 0u);
+  EXPECT_EQ(cancelled, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, SchedulerIds,
+    ::testing::Values(Algorithm::kFcfs, Algorithm::kEasy, Algorithm::kCbf),
+    [](const ::testing::TestParamInfo<Algorithm>& param_info) {
+      return algorithm_name(param_info.param);
     });
 
 TEST(Factory, ParseAndNames) {

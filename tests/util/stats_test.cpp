@@ -59,38 +59,6 @@ TEST(OnlineStats, MatchesNaiveTwoPassOnRandomData) {
   EXPECT_NEAR(s.variance(), var, 1e-6);
 }
 
-TEST(OnlineStats, MergeEqualsSequential) {
-  Rng rng(2);
-  OnlineStats whole;
-  OnlineStats left;
-  OnlineStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(0.0, 10.0);
-    whole.add(x);
-    (i % 3 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.max(), whole.max());
-  EXPECT_EQ(left.min(), whole.min());
-}
-
-TEST(OnlineStats, MergeWithEmptyIsIdentity) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(3.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), 2.0);
-  OnlineStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_EQ(b.mean(), 2.0);
-}
-
 TEST(Summarize, EmptySpan) {
   const Summary s = summarize({});
   EXPECT_EQ(s.count, 0u);
@@ -128,27 +96,6 @@ TEST(Quantile, RejectsOutOfRangeQ) {
 }
 
 TEST(Quantile, EmptyReturnsZero) { EXPECT_EQ(quantile({}, 0.5), 0.0); }
-
-TEST(MeanOf, Basics) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  const std::vector<double> xs{2.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 3.0);
-}
-
-TEST(ElementwiseRatio, SkipsZeroDenominators) {
-  const std::vector<double> a{2.0, 6.0, 8.0};
-  const std::vector<double> b{1.0, 0.0, 4.0};
-  const std::vector<double> r = elementwise_ratio(a, b);
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_DOUBLE_EQ(r[0], 2.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.0);
-}
-
-TEST(ElementwiseRatio, RejectsSizeMismatch) {
-  const std::vector<double> a{1.0};
-  const std::vector<double> b{1.0, 2.0};
-  EXPECT_THROW(elementwise_ratio(a, b), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace rrsim::util

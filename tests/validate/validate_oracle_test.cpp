@@ -101,6 +101,49 @@ TEST(ValidateClean, PerUserLimitRunKeepsItsPendingCountsExact) {
   }
 }
 
+TEST(ValidateClean, CancelWhosePassStartsAJobUnderALimit) {
+  // A cancel's pass may start a job before cancel() takes the cancelled
+  // job off its user's pending count; the per-user check must wait for
+  // that. Job 2 blocks job 3 until it is cancelled, under every algorithm.
+  for (const sched::Algorithm algo :
+       {sched::Algorithm::kCbf, sched::Algorithm::kEasy,
+        sched::Algorithm::kFcfs}) {
+    des::Simulation sim;
+    grid::Platform platform(sim, std::vector<int>{4}, algo);
+    sched::ClusterScheduler& sched = platform.scheduler(0);
+    sched.set_per_user_pending_limit(2);
+    sched.submit(make_job(1, 2, 100.0));  // runs
+    sched.submit(make_job(2, 4, 100.0));  // waits for job 1
+    sched.submit(make_job(3, 1, 1000.0));  // would delay job 2: waits
+    ASSERT_EQ(sched.queue_length(), 2u);
+    ASSERT_TRUE(sched.cancel(2));
+    EXPECT_EQ(sched.running_count(), 2u);
+    EXPECT_EQ(sched.queue_length(), 0u);
+    sched.debug_validate();
+    sim.run();
+    EXPECT_EQ(sched.counters().finishes, 2u);
+  }
+}
+
+TEST(ValidateClean, CbfResetMidRunStaysSilent) {
+  // A run cut off while jobs still run (drain = false) leaves CBF with
+  // footprint ends for them; reset must clear those before the base
+  // reset's sweep checks them against the emptied running set.
+  des::Simulation sim;
+  sched::CbfScheduler sched(sim, 8);
+  sched.submit(make_job(1, 4, 100.0));
+  sched.submit(make_job(2, 8, 100.0));
+  sim.run_until(10.0);
+  ASSERT_EQ(sched.running_count(), 1u);
+  sim.reset();
+  sched.reset();
+  EXPECT_EQ(sched.running_count(), 0u);
+  EXPECT_EQ(sched.queue_length(), 0u);
+  sched.submit(make_job(1, 8, 50.0));
+  sim.run();
+  EXPECT_EQ(sched.counters().finishes, 1u);
+}
+
 TEST(ValidateClean, ProfileSurvivesReserveReleaseChurn) {
   sched::Profile p(16);
   p.reserve(0.0, 10.0, 4);
